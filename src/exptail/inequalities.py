@@ -340,11 +340,6 @@ def _fracint(fname: str, order, x, ctx) -> Real:
     return ctx.finalize(result)
 
 
-def _c(value, ctx) -> Real:
-    """Exact rational constant to working-precision float."""
-    return as_real(value, ctx)
-
-
 # ---------------------------------------------------------------------------
 # the catalog
 
@@ -434,7 +429,8 @@ def _register(cdef: CheckDef):
 
 def _ev_alzer(p, ctx):
     n, x = p["n"], p["x"]
-    return _rt(n - 1, x, ctx) * _rt(n + 1, x, ctx), _c(alzer_constant(n), ctx) * _rt(n, x, ctx) ** 2
+    return (_rt(n - 1, x, ctx) * _rt(n + 1, x, ctx),
+            as_real(alzer_constant(n), ctx) * _rt(n, x, ctx) ** 2)
 
 
 def _ratio_alzer(p, ctx):
@@ -469,7 +465,7 @@ def _ev_gen_k(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
     return (
         _rt(n - k, x, ctx) * _rt(n + k, x, ctx),
-        _c(gen_k_constant(n, k), ctx) * _rt(n, x, ctx) ** 2,
+        as_real(gen_k_constant(n, k), ctx) * _rt(n, x, ctx) ** 2,
     )
 
 
@@ -507,7 +503,8 @@ _register(CheckDef(
 
 def _ev_incgamma(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = _c(incgamma_constant(n, k), ctx) * _gi(mpf(n + k + 1), x, ctx) * _gi(mpf(n + 1 - k), x, ctx)
+    lhs = (as_real(incgamma_constant(n, k), ctx)
+           * _gi(mpf(n + k + 1), x, ctx) * _gi(mpf(n + 1 - k), x, ctx))
     return lhs, _gi(mpf(n + 1), x, ctx) ** 2
 
 
@@ -522,7 +519,7 @@ _register(CheckDef(
 
 def _ev_fracint_form(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = _rf(mpf(n + k), x, ctx) * _rf(mpf(n - k), x, ctx) / _c(gen_k_constant(n, k), ctx)
+    lhs = _rf(mpf(n + k), x, ctx) * _rf(mpf(n - k), x, ctx) / as_real(gen_k_constant(n, k), ctx)
     return lhs, _rf(mpf(n), x, ctx) ** 2
 
 
@@ -537,7 +534,7 @@ _register(CheckDef(
 
 def _cheb_constant(p, a, b, ctx):
     if all(float(v) == int(v) for v in (p, a, b)) and p >= 0:
-        return _c(chebyshev_constant_exact(int(p), int(a), int(b)), ctx)
+        return as_real(chebyshev_constant_exact(int(p), int(a), int(b)), ctx)
     return chebyshev_constant(p, a, b, ctx)
 
 
@@ -603,7 +600,7 @@ _register(CheckDef(
 
 def _ev_cor26(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = _c(cor26_constant(n, k), ctx) * _rt(n + k, x, ctx) * _rt(n, x, ctx) ** (k - 1)
+    lhs = as_real(cor26_constant(n, k), ctx) * _rt(n + k, x, ctx) * _rt(n, x, ctx) ** (k - 1)
     return lhs, _rt(n + 1, x, ctx) ** k
 
 
@@ -816,7 +813,7 @@ def _ev_neg_alzer(p, ctx):
     n, x = p["n"], p["x"]
     return (
         _rn(n - 1, x, ctx) * _rn(n + 1, x, ctx),
-        _c(neg_gen_k_constant(n, 1), ctx) * _rn(n, x, ctx) ** 2,
+        as_real(neg_gen_k_constant(n, 1), ctx) * _rn(n, x, ctx) ** 2,
     )
 
 
@@ -839,7 +836,7 @@ def _ev_neg_gen_k(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
     return (
         _rn(n - k, x, ctx) * _rn(n + k, x, ctx),
-        _c(neg_gen_k_constant(n, k), ctx) * _rn(n, x, ctx) ** 2,
+        as_real(neg_gen_k_constant(n, k), ctx) * _rn(n, x, ctx) ** 2,
     )
 
 
@@ -856,8 +853,8 @@ def _ev_neg_sandwich(p, ctx):
     n, x = p["n"], p["x"]
     prod = _rn(n - 1, x, ctx) * _rn(n + 1, x, ctx)
     sq = _rn(n, x, ctx) ** 2
-    low = (prod, _c(neg_gen_k_constant(n, 1), ctx) * sq)
-    high = (_c(alzer_constant(n), ctx) * sq, prod)
+    low = (prod, as_real(neg_gen_k_constant(n, 1), ctx) * sq)
+    high = (as_real(alzer_constant(n), ctx) * sq, prod)
     return low if low[0] - low[1] <= high[0] - high[1] else high
 
 
@@ -926,7 +923,7 @@ def _ev_sandwich49(p, ctx):
     n, x = p["n"], p["x"]
     prod = _rt(n - 1, x, ctx) * _rt(n + 1, x, ctx)
     sq = _rt(n, x, ctx) ** 2
-    low = (prod, _c(alzer_constant(n), ctx) * sq)
+    low = (prod, as_real(alzer_constant(n), ctx) * sq)
     high = (sq, prod)
     return low if low[0] - low[1] <= high[0] - high[1] else high
 
@@ -946,8 +943,8 @@ def _ev_prob15(p, ctx):
         _rt(n - 2, x, ctx) * _rt(n, x, ctx) / _rt(n - 1, x, ctx) ** 2
         + _rt(n, x, ctx) ** 2 / (_rt(n - 1, x, ctx) * _rt(n + 1, x, ctx))
     )
-    lo = _c(Fraction(2 * n + 1, n + 1), ctx)
-    hi = _c(Fraction(2 * n + 3, n + 1), ctx)
+    lo = as_real(Fraction(2 * n + 1, n + 1), ctx)
+    hi = as_real(Fraction(2 * n + 3, n + 1), ctx)
     low = (f, lo)
     high = (hi, f)
     return low if low[0] - low[1] <= high[0] - high[1] else high

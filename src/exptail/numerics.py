@@ -1,11 +1,11 @@
 """Extended-precision scalar special functions and a quadrature oracle.
 
-The three series routines (gamma, lower incomplete gamma, Kummer 1F1 with
-unit numerator parameter) are the workhorses behind every remainder
-evaluation; all of them sum series whose terms are positive for
-nonnegative argument, so no cancellation occurs and the truncation rule
-"stop once the term is below target_rel_err times the partial sum and the
-terms are decreasing" yields the requested relative accuracy directly.
+One kernel, :func:`_hyp1f1_pos`, sums every positive series of the
+package: the remainders, the lower incomplete gamma function and Kummer's
+1F1(1; b; x) are each a prefactor times one 1F1(a; b; x) with a >= 1,
+b > 0.  For x >= 0 all its terms are positive, so no cancellation occurs
+and a truncation rule on the term and the partial sum yields the
+requested relative accuracy directly.
 
 ``quad_integral`` is deliberately an independent second route: adaptive
 bisection with a fixed-order Gauss-Legendre rule per panel.  An algebraic
@@ -22,6 +22,7 @@ import math
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NumericalError
 from .precision import GUARD_BITS, PrecisionContext, Real, as_real
@@ -49,11 +50,65 @@ def gamma_fn(v, ctx: PrecisionContext) -> Real:
     return ctx.finalize(result)
 
 
+def _fixed_param(p, wp: int) -> tuple[int, int, int]:
+    """Start, step and scale bits of p + k: exact for an integer p, else
+    in fixed point with wp fractional bits."""
+    if p == int(p):
+        return int(p), 1, 0
+    return to_fixed(mpf(p)._mpf_, wp), 1 << wp, wp
+
+
+def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
+    """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, a >= 1, b > 0.
+
+    Summed in integer fixed point at the active working precision wp.  The
+    sum starts at 1 and for x >= 0 no term is negative, so each truncation
+    of 2**-wp is a relative error.  Once the sum passes 2*wp bits, sum and
+    term are shifted down together into an exponent, so the integers stay
+    short however large x is.  For x < 0 the caller boosts the precision
+    to absorb the cancellation.  With a >= 1 the term ratio r decreases in
+    k, so the rest of the series is below term * r/(1-r) once r < 1.
+    """
+    if not (mp.isfinite(a) and mp.isfinite(b)):
+        raise NumericalError(f"1F1({a}; {b}; {x}) series does not converge: non-finite parameter")
+    wp = mp.prec
+    target = ctx.target_rel_err
+    # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))
+    tol = 2 - target.exp - target.bc
+    na, da, sa = _fixed_param(a, wp)
+    nb, db, sb = _fixed_param(b, wp)
+    shift = wp + sa - sb
+    xm = to_fixed(mpf(x)._mpf_, wp)
+    af, bf, xf = float(a), float(b), abs(float(x))
+    term = total = 1 << wp
+    exp = -wp
+    for k in range(1, _series_budget(xf, ctx.bits)):
+        term = term * xm * na // (nb * k << shift)
+        total += term
+        gap = total.bit_length() - term.bit_length() - tol
+        if gap >= 0:
+            # term < 2**-gap * target * total, and the rest of the series
+            # is below term * r/(1-r) with r the next term ratio
+            r = xf * (af + k) / ((bf + k) * (k + 1))
+            if r <= (1 - r) * 2.0 ** min(gap, 64):
+                break
+        if total.bit_length() > 2 * wp:
+            term >>= wp
+            total >>= wp
+            exp += wp
+        na += da
+        nb += db
+    else:
+        raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",
+                             best_estimate=ctx.finalize(scale * mp.ldexp(total, exp)))
+    return scale * mp.ldexp(total, exp)
+
+
 def lower_incomplete_gamma(v, x, ctx: PrecisionContext) -> Real:
     """gamma(v, x) = integral of t**(v-1) e**-t over (0, x).
 
     Evaluated through the all-positive series
-    gamma(v,x) = x**v e**-x * sum_k x**k / (v (v+1) ... (v+k)).
+    gamma(v,x) = x**v e**-x / v * 1F1(1; v+1; x).
     """
     with ctx.work():
         v = as_real(v, ctx)
@@ -62,22 +117,7 @@ def lower_incomplete_gamma(v, x, ctx: PrecisionContext) -> Real:
             raise DomainError(f"lower_incomplete_gamma requires v > 0, got v={v}")
         if x < 0:
             raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-        if x == 0:
-            return ctx.finalize(0)
-        term = 1 / v
-        total = term
-        budget = _series_budget(float(x), ctx.bits)
-        for k in range(1, budget):
-            term *= x / (v + k)
-            total += term
-            if term < ctx.target_rel_err * total and x < v + k + 1:
-                break
-        else:
-            raise NumericalError(
-                f"incomplete gamma series did not converge for v={v}, x={x}",
-                best_estimate=ctx.finalize(x**v * mp.exp(-x) * total),
-            )
-        result = x**v * mp.exp(-x) * total
+        result = _hyp1f1_pos(1, v + 1, x, ctx, x**v * mp.exp(-x) / v)
     return ctx.finalize(result)
 
 
@@ -91,25 +131,10 @@ def kummer_1f1_one(b, x, ctx: PrecisionContext) -> Real:
     boost = int(abs(float(x)) * 1.4427) + 16 if x < 0 else 0
     with ctx.work(boost):
         b = as_real(b, ctx)
-        xw = +mpf(x)
         if b <= 0:
             raise DomainError(f"kummer_1f1_one requires b > 0, got b={b}")
-        if xw == 0:
-            return ctx.finalize(1)
-        term = mpf(1)
-        total = term
-        budget = _series_budget(float(xw), ctx.bits)
-        for k in range(1, budget):
-            term *= xw / (b + k - 1)
-            total += term
-            if abs(term) < ctx.target_rel_err * abs(total) and abs(xw) < b + k:
-                break
-        else:
-            raise NumericalError(
-                f"Kummer series did not converge for b={b}, x={xw}",
-                best_estimate=ctx.finalize(total),
-            )
-    return ctx.finalize(total)
+        result = _hyp1f1_pos(1, b, +mpf(x), ctx)
+    return ctx.finalize(result)
 
 
 class QuadResult(NamedTuple):

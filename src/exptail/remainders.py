@@ -1,15 +1,14 @@
 """Exponential Taylor remainders in all four flavours, each with at least
 two independent evaluation routes.
 
-The integer remainder R_n(x) = e**x - sum_{k<=n} x**k/k! is summed as the
-tail series directly (all positive terms, no cancellation), never as the
-subtraction, which loses ~x*log2(e) bits.  The fractional extension R_a
-for real a > -1 goes through the Kummer series x**(a+1)/Gamma(a+2) *
-1F1(1; a+2; x).  The negative-argument magnitude |R_n(-x)| and the
-two-parameter remainder R_{n,m} are summed through termwise integration
-of their positive integral kernels, which again yields all-positive
-series; the quadrature forms survive only inside :func:`cross_check` as
-oracles (together with the subtraction forms at boosted precision).
+Each remainder is a prefactor times one all-positive series 1F1(a; b; x),
+summed by the one series kernel of :mod:`.numerics`.  So the integer
+remainder R_n(x) = e**x - sum_{k<=n} x**k/k! is summed as the tail
+directly, never as the subtraction, which loses ~x*log2(e) bits.  The
+series of |R_n(-x)| and R_{n,m} come from termwise integration of their
+positive integral kernels.  The quadrature forms survive only inside
+:func:`cross_check` as oracles (together with the subtraction forms at
+boosted precision).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import DomainError, NumericalError, UsageError
-from .numerics import _series_budget, kummer_1f1_one, quad_integral
+from .numerics import _hyp1f1_pos, _series_budget, quad_integral
 from .precision import PrecisionContext, Real, as_real
 
 
@@ -69,27 +68,13 @@ def _check_nonneg_x(x, ctx):
 
 
 def r_tail(n: int, x, ctx: PrecisionContext) -> Real:
-    """Tail sum_{k>n} x**k/k! of the exponential series, x >= 0."""
+    """Tail sum_{k>n} x**k/k! = x**(n+1)/(n+1)! 1F1(1; n+2; x), x >= 0."""
     if n < 0:
         raise DomainError(f"r_tail requires n >= 0, got {n}")
     with ctx.work():
         xw = _check_nonneg_x(x, ctx)
-        if xw == 0:
-            return ctx.finalize(0)
-        term = xw ** (n + 1) / mpf(math.factorial(n + 1))
-        total = term
-        budget = _series_budget(float(xw), ctx.bits)
-        for k in range(n + 2, n + 2 + budget):
-            term *= xw / k
-            total += term
-            if term < ctx.target_rel_err * total and xw < k + 1:
-                break
-        else:
-            raise NumericalError(
-                f"tail series did not converge for n={n}, x={xw}",
-                best_estimate=ctx.finalize(total),
-            )
-    return ctx.finalize(total)
+        result = _hyp1f1_pos(1, n + 2, xw, ctx, xw ** (n + 1) / mpf(math.factorial(n + 1)))
+    return ctx.finalize(result)
 
 
 def r_frac(a, x, ctx: PrecisionContext) -> Real:
@@ -100,10 +85,7 @@ def r_frac(a, x, ctx: PrecisionContext) -> Real:
         if not aw > -1:
             raise DomainError(f"r_frac requires a > -1, got {aw}")
         xw = _check_nonneg_x(x, ctx)
-        if xw == 0:
-            return ctx.finalize(0)
-        f11 = kummer_1f1_one(aw + 2, xw, ctx)
-        result = xw ** (aw + 1) / mp.gamma(aw + 2) * f11
+        result = _hyp1f1_pos(1, aw + 2, xw, ctx, xw ** (aw + 1) / mp.gamma(aw + 2))
     return ctx.finalize(result)
 
 
@@ -117,26 +99,15 @@ def r_neg(n: int, x, ctx: PrecisionContext) -> Real:
     the sign).
 
     Termwise integration of the positive kernel (x-t)**n e**-t gives
-    |R_n(-x)| = e**-x x**(n+1)/n! * sum_k x**k/(k! (n+1+k)), all terms
+    |R_n(-x)| = e**-x x**(n+1)/(n+1)! * 1F1(n+1; n+2; x), all terms
     positive, so no precision boost is needed.
     """
     if n < 0:
         raise DomainError(f"r_neg requires n >= 0, got {n}")
     with ctx.work():
         xw = _check_nonneg_x(x, ctx)
-        if xw == 0:
-            return ctx.finalize(0)
-        term = mpf(1) / (n + 1)
-        total = term
-        budget = _series_budget(float(xw), ctx.bits)
-        for k in range(1, budget):
-            term *= xw * (n + k) / (k * (n + 1 + k))
-            total += term
-            if term < ctx.target_rel_err * total and xw < k + 1:
-                break
-        else:
-            raise NumericalError(f"negative-argument series did not converge for n={n}, x={xw}")
-        result = mp.exp(-xw) * xw ** (n + 1) / mpf(math.factorial(n)) * total
+        prefactor = mp.exp(-xw) * xw ** (n + 1) / mpf(math.factorial(n + 1))
+        result = _hyp1f1_pos(n + 1, n + 2, xw, ctx, prefactor)
     return ctx.finalize(result)
 
 
@@ -145,27 +116,16 @@ def r_obreshkov(n: int, m: int, x, ctx: PrecisionContext) -> Real:
 
     Summed through the termwise Beta-integral expansion of the kernel
     (x-t)**n t**m e**t (validated against quadrature in the test suite):
-    (-1)**m n!/(n+m)! sum_k (m+k)!/(k! (n+m+k+1)!) x**(n+m+k+1).
+    (-1)**m n! m!/((n+m)! (n+m+1)!) x**(n+m+1) 1F1(m+1; n+m+2; x).
     R_{n,0} coincides with the plain tail.
     """
     if n < 0 or m < 0:
         raise DomainError(f"r_obreshkov requires n, m >= 0, got n={n}, m={m}")
     with ctx.work():
         xw = _check_nonneg_x(x, ctx)
-        if xw == 0:
-            return ctx.finalize(0)
-        term = xw ** (n + m + 1) * mpf(math.factorial(m)) / mpf(math.factorial(n + m + 1))
-        total = term
-        budget = _series_budget(float(xw), ctx.bits)
-        for k in range(1, budget):
-            term *= xw * (m + k) / (k * (n + m + k + 1))
-            total += term
-            if term < ctx.target_rel_err * total and xw < k + 1:
-                break
-        else:
-            raise NumericalError(f"obreshkov series did not converge for n={n}, m={m}, x={xw}")
-        sign = -1 if m % 2 else 1
-        result = sign * mpf(math.factorial(n)) / mpf(math.factorial(n + m)) * total
+        prefactor = ((-1) ** m * math.factorial(n) * math.factorial(m) * xw ** (n + m + 1)
+                     / mpf(math.factorial(n + m) * math.factorial(n + m + 1)))
+        result = _hyp1f1_pos(m + 1, n + m + 2, xw, ctx, prefactor)
     return ctx.finalize(result)
 
 
@@ -173,7 +133,8 @@ def q_value(n: int, x, ctx: PrecisionContext) -> Real:
     """Mean-value exponent Q_n(x) in R_n(x) = x**(n+1)/(n+1)! e**(x Q_n(x)).
 
     Strictly inside (0, 1) for x > 0; x = 0 is refused (the limit
-    1/(n+2) exists but is excluded).
+    1/(n+2) exists but is excluded).  Evaluated as log1p(x/(n+2) *
+    1F1(1; n+3; x))/x, as log 1F1(1; n+2; x) rounds to log 1 for tiny x.
     """
     if n < 1:
         raise DomainError(f"q_value requires n >= 1, got {n}")
@@ -181,7 +142,7 @@ def q_value(n: int, x, ctx: PrecisionContext) -> Real:
         xw = as_real(x, ctx)
         if not xw > 0:
             raise DomainError(f"q_value requires x > 0, got {xw}")
-        result = mp.log(kummer_1f1_one(n + 2, xw, ctx)) / xw
+        result = mp.log1p(_hyp1f1_pos(1, n + 3, xw, ctx, xw / (n + 2))) / xw
     return ctx.finalize(result)
 
 
@@ -195,14 +156,19 @@ def b_value(nu, x, ctx: PrecisionContext) -> Real:
 
 
 def eps_value(nu, x, ctx: PrecisionContext) -> Real:
-    """Ratio defect R_nu/R_{nu+1} - (nu+2)/x; lies in [0, 1] and increases
-    from 0 (x -> 0) to 1 (x -> oo)."""
+    """Ratio defect R_nu/R_{nu+1} - (nu+2)/x, nu > -1; lies in (0, 1) and
+    increases from 1/(nu+3) (x -> 0) to 1 (x -> oo).  Evaluated without
+    the subtraction as 1F1(2; nu+4; x) / ((nu+3) 1F1(1; nu+3; x)), since
+    1F1(1; b; x) - 1F1(1; b+1; x) = x/(b (b+1)) 1F1(2; b+2; x)."""
     with ctx.work():
         nuw = as_real(nu, ctx)
         xw = as_real(x, ctx)
         if not xw > 0:
             raise DomainError(f"eps_value requires x > 0, got {xw}")
-        result = r_frac(nuw, xw, ctx) / r_frac(nuw + 1, xw, ctx) - (nuw + 2) / xw
+        if not nuw > -1:
+            raise DomainError(f"eps_value requires nu > -1, got {nuw}")
+        result = (_hyp1f1_pos(2, nuw + 4, xw, ctx)
+                  / _hyp1f1_pos(1, nuw + 3, xw, ctx, nuw + 3))
     return ctx.finalize(result)
 
 

@@ -10,7 +10,7 @@ from conftest import rel_err
 from exptail.errors import DomainError, NumericalError
 from exptail.numerics import gamma_fn, kummer_1f1_one, lower_incomplete_gamma, quad_integral
 from exptail.precision import PrecisionContext
-from exptail.remainders import r_tail
+from exptail.remainders import r_frac, r_neg, r_obreshkov, r_tail
 
 # frozen from an independent high-precision constant (square root of pi)
 SQRT_PI = ("1.7724538509055160272981674833411451827975494561223871282138077898"
@@ -109,6 +109,45 @@ def test_kummer_tail_identity(ctx):
             with mp.workprec(ctx.bits + 32):
                 lhs = kummer_1f1_one(n + 2, x, ctx) * x ** (n + 1) / math.factorial(n + 1)
             assert rel_err(lhs, r_tail(n, x, ctx)) < 10 * ctx.target_rel_err
+
+
+_KERNEL_ROUTES = [
+    ("r_tail", (0, 7), r_tail,
+     lambda n, x: x ** (n + 1) / mp.factorial(n + 1) * mp.hyp1f1(1, n + 2, x)),
+    ("r_neg", (0, 7), r_neg,
+     lambda n, x: mp.exp(-x) * x ** (n + 1) / mp.factorial(n + 1) * mp.hyp1f1(n + 1, n + 2, x)),
+    ("r_obreshkov(n, 2)", (0, 7), lambda n, x, c: r_obreshkov(n, 2, x, c),
+     lambda n, x: 2 * mp.factorial(n) / (mp.factorial(n + 2) * mp.factorial(n + 3))
+     * x ** (n + 3) * mp.hyp1f1(3, n + 4, x)),
+    ("r_frac", (3, mpf("-0.5"), mpf("2.5")), r_frac,
+     lambda a, x: x ** (a + 1) / mp.gamma(a + 2) * mp.hyp1f1(1, a + 2, x)),
+    ("lower_incomplete_gamma", (3, mpf("0.5"), mpf("7.3")), lower_incomplete_gamma,
+     lambda v, x: mp.gammainc(v, 0, x)),
+    ("kummer_1f1_one", (3, mpf("0.5"), mpf("7.3")), kummer_1f1_one,
+     lambda b, x: mp.hyp1f1(1, b, x)),
+]
+
+
+@pytest.mark.parametrize("bits", [53, 256, 1024])
+@pytest.mark.parametrize("x", ["1e-300", "1e-20", "1e-3", "1", "30", "1e3", "1e4"])
+def test_series_kernel_against_mpmath(bits, x):
+    # every route through the positive-series kernel, integer and fractional
+    # orders; large x exercises the kernel's renormalisation.  The reference
+    # precision grows with bits, since 640 bits cannot resolve a 1024-bit target.
+    ctx = PrecisionContext(bits)
+    x = ctx.finalize(x)
+    for name, orders, fn, ref in _KERNEL_ROUTES:
+        for p in orders:
+            with mp.workprec(max(mp.prec, bits + 128)):
+                expected = ref(p, x)
+            err = rel_err(fn(p, x, ctx), expected)
+            assert err < 10 * ctx.target_rel_err, (name, p)
+
+
+@pytest.mark.parametrize("fn", [kummer_1f1_one, lower_incomplete_gamma])
+def test_series_non_finite_order(ctx, fn):
+    with pytest.raises(NumericalError):
+        fn(mpf("nan"), 1, ctx)
 
 
 def test_kummer_domain(ctx):

@@ -171,6 +171,15 @@ def test_q_value_small_x_limit(ctx):
     assert abs(q6 - Fraction(1, n + 2)) < mpf("1e-6")
 
 
+@pytest.mark.parametrize("x", ["1e-10", "1e-20", "1e-90", "1e-300"])
+def test_q_value_tiny_x(ctx, x):
+    # log 1F1(1; n+2; x) rounds to log 1 here; the log1p form does not
+    x = ctx.finalize(x)
+    for n in (1, 3, 16):
+        ref = mp.log1p(x / (n + 2) * mp.hyp1f1(1, n + 3, x)) / x
+        assert rel_err(q_value(n, x, ctx), ref) < 10 * ctx.target_rel_err
+
+
 def test_b_value(ctx):
     assert rel_err(b_value(0, 1, ctx), mp.e - 1) < 10 * ctx.target_rel_err
     composed = gamma_fn(mpf("2.5"), ctx) * r_frac(mpf("0.5"), 2, ctx)
@@ -198,6 +207,18 @@ def test_eps_limits(ctx):
     assert eps_value(1, 100, ctx) > mpf("0.95")
     with pytest.raises(DomainError):
         eps_value(1, 0, ctx)
+
+
+@pytest.mark.parametrize("x", ["1e-10", "1e-20", "1e-90", "1e-300"])
+def test_eps_tiny_x(ctx, x):
+    # reference from the defining difference R_nu/R_{nu+1} - (nu+2)/x,
+    # with the log2(1/x) bits it cancels added to the precision
+    x = ctx.finalize(x)
+    for nu in (mpf("-0.5"), mpf("0.5"), mpf("3.7")):
+        with mp.workprec(mp.prec + int(-mp.log(x, 2))):
+            f2, f3 = mp.hyp1f1(1, nu + 2, x), mp.hyp1f1(1, nu + 3, x)
+            ref = (nu + 2) / x * (f2 - f3) / f3
+        assert rel_err(eps_value(nu, x, ctx), ref) < 10 * ctx.target_rel_err
 
 
 def test_g_ratio(ctx):
