@@ -52,38 +52,44 @@ def gamma_fn(v, ctx: PrecisionContext) -> Real:
 
 def _fixed_param(p, wp: int) -> tuple[int, int, int]:
     """Start, step and scale bits of p + k: exact for an integer p, else
-    in fixed point with wp fractional bits."""
+    in fixed point with at least wp significant bits."""
     if p == int(p):
         return int(p), 1, 0
-    return to_fixed(mpf(p)._mpf_, wp), 1 << wp, wp
+    s = wp + max(0, -mp.mag(p))
+    return to_fixed(mpf(p)._mpf_, s), 1 << s, s
 
 
 def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, a >= 1, b > 0.
 
-    Summed in integer fixed point at the active working precision wp.  The
-    sum starts at 1 and for x >= 0 no term is negative, so each truncation
-    of 2**-wp is a relative error.  Once the sum passes 2*wp bits, sum and
-    term are shifted down together into an exponent, so the integers stay
-    short however large x is.  For x < 0 the caller boosts the precision
-    to absorb the cancellation.  With a >= 1 the term ratio r decreases in
-    k, so the rest of the series is below term * r/(1-r) once r < 1.
+    Summed in integer fixed point at the active working precision wp, with
+    x, a and b exact or to wp significant bits however small they are.
+    The sum starts at 1 and for x >= 0 no term is negative, so each
+    truncation of 2**-wp is a relative error.  Once the sum passes 2*wp
+    bits, sum and term are shifted down together into an exponent, so the
+    integers stay short however large x is.  For x < 0 the caller boosts
+    the precision to absorb the cancellation.  With a >= 1 the term ratio
+    r decreases in k, so the rest of the series is below term * r/(1-r)
+    once r < 1.  For b = +oo every term past the first vanishes.
     """
-    if not (mp.isfinite(a) and mp.isfinite(b)):
+    if mp.isnan(b) or not mp.isfinite(a):
         raise NumericalError(f"1F1({a}; {b}; {x}) series does not converge: non-finite parameter")
+    if mp.isinf(b):
+        return scale * mpf(1)
     wp = mp.prec
     target = ctx.target_rel_err
     # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))
     tol = 2 - target.exp - target.bc
     na, da, sa = _fixed_param(a, wp)
     nb, db, sb = _fixed_param(b, wp)
-    shift = wp + sa - sb
-    xm = to_fixed(mpf(x)._mpf_, wp)
+    xm, _, sx = _fixed_param(x, wp)
+    # term * xm * na carries sx + sa - sb fractional bits more than term
+    up, down = max(0, sb - sx - sa), max(0, sx + sa - sb)
     af, bf, xf = float(a), float(b), abs(float(x))
     term = total = 1 << wp
     exp = -wp
     for k in range(1, _series_budget(xf, ctx.bits)):
-        term = term * xm * na // (nb * k << shift)
+        term = (term * xm * na << up) // (nb * k << down)
         total += term
         gap = total.bit_length() - term.bit_length() - tol
         if gap >= 0:
@@ -117,6 +123,8 @@ def lower_incomplete_gamma(v, x, ctx: PrecisionContext) -> Real:
             raise DomainError(f"lower_incomplete_gamma requires v > 0, got v={v}")
         if x < 0:
             raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
+        if mp.isinf(v) and x > 0:
+            raise NumericalError(f"incomplete gamma series does not converge for v={v}")
         result = _hyp1f1_pos(1, v + 1, x, ctx, x**v * mp.exp(-x) / v)
     return ctx.finalize(result)
 

@@ -123,7 +123,7 @@ _KERNEL_ROUTES = [
      lambda a, x: x ** (a + 1) / mp.gamma(a + 2) * mp.hyp1f1(1, a + 2, x)),
     ("lower_incomplete_gamma", (3, mpf("0.5"), mpf("7.3")), lower_incomplete_gamma,
      lambda v, x: mp.gammainc(v, 0, x)),
-    ("kummer_1f1_one", (3, mpf("0.5"), mpf("7.3")), kummer_1f1_one,
+    ("kummer_1f1_one", (3, mpf("0.5"), mpf("7.3"), mpf("1e-15"), mpf("1e-100")), kummer_1f1_one,
      lambda b, x: mp.hyp1f1(1, b, x)),
 ]
 
@@ -132,7 +132,8 @@ _KERNEL_ROUTES = [
 @pytest.mark.parametrize("x", ["1e-300", "1e-20", "1e-3", "1", "30", "1e3", "1e4"])
 def test_series_kernel_against_mpmath(bits, x):
     # every route through the positive-series kernel, integer and fractional
-    # orders; large x exercises the kernel's renormalisation.  The reference
+    # orders; large x exercises the kernel's renormalisation and tiny b the
+    # scaling of fractional parameters to full significance.  The reference
     # precision grows with bits, since 640 bits cannot resolve a 1024-bit target.
     ctx = PrecisionContext(bits)
     x = ctx.finalize(x)
@@ -145,9 +146,19 @@ def test_series_kernel_against_mpmath(bits, x):
 
 
 @pytest.mark.parametrize("fn", [kummer_1f1_one, lower_incomplete_gamma])
-def test_series_non_finite_order(ctx, fn):
+@pytest.mark.parametrize("order", ["nan", "inf"])
+def test_series_non_finite_order(ctx, fn, order):
+    if fn is kummer_1f1_one and order == "inf":
+        # the limit b -> oo of 1F1(1; b; x)
+        assert kummer_1f1_one(mpf(order), 1, ctx) == 1
+        return
     with pytest.raises(NumericalError):
-        fn(mpf("nan"), 1, ctx)
+        fn(mpf(order), 1, ctx)
+
+
+def test_r_frac_infinite_order(ctx):
+    # the limit a -> oo of R_a(x) for x < 1
+    assert r_frac(mpf("inf"), mpf("0.5"), ctx) == 0
 
 
 def test_kummer_domain(ctx):
