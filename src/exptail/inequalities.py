@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from mpmath import mp, mpf
 
 from .errors import NumericalError, PoleError, UsageError
-from .numerics import gamma_fn, kummer_1f1_one, lower_incomplete_gamma, quad_integral
+from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
 from .pade import eval_approximant, pade_exp
 from .precision import PrecisionContext, Real, as_real
 from .remainders import finite_diff, q_value, r_frac, r_neg, r_tail
@@ -323,20 +323,29 @@ def _kum(b, x, ctx) -> Real:
 
 
 @lru_cache(maxsize=None)
+def _qv(n: int, x, ctx) -> Real:
+    return q_value(n, x, ctx)
+
+
+@lru_cache(maxsize=None)
 def _fracint(fname: str, order, x, ctx) -> Real:
-    """Fractional integral I^order of a bundled test function at x."""
+    """Fractional integral I^order of a bundled test function at x, order > 0.
+
+    No route uses quadrature: ``exp`` is the fractional remainder
+    R_{order-1}, ``clamp`` the closed form
+    I^order[min(t, 1)](x) = (x**(order+1) - (x-1)_+**(order+1)) / Gamma(order+2),
+    whose difference cancels at most log2(x) bits, and ``arctan`` the
+    two-piece series of :func:`arctan_fracint`.
+    """
     if fname == "exp":
         return _rf(order - 1, x, ctx)
-    fn = {"arctan": mp.atan, "clamp": lambda t: min(t, mpf(1))}[fname]
+    if fname == "arctan":
+        return arctan_fracint(order, x, ctx)
     with ctx.work():
-        pieces = [(mpf(0), x)]
-        if fname == "clamp" and x > 1:
-            pieces = [(mpf(0), mpf(1)), (mpf(1), x)]
-        total = mpf(0)
-        for lo, hi in pieces:
-            expo = order - 1 if hi == x else 0
-            total += quad_integral(lambda t: (x - t) ** (order - 1) * fn(t), lo, hi, expo, ctx).value
-        result = total / gamma_fn(order, ctx)
+        gamma = gamma_fn(order + 2, ctx)
+    with ctx.work(max(0, mp.mag(x))):
+        kink = (x - 1) ** (order + 1) if x > 1 else 0
+        result = (x ** (order + 1) - kink) / gamma
     return ctx.finalize(result)
 
 
@@ -449,7 +458,7 @@ _register(CheckDef(
 
 def _ev_gautschi(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
-    qs = [q_value(n + j, x, ctx) for j in range(k + 1)]
+    qs = [_qv(n + j, x, ctx) for j in range(k + 1)]
     value = qs[0] if k == 0 else finite_diff(qs, k).values[0] * (-1) ** k
     return value, mpf(0)
 

@@ -5,14 +5,17 @@ package: the remainders, the lower incomplete gamma function and Kummer's
 1F1(1; b; x) are each a prefactor times one 1F1(a; b; x) with a >= 1,
 b > 0.  For x >= 0 all its terms are positive, so no cancellation occurs
 and a truncation rule on the term and the partial sum yields the
-requested relative accuracy directly.
+requested relative accuracy directly.  :func:`arctan_fracint`, the
+fractional integral of arctan, sums two geometric series whose bounded
+cancellation is paid for with extra working bits.
 
 ``quad_integral`` is deliberately an independent second route: adaptive
 bisection with a fixed-order Gauss-Legendre rule per panel.  An algebraic
 endpoint factor (hi - t)**e with e > -1 is absorbed by the power
 substitution t = hi - u**p (p chosen so the transformed integrand is
-analytic, or at least bounded, at u = 0).  It only ever serves as an
-oracle for the series paths, never the other way around.
+analytic, or at least bounded, at u = 0).  No evaluation path of the
+package calls it: it serves only as the oracle of ``cross_check`` and the
+tests.
 """
 
 from __future__ import annotations
@@ -108,6 +111,85 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
         raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",
                              best_estimate=ctx.finalize(scale * mp.ldexp(total, exp)))
     return scale * mp.ldexp(total, exp)
+
+
+def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
+    """Riemann-Liouville integral I^order[arctan](x), order >= 0, x > 0.
+
+    Since arctan(0) = 0 it equals K / Gamma(order+1) with
+    K = integral of (x-t)**order / (1+t**2) over (0, x), which is split at
+    d = x/2 when x >= 2 and at d = 0 otherwise.  With h = x - d:
+
+    * near t = x, 1/(1+t**2) = Im 1/(t-i) expands in z = h/(x-i), |z| <= 2/sqrt(5):
+      K_x = h**(order+1)/(1+x**2) * (Re S + x Im S), S = sum_k z**k/(order+k+1);
+    * near t = 0 (d >= 1), with J_j = integral of t**j/(1+t**2) over (0, d)
+      from J_0 = atan d, J_1 = log1p(d**2)/2 and the forward recurrence
+      J_j = d**(j-1)/(j-1) - J_{j-2}, stable for d >= 1:
+      K_0 = x**order * sum_j C(order, j) (-1/2)**j J_j/d**j.
+
+    Both sums run in integer fixed point.  Taking Im loses at most
+    log2(2 sqrt(1+x**2)) bits and the binomial sum at most order*log2(3),
+    so the working precision carries those bits on top of the guard.  Each
+    sum stops once its geometric tail bound term*r/(1-r) (times
+    sqrt(1+x**2) for Re S + x Im S) is below target/2 times a lower bound
+    of its value: Re S + x Im S >= 1/(order+1), as 1/(1+t**2) >= 1/(1+x**2)
+    on (d, x), and K_0/x**order >= 2**-order atan(d), as (1-t/x)**order >=
+    2**-order.  The bounds floor at 2 units, the size of the floored
+    fixed-point terms once the true ones have vanished.
+    """
+    with ctx.work():
+        order = as_real(order, ctx)
+        x = as_real(x, ctx)
+        if not (mp.isfinite(order) and order >= 0 and mp.isfinite(x) and x > 0):
+            raise DomainError(
+                f"arctan_fracint requires finite order >= 0 and x > 0, got {order}, {x}")
+        gamma = gamma_fn(order + 1, ctx)
+        d = x / 2 if x >= 2 else mpf(0)
+    boost = math.ceil(math.log2(2 * math.hypot(1, float(x))))
+    if d:
+        boost += math.ceil(float(order) * math.log2(3))
+    with ctx.work(boost):
+        wp = mp.prec
+        eps = ctx.target_rel_err / 2
+        h = x - d
+        w2 = x * x + 1
+        w = mp.sqrt(w2)
+        r = h / w
+        s = wp + max(0, -mp.mag(r))
+        zr, zi = to_fixed((h * x / w2)._mpf_, s), to_fixed((h / w2)._mpf_, s)
+        na, da, sa = _fixed_param(order + 1, wp)
+        stop = max(2, int(mp.ldexp(eps * (1 - r) / (r * w * (order + 1)), s)))
+        pr, pi, sr, si = 1 << s, 0, 0, 0
+        while True:
+            tr, ti = (pr << sa) // na, (pi << sa) // na
+            sr += tr
+            si += ti
+            if abs(tr) + abs(ti) <= stop:
+                break
+            pr, pi = (pr * zr - pi * zi) >> s, (pr * zi + pi * zr) >> s
+            na += da
+        total = h ** (order + 1) / w2 * mp.ldexp(sr + x * si, -s)
+        if d:
+            atan_d = mp.atan(d)
+            inv_d = to_fixed((1 / d)._mpf_, wp)
+            j_prev, j_cur = to_fixed(atan_d._mpf_, wp), to_fixed((mp.log1p(d * d) / (2 * d))._mpf_, wp)
+            no, _, so = _fixed_param(order, wp)
+            stop = max(2, int(mp.ldexp(eps * atan_d / 2**order, wp)))
+            c = 1 << wp
+            near0 = j_prev
+            j = 0
+            while True:
+                c = c * ((j << so) - no) // ((2 * j + 2) << so)
+                j += 1
+                term = c * j_cur >> wp
+                near0 += term
+                # past j = order each term ratio is below 1/2, so the tail is below term
+                if j >= order and abs(term) <= stop:
+                    break
+                j_prev, j_cur = j_cur, ((1 << wp) // j - (j_prev * inv_d >> wp)) * inv_d >> wp
+            total += x**order * mp.ldexp(near0, -wp)
+        result = total / gamma
+    return ctx.finalize(result)
 
 
 def lower_incomplete_gamma(v, x, ctx: PrecisionContext) -> Real:

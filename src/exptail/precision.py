@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 log = logging.getLogger("exptail")
+# A library logs only where the application has configured logging.
+log.addHandler(logging.NullHandler())
 
 # Extra mantissa bits used while computing, absorbing accumulated rounding
 # from long summations before the result is rounded back to ``bits``.
@@ -112,6 +114,15 @@ def format_real(x, ctx: PrecisionContext, digits: int | None = None) -> str:
 
 
 def parse_real(s: str, ctx: PrecisionContext) -> Real:
-    """Parse a decimal string at the context's working precision."""
+    """Parse a decimal string at the context's working precision.
+
+    A string that is no number raises :class:`UsageError`; nan and the
+    infinities raise :class:`DomainError`."""
     with ctx.work():
-        return mpf(s)
+        try:
+            x = mpf(s)
+        except ValueError as exc:
+            raise UsageError(f"cannot parse {s!r} as a number") from exc
+    if not mp.isfinite(x):
+        raise DomainError(f"expected a finite number, got {s!r}")
+    return x

@@ -63,6 +63,18 @@ def test_eval_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--quantity", "rn", "--n", "3", "--x", "inf"),
+    ("--quantity", "kummer", "--b", "2", "--x", "nan"),
+    ("--quantity", "ra", "--a=-inf", "--x", "1"),
+    ("--quantity", "rn", "--n", "3", "--x", "abc"),
+])
+def test_eval_bad_number_exits_2(capsys, argv):
+    code, _, err = run(capsys, "eval", *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_check_single_pass_row(capsys):
     code, out, _ = run(capsys, "check", "--id", "ALZER", "--grid", "n=1..1;x=lin(1,1,1)",
                        "--format", "text")

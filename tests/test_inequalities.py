@@ -7,7 +7,8 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import rel_err
-from exptail.errors import UsageError
+from exptail import inequalities, numerics
+from exptail.errors import DomainError, UsageError
 from exptail.inequalities import (CHECK_IDS, CheckId, GridAxis, ParamGrid,
                                   alzer_constant, chebyshev_constant, chebyshev_constant_exact,
                                   constant_cross_identities, cor26_constant, default_sweep,
@@ -15,6 +16,8 @@ from exptail.inequalities import (CHECK_IDS, CheckId, GridAxis, ParamGrid,
                                   interp_constant, interp_constant_power, log_grid,
                                   neg_gen_k_constant, parse_grid, sharpness_probe, summarize,
                                   sweep)
+from exptail.numerics import arctan_fracint, quad_integral
+from exptail.precision import PrecisionContext, as_real
 
 def test_exact_constants():
     assert alzer_constant(1) == Fraction(2, 3)
@@ -104,6 +107,65 @@ def test_fracmono_all_test_functions(ctx):
                 assert r.status == "PASS", (f, a, x)
     with pytest.raises(UsageError):
         evaluate_check("FRACMONO_34", ctx, {"a": 1, "f": "cos", "x": 1})
+
+
+_FRACINT_ORDERS = ("0.5", "1", "1.5", "2.5", "4.7", "20")
+# across the arctan split at x = 2 and the clamp kink at x = 1
+_FRACINT_X = ("1e-3", "0.7", "1", "1.4835", "1.999", "2", "2.0001", "30", "1e3")
+_FRACINT_POINTS = [(a, x) for a in _FRACINT_ORDERS for x in _FRACINT_X]
+
+
+def _fracint_by_quadrature(fname, order, x, ctx):
+    # the defining integral I^order f(x), split at the clamp kink
+    fn = {"arctan": mp.atan, "clamp": lambda t: min(t, mpf(1))}[fname]
+    with ctx.work():
+        pieces = [(0, x)] if fname == "arctan" or x <= 1 else [(0, 1), (1, x)]
+        total = sum(quad_integral(lambda t: (x - t) ** (order - 1) * fn(t), lo, hi,
+                                  order - 1 if hi == x else 0, ctx).value for lo, hi in pieces)
+        return total / mp.gamma(order)
+
+
+@pytest.mark.parametrize("fname", ["arctan", "clamp"])
+@pytest.mark.parametrize("bits,points", [
+    (53, _FRACINT_POINTS),
+    (256, _FRACINT_POINTS),
+    # few points at 1024 bits: the oracle costs seconds per point there
+    (1024, [("1.5", "1.999"), ("2.5", "2"), ("20", "30")]),
+])
+def test_fracint_closed_forms_against_quadrature(fname, bits, points):
+    # FRACMONO's arctan series and clamp closed form against the quadrature
+    # oracle, which runs 32 bits wider so its own error does not count
+    ctx, oracle_ctx = PrecisionContext(bits), PrecisionContext(bits + 32)
+    for a, x in points:
+        order, x = as_real(a, ctx), as_real(x, ctx)
+        expected = _fracint_by_quadrature(fname, order, x, oracle_ctx)
+        assert rel_err(inequalities._fracint(fname, order, x, ctx), expected) \
+            <= ctx.target_rel_err, (a, x)
+
+
+def test_arctan_fracint_limits_and_domain(ctx):
+    # order 0 is arctan itself, on both sides of the split at x = 2
+    for x in (mpf("0.5"), mpf(3)):
+        assert rel_err(arctan_fracint(0, x, ctx), mp.atan(x)) <= ctx.target_rel_err
+    for order, x in ((-1, 1), ("nan", 1), (1, 0), (1, "inf")):
+        with pytest.raises(DomainError):
+            arctan_fracint(mpf(order), mpf(x), ctx)
+    # the caller's ambient precision must not leak into the split point
+    x = ctx.finalize(mpf(14) / 3)
+    with mp.workprec(53):
+        at_53 = arctan_fracint(mpf("1.5"), x, ctx)
+    assert at_53 == arctan_fracint(mpf("1.5"), x, ctx)
+
+
+def test_fracmono_sweep_runs_no_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature on the catalog path")
+
+    monkeypatch.setattr(numerics, "quad_integral", no_quadrature)
+    monkeypatch.setattr(inequalities, "quad_integral", no_quadrature, raising=False)
+    inequalities._fracint.cache_clear()
+    rows = default_sweep(["FRACMONO_34"], PrecisionContext(256))
+    assert len(rows) == 175 and all(r.status == "PASS" for r in rows)
 
 
 def test_neg_family_and_corrected_constants(ctx):

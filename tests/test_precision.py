@@ -1,3 +1,7 @@
+import logging
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from exptail.errors import DomainError
+import exptail
+from exptail.errors import DomainError, UsageError
 from exptail.precision import PrecisionContext, as_real, format_real, parse_real
+from exptail.remainders import r_tail
 
 
 def test_defaults():
@@ -61,3 +67,35 @@ def test_round_trip_at_context_precision(ctx):
         v = mp.exp(mpf("0.7"))  # a full-precision mantissa
     back = parse_real(format_real(v, ctx), ctx)
     assert abs(back - v) <= abs(v) * mpf(2) ** (1 - ctx.bits)
+
+
+@pytest.mark.parametrize("text,error", [("nan", DomainError), ("inf", DomainError),
+                                        ("-inf", DomainError), ("abc", UsageError)])
+def test_parse_real_rejects_non_numbers(ctx, text, error):
+    with pytest.raises(error):
+        parse_real(text, ctx)
+
+
+_WIDE_OPERAND = """
+from mpmath import mp, mpf
+from exptail import PrecisionContext, r_tail
+with mp.workprec(640):
+    x = mpf(1) / 3
+r_tail(3, x, PrecisionContext(256))
+"""
+
+
+def test_operand_downgrade_is_logged_not_printed(ctx, caplog):
+    # in a fresh interpreter with no logging configured the warning must not
+    # reach stderr (pytest's own handlers would hide that in-process) ...
+    src = os.path.dirname(os.path.dirname(exptail.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _WIDE_OPERAND], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    # ... while a configured handler still records it
+    with mp.workprec(640):
+        x = mpf(1) / 3
+    with caplog.at_level(logging.WARNING, logger="exptail"):
+        r_tail(3, x, ctx)
+    assert "rounding 640-bit operand down to 288-bit context" in caplog.text
