@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
 from mpmath import mp, mpf
@@ -39,6 +39,30 @@ from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete
 from .pade import eval_approximant, pade_exp
 from .precision import PrecisionContext, Real, as_real
 from .remainders import finite_diff, q_value, r_frac, r_neg, r_tail
+
+# Entries kept by each module-level cache.  The default sweep's largest
+# working set (``_rf`` after ``check --id all``) is about 2,100 entries, so
+# the bound costs it no misses, while a long-lived process sweeping ever new
+# points holds at most this many values per cache.
+_CACHE_SIZE = 8192
+
+
+def _per_point(constant):
+    """Compute a Gamma-based sharp constant once per parameter point.
+
+    The parameters are converted with :func:`as_real` before the (bounded)
+    cache lookup, so equal values of different Python types share one entry
+    and one result; the wrapped function receives the converted values."""
+    cached = lru_cache(maxsize=_CACHE_SIZE)(constant)
+
+    @wraps(constant)
+    def lookup(*args):
+        *params, ctx = args
+        return cached(*(as_real(v, ctx) for v in params), ctx)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
 
 # ---------------------------------------------------------------------------
 # exact sharp constants
@@ -77,9 +101,9 @@ def chebyshev_constant_exact(p: int, a: int, b: int) -> Fraction:
     )
 
 
+@_per_point
 def chebyshev_constant(p, a, b, ctx: PrecisionContext) -> Real:
     with ctx.work():
-        p, a, b = as_real(p, ctx), as_real(a, ctx), as_real(b, ctx)
         c = (
             gamma_fn(p + a + 2, ctx)
             * gamma_fn(p + b + 2, ctx)
@@ -88,10 +112,10 @@ def chebyshev_constant(p, a, b, ctx: PrecisionContext) -> Real:
     return ctx.finalize(c)
 
 
+@_per_point
 def interp_constant(nu, a, theta, ctx: PrecisionContext) -> Real:
     """Interpolation constant Gamma(nu+2)**(1-t) Gamma(nu+a+2)**t / Gamma(nu+at+2)."""
     with ctx.work():
-        nu, a, theta = as_real(nu, ctx), as_real(a, ctx), as_real(theta, ctx)
         c = (
             gamma_fn(nu + 2, ctx) ** (1 - theta)
             * gamma_fn(nu + a + 2, ctx) ** theta
@@ -116,9 +140,9 @@ def interp_constant_power(nu: int, a: int, theta: Fraction) -> Fraction:
     )
 
 
+@_per_point
 def cor25_constant(nu, a, p, ctx: PrecisionContext) -> Real:
     with ctx.work():
-        nu, a, p = as_real(nu, ctx), as_real(a, ctx), as_real(p, ctx)
         c = (
             gamma_fn(nu + 2, ctx) ** (p - 1)
             * gamma_fn(nu + a + 2, ctx)
@@ -134,9 +158,9 @@ def cor26_constant(n: int, k: int) -> Fraction:
     return Fraction(math.factorial(n + k + 1), math.factorial(n + 2)) / Fraction(n + 2) ** (k - 1)
 
 
+@_per_point
 def cor27_constant(n, a, b, ctx: PrecisionContext) -> Real:
     with ctx.work():
-        n, a, b = as_real(n, ctx), as_real(a, ctx), as_real(b, ctx)
         g_n = gamma_fn(n + 2, ctx)
         c = (g_n / gamma_fn(n + b + 2, ctx)) ** a * (gamma_fn(n + a + 2, ctx) / g_n) ** b
     return ctx.finalize(c)
@@ -297,37 +321,37 @@ def parse_grid(spec: str, ctx: PrecisionContext) -> ParamGrid:
 # cached remainder access (sweeps revisit the same orders and abscissae)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _rt(n: int, x, ctx) -> Real:
     return r_tail(n, x, ctx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _rf(a, x, ctx) -> Real:
     return r_frac(a, x, ctx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _rn(n: int, x, ctx) -> Real:
     return r_neg(n, x, ctx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _gi(v, x, ctx) -> Real:
     return lower_incomplete_gamma(v, x, ctx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _kum(b, x, ctx) -> Real:
     return kummer_1f1_one(b, x, ctx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _qv(n: int, x, ctx) -> Real:
     return q_value(n, x, ctx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _fracint(fname: str, order, x, ctx) -> Real:
     """Fractional integral I^order of a bundled test function at x, order > 0.
 
@@ -363,6 +387,14 @@ class CheckDef:
     uses_y: bool = False
     sharp_ratio: Callable | None = None  # (params, ctx) -> Real
     sharp_limits: Mapping[str, Callable] = field(default_factory=dict)  # dir -> params -> value
+
+
+def _lhs_over_rhs(evaluate):
+    """Sharpness ratio lhs/rhs from one evaluation of the check's sides."""
+    def ratio(p, ctx):
+        lhs, rhs = evaluate(p, ctx)
+        return lhs / rhs
+    return ratio
 
 
 def _need_int(params, name, minimum=None):
@@ -505,7 +537,7 @@ def _ev_kummer_form(p, ctx):
 _register(CheckDef(
     "KUMMER_FORM", ("n", "k"), _ev_kummer_form, _val_nk,
     lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ctx),
-    sharp_ratio=lambda p, ctx: _ev_kummer_form(p, ctx)[0] / _ev_kummer_form(p, ctx)[1],
+    sharp_ratio=_lhs_over_rhs(_ev_kummer_form),
     sharp_limits={"zero": lambda p, ctx: Fraction(1)},
 ))
 
@@ -793,7 +825,7 @@ _register(CheckDef(
     "KIM_39", ("nu",), _ev_kim39,
     lambda p: _need_real(p, "nu", strict_gt=-1),
     lambda ctx: _cross([{"nu": nu} for nu in _fracs(ctx)], ctx),
-    sharp_ratio=lambda p, ctx: _ev_kim39(p, ctx)[0] / _ev_kim39(p, ctx)[1],
+    sharp_ratio=_lhs_over_rhs(_ev_kim39),
     sharp_limits={"zero": lambda p, ctx: Fraction(1)},
 ))
 
@@ -906,7 +938,7 @@ _register(CheckDef(
 ))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _pade_row(n: int):
     return pade_exp(n, 1)
 

@@ -9,6 +9,12 @@ how they are produced and printed, so "a Real at context precision" means
 Operands carrying more precision than the context are rounded down to it
 (the coarser precision wins); the downgrade is reported through the
 ``exptail`` logger.
+
+The conversion, rounding and rendering helpers (:func:`as_real`,
+:meth:`PrecisionContext.finalize`, :func:`format_real`) round ``mpf``, ``int``
+and ``Fraction`` operands through ``mpmath.libmp`` at an explicit precision
+and never switch mpmath's global context, so their results do not depend
+on an ambient ``mp.prec`` and they cost no context enter/exit per value.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import logging
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_div, mpf_pos, round_nearest, to_str
 
 from .errors import DomainError, UsageError
 
@@ -29,6 +36,18 @@ log.addHandler(logging.NullHandler())
 GUARD_BITS = 32
 
 Real = mpf
+
+_make = mp.make_mpf
+
+
+def _rounded(x, prec: int):
+    """Raw libmp value of an ``mpf`` or ``int`` rounded to nearest at
+    ``prec`` bits, or None for operand types left to mpmath's constructor."""
+    if isinstance(x, mpf):
+        return mpf_pos(x._mpf_, prec, round_nearest)
+    if isinstance(x, int):
+        return from_int(x, prec, round_nearest)
+    return None
 
 
 def default_target_rel_err(bits: int) -> mpf:
@@ -71,6 +90,9 @@ class PrecisionContext:
 
     def finalize(self, x) -> Real:
         """Round a computed value back to exactly ``bits`` of mantissa."""
+        raw = _rounded(x, self.bits)
+        if raw is not None:
+            return _make(raw)
         with mp.workprec(self.bits):
             return +mpf(x)
 
@@ -90,18 +112,21 @@ def as_real(x, ctx: PrecisionContext) -> Real:
     Mixed-precision operands are rounded to the coarser (context) precision;
     a downgrade of a wider mpf is logged.
     """
-    if isinstance(x, mpf) and x._mpf_[3] > ctx.bits + GUARD_BITS:
-        log.warning(
-            "rounding %d-bit operand down to %d-bit context", x._mpf_[3], ctx.bits + GUARD_BITS
-        )
-    with ctx.work():
-        if isinstance(x, str):
-            return mpf(x)
-        try:
-            num, den = x.numerator, x.denominator  # Fraction / int
-        except AttributeError:
-            return +mpf(x)
-        return mpf(num) / mpf(den) if den != 1 else mpf(num)
+    wp = ctx.bits + GUARD_BITS
+    if isinstance(x, mpf) and x._mpf_[3] > wp:
+        log.warning("rounding %d-bit operand down to %d-bit context", x._mpf_[3], wp)
+    raw = _rounded(x, wp)
+    if raw is None and hasattr(x, "denominator"):  # Fraction and other rationals
+        # numerator and denominator are rounded before the division, as the
+        # mpf quotient has always been formed; a single correctly rounded
+        # quotient can differ in the last bit
+        raw = from_int(x.numerator, wp, round_nearest)
+        if x.denominator != 1:
+            raw = mpf_div(raw, from_int(x.denominator, wp, round_nearest), wp, round_nearest)
+    if raw is not None:
+        return _make(raw)
+    with ctx.work():  # decimal strings, floats
+        return +mpf(x)
 
 
 def format_real(x, ctx: PrecisionContext, digits: int | None = None) -> str:
@@ -109,6 +134,9 @@ def format_real(x, ctx: PrecisionContext, digits: int | None = None) -> str:
     notation outside the exponent window [-4, 18)."""
     if digits is None:
         digits = ctx.decimal_digits
+    raw = _rounded(x, ctx.bits + GUARD_BITS)
+    if raw is not None:
+        return to_str(raw, digits, min_fixed=-4, max_fixed=18)
     with mp.workprec(ctx.bits + GUARD_BITS):
         return mp.nstr(mpf(x), digits, min_fixed=-4, max_fixed=18)
 

@@ -4,9 +4,13 @@ override, and byte determinism of reports."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import exptail
 from exptail.cli import main
 
 
@@ -142,6 +146,24 @@ def test_check_determinism_bytes(capsys, tmp_path):
     assert run(capsys, *args, "--out", str(f1))[0] == 0
     assert run(capsys, *args, "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_check_cold_subprocess_matches_warm_in_process(capsys, tmp_path):
+    # the checks whose sharp constants are cached per parameter point: a
+    # fresh interpreter and an in-process run on warm caches write the
+    # same bytes
+    args = ("check", "--id", "INTERP,COR_25,COR_27,PROD_28,CHEBYSHEV_GEN", "--bits", "53")
+    src = os.path.dirname(os.path.dirname(exptail.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cold = tmp_path / "cold.json"
+    proc = subprocess.run([sys.executable, "-m", "exptail.cli", *args, "--out", str(cold)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert run(capsys, *args, "--out", str(tmp_path / "warmup.json"))[0] == 0
+    for i in range(2):
+        warm = tmp_path / f"warm{i}.json"
+        assert run(capsys, *args, "--out", str(warm))[0] == 0
+        assert warm.read_bytes() == cold.read_bytes()
 
 
 def test_check_indeterminate_does_not_flip_exit_code(capsys):

@@ -9,9 +9,10 @@ from mpmath import mp, mpf
 from conftest import rel_err
 from exptail import inequalities, numerics
 from exptail.errors import DomainError, UsageError
-from exptail.inequalities import (CHECK_IDS, CheckId, GridAxis, ParamGrid,
+from exptail.inequalities import (CATALOG, CHECK_IDS, CheckId, GridAxis, ParamGrid,
                                   alzer_constant, chebyshev_constant, chebyshev_constant_exact,
-                                  constant_cross_identities, cor26_constant, default_sweep,
+                                  constant_cross_identities, cor25_constant, cor26_constant,
+                                  cor27_constant, default_sweep,
                                   evaluate_check, gen_k_constant, incgamma_constant,
                                   interp_constant, interp_constant_power, log_grid,
                                   neg_gen_k_constant, parse_grid, sharpness_probe, summarize,
@@ -315,3 +316,66 @@ def test_sharpness_usage_errors(ctx):
         sharpness_probe("ALZER", "sideways", ctx, {"n": 2})
     with pytest.raises(UsageError):
         sharpness_probe("NOSUCH", "zero", ctx, {})
+
+
+@pytest.mark.parametrize("name,params,accessor,calls", [
+    ("KUMMER_FORM", {"n": 3, "k": 1, "x": mpf(2)}, "_kum", 3),
+    ("KIM_39", {"nu": mpf("0.5"), "x": mpf(2)}, "_rf", 2),
+])
+def test_sharp_ratio_evaluates_the_check_once(ctx, monkeypatch, name, params, accessor, calls):
+    cdef = CATALOG[name]
+    counted = []
+    original = getattr(inequalities, accessor)
+
+    def counting(*args):
+        counted.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(inequalities, accessor, counting)
+    with ctx.work():
+        ratio = cdef.sharp_ratio(params, ctx)
+    assert len(counted) == calls
+    with ctx.work():
+        lhs, rhs = cdef.evaluate(params, ctx)
+        assert ratio == lhs / rhs
+
+
+@pytest.mark.parametrize("constant,params", [
+    (interp_constant, ((1, 2, Fraction(1, 2)), (mpf(1), mpf(2), mpf("0.5")))),
+    (cor25_constant, ((Fraction(1, 2), 1, 3), (mpf("0.5"), mpf(1), mpf(3)))),
+    (cor27_constant, ((2, Fraction(37, 10), Fraction(3, 2)), (2, "3.7", mpf("1.5")))),
+    (chebyshev_constant, ((Fraction(-1, 2), 1, 2), (mpf("-0.5"), 1, mpf(2)))),
+])
+def test_sharp_constants_cached_per_parameter_point(constant, params):
+    # equal parameter values of different Python types share one entry
+    ctx = PrecisionContext(200)
+    constant.cache_clear()
+    first = constant(*params[0], ctx)
+    second = constant(*params[1], ctx)
+    info = constant.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize == inequalities._CACHE_SIZE
+    assert first._mpf_ == second._mpf_
+    assert constant.__wrapped__(*(as_real(v, ctx) for v in params[1]), ctx)._mpf_ == first._mpf_
+
+
+def test_bounded_cache_overflow_keeps_values():
+    # REVERSE_43 with n = 1..8 reads r_tail orders 0..9 at every x, so this
+    # grid needs more _rt entries than the cache holds
+    ctx = PrecisionContext(53)
+    cache = inequalities._rt
+    count = inequalities._CACHE_SIZE // 10 + 1
+    grid = parse_grid(f"n=1..8;x=log(1e-3,30,{count})", ctx)
+    cache.cache_clear()
+    fresh = sweep(["REVERSE_43"], grid, ctx)
+    info = cache.cache_info()
+    assert info.maxsize == inequalities._CACHE_SIZE
+    assert info.currsize == info.maxsize
+    again = sweep(["REVERSE_43"], grid, ctx)  # through the evicting cache
+    assert cache.cache_info().currsize == info.maxsize
+
+    def key(r):
+        return r.x._mpf_, r.lhs._mpf_, r.rhs._mpf_, r.margin._mpf_, r.status
+
+    assert len(fresh) == 8 * count
+    assert [key(r) for r in again] == [key(r) for r in fresh]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational
 
 import exptail
 from exptail.errors import DomainError, UsageError
@@ -99,3 +100,97 @@ def test_operand_downgrade_is_logged_not_printed(ctx, caplog):
     with caplog.at_level(logging.WARNING, logger="exptail"):
         r_tail(3, x, ctx)
     assert "rounding 640-bit operand down to 288-bit context" in caplog.text
+
+
+# -- the libmp fast paths against the workprec forms they replaced ----------
+
+
+def _finalize_by_workprec(x, ctx):
+    with mp.workprec(ctx.bits):
+        return +mpf(x)
+
+
+def _as_real_by_workprec(x, ctx):
+    with ctx.work():
+        if isinstance(x, str):
+            return mpf(x)
+        try:
+            num, den = x.numerator, x.denominator
+        except AttributeError:
+            return +mpf(x)
+        return mpf(num) / mpf(den) if den != 1 else mpf(num)
+
+
+def _format_by_workprec(x, ctx, digits=None):
+    if digits is None:
+        digits = ctx.decimal_digits
+    with mp.workprec(ctx.bits + 32):
+        return mp.nstr(mpf(x), digits, min_fixed=-4, max_fixed=18)
+
+
+def _outcome(fn, *args):
+    """A comparable result: the raw mpf tuple or string, or the exception type."""
+    try:
+        value = fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    return value._mpf_ if isinstance(value, mpf) else value
+
+
+@st.composite
+def _wide_mpf(draw):
+    """An exact mpf of 53 to 1,200 significant bits, up to far beyond the
+    contexts under test, with ordinary, huge or tiny binary exponents."""
+    width = draw(st.integers(53, 1200))
+    man = draw(st.integers(2 ** (width - 1), 2 ** width - 1)) | 1
+    exp = draw(st.one_of(st.integers(-1500, 1500),
+                         st.sampled_from([-10 ** 6, -2 ** 40, 10 ** 6, 2 ** 40])))
+    sign = draw(st.sampled_from([1, -1]))
+    return mp.make_mpf(from_man_exp(sign * man, exp - width))
+
+
+_OPERANDS = st.one_of(
+    _wide_mpf(),
+    st.sampled_from([mpf(0), mpf("-0"), mpf(-0.0), 0, mpf(1), mpf(-1), mpf("inf"),
+                     mpf("-inf"), mpf("nan")]),
+    st.integers(-(2 ** 400), 2 ** 400),
+    st.integers(2 ** 300, 2 ** 1300).map(lambda n: n | 1),
+    st.fractions(max_denominator=2 ** 200),
+    st.builds(Fraction, st.integers(-(2 ** 1300), 2 ** 1300), st.integers(1, 2 ** 1300)),
+    st.builds("{}e{}".format, st.integers(-(10 ** 40), 10 ** 40), st.integers(-400, 400)),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_OPERANDS, bits=st.sampled_from([53, 256, 1024]),
+       ambient=st.sampled_from([None, 53, 113, 2000]))
+def test_fast_paths_match_workprec_forms(x, bits, ambient):
+    ctx = PrecisionContext(bits)
+    expected = [
+        _outcome(_finalize_by_workprec, x, ctx),
+        _outcome(_as_real_by_workprec, x, ctx),
+        _outcome(_format_by_workprec, x, ctx),
+        _outcome(_format_by_workprec, x, ctx, 8),
+    ]
+    # the caller's ambient precision must not reach any of the helpers
+    prec = mp.prec if ambient is None else ambient
+    with mp.workprec(prec):
+        got = [
+            _outcome(ctx.finalize, x),
+            _outcome(as_real, x, ctx),
+            _outcome(format_real, x, ctx),
+            _outcome(format_real, x, ctx, 8),
+        ]
+    assert got == expected
+
+
+def test_fraction_is_rounded_in_two_steps():
+    # numerator and denominator are rounded to the working precision before
+    # the division, as the mpf quotient has always been formed; a single
+    # correctly rounded quotient differs from that in the last bit here
+    ctx = PrecisionContext(53)
+    q = Fraction(3 ** 800 + 1, 7 ** 450 + 2)
+    got = as_real(q, ctx)._mpf_
+    assert got == _as_real_by_workprec(q, ctx)._mpf_
+    assert got != from_rational(q.numerator, q.denominator, ctx.bits + 32, "n")
