@@ -8,7 +8,11 @@ never change the exit code.
 
 Numbers in JSON and CSV reports are decimal strings rendered at full
 context precision, so extended-precision results survive serialisation;
-identical invocations produce byte-identical JSON.
+identical invocations produce byte-identical JSON.  A report renders each
+distinct value once: its decimal strings are memoized by ``_mpf_`` for the
+length of one render call.  JSON reports are laid out by a fixed-layout
+writer that encodes each scalar with the C routines of :mod:`json` and
+gives the same bytes as ``json.dumps(obj, indent=2)``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (DegeneratePointError, DomainError, NumericalError, PoleError,
                      UsageError)
@@ -49,20 +54,56 @@ def _context(args) -> PrecisionContext:
     return PrecisionContext(bits=bits)
 
 
-def _dec(value, ctx) -> str:
-    if value is None:
-        return ""
-    return format_real(value, ctx)
+def _renderer(ctx, digits: int | None = None):
+    """Decimal rendering of values for one report: strings are memoized by
+    ``_mpf_`` until the returned function is dropped; None renders as ""."""
+    memo = {}
+
+    def dec(value) -> str:
+        if value is None:
+            return ""
+        key = getattr(value, "_mpf_", None)
+        if key is None:
+            return format_real(value, ctx, digits)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = format_real(value, ctx, digits)
+        return text
+
+    return dec
 
 
-def _param_json(value, ctx):
+def _param_json(value, dec):
     if value is None or isinstance(value, (int, str, bool)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_param_json(v, ctx) for v in value]
+        return [_param_json(v, dec) for v in value]
     if isinstance(value, dict):
-        return {k: _param_json(v, ctx) for k, v in value.items()}
-    return _dec(value, ctx)
+        return {k: _param_json(v, dec) for k, v in value.items()}
+    return dec(value)
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for nested dicts, lists and JSON
+    scalars, written at indentation ``pad``; scalars and keys are encoded by
+    the C routines, the layout by this function."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(f"{inner}{_quote(k if isinstance(k, str) else json.dumps(k))}: "
+                            f"{_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + _json(v, inner) for v in value)
+        return f"[\n{items}\n{pad}]"
+    if type(value) is int:
+        return int.__repr__(value)  # what json's encoder writes for an int
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +159,9 @@ def _cmd_eval(args) -> int:
     else:
         raise UsageError(f"unknown quantity '{q}' (known: {', '.join(EVAL_QUANTITIES)})")
 
-    print(_dec(value, ctx))
-    print(f"err_estimate = {_dec(abs(value) * ctx.target_rel_err, ctx)}")
+    dec = _renderer(ctx)
+    print(dec(value))
+    print(f"err_estimate = {dec(abs(value) * ctx.target_rel_err)}")
     return 0
 
 
@@ -127,47 +169,53 @@ def _cmd_eval(args) -> int:
 # check
 
 
-def _check_record(r, ctx) -> dict:
-    return {
-        "check": r.check,
-        "params": _param_json(r.params, ctx),
-        "x": _dec(r.x, ctx),
-        "lhs": _dec(r.lhs, ctx),
-        "rhs": _dec(r.rhs, ctx),
-        "margin": _dec(r.margin, ctx),
-        "ratio": _dec(r.ratio, ctx),
-        "status": r.status,
-        "err_bound": _dec(r.err_bound, ctx),
-    }
+def _check_json(results, ctx, summary, dec) -> str:
+    """The JSON check report: each record is written from a fixed template
+    in the layout of ``json.dumps(obj, indent=2)``."""
+    records = ",\n".join(
+        f'''    {{
+      "check": {_quote(r.check)},
+      "params": {_json(_param_json(r.params, dec), "      ")},
+      "x": {_quote(dec(r.x))},
+      "lhs": {_quote(dec(r.lhs))},
+      "rhs": {_quote(dec(r.rhs))},
+      "margin": {_quote(dec(r.margin))},
+      "ratio": {_quote(dec(r.ratio))},
+      "status": {_quote(r.status)},
+      "err_bound": {_quote(dec(r.err_bound))}
+    }}''' for r in results)
+    records = f"[\n{records}\n  ]" if records else "[]"
+    return f'''{{
+  "precision_bits": {json.dumps(ctx.bits)},
+  "target_rel_err": {_quote(dec(ctx.target_rel_err))},
+  "records": {records},
+  "summary": {_json(summary, "  ")}
+}}
+'''
 
 
 def render_check_report(results, ctx, fmt: str) -> str:
     summary = summarize(results)
+    dec = _renderer(ctx)
     if fmt == "json":
-        obj = {
-            "precision_bits": ctx.bits,
-            "target_rel_err": _dec(ctx.target_rel_err, ctx),
-            "records": [_check_record(r, ctx) for r in results],
-            "summary": summary,
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return _check_json(results, ctx, summary, dec)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        fields = ["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status", "err_bound"]
-        writer.writerow(fields)
-        for r in results:
-            rec = _check_record(r, ctx)
-            rec["params"] = json.dumps(rec["params"], sort_keys=True)
-            writer.writerow([rec[f] for f in fields])
+        writer.writerow(["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status",
+                         "err_bound"])
+        writer.writerows(
+            [r.check, json.dumps(_param_json(r.params, dec), sort_keys=True), dec(r.x),
+             dec(r.lhs), dec(r.rhs), dec(r.margin), dec(r.ratio), r.status, dec(r.err_bound)]
+            for r in results)
         return buf.getvalue()
     if fmt == "text":
+        short = _renderer(ctx, 8)
         lines = []
         for r in results:
-            ps = " ".join(f"{k}={_param_json(v, ctx)}" for k, v in r.params.items())
+            ps = " ".join(f"{k}={_param_json(v, dec)}" for k, v in r.params.items())
             lines.append(
-                f"{r.status:6s} {r.check:14s} {ps} x={format_real(r.x, ctx, 8)} "
-                f"margin={format_real(r.margin, ctx, 8)}"
+                f"{r.status:6s} {r.check:14s} {ps} x={short(r.x)} margin={short(r.margin)}"
             )
         lines.append(
             f"summary: {summary['PASS']} pass, {summary['FAIL']} fail, "
@@ -235,34 +283,31 @@ def _cmd_sharpness(args) -> int:
 # explore
 
 
-def _report_json(report, ctx) -> dict:
-    return {
-        "kind": report.kind,
-        "params": _param_json(report.params, ctx),
-        "columns": report.columns,
-        "rows": [[_param_json(v, ctx) for v in row] for row in report.rows],
-        "notes": report.notes,
-        "diagnostics": _param_json(report.diagnostics, ctx),
-    }
-
-
 def render_report(report, ctx, fmt: str) -> str:
+    dec = _renderer(ctx)
     if fmt == "json":
-        return json.dumps(_report_json(report, ctx), indent=2) + "\n"
+        return _json({
+            "kind": report.kind,
+            "params": _param_json(report.params, dec),
+            "columns": report.columns,
+            "rows": _param_json(report.rows, dec),
+            "notes": report.notes,
+            "diagnostics": _param_json(report.diagnostics, dec),
+        }) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(report.columns)
         for row in report.rows:
-            writer.writerow([_param_json(v, ctx) for v in row])
+            writer.writerow(_param_json(row, dec))
         return buf.getvalue()
     if fmt == "text":
-        lines = [f"report: {report.kind}", f"params: {_param_json(report.params, ctx)}"]
+        lines = [f"report: {report.kind}", f"params: {_param_json(report.params, dec)}"]
         lines.append(" | ".join(report.columns))
         for row in report.rows:
-            lines.append(" | ".join(str(_param_json(v, ctx)) for v in row))
+            lines.append(" | ".join(str(v) for v in _param_json(row, dec)))
         lines.extend(f"note: {n}" for n in report.notes)
-        lines.append(f"diagnostics: {json.dumps(_param_json(report.diagnostics, ctx))}")
+        lines.append(f"diagnostics: {json.dumps(_param_json(report.diagnostics, dec))}")
         return "\n".join(lines) + "\n"
     raise UsageError(f"unknown format '{fmt}'")
 
@@ -402,7 +447,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError, PoleError, DegeneratePointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:  # mpmath overflows at extreme arguments
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1005,6 +1005,20 @@ CHECK_IDS = tuple(CATALOG)
 # evaluation, sweeping, sharpness
 
 
+def _integer_param(cdef: CheckDef, name: str, v) -> int:
+    """An order given as an int, or as an integral mpf, float or decimal
+    string; anything else is a usage error, never truncated."""
+    if isinstance(v, int):
+        return int(v)
+    try:
+        r = mpf(v)
+    except (TypeError, ValueError):
+        r = None
+    if r is None or not mp.isint(r):
+        raise UsageError(f"check {cdef.name} needs an integer '{name}', got {v!r}")
+    return int(r)
+
+
 def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
     out = {}
     for name in cdef.param_names + ("x",) + (("y",) if cdef.uses_y else ()):
@@ -1014,7 +1028,7 @@ def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
         if name == "f":
             out[name] = str(v)
         elif name in ("n", "k"):
-            out[name] = int(mpf(v)) if isinstance(v, str) else int(v)
+            out[name] = _integer_param(cdef, name, v)
         else:
             out[name] = as_real(v, ctx)
     return out

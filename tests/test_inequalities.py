@@ -379,3 +379,21 @@ def test_bounded_cache_overflow_keeps_values():
 
     assert len(fresh) == 8 * count
     assert [key(r) for r in again] == [key(r) for r in fresh]
+
+
+@pytest.mark.parametrize("n", [2.5, mpf("2.5"), "2.5", "two"])
+def test_non_integral_order_rejected(ctx, n):
+    with pytest.raises(UsageError):
+        evaluate_check("ALZER", ctx, {"n": n, "x": 1})
+
+
+@pytest.mark.parametrize("n", [2, mpf(2), "2", 2.0])
+def test_integral_order_forms_accepted(ctx, n):
+    res = evaluate_check("ALZER", ctx, {"n": n, "x": 1})
+    assert res.params == {"n": 2} and type(res.params["n"]) is int
+    assert res.status == "PASS"
+
+
+def test_fractional_order_grid_keeps_integer_rows(ctx):
+    results = sweep(["ALZER"], parse_grid("n=lin(1,3,5);x=lin(1,1,1)", ctx), ctx)
+    assert [r.params for r in results] == [{"n": 1}, {"n": 2}, {"n": 3}]
