@@ -204,9 +204,22 @@ def render_check_report(results, ctx, fmt: str) -> str:
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status",
                          "err_bound"])
+        memo = {}
+
+        def params_text(params) -> str:
+            """The params column, rendered once per distinct parameter point."""
+            try:
+                key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in params.items())
+                return memo[key]
+            except TypeError:  # an unhashable value: render without the memo
+                return json.dumps(_param_json(params, dec), sort_keys=True)
+            except KeyError:
+                text = memo[key] = json.dumps(_param_json(params, dec), sort_keys=True)
+                return text
+
         writer.writerows(
-            [r.check, json.dumps(_param_json(r.params, dec), sort_keys=True), dec(r.x),
-             dec(r.lhs), dec(r.rhs), dec(r.margin), dec(r.ratio), r.status, dec(r.err_bound)]
+            [r.check, params_text(r.params), dec(r.x), dec(r.lhs), dec(r.rhs), dec(r.margin),
+             dec(r.ratio), r.status, dec(r.err_bound)]
             for r in results)
         return buf.getvalue()
     if fmt == "text":

@@ -21,7 +21,8 @@ from mpmath import mp, mpf
 from .errors import DomainError, PoleError, UsageError
 from .pade import denominator_roots, eval_approximant, pade_exp
 from .precision import PrecisionContext, as_real
-from .remainders import finite_diff, g_ratio, q_value, r_neg, r_obreshkov, r_tail
+from .remainders import (_subtraction_boost, finite_diff, g_ratio, q_value, r_neg, r_obreshkov,
+                         r_tail)
 
 
 @dataclass
@@ -417,7 +418,12 @@ def problem15_range(n: int, x_grid=None, ctx: PrecisionContext = None) -> Report
 
 def rk_error_demo(lam, h, y0, ctx: PrecisionContext = None) -> Report:
     """One classical 4-stage Runge-Kutta step on y' = lam*y compared with
-    the order-4 remainder: the one-step error equals |R_4(lam*h)| * |y0|."""
+    the order-4 remainder: the one-step error equals |R_4(lam*h)| * |y0|.
+
+    y1 - y0*e**z cancels down to that remainder, so both are formed with
+    the extra bits of :func:`.remainders._subtraction_boost`.  From
+    |z| >= 2*(4+1) on the degree-4 partial sum is at most half of e**z
+    (z > 0) or dominates e**z (z < 0), so there the step needs none."""
     ctx = ctx or PrecisionContext()
     with ctx.work():
         lam = as_real(lam, ctx)
@@ -425,18 +431,19 @@ def rk_error_demo(lam, h, y0, ctx: PrecisionContext = None) -> Report:
         y0 = as_real(y0, ctx)
         if not h > 0:
             raise DomainError(f"step size must be positive, got {h}")
+        z = lam * h
+        if z >= 0:
+            reference = r_tail(4, z, ctx) * abs(y0)
+        else:
+            reference = r_neg(4, -z, ctx) * abs(y0)
+    boost = _subtraction_boost(4, abs(z)) if abs(z) < 2 * (4 + 1) else 0
+    with ctx.work(boost):
         k1 = lam * y0
         k2 = lam * (y0 + h * k1 / 2)
         k3 = lam * (y0 + h * k2 / 2)
         k4 = lam * (y0 + h * k3)
         y1 = y0 + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        z = lam * h
-        exact = y0 * mp.exp(z)
-        error = abs(y1 - exact)
-        if z >= 0:
-            reference = r_tail(4, z, ctx) * abs(y0)
-        else:
-            reference = r_neg(4, -z, ctx) * abs(y0)
+        error = abs(y1 - y0 * mp.exp(lam * h))
         if reference == 0:
             agreement = mpf(0) if error == 0 else mpf("inf")
         else:

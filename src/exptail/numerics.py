@@ -3,11 +3,23 @@
 One kernel, :func:`_hyp1f1_pos`, sums every positive series of the
 package: the remainders, the lower incomplete gamma function and Kummer's
 1F1(1; b; x) are each a prefactor times one 1F1(a; b; x) with a >= 1,
-b > 0.  For x >= 0 all its terms are positive, so no cancellation occurs
-and a truncation rule on the term and the partial sum yields the
-requested relative accuracy directly.  :func:`arctan_fracint`, the
-fractional integral of arctan, sums two geometric series whose bounded
-cancellation is paid for with extra working bits.
+b > 0.  The kernel has two regimes, split at x = max(wp, 2b) with
+wp = bits + GUARD_BITS the working precision (:func:`_large_x`):
+
+* below the switch it sums the series.  For x >= 0 all its terms are
+  positive, so no cancellation occurs and a truncation rule on the term
+  and the partial sum yields the requested relative accuracy directly.
+  It needs about x terms, so its cost grows linearly with x;
+* from the switch on, 1F1(1; b; x) is Gamma(b) x**(1-b) e**x minus a
+  short upper-gamma expansion (:func:`_kummer_one_large_x`), whose cost
+  falls as x grows, and an integer a >= 2 (up to b + 1) steps up from
+  a = 1 by the contiguous relation in a, in a - 1 all-positive steps.
+
+The catalog evaluates remainders at x <= 60 (KIM_39 at 2x), below the
+switch even at 53 bits (wp = 85), so it never reaches the second regime.
+:func:`arctan_fracint`, the fractional integral of arctan, sums two
+geometric series whose bounded cancellation is paid for with extra
+working bits.
 
 ``quad_integral`` is deliberately an independent second route: adaptive
 bisection with a fixed-order Gauss-Legendre rule per panel.  An algebraic
@@ -62,6 +74,52 @@ def _fixed_param(p, wp: int) -> tuple[int, int, int]:
     return to_fixed(mpf(p)._mpf_, s), 1 << s, s
 
 
+def _large_x(b, x, ctx: PrecisionContext) -> bool:
+    """Whether 1F1(.; b; x) is past the switch x >= max(wp, 2b) to the
+    closed-form route, wp = bits + GUARD_BITS the working precision: there
+    e**-x < 2**(-1.44 wp) lies far below the working precision, and the
+    route's one subtraction loses under 1 bit."""
+    return x >= ctx.bits + GUARD_BITS and x >= 2 * b
+
+
+def _kummer_one_large_x(b, x, ctx: PrecisionContext) -> Real:
+    """1F1(1; b; x) for x >= max(wp, 2b), in O(bits) terms or fewer.
+
+    With s = b - 1, 1F1(1; b; x) = s x**-s e**x gamma(s, x), so
+    1F1(1; b; x) = Gamma(b) x**(1-b) e**x - (s/x) B with the bracket
+    B = x**(1-s) e**x Gamma(s, x) ~ sum_k (s-1)(s-2)...(s-k) / x**k
+    (DLMF 8.11.2).  For integer s the expansion ends at k = s and is the
+    exact partial sum.  While k < s - 1 its terms are positive with ratio
+    (s-k-1)/x <= 1/2, and from k >= s - 1 on the rest is bounded by the
+    first neglected term (DLMF 8.11(ii)), so the rest after any term is
+    below twice the next term.  Since x >= 2b, (s/x) B < 1 <= 1F1/3, so
+    the subtraction loses under 1 bit; for b < 1 it is an addition.
+    """
+    wp = mp.prec
+    s = b - 1
+    # exp's argument x - s log x, |.| <= x (|s| + 1), is formed to an
+    # absolute 2**-wp, with s taken from b again at that precision
+    with mp.workprec(wp + mp.mag(x) + mp.mag(abs(s) + 1)):
+        arg = x - (b - 1) * mp.log(x)
+    lead = mp.gamma(b) * mp.exp(arg)
+    if not s:
+        return lead
+    w = s / x
+    # stop at 2 |term| |w| <= target/4 * lead, in units of 2**-wp
+    stop = int(mp.ldexp(min(ctx.target_rel_err * lead / (8 * abs(w)), 1), wp))
+    ns, ds, ss = _fixed_param(s, wp)
+    xm, _, sx = _fixed_param(x, wp)
+    term = total = 1 << wp
+    for k in range(1, 4 * ctx.bits):
+        term = (term * (ns - k * ds) << sx) // (xm << ss)
+        if abs(term) <= stop:
+            break
+        total += term
+    else:
+        raise NumericalError(f"1F1(1; {b}; {x}) large-x expansion did not converge")
+    return lead - w * mp.ldexp(total, -wp)
+
+
 def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, a >= 1, b > 0.
 
@@ -74,11 +132,22 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     the precision to absorb the cancellation.  With a >= 1 the term ratio
     r decreases in k, so the rest of the series is below term * r/(1-r)
     once r < 1.  For b = +oo every term past the first vanishes.
+
+    For an integer a <= b + 1 and x >= max(wp, 2b) a closed form replaces
+    the series: a = 1 by :func:`_kummer_one_large_x`, and a >= 2 from
+    F(0) = 1 and F(1) by the contiguous relation (DLMF 13.3.1)
+    k F(k+1) = (2k - b + x) F(k) + (b - k) F(k-1), whose terms are all
+    positive for k < b and x >= b, so no step cancels.
     """
     if mp.isnan(b) or not mp.isfinite(a):
         raise NumericalError(f"1F1({a}; {b}; {x}) series does not converge: non-finite parameter")
     if mp.isinf(b):
         return scale * mpf(1)
+    if _large_x(b, x, ctx) and a == int(a) and a <= b + 1:
+        prev, cur = mpf(1), _kummer_one_large_x(b, x, ctx)
+        for k in range(1, int(a)):
+            prev, cur = cur, ((2 * k - b + x) * cur + (b - k) * prev) / k
+        return scale * cur
     wp = mp.prec
     target = ctx.target_rel_err
     # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))

@@ -2,13 +2,16 @@
 two independent evaluation routes.
 
 Each remainder is a prefactor times one all-positive series 1F1(a; b; x),
-summed by the one series kernel of :mod:`.numerics`.  So the integer
+evaluated by the one kernel of :mod:`.numerics`.  So the integer
 remainder R_n(x) = e**x - sum_{k<=n} x**k/k! is summed as the tail
 directly, never as the subtraction, which loses ~x*log2(e) bits.  The
 series of |R_n(-x)| and R_{n,m} come from termwise integration of their
-positive integral kernels.  The quadrature forms survive only inside
-:func:`cross_check` as oracles (together with the subtraction forms at
-boosted precision).
+positive integral kernels.  From x >= max(wp, 2b) on (wp = bits +
+GUARD_BITS, :func:`.numerics._large_x`) the kernel replaces the series,
+whose cost grows with x, by a closed form whose cost does not, so every
+remainder here has bounded cost at any x.  The quadrature forms survive
+only inside :func:`cross_check` as oracles (together with the
+subtraction forms at boosted precision).
 """
 
 from __future__ import annotations
@@ -204,18 +207,19 @@ def finite_diff(values, k: int) -> DiffTable:
     return DiffTable(tuple(vals), k)
 
 
-def _float_log2(x: float) -> float:
-    return math.log2(x) if x > 0 else 0.0
+def _float_log2(x) -> float:
+    """log2 x for x > 0, a float or an mpf below the float range; else 0."""
+    return float(mp.log(x, 2)) if x > 0 else 0.0
 
 
-def _subtraction_boost(n: int, x: float) -> int:
+def _subtraction_boost(n: int, x) -> int:
     """Extra bits needed so that e**x minus a partial sum (or an
     alternating sum peaking at e**x scale) retains full relative accuracy
     of the much smaller remainder x**(n+1)/(n+1)! it cancels down to."""
     if x <= 0:
         return 64
     log2_rem = (n + 1) * _float_log2(x) - math.lgamma(n + 2) / math.log(2)
-    log2_big = max(0.0, x * 1.4427)
+    log2_big = max(0.0, float(x) * 1.4427)
     return max(0, int(log2_big - log2_rem)) + 64
 
 

@@ -11,6 +11,7 @@ from exptail.explorer import (problem1_monotonicity, problem5_pade_cm, problem7_
                               problem12_row_monotone, problem15_range, rk_error_demo)
 from exptail.inequalities import evaluate_check
 from exptail.pade import eval_approximant, pade_exp
+from exptail.precision import PrecisionContext
 from exptail.remainders import r_tail
 
 
@@ -146,3 +147,17 @@ def test_problem15(ctx):
     assert abs(edge.rows[0][1] - 2) < mpf("1e-4")
     with pytest.raises(UsageError):
         problem15_range(1, None, ctx)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("h", ["1e-400", "1e-20", "1e-10", "0.1"])
+@pytest.mark.parametrize("lam", ["1", "-1"])
+def test_rk_agreement_survives_cancellation(bits, h, lam):
+    # y1 - y0*e**z cancels down to R_4(z) ~ z**5/120; at h = 1e-20 the
+    # unboosted step reported an error of 0 and an agreement of 1, and
+    # h = 1e-400 lies below the float range
+    ctx = PrecisionContext(bits)
+    report = rk_error_demo(lam, h, "1.5", ctx)
+    error, reference, agreement = report.rows[0]
+    assert error > 0
+    assert agreement < 100 * ctx.target_rel_err

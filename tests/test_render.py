@@ -2,7 +2,9 @@
 ``json.dumps(obj, indent=2)``, each distinct value is rendered once per
 report, and the default 53-bit report keeps its bytes."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -171,3 +173,45 @@ def test_cli_json_is_indent_2_layout(capsys, argv):
     main(argv)
     out = capsys.readouterr().out
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def reference_csv(results, ctx) -> str:
+    """The CSV check report with every params column rendered afresh."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    writer.writerow(["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status",
+                     "err_bound"])
+    dec = cli._renderer(ctx)
+    for r in results:
+        writer.writerow([r.check, json.dumps(cli._param_json(r.params, dec), sort_keys=True)]
+                        + [dec(getattr(r, f)) for f in FIELDS[:5]] + [r.status, dec(r.err_bound)])
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(results=_results(), bits=st.sampled_from([53, 256]),
+       listed=st.lists(st.integers(0, 3), max_size=3))
+def test_csv_matches_unmemoized_params(results, bits, listed):
+    # equal params of different types (1 and 1.0, True) stay apart, and an
+    # unhashable params value is rendered without the memo
+    ctx = PrecisionContext(bits)
+    results += [CheckResult(check="ALZER", params=p, x=mpf(1), lhs=mpf(2), rhs=mpf(1),
+                            margin=mpf(1), ratio=mpf(2), err_bound=mpf(0), status="PASS")
+                for p in ({"n": 1}, {"n": mpf(1)}, {"n": True}, {"n": listed}, {"n": 1})]
+    assert render_check_report(results, ctx, "csv") == reference_csv(results, ctx)
+
+
+def test_csv_params_rendered_once_per_point(sweep53, monkeypatch):
+    ctx, results = sweep53
+    calls = []
+
+    def counted(value, dec):
+        if isinstance(value, dict):
+            calls.append(value)
+        return param_json(value, dec)
+
+    param_json = cli._param_json
+    monkeypatch.setattr(cli, "_param_json", counted)
+    out = render_check_report(results, ctx, "csv")
+    columns = {row[1] for row in csv.reader(io.StringIO(out))} - {"params"}
+    assert len(calls) == len(columns) < len(results) / 50
