@@ -9,10 +9,11 @@ never change the exit code.
 Numbers in JSON and CSV reports are decimal strings rendered at full
 context precision, so extended-precision results survive serialisation;
 identical invocations produce byte-identical JSON.  A report renders each
-distinct value once: its decimal strings are memoized by ``_mpf_`` for the
-length of one render call.  JSON reports are laid out by a fixed-layout
-writer that encodes each scalar with the C routines of :mod:`json` and
-gives the same bytes as ``json.dumps(obj, indent=2)``.
+distinct value once: its decimal strings are memoized by ``_mpf_``, and its
+params text by parameter point, for the length of one render call.  JSON
+reports are laid out by a fixed-layout writer that encodes each scalar with
+the C routines of :mod:`json` and gives the same bytes as
+``json.dumps(obj, indent=2)``.  ``python -m exptail`` runs :func:`main`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,26 @@ def _renderer(ctx, digits: int | None = None):
         return text
 
     return dec
+
+
+def _once_per_point(render):
+    """``render(params)`` memoized for one report, keyed by each
+    parameter's name, type and value (``_mpf_`` for an mpf), so each
+    distinct parameter point is rendered once; an unhashable value is
+    rendered each time."""
+    memo = {}
+
+    def rendered(params) -> str:
+        try:
+            key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in params.items())
+            return memo[key]
+        except TypeError:
+            return render(params)
+        except KeyError:
+            text = memo[key] = render(params)
+            return text
+
+    return rendered
 
 
 def _param_json(value, dec):
@@ -172,10 +193,11 @@ def _cmd_eval(args) -> int:
 def _check_json(results, ctx, summary, dec) -> str:
     """The JSON check report: each record is written from a fixed template
     in the layout of ``json.dumps(obj, indent=2)``."""
+    params_text = _once_per_point(lambda params: _json(_param_json(params, dec), "      "))
     records = ",\n".join(
         f'''    {{
       "check": {_quote(r.check)},
-      "params": {_json(_param_json(r.params, dec), "      ")},
+      "params": {params_text(r.params)},
       "x": {_quote(dec(r.x))},
       "lhs": {_quote(dec(r.lhs))},
       "rhs": {_quote(dec(r.rhs))},
@@ -204,19 +226,8 @@ def render_check_report(results, ctx, fmt: str) -> str:
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status",
                          "err_bound"])
-        memo = {}
-
-        def params_text(params) -> str:
-            """The params column, rendered once per distinct parameter point."""
-            try:
-                key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in params.items())
-                return memo[key]
-            except TypeError:  # an unhashable value: render without the memo
-                return json.dumps(_param_json(params, dec), sort_keys=True)
-            except KeyError:
-                text = memo[key] = json.dumps(_param_json(params, dec), sort_keys=True)
-                return text
-
+        params_text = _once_per_point(
+            lambda params: json.dumps(_param_json(params, dec), sort_keys=True))
         writer.writerows(
             [r.check, params_text(r.params), dec(r.x), dec(r.lhs), dec(r.rhs), dec(r.margin),
              dec(r.ratio), r.status, dec(r.err_bound)]

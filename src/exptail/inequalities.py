@@ -33,11 +33,13 @@ from functools import lru_cache, wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import (fzero, mpf_abs, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_pos, mpf_sub, round_nearest)
 
 from .errors import NumericalError, PoleError, UsageError
 from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
 from .pade import eval_approximant, pade_exp
-from .precision import PrecisionContext, Real, as_real
+from .precision import GUARD_BITS, PrecisionContext, Real, as_real
 from .remainders import finite_diff, q_value, r_frac, r_neg, r_tail
 
 # Entries kept by each module-level cache.  The default sweep's largest
@@ -62,6 +64,18 @@ def _per_point(constant):
 
     lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
     return lookup
+
+
+def _converted(constant):
+    """``as_real(constant(*params), ctx)`` for an exact rational constant,
+    computed once per parameter point: the Fraction is built and converted
+    only on a (bounded) cache miss."""
+    @lru_cache(maxsize=_CACHE_SIZE)
+    def real(*args):
+        *params, ctx = args
+        return as_real(constant(*params), ctx)
+
+    return real
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +186,14 @@ def neg_gen_k_constant(n: int, k: int) -> Fraction:
     if k < 0 or n - k < 0:
         raise UsageError(f"neg_gen_k_constant requires 0 <= k <= n, got n={n}, k={k}")
     return Fraction(math.factorial(n) ** 2, math.factorial(n - k) * math.factorial(n + k))
+
+
+# the exact constants at working precision, as the checks read them
+_alzer_real = _converted(alzer_constant)
+_gen_k_real = _converted(gen_k_constant)
+_incgamma_real = _converted(incgamma_constant)
+_cor26_real = _converted(cor26_constant)
+_neg_gen_k_real = _converted(neg_gen_k_constant)
 
 
 def constant_cross_identities(n_max: int = 12) -> list[str]:
@@ -397,27 +419,32 @@ def _lhs_over_rhs(evaluate):
     return ratio
 
 
+class _Inadmissible(UsageError):
+    """A parameter point outside a check's admissible region: a direct
+    evaluation reports it as a usage error, a sweep skips the point."""
+
+
 def _need_int(params, name, minimum=None):
     v = params.get(name)
     if v is None or not float(v) == int(v):
-        raise UsageError(f"parameter '{name}' must be an integer, got {v!r}")
+        raise _Inadmissible(f"parameter '{name}' must be an integer, got {v!r}")
     v = int(v)
     if minimum is not None and v < minimum:
-        raise UsageError(f"parameter '{name}' must be >= {minimum}, got {v}")
+        raise _Inadmissible(f"parameter '{name}' must be >= {minimum}, got {v}")
     return v
 
 
 def _need_real(params, name, strict_gt=None, ge=None, le=None):
     v = params.get(name)
     if v is None:
-        raise UsageError(f"missing parameter '{name}'")
+        raise _Inadmissible(f"missing parameter '{name}'")
     v = mpf(v)
     if strict_gt is not None and not v > strict_gt:
-        raise UsageError(f"parameter '{name}' must exceed {strict_gt}, got {v}")
+        raise _Inadmissible(f"parameter '{name}' must exceed {strict_gt}, got {v}")
     if ge is not None and not v >= ge:
-        raise UsageError(f"parameter '{name}' must be >= {ge}, got {v}")
+        raise _Inadmissible(f"parameter '{name}' must be >= {ge}, got {v}")
     if le is not None and not v <= le:
-        raise UsageError(f"parameter '{name}' must be <= {le}, got {v}")
+        raise _Inadmissible(f"parameter '{name}' must be <= {le}, got {v}")
     return v
 
 
@@ -471,7 +498,7 @@ def _register(cdef: CheckDef):
 def _ev_alzer(p, ctx):
     n, x = p["n"], p["x"]
     return (_rt(n - 1, x, ctx) * _rt(n + 1, x, ctx),
-            as_real(alzer_constant(n), ctx) * _rt(n, x, ctx) ** 2)
+            _alzer_real(n, ctx) * _rt(n, x, ctx) ** 2)
 
 
 def _ratio_alzer(p, ctx):
@@ -506,7 +533,7 @@ def _ev_gen_k(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
     return (
         _rt(n - k, x, ctx) * _rt(n + k, x, ctx),
-        as_real(gen_k_constant(n, k), ctx) * _rt(n, x, ctx) ** 2,
+        _gen_k_real(n, k, ctx) * _rt(n, x, ctx) ** 2,
     )
 
 
@@ -514,7 +541,7 @@ def _val_nk(p):
     n = _need_int(p, "n", 0)
     k = _need_int(p, "k", 0)
     if n - k < 0:
-        raise UsageError(f"requires k <= n, got n={n}, k={k}")
+        raise _Inadmissible(f"requires k <= n, got n={n}, k={k}")
 
 
 _register(CheckDef(
@@ -544,7 +571,7 @@ _register(CheckDef(
 
 def _ev_incgamma(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = (as_real(incgamma_constant(n, k), ctx)
+    lhs = (_incgamma_real(n, k, ctx)
            * _gi(mpf(n + k + 1), x, ctx) * _gi(mpf(n + 1 - k), x, ctx))
     return lhs, _gi(mpf(n + 1), x, ctx) ** 2
 
@@ -560,7 +587,7 @@ _register(CheckDef(
 
 def _ev_fracint_form(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = _rf(mpf(n + k), x, ctx) * _rf(mpf(n - k), x, ctx) / as_real(gen_k_constant(n, k), ctx)
+    lhs = _rf(mpf(n + k), x, ctx) * _rf(mpf(n - k), x, ctx) / _gen_k_real(n, k, ctx)
     return lhs, _rf(mpf(n), x, ctx) ** 2
 
 
@@ -641,7 +668,7 @@ _register(CheckDef(
 
 def _ev_cor26(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = as_real(cor26_constant(n, k), ctx) * _rt(n + k, x, ctx) * _rt(n, x, ctx) ** (k - 1)
+    lhs = _cor26_real(n, k, ctx) * _rt(n + k, x, ctx) * _rt(n, x, ctx) ** (k - 1)
     return lhs, _rt(n + 1, x, ctx) ** k
 
 
@@ -666,7 +693,7 @@ def _val_cor27(p):
     a = _need_real(p, "a", ge=0)
     b = _need_real(p, "beta", ge=0)
     if not a >= b:
-        raise UsageError(f"requires a >= beta, got a={a}, beta={b}")
+        raise _Inadmissible(f"requires a >= beta, got a={a}, beta={b}")
 
 
 _register(CheckDef(
@@ -736,7 +763,7 @@ def _ev_fracmono(p, ctx):
 def _val_fracmono(p):
     _need_real(p, "a", strict_gt=0)
     if p.get("f") not in ("exp", "arctan", "clamp"):
-        raise UsageError(f"unknown test function {p.get('f')!r}; pick exp, arctan or clamp")
+        raise _Inadmissible(f"unknown test function {p.get('f')!r}; pick exp, arctan or clamp")
 
 
 def _fracmono_defaults(ctx):
@@ -854,7 +881,7 @@ def _ev_neg_alzer(p, ctx):
     n, x = p["n"], p["x"]
     return (
         _rn(n - 1, x, ctx) * _rn(n + 1, x, ctx),
-        as_real(neg_gen_k_constant(n, 1), ctx) * _rn(n, x, ctx) ** 2,
+        _neg_gen_k_real(n, 1, ctx) * _rn(n, x, ctx) ** 2,
     )
 
 
@@ -877,7 +904,7 @@ def _ev_neg_gen_k(p, ctx):
     n, k, x = p["n"], p["k"], p["x"]
     return (
         _rn(n - k, x, ctx) * _rn(n + k, x, ctx),
-        as_real(neg_gen_k_constant(n, k), ctx) * _rn(n, x, ctx) ** 2,
+        _neg_gen_k_real(n, k, ctx) * _rn(n, x, ctx) ** 2,
     )
 
 
@@ -894,8 +921,8 @@ def _ev_neg_sandwich(p, ctx):
     n, x = p["n"], p["x"]
     prod = _rn(n - 1, x, ctx) * _rn(n + 1, x, ctx)
     sq = _rn(n, x, ctx) ** 2
-    low = (prod, as_real(neg_gen_k_constant(n, 1), ctx) * sq)
-    high = (as_real(alzer_constant(n), ctx) * sq, prod)
+    low = (prod, _neg_gen_k_real(n, 1, ctx) * sq)
+    high = (_alzer_real(n, ctx) * sq, prod)
     return low if low[0] - low[1] <= high[0] - high[1] else high
 
 
@@ -964,7 +991,7 @@ def _ev_sandwich49(p, ctx):
     n, x = p["n"], p["x"]
     prod = _rt(n - 1, x, ctx) * _rt(n + 1, x, ctx)
     sq = _rt(n, x, ctx) ** 2
-    low = (prod, as_real(alzer_constant(n), ctx) * sq)
+    low = (prod, _alzer_real(n, ctx) * sq)
     high = (sq, prod)
     return low if low[0] - low[1] <= high[0] - high[1] else high
 
@@ -978,14 +1005,19 @@ _register(CheckDef(
 ))
 
 
+# the predicted enclosure ((2n+1)/(n+1), (2n+3)/(n+1)) of problem 15
+_prob15_low = _converted(lambda n: Fraction(2 * n + 1, n + 1))
+_prob15_high = _converted(lambda n: Fraction(2 * n + 3, n + 1))
+
+
 def _ev_prob15(p, ctx):
     n, x = p["n"], p["x"]
     f = (
         _rt(n - 2, x, ctx) * _rt(n, x, ctx) / _rt(n - 1, x, ctx) ** 2
         + _rt(n, x, ctx) ** 2 / (_rt(n - 1, x, ctx) * _rt(n + 1, x, ctx))
     )
-    lo = as_real(Fraction(2 * n + 1, n + 1), ctx)
-    hi = as_real(Fraction(2 * n + 3, n + 1), ctx)
+    lo = _prob15_low(n, ctx)
+    hi = _prob15_high(n, ctx)
     low = (f, lo)
     high = (hi, f)
     return low if low[0] - low[1] <= high[0] - high[1] else high
@@ -1015,7 +1047,7 @@ def _integer_param(cdef: CheckDef, name: str, v) -> int:
     except (TypeError, ValueError):
         r = None
     if r is None or not mp.isint(r):
-        raise UsageError(f"check {cdef.name} needs an integer '{name}', got {v!r}")
+        raise _Inadmissible(f"check {cdef.name} needs an integer '{name}', got {v!r}")
     return int(r)
 
 
@@ -1035,7 +1067,10 @@ def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
 
 
 def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping | None = None) -> CheckResult:
-    """Evaluate one catalog inequality at one parameter point."""
+    """Evaluate one catalog inequality at one parameter point.
+
+    The parameters are canonicalized and validated once; a point outside
+    the check's admissible region raises a :class:`UsageError`."""
     if isinstance(check, CheckId):
         name, params = check.id, dict(check.params)
     else:
@@ -1045,42 +1080,48 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
         raise UsageError(f"unknown check id '{name}' (known: {', '.join(CHECK_IDS)})")
     p = _canonical_params(cdef, params, ctx)
     cdef.validate(p)
-    if not p["x"] > 0:
+    if not mpf_gt(p["x"]._mpf_, fzero):
         raise UsageError(f"check {name} requires x > 0, got {p['x']}")
     with ctx.work():
         lhs, rhs = cdef.evaluate(p, ctx)
-        margin = lhs - rhs
-        err_bound = 100 * ctx.target_rel_err * max(abs(lhs), abs(rhs))
-        ratio = lhs / rhs if rhs != 0 else None
-    if margin > err_bound:
+    return _result(name, p, lhs, rhs, ctx)
+
+
+def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> CheckResult:
+    """The row of two evaluated sides: margin, err_bound and ratio rounded
+    to nearest at the working precision, as mpf operators inside
+    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``."""
+    wp, bits, rnd = ctx.bits + GUARD_BITS, ctx.bits, round_nearest
+    lhs, rhs = lhs._mpf_, rhs._mpf_
+    margin = mpf_sub(lhs, rhs, wp, rnd)
+    abs_lhs, abs_rhs = mpf_abs(lhs, wp, rnd), mpf_abs(rhs, wp, rnd)
+    larger = abs_rhs if mpf_gt(abs_rhs, abs_lhs) else abs_lhs
+    err_bound = mpf_mul(mpf_mul_int(ctx.target_rel_err._mpf_, 100, wp, rnd), larger, wp, rnd)
+    if mpf_gt(margin, err_bound):
         status = "PASS"
-    elif margin < -err_bound:
+    elif mpf_lt(margin, mpf_neg(err_bound)):
         status = "FAIL"
     else:
         status = "INDET"
-    shown = {k: v for k, v in p.items() if k != "x"}
+    make = mp.make_mpf
     return CheckResult(
         check=name,
-        params=shown,
-        x=ctx.finalize(p["x"]),
-        lhs=ctx.finalize(lhs),
-        rhs=ctx.finalize(rhs),
-        margin=ctx.finalize(margin),
-        ratio=None if ratio is None else ctx.finalize(ratio),
-        err_bound=ctx.finalize(err_bound),
+        params={k: v for k, v in p.items() if k != "x"},
+        x=make(mpf_pos(p["x"]._mpf_, bits, rnd)),
+        lhs=make(mpf_pos(lhs, bits, rnd)),
+        rhs=make(mpf_pos(rhs, bits, rnd)),
+        margin=make(mpf_pos(margin, bits, rnd)),
+        ratio=None if rhs == fzero else make(mpf_pos(mpf_div(lhs, rhs, wp, rnd), bits, rnd)),
+        err_bound=make(mpf_pos(err_bound, bits, rnd)),
         status=status,
     )
 
 
 def _evaluate_point(cdef: CheckDef, point: dict, ctx) -> CheckResult | None:
     try:
-        cdef.validate(point)
-    except UsageError:
-        return None  # combination outside the check's admissible region
-    try:
         return evaluate_check(cdef.name, ctx, point)
-    except PoleError:
-        return None
+    except (_Inadmissible, PoleError):
+        return None  # outside the check's admissible region, or at a pole
     except NumericalError:
         nan = mpf("nan")
         return CheckResult(

@@ -83,30 +83,46 @@ def _large_x(b, x, ctx: PrecisionContext) -> bool:
 
 
 def _kummer_one_large_x(b, x, ctx: PrecisionContext) -> Real:
-    """1F1(1; b; x) for x >= max(wp, 2b), in O(bits) terms or fewer.
+    """1F1(1; b; x) for |x| >= max(wp, 2b), in O(bits) terms or fewer.
 
     With s = b - 1, 1F1(1; b; x) = s x**-s e**x gamma(s, x), so
     1F1(1; b; x) = Gamma(b) x**(1-b) e**x - (s/x) B with the bracket
     B = x**(1-s) e**x Gamma(s, x) ~ sum_k (s-1)(s-2)...(s-k) / x**k
     (DLMF 8.11.2).  For integer s the expansion ends at k = s and is the
-    exact partial sum.  While k < s - 1 its terms are positive with ratio
+    exact partial sum.
+
+    For x > 0, while k < s - 1 the terms of B are positive with ratio
     (s-k-1)/x <= 1/2, and from k >= s - 1 on the rest is bounded by the
     first neglected term (DLMF 8.11(ii)), so the rest after any term is
     below twice the next term.  Since x >= 2b, (s/x) B < 1 <= 1F1/3, so
     the subtraction loses under 1 bit; for b < 1 it is an addition.
+
+    For x < 0 the same expansion is the large-|x| form of
+    1F1(1; b; x) = e**x 1F1(b-1; b; -x) (DLMF 13.7.2): B is the dominant
+    part, |B| >= 1/2 as its first term is 1 and the next is below 1/2,
+    and the lead term shrinks to Gamma(b) |x|**-s e**x cos(pi s), the real
+    part of x**-s, which is exact for integer s and matters only for s
+    within about |x| e**x of 0 (b = 1 gives e**x).  Its terms fall by at
+    least 1/2 per step until they pass the stop, so about bits terms are
+    summed; the stopping rule is the one of x > 0, checked against mpmath
+    at 128 extra bits in the tests.
     """
     wp = mp.prec
     s = b - 1
-    # exp's argument x - s log x, |.| <= x (|s| + 1), is formed to an
+    # exp's argument x - s log|x|, |.| <= |x| (|s| + 1), is formed to an
     # absolute 2**-wp, with s taken from b again at that precision
     with mp.workprec(wp + mp.mag(x) + mp.mag(abs(s) + 1)):
-        arg = x - (b - 1) * mp.log(x)
+        arg = x - (b - 1) * mp.log(abs(x))
     lead = mp.gamma(b) * mp.exp(arg)
+    if x < 0:
+        lead *= mp.cospi(s)
     if not s:
         return lead
     w = s / x
-    # stop at 2 |term| |w| <= target/4 * lead, in units of 2**-wp
-    stop = int(mp.ldexp(min(ctx.target_rel_err * lead / (8 * abs(w)), 1), wp))
+    # stop at 2 |term| |w| <= target/4 * |1F1|, in units of 2**-wp, with
+    # |1F1| >= lead for x > 0 and >= about max(|lead|, |w|/2) for x < 0
+    size = lead if x > 0 else max(abs(lead), abs(w) / 2)
+    stop = int(mp.ldexp(min(ctx.target_rel_err * size / (8 * abs(w)), 1), wp))
     ns, ds, ss = _fixed_param(s, wp)
     xm, _, sx = _fixed_param(x, wp)
     term = total = 1 << wp
@@ -284,14 +300,21 @@ def kummer_1f1_one(b, x, ctx: PrecisionContext) -> Real:
     """1F1(1; b; x) = sum_k x**k / (b)_k with (b)_k the rising factorial.
 
     All terms are positive for x >= 0.  For x < 0 the partial sums cancel
-    down to roughly e**x times their peak, so the working precision is
-    boosted by |x|*log2(e) bits to keep the requested relative accuracy.
+    down to roughly e**x times their peak, so below x = -max(wp, 2b) the
+    working precision is boosted by |x|*log2(e) bits, at most
+    1.45 max(wp, 2b), to keep the requested relative accuracy; from there
+    on the expansion of :func:`_kummer_one_large_x` replaces the series.
     """
-    boost = int(abs(float(x)) * 1.4427) + 16 if x < 0 else 0
-    with ctx.work(boost):
+    with ctx.work():
         b = as_real(b, ctx)
         if b <= 0:
             raise DomainError(f"kummer_1f1_one requires b > 0, got b={b}")
+        if not mp.isfinite(x):
+            raise DomainError(f"kummer_1f1_one requires finite x, got x={x}")
+        if x < 0 and _large_x(b, -x, ctx):
+            return ctx.finalize(_kummer_one_large_x(b, +mpf(x), ctx))
+    boost = int(abs(float(x)) * 1.4427) + 16 if x < 0 else 0
+    with ctx.work(boost):
         result = _hyp1f1_pos(1, b, +mpf(x), ctx)
     return ctx.finalize(result)
 

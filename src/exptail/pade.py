@@ -19,6 +19,11 @@ from mpmath import mp, mpf
 from .errors import DegeneratePointError, DomainError, PoleError
 from .precision import PrecisionContext, Real, as_real
 
+# Largest total degree n + m that pade_exp builds.  The exact coefficients
+# are O(n + m) Fractions of factorials; n + m = 1000 takes about 0.6 s
+# from the command line, 1200 about 1 s, and n = 3000 took 13.6 s.
+MAX_PADE_ORDER = 1000
+
 
 @dataclass(frozen=True)
 class RationalApproximant:
@@ -44,6 +49,9 @@ def pade_exp(n: int, m: int) -> RationalApproximant:
     """
     if n < 0 or m < 0:
         raise DomainError(f"pade_exp requires n, m >= 0, got n={n}, m={m}")
+    if n + m > MAX_PADE_ORDER:
+        raise DomainError(f"pade_exp builds exact rows up to n + m = {MAX_PADE_ORDER}, "
+                          f"got n={n}, m={m}")
     nf, mf, nmf = math.factorial(n), math.factorial(m), math.factorial(n + m)
     num = tuple(
         Fraction(nf * math.factorial(n + m - j), nmf * math.factorial(j) * math.factorial(n - j))

@@ -15,11 +15,16 @@ The conversion, rounding and rendering helpers (:func:`as_real`,
 and ``Fraction`` operands through ``mpmath.libmp`` at an explicit precision
 and never switch mpmath's global context, so their results do not depend
 on an ambient ``mp.prec`` and they cost no context enter/exit per value.
+:func:`format_real` gives exactly the text of ``libmp.to_str``; for finite
+non-zero values of ordinary size it converts the binary mantissa to decimal
+with one multiply by a tabled power of ten and ``str``, and leaves only
+zero, the special values and huge exponents to ``to_str``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -83,6 +88,11 @@ class PrecisionContext:
                 f"target_rel_err must satisfy 2**(1-bits) <= err, got {tre} at {self.bits} bits"
             )
         object.__setattr__(self, "target_rel_err", tre)
+        # every cached call hashes its context: hash the mpf field once
+        object.__setattr__(self, "_hash", hash((self.bits, tre)))
+
+    def __hash__(self):
+        return self._hash
 
     def work(self, extra_bits: int = 0):
         """Context manager activating the working precision."""
@@ -129,13 +139,82 @@ def as_real(x, ctx: PrecisionContext) -> Real:
         return +mpf(x)
 
 
+# log2(10) exactly as ``libmp.to_str`` computes it, so the fast path below
+# derives the same working sizes from it
+_LOG2_10 = math.log(10, 2)
+
+# 10**k by k = fixdps, filled as renderings need them.  fixdps is
+# fixprec * log10(2) with fixprec <= (digits + 3) * log2(10) + 10 + 3500, so
+# k <= digits + 1,060; the fast path takes digits < 1,000, which bounds the
+# table at ~2,060 entries (under 1 MB) and keeps every str() far below
+# Python's 4,300-digit int conversion limit.
+_POW10: dict[int, int] = {}
+
+
+def _decimal(sign: int, man: int, exp: int, bc: int, digits: int) -> str:
+    """``to_str((sign, man, exp, bc), digits, min_fixed=-4, max_fixed=18)``
+    for a finite non-zero raw mpf with |exp + bc| <= 3500 and digits >= 1.
+
+    The same steps as ``to_str``: the mantissa as a binary fixed-point
+    number with ``fixprec`` fractional bits, times 10**fixdps and floored,
+    gives at least digits + 3 decimal digits (``to_digits_exp``); those are
+    rounded half up to ``digits`` and laid out in fixed or scientific
+    notation.  Only the binary-to-decimal step is done by one multiply and
+    ``str`` instead of mpmath's helpers."""
+    fixprec = max(0, int((digits + 3) * _LOG2_10) + 10 - exp - bc)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    scale = _POW10.get(fixdps)
+    if scale is None:
+        scale = _POW10[fixdps] = 10**fixdps
+    text = str(fixed * scale >> fixprec)
+    exponent = len(text) - fixdps - 1
+    if len(text) > digits and text[digits] >= "5":
+        kept = text[:digits].rstrip("9")
+        if kept:
+            text = kept[:-1] + chr(ord(kept[-1]) + 1) + "0" * (digits - len(kept))
+        else:
+            text = "1" + "0" * (digits - 1)
+            exponent += 1
+    else:
+        text = text[:digits]
+    if -4 < exponent < 18:
+        if exponent < 0:
+            text = "0" * -exponent + text
+            split = 1
+        else:
+            split = exponent + 1
+            if split > digits:
+                text += "0" * (split - digits)
+        exponent = 0
+    else:
+        split = 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if sign:
+        text = "-" + text
+    if exponent == 0:
+        return text
+    return f"{text}e+{exponent}" if exponent > 0 else f"{text}e{exponent}"
+
+
 def format_real(x, ctx: PrecisionContext, digits: int | None = None) -> str:
     """Deterministic decimal rendering at round-trip precision; scientific
-    notation outside the exponent window [-4, 18)."""
+    notation outside the exponent window [-4, 18).
+
+    The text is exactly ``libmp.to_str(raw, digits, min_fixed=-4,
+    max_fixed=18)`` of the value rounded to the working precision; finite
+    non-zero values with |exp + bc| <= 3500 and fewer than 1,000 digits
+    take the shorter route of :func:`_decimal`."""
     if digits is None:
         digits = ctx.decimal_digits
     raw = _rounded(x, ctx.bits + GUARD_BITS)
     if raw is not None:
+        sign, man, exp, bc = raw
+        if man and -3500 <= exp + bc <= 3500 and 0 < digits < 1000:
+            return _decimal(sign, man, exp, bc, digits)
         return to_str(raw, digits, min_fixed=-4, max_fixed=18)
     with mp.workprec(ctx.bits + GUARD_BITS):
         return mp.nstr(mpf(x), digits, min_fixed=-4, max_fixed=18)

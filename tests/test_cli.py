@@ -92,6 +92,13 @@ def test_check_unknown_id(capsys):
     assert "unknown check id" in err
 
 
+def test_check_nonpositive_x_exits_2(capsys):
+    # ALZER does not validate x, so x <= 0 on its grid is a usage error
+    code, out, err = run(capsys, "check", "--id", "ALZER", "--grid", "x=lin(-1,1,3)")
+    assert code == 2 and out == ""
+    assert "requires x > 0" in err
+
+
 def test_check_bad_grid(capsys):
     code, _, _ = run(capsys, "check", "--id", "ALZER", "--grid", "n=1..8;x=geo(1,2,3)")
     assert code == 2
@@ -285,3 +292,19 @@ def test_eval_overflow_exits_3_without_traceback(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure:") and "Traceback" not in proc.stderr
+
+
+def _subprocess(*argv, timeout=120):
+    src = os.path.dirname(os.path.dirname(exptail.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def test_python_dash_m_exptail(tmp_path):
+    argv = ["eval", "--quantity", "rn", "--n", "4", "--x", "0.1"]
+    package = _subprocess("-m", "exptail", *argv)
+    module = _subprocess("-m", "exptail.cli", *argv)
+    assert package.returncode == 0 and package.stdout == module.stdout
+    # the exit code is the command's
+    assert _subprocess("-m", "exptail", "check", "--id", "NOSUCH").returncode == 2

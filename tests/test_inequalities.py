@@ -1,10 +1,14 @@
 """Catalog checks: exact constants, margin signs on spot points and
 grids, degenerate edges, and the sharpness machinery."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from conftest import rel_err
 from exptail import inequalities, numerics
@@ -397,3 +401,68 @@ def test_integral_order_forms_accepted(ctx, n):
 def test_fractional_order_grid_keeps_integer_rows(ctx):
     results = sweep(["ALZER"], parse_grid("n=lin(1,3,5);x=lin(1,1,1)", ctx), ctx)
     assert [r.params for r in results] == [{"n": 1}, {"n": 2}, {"n": 3}]
+
+
+def test_each_default_point_validated_and_evaluated_once(monkeypatch):
+    ctx = PrecisionContext(53)
+    validated, evaluated = [], []
+    for name, cdef in list(CATALOG.items()):
+        def counting(p, _validate=cdef.validate, _name=name):
+            validated.append(_name)
+            return _validate(p)
+
+        monkeypatch.setitem(CATALOG, name, dataclasses.replace(cdef, validate=counting))
+    original = inequalities.evaluate_check
+
+    def counted(check, *args, **kwargs):
+        evaluated.append(check)
+        return original(check, *args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "evaluate_check", counted)
+    results = default_sweep(None, ctx)
+    points = [n for n in CHECK_IDS for _ in CATALOG[n].default_points(ctx)]
+    assert validated == evaluated == [r.check for r in results] == points
+
+
+def test_sweep_skips_inadmissible_x_but_rejects_it_where_unchecked(ctx):
+    # the two-variable bounds validate x > 0, so a sweep skips x <= 0 there;
+    # a check that does not validate x still rejects it as a usage error
+    grid = parse_grid("nu=lin(0.5,0.5,1);x=lin(-1,1,3)", ctx)
+    assert [r.x for r in sweep(["KIM_37"], grid, ctx)] == [1, 1, 1]
+    with pytest.raises(UsageError):
+        sweep(["ALZER"], parse_grid("x=lin(-1,1,3)", ctx), ctx)
+
+
+def _result_by_operators(lhs, rhs, ctx):
+    """The row bookkeeping written with mpf operators inside ``ctx.work()``."""
+    with ctx.work():
+        margin = lhs - rhs
+        err_bound = 100 * ctx.target_rel_err * max(abs(lhs), abs(rhs))
+        ratio = lhs / rhs if rhs != 0 else None
+        status = "PASS" if margin > err_bound else "FAIL" if margin < -err_bound else "INDET"
+    return ([ctx.finalize(v)._mpf_ for v in (lhs, rhs, margin, err_bound)],
+            None if ratio is None else ctx.finalize(ratio)._mpf_, status)
+
+
+_SIDES = st.one_of(
+    st.sampled_from([mpf(0), mpf(1), mpf(-1), mpf("nan")]),
+    st.builds(lambda m, e, width: mp.make_mpf(from_man_exp(m | 1, e - width)),
+              st.integers(-(2 ** 300), 2 ** 300), st.integers(-200, 200), st.integers(1, 300)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lhs=_SIDES, rhs=_SIDES, near=st.booleans(), bits=st.sampled_from([53, 256]))
+# lhs/rhs lies just above the midpoint 1 + 2**-53 of two 53-bit values:
+# rounded first to 85 bits it falls on the midpoint and rounds down
+@example(lhs=1 + mpf(2) ** -53 + mpf(2) ** -93, rhs=mpf(1), near=False, bits=53)
+def test_row_bookkeeping_matches_operators(lhs, rhs, near, bits):
+    ctx = PrecisionContext(bits)
+    if near and mp.isfinite(rhs):  # sides that differ by about the error bound
+        with mp.workprec(1000):
+            lhs = rhs * (1 + 50 * ctx.target_rel_err * (1 if lhs > 0 else -1))
+    res = inequalities._result("ALZER", {"n": 1, "x": mpf(2)}, lhs, rhs, ctx)
+    sides, ratio, status = _result_by_operators(lhs, rhs, ctx)
+    assert [v._mpf_ for v in (res.lhs, res.rhs, res.margin, res.err_bound)] == sides
+    assert (None if res.ratio is None else res.ratio._mpf_) == ratio
+    assert res.status == status and res.params == {"n": 1}

@@ -5,6 +5,7 @@ series, stays accurate, and costs no more as x grows."""
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from mpmath import mp, mpf
@@ -127,6 +128,22 @@ def test_large_x_stays_off_the_series(x, monkeypatch):
     assert 0.99 < eps_value(mpf("9.7"), x, ctx) <= 1
 
 
+@pytest.mark.parametrize("bits", [53, 256, 1024])
+@pytest.mark.parametrize("scale", ["-wp", "-1e3", "-1e5", "-1e300"])
+def test_kummer_negative_x_against_mpmath(bits, scale):
+    # from x = -max(wp, 2b) on, 1F1(1; b; x) is the expansion of the large-x
+    # route, in bounded time; b = 1 + 2**-bits is the case where the
+    # e**x term still counts (b = 1 is e**x itself)
+    ctx = PrecisionContext(bits)
+    x = ctx.finalize(-(bits + GUARD_BITS) if scale == "-wp" else scale)
+    for b in (mpf("0.5"), 1, 1 + mpf(2) ** -bits, 2, mpf("2.5"), 7, mpf("13.7")):
+        start = time.monotonic()
+        value = kummer_1f1_one(b, x, ctx)
+        assert time.monotonic() - start < 1, b
+        with mp.workprec(bits + 128):
+            assert rel_err(value, mp.hyp1f1(1, b, x)) < ctx.target_rel_err, b
+
+
 @pytest.mark.parametrize("quantity,flags", [
     ("rn", ["--n", "4"]), ("ra", ["--a", "2.5"]), ("rneg", ["--n", "4"]),
     ("robr", ["--n", "3", "--m", "2"]), ("q", ["--n", "4"]), ("b", ["--nu", "1.5"]),
@@ -141,4 +158,15 @@ def test_eval_at_huge_x_exits_0(quantity, flags):
          "--x", "1e300"], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("\n") == 2
+
+
+@pytest.mark.parametrize("x", ["-3e4", "-1e300"])
+def test_eval_kummer_at_huge_negative_x_exits_0(x):
+    src = os.path.dirname(os.path.dirname(exptail.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "exptail.cli", "eval", "--quantity", "kummer", "--b", "2.5",
+         f"--x={x}"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2

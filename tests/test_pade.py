@@ -1,16 +1,21 @@
 """Rational approximants of exp: exact coefficients, the order condition,
 the Aitken link to the first row, and the direction switch at x = n+1."""
 
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+import exptail
 from conftest import rel_err
 from exptail.errors import DegeneratePointError, DomainError, PoleError
-from exptail.pade import (RationalApproximant, aitken_row, cesaro_identity_probe, cesaro_mean,
-                          delta_fn, denominator_roots, eval_approximant, order_condition_defect,
-                          pade_exp, taylor_partial)
+from exptail.pade import (MAX_PADE_ORDER, RationalApproximant, aitken_row,
+                          cesaro_identity_probe, cesaro_mean, delta_fn, denominator_roots,
+                          eval_approximant, order_condition_defect, pade_exp, taylor_partial)
 
 
 def test_low_order_coefficients():
@@ -129,3 +134,20 @@ def test_cesaro_identity_probe(ctx):
         assert probe["alternative_residual"] > mpf("1e-3")
     reported = cesaro_identity_probe(2, 1, ctx)
     assert {"classical_residual", "alternative_residual", "closes_identity"} <= set(reported)
+
+
+@pytest.mark.parametrize("n,m", [(MAX_PADE_ORDER, 1), (0, MAX_PADE_ORDER + 1), (10 ** 4, 1)])
+def test_pade_order_limit(n, m):
+    with pytest.raises(DomainError):
+        pade_exp(n, m)
+
+
+def test_pade_order_limit_exits_2_at_once():
+    src = os.path.dirname(os.path.dirname(exptail.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "exptail.cli", "eval", "--quantity", "pade",
+                           "--n", "10000", "--m", "1", "--x", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.monotonic() - start < 1
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr

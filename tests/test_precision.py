@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational
+from mpmath.libmp import from_man_exp, from_rational, mpf_pos, round_nearest, to_str
 
 import exptail
 from exptail.errors import DomainError, UsageError
-from exptail.precision import PrecisionContext, as_real, format_real, parse_real
+from exptail.precision import PrecisionContext, _decimal, as_real, format_real, parse_real
 from exptail.remainders import r_tail
 
 
@@ -194,3 +194,49 @@ def test_fraction_is_rounded_in_two_steps():
     got = as_real(q, ctx)._mpf_
     assert got == _as_real_by_workprec(q, ctx)._mpf_
     assert got != from_rational(q.numerator, q.denominator, ctx.bits + 32, "n")
+
+
+# -- the exact fast decimal renderer against libmp.to_str --------------------
+
+
+@st.composite
+def _decimal_values(draw):
+    """Raw mpfs for the renderer: random mantissas of up to 1,100 bits with
+    binary exponents across +-4,000 (past the fast path's +-3,500), runs of
+    nines that round up, exact powers of ten, and values at the edges of the
+    fixed-notation window 1e-4 .. 1e18."""
+    kind = draw(st.sampled_from(["random", "nines", "ten", "edge"]))
+    sign = draw(st.sampled_from([1, -1]))
+    prec = draw(st.integers(1, 1100))
+    if kind == "random":
+        man = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1))
+        return from_man_exp(sign * man, draw(st.integers(-4000, 4000)) - prec)
+    if kind == "nines":  # d...d99...9 near 10**top, rounded to prec bits
+        head = draw(st.integers(0, 10 ** draw(st.integers(0, 12)))) * 10 + draw(st.integers(0, 8))
+        nines, top = draw(st.integers(1, 400)), draw(st.integers(-6, 20))
+        num = (head + 1) * 10 ** nines - 1
+        e = top - len(str(num))
+        return from_rational(sign * num * 10 ** max(e, 0), 10 ** max(-e, 0), prec, round_nearest)
+    k = draw(st.integers(-40, 40) if kind == "ten" else st.sampled_from([-5, -4, -3, 17, 18, 19]))
+    raw = from_rational(sign * 10 ** max(k, 0), 10 ** max(-k, 0), prec, round_nearest)
+    if kind == "edge":  # one to 1,100 units in the last place above or below
+        offset = draw(st.integers(-2 ** 10, 2 ** 10).filter(bool))
+        s, man, exp, _ = raw
+        raw = from_man_exp((-1) ** s * ((man << 1100) + offset), exp - 1100)
+    return raw
+
+
+@settings(max_examples=1000, deadline=None)
+@given(raw=_decimal_values(), bits=st.sampled_from([53, 256, 1024]),
+       digits=st.sampled_from([1, 8, None]))
+def test_decimal_fast_path_matches_to_str(raw, bits, digits):
+    ctx = PrecisionContext(bits)
+    shown = ctx.decimal_digits if digits is None else digits
+    wide = mpf_pos(raw, bits + 32, round_nearest)
+    assert format_real(mp.make_mpf(raw), ctx, digits) == to_str(wide, shown, min_fixed=-4,
+                                                                 max_fixed=18)
+    # the fast path itself, on mantissas wider than any context's
+    sign, man, exp, bc = raw
+    if abs(exp + bc) <= 3500:
+        assert _decimal(sign, man, exp, bc, shown) == to_str(raw, shown, min_fixed=-4,
+                                                             max_fixed=18)
