@@ -6,6 +6,16 @@ signed margin with the convention (favored side) - (other side), so
 INDETERMINATE rather than pass or fail; err_bound is the first-order
 rounding estimate 100 * target_rel_err * max(|lhs|, |rhs|).
 
+Every positive remainder a check reads, and gamma(v, x), 1F1(1; b; x)
+and Q_n(x) through exact identities, comes from a bounded cache of
+*ladder blocks*: one series at the top of a block of LADDER_SPAN
+consecutive orders and the all-positive downward recurrence below it
+(:func:`.remainders.r_frac_ladder`).  A block is fixed by its fractional
+order, floor(order) // LADDER_SPAN and x, so a value never depends on the
+rows a sweep holds.  The value caches on top of it key on the raw
+``_mpf_`` tuples of their arguments, so a lookup hashes tuples of ints,
+never mpf objects.
+
 Sharp constants are produced in exact rational arithmetic whenever the
 parameters are integers (or rationals, for the interpolation constant
 raised to the denominator power) and through the gamma function with its
@@ -33,20 +43,51 @@ from functools import lru_cache, wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fzero, mpf_abs, mpf_div, mpf_gt, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pos, mpf_sub, round_nearest)
 
 from .errors import NumericalError, PoleError, UsageError
 from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
 from .pade import eval_approximant, pade_exp
 from .precision import GUARD_BITS, PrecisionContext, Real, as_real
-from .remainders import finite_diff, q_value, r_frac, r_neg, r_tail
+from .remainders import finite_diff, q_value, r_frac, r_frac_ladder, r_neg, r_tail
 
 # Entries kept by each module-level cache.  The default sweep's largest
 # working set (``_rf`` after ``check --id all``) is about 2,100 entries, so
 # the bound costs it no misses, while a long-lived process sweeping ever new
 # points holds at most this many values per cache.
 _CACHE_SIZE = 8192
+
+_make = mp.make_mpf
+
+
+def _raw_cache(fn):
+    """Bounded cache of ``fn(*args, ctx)`` whose mpf arguments arrive as
+    their raw ``_mpf_`` tuples: a lookup hashes and compares tuples of ints,
+    never mpf objects, and a miss rebuilds the mpf values for ``fn``."""
+    @lru_cache(maxsize=_CACHE_SIZE)
+    def cached(*key):
+        *raw, ctx = key
+        return fn(*(_make(v) if type(v) is tuple else v for v in raw), ctx)
+
+    return cached
+
+
+def _exposed(lookup, cached):
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
+def _raw_keyed(fn):
+    """``fn(*args, ctx)`` cached per raw value of its mpf arguments; other
+    arguments (integer orders, names, the context) are keys as they are."""
+    cached = _raw_cache(fn)
+
+    @wraps(fn)
+    def lookup(*args):
+        return cached(*[v._mpf_ if type(v) is mpf else v for v in args])
+
+    return _exposed(lookup, cached)
 
 
 def _per_point(constant):
@@ -55,15 +96,14 @@ def _per_point(constant):
     The parameters are converted with :func:`as_real` before the (bounded)
     cache lookup, so equal values of different Python types share one entry
     and one result; the wrapped function receives the converted values."""
-    cached = lru_cache(maxsize=_CACHE_SIZE)(constant)
+    cached = _raw_cache(constant)
 
     @wraps(constant)
     def lookup(*args):
         *params, ctx = args
-        return cached(*(as_real(v, ctx) for v in params), ctx)
+        return cached(*[as_real(v, ctx)._mpf_ for v in params], ctx)
 
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
+    return _exposed(lookup, cached)
 
 
 def _converted(constant):
@@ -340,40 +380,105 @@ def parse_grid(spec: str, ctx: PrecisionContext) -> ParamGrid:
 
 
 # ---------------------------------------------------------------------------
-# cached remainder access (sweeps revisit the same orders and abscissae)
+# cached remainder access (sweeps revisit the same orders and abscissae;
+# the checks compare neighbouring orders, hence the ladder blocks)
+
+LADDER_SPAN = 8
+# blocks kept; the default sweep uses 803 at any precision
+_LADDER_CACHE_SIZE = _CACHE_SIZE // 4
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _ladder(f_raw, block: int, x_raw, ctx) -> tuple[int, tuple]:
+    """The lowest offset j and the values R_{f+j}(x) of one block."""
+    lo = max(LADDER_SPAN * block - 1, 0 if f_raw == fzero else -1)
+    hi = LADDER_SPAN * block + LADDER_SPAN - 2
+    return lo, r_frac_ladder(_make(f_raw), lo, hi, _make(x_raw), ctx)
+
+
+def _rung(a, shift: int, x, ctx) -> Real:
+    """R_{a+shift}(x) from its ladder block, where :func:`_on_ladder` holds.
+
+    a (an int or an mpf) is split exactly into floor(a) + f with
+    0 <= f < 1, so the order a + shift is never rounded."""
+    if isinstance(a, int):
+        f_raw, j = fzero, a
+    else:
+        sign, man, exp, _ = a._mpf_
+        if exp >= 0:
+            f_raw, j = fzero, int(a)
+        else:
+            signed = -man if sign else man
+            j = signed >> -exp
+            f_raw = from_man_exp(signed - (j << -exp), exp)
+    j += shift
+    lo, values = _ladder(f_raw, (j + 1) // LADDER_SPAN, x._mpf_, ctx)
+    return values[j - lo]
+
+
+def _on_ladder(a, shift: int, x) -> bool:
+    """Whether R_{a+shift}(x) lies on a ladder: a finite order above -1 and
+    a finite x > 0.  Anything else takes the direct route, which raises on
+    a point outside its domain."""
+    return (isinstance(x, mpf) and mp.isfinite(x) and x > 0
+            and (isinstance(a, int) or isinstance(a, mpf) and mp.isfinite(a))
+            and a > -1 - shift)
+
+
+@_raw_keyed
 def _rt(n: int, x, ctx) -> Real:
+    if _on_ladder(n, 0, x):
+        return _rung(n, 0, x, ctx)
     return r_tail(n, x, ctx)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_raw_keyed
 def _rf(a, x, ctx) -> Real:
+    if _on_ladder(a, 0, x):
+        return _rung(a, 0, x, ctx)
     return r_frac(a, x, ctx)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_raw_keyed
 def _rn(n: int, x, ctx) -> Real:
+    # the recurrence of |R_n(-x)| across orders cancels: one series each
     return r_neg(n, x, ctx)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_raw_keyed
 def _gi(v, x, ctx) -> Real:
-    return lower_incomplete_gamma(v, x, ctx)
+    """gamma(v, x) = Gamma(v) e**-x R_{v-1}(x)."""
+    if not _on_ladder(v, -1, x):
+        return lower_incomplete_gamma(v, x, ctx)
+    rem = _rung(v, -1, x, ctx)
+    with ctx.work():
+        result = mp.gamma(v) * mp.exp(-x) * rem
+    return ctx.finalize(result)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_raw_keyed
 def _kum(b, x, ctx) -> Real:
-    return kummer_1f1_one(b, x, ctx)
+    """1F1(1; b; x) = Gamma(b) R_{b-2}(x) / x**(b-1) for b > 1."""
+    if not _on_ladder(b, -2, x):
+        return kummer_1f1_one(b, x, ctx)
+    rem = _rung(b, -2, x, ctx)
+    with ctx.work():
+        result = mp.gamma(b) * rem / x ** (b - 1)
+    return ctx.finalize(result)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_raw_keyed
 def _qv(n: int, x, ctx) -> Real:
-    return q_value(n, x, ctx)
+    """Q_n(x) = log1p((n+1)! R_{n+1}(x) / x**(n+1)) / x."""
+    if not (n >= 1 and _on_ladder(n, 1, x)):
+        return q_value(n, x, ctx)
+    rem = _rung(n, 1, x, ctx)
+    with ctx.work():
+        result = mp.log1p(math.factorial(n + 1) * rem / x ** (n + 1)) / x
+    return ctx.finalize(result)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_raw_keyed
 def _fracint(fname: str, order, x, ctx) -> Real:
     """Fractional integral I^order of a bundled test function at x, order > 0.
 
@@ -435,10 +540,11 @@ def _need_int(params, name, minimum=None):
 
 
 def _need_real(params, name, strict_gt=None, ge=None, le=None):
+    """A canonical real parameter, judged as it is: rounding it to mpmath's
+    ambient precision could move it across a bound."""
     v = params.get(name)
     if v is None:
         raise _Inadmissible(f"missing parameter '{name}'")
-    v = mpf(v)
     if strict_gt is not None and not v > strict_gt:
         raise _Inadmissible(f"parameter '{name}' must exceed {strict_gt}, got {v}")
     if ge is not None and not v >= ge:
@@ -1037,13 +1143,14 @@ CHECK_IDS = tuple(CATALOG)
 # evaluation, sweeping, sharpness
 
 
-def _integer_param(cdef: CheckDef, name: str, v) -> int:
+def _integer_param(cdef: CheckDef, name: str, v, ctx) -> int:
     """An order given as an int, or as an integral mpf, float or decimal
-    string; anything else is a usage error, never truncated."""
+    string; anything else is a usage error, never truncated.  An mpf is
+    judged as it is and any other value at the working precision."""
     if isinstance(v, int):
         return int(v)
     try:
-        r = mpf(v)
+        r = v if isinstance(v, mpf) else as_real(v, ctx)
     except (TypeError, ValueError):
         r = None
     if r is None or not mp.isint(r):
@@ -1060,7 +1167,7 @@ def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
         if name == "f":
             out[name] = str(v)
         elif name in ("n", "k"):
-            out[name] = _integer_param(cdef, name, v)
+            out[name] = _integer_param(cdef, name, v, ctx)
         else:
             out[name] = as_real(v, ctx)
     return out

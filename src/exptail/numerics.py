@@ -16,7 +16,12 @@ wp = bits + GUARD_BITS the working precision (:func:`_large_x`):
   a = 1 by the contiguous relation in a, in a - 1 all-positive steps.
 
 The catalog evaluates remainders at x <= 60 (KIM_39 at 2x), below the
-switch even at 53 bits (wp = 85), so it never reaches the second regime.
+switch even at 53 bits (wp = 85), so it never reaches the second regime;
+it calls the kernel once per block of orders of
+:func:`.remainders.r_frac_ladder` (1,228 calls in a default 256-bit sweep)
+and once per |R_n(-x)|.  For x < 0, :func:`kummer_1f1_one` refuses
+|x| > X_MAX where the large-|x| expansion does not apply, as its boosted
+series would need about |x| terms.
 :func:`arctan_fracint`, the fractional integral of arctan, sums two
 geometric series whose bounded cancellation is paid for with extra
 working bits.
@@ -44,6 +49,12 @@ from .precision import GUARD_BITS, PrecisionContext, Real, as_real
 
 # Hard cap on adaptive panels before quad_integral gives up.
 DEFAULT_PANEL_BUDGET = 4000
+
+# The largest |x| at which kummer_1f1_one sums its boosted series for x < 0:
+# about |x| terms at |x| log2(e) extra bits.  b = 1e4, x = -1.99e4 took
+# 0.67 s at 256 bits (pure-python mpmath, 2-core host); beyond it only the
+# large-|x| expansion, for |x| >= max(wp, 2b), is taken.
+X_MAX = 20000
 
 
 def _series_budget(x_float: float, bits: int) -> int:
@@ -300,10 +311,12 @@ def kummer_1f1_one(b, x, ctx: PrecisionContext) -> Real:
     """1F1(1; b; x) = sum_k x**k / (b)_k with (b)_k the rising factorial.
 
     All terms are positive for x >= 0.  For x < 0 the partial sums cancel
-    down to roughly e**x times their peak, so below x = -max(wp, 2b) the
+    down to roughly e**x times their peak, so above x = -max(wp, 2b) the
     working precision is boosted by |x|*log2(e) bits, at most
     1.45 max(wp, 2b), to keep the requested relative accuracy; from there
     on the expansion of :func:`_kummer_one_large_x` replaces the series.
+    The boosted series costs about |x| terms, so it is refused with a
+    :class:`DomainError` beyond |x| = X_MAX.
     """
     with ctx.work():
         b = as_real(b, ctx)
@@ -313,6 +326,9 @@ def kummer_1f1_one(b, x, ctx: PrecisionContext) -> Real:
             raise DomainError(f"kummer_1f1_one requires finite x, got x={x}")
         if x < 0 and _large_x(b, -x, ctx):
             return ctx.finalize(_kummer_one_large_x(b, +mpf(x), ctx))
+        if x < -X_MAX:
+            raise DomainError(f"kummer_1f1_one at x < -{X_MAX} needs |x| >= max(wp, 2b), "
+                              f"got b={b}, x={x}")
     boost = int(abs(float(x)) * 1.4427) + 16 if x < 0 else 0
     with ctx.work(boost):
         result = _hyp1f1_pos(1, b, +mpf(x), ctx)

@@ -9,7 +9,14 @@ series of |R_n(-x)| and R_{n,m} come from termwise integration of their
 positive integral kernels.  From x >= max(wp, 2b) on (wp = bits +
 GUARD_BITS, :func:`.numerics._large_x`) the kernel replaces the series,
 whose cost grows with x, by a closed form whose cost does not, so every
-remainder here has bounded cost at any x.  The quadrature forms survive
+remainder here has bounded cost at any x.
+
+:func:`r_frac_ladder` serves callers that need R_a(x) at many orders a
+with one fractional part: one series at the top order of a block, then
+the all-positive downward recurrence R_{a-1} = R_a + x**a/Gamma(a+1),
+which neither cancels nor calls the kernel again.  The catalog reads
+its positive remainders this way; the single-order functions here keep
+their direct series.  The quadrature forms survive
 only inside :func:`cross_check` as oracles (together with the
 subtraction forms at boosted precision).
 """
@@ -90,6 +97,35 @@ def r_frac(a, x, ctx: PrecisionContext) -> Real:
         xw = _check_nonneg_x(x, ctx)
         result = _hyp1f1_pos(1, aw + 2, xw, ctx, xw ** (aw + 1) / mp.gamma(aw + 2))
     return ctx.finalize(result)
+
+
+def r_frac_ladder(f, lo: int, hi: int, x, ctx: PrecisionContext) -> tuple[Real, ...]:
+    """R_{f+j}(x) for j = lo, lo+1, ..., hi: one series for a block of orders.
+
+    Needs 0 <= f < 1, lo <= hi, f + lo > -1 and x > 0.  The top order
+    a = f + hi is summed by the kernel; each lower order follows by the
+    all-positive recurrence R_{a-1}(x) = R_a(x) + t_a with
+    t_a = x**a/Gamma(a+1) and t_{a-1} = t_a a/x (DLMF 8.8.1 in remainder
+    form), so no step cancels.  The steps run at the working precision and
+    each value is rounded to ``ctx.bits`` once.
+    """
+    if not (0 <= f < 1 and lo <= hi and (lo >= 0 or lo == -1 and f > 0)):
+        raise DomainError(f"r_frac_ladder needs 0 <= f < 1 and f + {lo} > -1, got f={f}, hi={hi}")
+    with ctx.work():
+        xw = _check_nonneg_x(x, ctx)
+        if not xw > 0:
+            raise DomainError(f"r_frac_ladder requires x > 0, got {xw}")
+        a = mpf(f) + hi
+        t = xw ** (a + 1) / mp.gamma(a + 2)
+        rem = _hyp1f1_pos(1, a + 2, xw, ctx, t)
+        t = t * (a + 1) / xw
+        values = [rem]
+        for _ in range(hi - lo):
+            rem += t
+            t = t * a / xw
+            a -= 1
+            values.append(rem)
+    return tuple(ctx.finalize(v) for v in reversed(values))
 
 
 def neg_remainder_sign(n: int) -> int:

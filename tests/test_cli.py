@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import mp
 
 import exptail
 from exptail.cli import main
@@ -97,6 +98,20 @@ def test_check_nonpositive_x_exits_2(capsys):
     code, out, err = run(capsys, "check", "--id", "ALZER", "--grid", "x=lin(-1,1,3)")
     assert code == 2 and out == ""
     assert "requires x > 0" in err
+
+
+@pytest.mark.parametrize("check,grid,rows", [
+    # a = -1 + 1e-20 exceeds -1 at 256 bits; rounded to 53 it is -1
+    ("RATIO_32", "a=lin(-0.99999999999999999999,-0.99999999999999999999,1);x=lin(1,1,1)", 1),
+    # n = 2 + 1e-22 is no integer at 256 bits; rounded to 53 it is 2
+    ("ALZER", "n=lin(2.0000000000000000000001,2.0000000000000000000001,1);x=lin(1,1,1)", 0),
+])
+def test_check_validators_judge_the_context_precision_value(capsys, check, grid, rows):
+    # mpmath's ambient precision is 53 bits under the CLI
+    with mp.workprec(53):
+        code, out, _ = run(capsys, "check", "--id", check, "--grid", grid, "--format", "text")
+    assert code == 0
+    assert out.count("PASS ") == rows and f"summary: {rows} pass" in out
 
 
 def test_check_bad_grid(capsys):

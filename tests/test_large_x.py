@@ -13,7 +13,9 @@ from mpmath import mp, mpf
 import exptail
 import exptail.numerics as numerics
 from conftest import rel_err
-from exptail.numerics import kummer_1f1_one, lower_incomplete_gamma
+from exptail.cli import main
+from exptail.errors import DomainError
+from exptail.numerics import X_MAX, kummer_1f1_one, lower_incomplete_gamma
 from exptail.precision import GUARD_BITS, PrecisionContext
 from exptail.remainders import (b_value, eps_value, g_ratio, q_value, r_frac, r_neg,
                                 r_obreshkov, r_tail)
@@ -170,3 +172,23 @@ def test_eval_kummer_at_huge_negative_x_exits_0(x):
          f"--x={x}"], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 2
+
+
+def test_kummer_beyond_x_max_refused_at_once(capsys):
+    # for |x| < 2b the large-|x| expansion does not apply, and the boosted
+    # series would need ~|x| terms: b = 1e5, x = -1.5e5 took 26.5 s
+    start = time.monotonic()
+    code = main(["eval", "--quantity", "kummer", "--b", "1e5", "--x=-1.5e5"])
+    assert time.monotonic() - start < 1
+    assert code == 2 and "Traceback" not in capsys.readouterr().err
+    ctx = PrecisionContext(256)
+    with pytest.raises(DomainError):
+        kummer_1f1_one(mpf(10) ** 5, -mpf(X_MAX) - 1, ctx)
+
+
+def test_kummer_huge_b_within_x_max_against_mpmath():
+    ctx = PrecisionContext(256)
+    b, x = mpf(10) ** 4, mpf(-15000)
+    value = kummer_1f1_one(b, x, ctx)
+    with mp.workprec(ctx.bits + 128):
+        assert rel_err(value, mp.hyp1f1(1, b, x)) < ctx.target_rel_err
