@@ -137,11 +137,19 @@ def test_derived_accessors_match_the_public_routes(ctx, accessor, direct, args):
     assert rel_err(value, direct(*args, ctx)) <= ctx.target_rel_err
 
 
-def test_raw_keys_share_entries_across_equal_values(ctx):
-    # equal mpf values made separately hit one entry
+def test_raw_keys_share_entries_and_hash_no_mpf(ctx, monkeypatch):
+    # equal mpf values made separately hit one entry, and a lookup hashes
+    # the raw tuples, never an mpf
     _clear_caches()
     a, x = mpf("3.7"), mpf("1.25")
     first = inequalities._rf(ctx.finalize(a), ctx.finalize(x), ctx)
+    constant = inequalities.interp_constant(a, 1, mpf("0.5"), ctx)
+
+    def no_hash(self):
+        raise AssertionError("an mpf was hashed")
+
+    monkeypatch.setattr(type(a), "__hash__", no_hash)
     second = inequalities._rf(ctx.finalize(a), ctx.finalize(x), ctx)
+    assert inequalities.interp_constant(a, 1, mpf("0.5"), ctx) is constant
     info = inequalities._rf.cache_info()
     assert (info.hits, info.misses) == (1, 1) and first is second
