@@ -18,8 +18,16 @@ never mpf objects.
 
 Sharp constants are produced in exact rational arithmetic whenever the
 parameters are integers (or rationals, for the interpolation constant
-raised to the denominator power) and through the gamma function with its
-exact factorial path otherwise.
+raised to the denominator power) and through the gamma function otherwise.
+
+A sweep (:func:`default_sweep`, :func:`sweep`) enters the working
+precision once and evaluates every row inside it: ``ctx.work()`` is a
+no-op where that precision is already active, so :func:`evaluate_check`
+switches mpmath's precision only when called on its own.  A row takes an
+mpf parameter of at most the working precision's bits as it is, and so
+does the row's result an x of at most ``ctx.bits`` bits; wider values are
+rounded (and a wider parameter logged) as before, so a row's value is the
+same inside a sweep and alone, at any ambient ``mp.prec``.
 
 The negative-argument analogues NEG_ALZER / NEG_GEN_K / NEG_SANDWICH act
 on the magnitude |R_n(-x)|.  For that family the product inequality with
@@ -44,7 +52,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pos, mpf_sub, round_nearest)
+                          mpf_neg, mpf_pos, mpf_sub, round_nearest)
 
 from .errors import NumericalError, PoleError, UsageError
 from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
@@ -79,13 +87,20 @@ def _exposed(lookup, cached):
 
 
 def _raw_keyed(fn):
-    """``fn(*args, ctx)`` cached per raw value of its mpf arguments; other
-    arguments (integer orders, names, the context) are keys as they are."""
+    """``fn(a, x, ctx)``, or ``fn(name, a, x, ctx)``, cached per raw value of
+    its mpf arguments a and x; other arguments (integer orders, names, the
+    context) are keys as they are."""
     cached = _raw_cache(fn)
 
-    @wraps(fn)
-    def lookup(*args):
-        return cached(*[v._mpf_ if type(v) is mpf else v for v in args])
+    if fn.__code__.co_argcount == 3:
+        @wraps(fn)
+        def lookup(a, x, ctx):
+            return cached(a._mpf_ if type(a) is mpf else a, x._mpf_ if type(x) is mpf else x, ctx)
+    else:
+        @wraps(fn)
+        def lookup(name, a, x, ctx):
+            return cached(name, a._mpf_ if type(a) is mpf else a,
+                          x._mpf_ if type(x) is mpf else x, ctx)
 
     return _exposed(lookup, cached)
 
@@ -93,15 +108,15 @@ def _raw_keyed(fn):
 def _per_point(constant):
     """Compute a Gamma-based sharp constant once per parameter point.
 
-    The parameters are converted with :func:`as_real` before the (bounded)
-    cache lookup, so equal values of different Python types share one entry
-    and one result; the wrapped function receives the converted values."""
+    The three parameters are converted with :func:`as_real` before the
+    (bounded) cache lookup, so equal values of different Python types share
+    one entry and one result; the wrapped function receives the converted
+    values."""
     cached = _raw_cache(constant)
 
     @wraps(constant)
-    def lookup(*args):
-        *params, ctx = args
-        return cached(*[as_real(v, ctx)._mpf_ for v in params], ctx)
+    def lookup(p, a, b, ctx):
+        return cached(as_real(p, ctx)._mpf_, as_real(a, ctx)._mpf_, as_real(b, ctx)._mpf_, ctx)
 
     return _exposed(lookup, cached)
 
@@ -332,8 +347,9 @@ def log_grid(lo, hi, count: int, ctx: PrecisionContext) -> tuple:
             raise UsageError("log spacing needs positive endpoints")
         if count == 1:
             return (ctx.finalize(lo),)
-        step = (mp.log(hi) - mp.log(lo)) / (count - 1)
-        return tuple(ctx.finalize(mp.exp(mp.log(lo) + i * step)) for i in range(count))
+        log_lo = mp.log(lo)
+        step = (mp.log(hi) - log_lo) / (count - 1)
+        return tuple(ctx.finalize(mp.exp(log_lo + i * step)) for i in range(count))
 
 
 def lin_grid(lo, hi, count: int, ctx: PrecisionContext) -> tuple:
@@ -1189,7 +1205,7 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
     cdef.validate(p)
     if not mpf_gt(p["x"]._mpf_, fzero):
         raise UsageError(f"check {name} requires x > 0, got {p['x']}")
-    with ctx.work():
+    with ctx.work():  # a no-op inside a sweep, which holds the precision
         lhs, rhs = cdef.evaluate(p, ctx)
     return _result(name, p, lhs, rhs, ctx)
 
@@ -1197,29 +1213,30 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
 def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> CheckResult:
     """The row of two evaluated sides: margin, err_bound and ratio rounded
     to nearest at the working precision, as mpf operators inside
-    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``."""
+    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``
+    (an x of at most ``ctx.bits`` bits is kept as it is)."""
     wp, bits, rnd = ctx.bits + GUARD_BITS, ctx.bits, round_nearest
     lhs, rhs = lhs._mpf_, rhs._mpf_
     margin = mpf_sub(lhs, rhs, wp, rnd)
     abs_lhs, abs_rhs = mpf_abs(lhs, wp, rnd), mpf_abs(rhs, wp, rnd)
     larger = abs_rhs if mpf_gt(abs_rhs, abs_lhs) else abs_lhs
-    err_bound = mpf_mul(mpf_mul_int(ctx.target_rel_err._mpf_, 100, wp, rnd), larger, wp, rnd)
+    err_bound = mpf_mul(ctx.err_scale, larger, wp, rnd)
     if mpf_gt(margin, err_bound):
         status = "PASS"
     elif mpf_lt(margin, mpf_neg(err_bound)):
         status = "FAIL"
     else:
         status = "INDET"
-    make = mp.make_mpf
+    x = p["x"]
     return CheckResult(
         check=name,
         params={k: v for k, v in p.items() if k != "x"},
-        x=make(mpf_pos(p["x"]._mpf_, bits, rnd)),
-        lhs=make(mpf_pos(lhs, bits, rnd)),
-        rhs=make(mpf_pos(rhs, bits, rnd)),
-        margin=make(mpf_pos(margin, bits, rnd)),
-        ratio=None if rhs == fzero else make(mpf_pos(mpf_div(lhs, rhs, wp, rnd), bits, rnd)),
-        err_bound=make(mpf_pos(err_bound, bits, rnd)),
+        x=x if x._mpf_[3] <= bits else _make(mpf_pos(x._mpf_, bits, rnd)),
+        lhs=_make(mpf_pos(lhs, bits, rnd)),
+        rhs=_make(mpf_pos(rhs, bits, rnd)),
+        margin=_make(mpf_pos(margin, bits, rnd)),
+        ratio=None if rhs == fzero else _make(mpf_pos(mpf_div(lhs, rhs, wp, rnd), bits, rnd)),
+        err_bound=_make(mpf_pos(err_bound, bits, rnd)),
         status=status,
     )
 
@@ -1256,36 +1273,37 @@ def sweep(ids: Sequence[str], grid: ParamGrid, ctx: PrecisionContext) -> list[Ch
     axes = {ax.name: ax.values for ax in grid.axes}
     used_axes = set()
     results = []
-    for name in ids:
-        cdef = CATALOG.get(name)
-        if cdef is None:
-            raise UsageError(f"unknown check id '{name}'")
-        names = cdef.param_names + ("x",) + (("y",) if cdef.uses_y else ())
-        override = [n for n in names if n in axes]
-        used_axes.update(override)
+    with ctx.work():
+        for name in ids:
+            cdef = CATALOG.get(name)
+            if cdef is None:
+                raise UsageError(f"unknown check id '{name}'")
+            names = cdef.param_names + ("x",) + (("y",) if cdef.uses_y else ())
+            override = [n for n in names if n in axes]
+            used_axes.update(override)
 
-        bases = []
-        seen = set()
-        for pt in cdef.default_points(ctx):
-            base = {k: v for k, v in pt.items() if k not in override}
-            key = tuple(sorted((k, str(v)) for k, v in base.items()))
-            if key not in seen:
-                seen.add(key)
-                bases.append(base)
+            bases = []
+            seen = set()
+            for pt in cdef.default_points(ctx):
+                base = {k: v for k, v in pt.items() if k not in override}
+                key = tuple(sorted((k, str(v)) for k, v in base.items()))
+                if key not in seen:
+                    seen.add(key)
+                    bases.append(base)
 
-        def expand(i, acc):
-            if i == len(override):
-                yield dict(acc)
-                return
-            for v in axes[override[i]]:
-                acc[override[i]] = v
-                yield from expand(i + 1, acc)
+            def expand(i, acc):
+                if i == len(override):
+                    yield dict(acc)
+                    return
+                for v in axes[override[i]]:
+                    acc[override[i]] = v
+                    yield from expand(i + 1, acc)
 
-        for base in bases:
-            for combo in expand(0, {}):
-                res = _evaluate_point(cdef, dict(base, **combo), ctx)
-                if res is not None:
-                    results.append(res)
+            for base in bases:
+                for combo in expand(0, {}):
+                    res = _evaluate_point(cdef, dict(base, **combo), ctx)
+                    if res is not None:
+                        results.append(res)
     unused = set(axes) - used_axes
     if unused:
         raise UsageError(f"grid axes {sorted(unused)} match no parameter of {list(ids)}")
@@ -1296,14 +1314,15 @@ def default_sweep(ids: Sequence[str] | None, ctx: PrecisionContext) -> list[Chec
     """Evaluate checks over their built-in default parameter points
     (the standing verification grid)."""
     results = []
-    for name in ids or CHECK_IDS:
-        cdef = CATALOG.get(name)
-        if cdef is None:
-            raise UsageError(f"unknown check id '{name}'")
-        for point in cdef.default_points(ctx):
-            res = _evaluate_point(cdef, point, ctx)
-            if res is not None:
-                results.append(res)
+    with ctx.work():
+        for name in ids or CHECK_IDS:
+            cdef = CATALOG.get(name)
+            if cdef is None:
+                raise UsageError(f"unknown check id '{name}'")
+            for point in cdef.default_points(ctx):
+                res = _evaluate_point(cdef, point, ctx)
+                if res is not None:
+                    results.append(res)
     return results
 
 

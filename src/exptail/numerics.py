@@ -19,9 +19,10 @@ The catalog evaluates remainders at x <= 60 (KIM_39 at 2x), below the
 switch even at 53 bits (wp = 85), so it never reaches the second regime;
 it calls the kernel once per block of orders of
 :func:`.remainders.r_frac_ladder` (1,228 calls in a default 256-bit sweep)
-and once per |R_n(-x)|.  For x < 0, :func:`kummer_1f1_one` refuses
-|x| > X_MAX where the large-|x| expansion does not apply, as its boosted
-series would need about |x| terms.
+and once per |R_n(-x)|.  Where the closed form does not apply, the
+kernel refuses |x| > X_MAX (for x > 0, X_MAX < x < 2b), as its series
+would need about |x| terms; for x < 0, :func:`kummer_1f1_one` refuses it
+before boosting the precision.
 :func:`arctan_fracint`, the fractional integral of arctan, sums two
 geometric series whose bounded cancellation is paid for with extra
 working bits.
@@ -50,10 +51,11 @@ from .precision import GUARD_BITS, PrecisionContext, Real, as_real
 # Hard cap on adaptive panels before quad_integral gives up.
 DEFAULT_PANEL_BUDGET = 4000
 
-# The largest |x| at which kummer_1f1_one sums its boosted series for x < 0:
-# about |x| terms at |x| log2(e) extra bits.  b = 1e4, x = -1.99e4 took
-# 0.67 s at 256 bits (pure-python mpmath, 2-core host); beyond it only the
-# large-|x| expansion, for |x| >= max(wp, 2b), is taken.
+# The largest |x| at which a series is summed: it takes about |x| terms (at
+# |x| log2(e) extra bits for x < 0).  b = 1e4, x = -1.99e4 took 0.67 s at
+# 256 bits (pure-python mpmath, 2-core host); beyond it only the large-|x|
+# expansion, for |x| >= max(wp, 2b), is taken, and a point with
+# X_MAX < |x| < 2b is refused.
 X_MAX = 20000
 
 
@@ -64,15 +66,17 @@ def _series_budget(x_float: float, bits: int) -> int:
 
 
 def gamma_fn(v, ctx: PrecisionContext) -> Real:
-    """Gamma function for v > 0, exact factorial path at positive integers."""
+    """Gamma function for v > 0 by ``mp.gamma`` at the working precision.
+
+    At a positive integer v, ``mp.gamma`` rounds the exact factorial
+    (v - 1)! (tabled below 150, else by ``ifac`` while v log2 v < 10 wp)
+    and otherwise uses its Stirling route, in about a millisecond where
+    the exact factorial of v = 1e5 takes over a second."""
     with ctx.work():
         v = as_real(v, ctx)
         if not mp.isfinite(v) or v <= 0:
             raise DomainError(f"gamma_fn requires finite v > 0, got {v}")
-        if v == int(v):
-            result = mpf(math.factorial(int(v) - 1))
-        else:
-            result = mp.gamma(v)
+        result = mp.gamma(v)
     return ctx.finalize(result)
 
 
@@ -147,6 +151,36 @@ def _kummer_one_large_x(b, x, ctx: PrecisionContext) -> Real:
     return lead - w * mp.ldexp(total, -wp)
 
 
+def _contiguous_up(a: int, b, x, f1) -> Real:
+    """1F1(a; b; x) for an integer 2 <= a <= b + 1 and x >= 2b from
+    F(0) = 1 and F(1) = f1 by the contiguous relation (DLMF 13.3.1)
+    k F(k+1) = (2k - b + x) F(k) + (b - k) F(k-1), k = 1, ..., a - 1.
+
+    Both coefficients are non-negative, so no step cancels.  The steps run
+    in integer fixed point, the way the series does: b and x are exact or
+    to wp significant bits (wp the active working precision) and F(k),
+    F(k-1) share one power of two, with F(k) between 2 wp and 3 wp bits,
+    so each step truncates at most 2**-2wp of F(k+1) relative."""
+    wp = mp.prec
+    nb, _, sb = _fixed_param(b, wp)
+    xm, _, sx = _fixed_param(x, wp)
+    s = max(sb, sx)
+    bs, xs = nb << (s - sb), xm << (s - sx)  # b and x in units of 2**-s
+    _, man, exp, bc = f1._mpf_
+    e = exp + bc - 2 * wp  # F(k) = cur * 2**e
+    cur = man << (exp - e) if exp >= e else man >> (e - exp)
+    prev = 1 << -e if e <= 0 else 0
+    for k in range(1, a):
+        ks = k << s
+        prev, cur = cur, ((2 * ks - bs + xs) * cur + (bs - ks) * prev) // ks
+        excess = cur.bit_length() - 2 * wp
+        if excess > wp:
+            prev >>= excess
+            cur >>= excess
+            e += excess
+    return mp.ldexp(cur, e)
+
+
 def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, a >= 1, b > 0.
 
@@ -164,17 +198,20 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     the series: a = 1 by :func:`_kummer_one_large_x`, and a >= 2 from
     F(0) = 1 and F(1) by the contiguous relation (DLMF 13.3.1)
     k F(k+1) = (2k - b + x) F(k) + (b - k) F(k-1), whose terms are all
-    positive for k < b and x >= b, so no step cancels.
+    positive for k < b and x >= b, so no step cancels
+    (:func:`_contiguous_up`).  Elsewhere |x| > X_MAX raises
+    :class:`DomainError`: the series would take about |x| terms.
     """
     if mp.isnan(b) or not mp.isfinite(a):
         raise NumericalError(f"1F1({a}; {b}; {x}) series does not converge: non-finite parameter")
     if mp.isinf(b):
         return scale * mpf(1)
     if _large_x(b, x, ctx) and a == int(a) and a <= b + 1:
-        prev, cur = mpf(1), _kummer_one_large_x(b, x, ctx)
-        for k in range(1, int(a)):
-            prev, cur = cur, ((2 * k - b + x) * cur + (b - k) * prev) / k
-        return scale * cur
+        f1 = _kummer_one_large_x(b, x, ctx)
+        return scale * (_contiguous_up(int(a), b, x, f1) if a > 1 else f1)
+    if abs(x) > X_MAX:
+        raise DomainError(f"1F1({a}; {b}; {x}) beyond |x| = {X_MAX} needs |x| >= max(wp, 2b): "
+                          f"its series would take about |x| terms")
     wp = mp.prec
     target = ctx.target_rel_err
     # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))

@@ -16,13 +16,18 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import DegeneratePointError, DomainError, PoleError
+from .errors import DegeneratePointError, DomainError, NumericalError, PoleError
 from .precision import PrecisionContext, Real, as_real
 
 # Largest total degree n + m that pade_exp builds.  The exact coefficients
 # are O(n + m) Fractions of factorials; n + m = 1000 takes about 0.6 s
 # from the command line, 1200 about 1 s, and n = 3000 took 13.6 s.
 MAX_PADE_ORDER = 1000
+
+# The most extra bits aitken_row carries to absorb its cancellation, about
+# 2 |x| log2(e): enough for |x| up to ~22,000; beyond it one operand would
+# take megabytes.
+MAX_AITKEN_BOOST = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,8 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
     """Aitken transform (t_{n-1} t_{n+1} - t_n**2)/(t_{n+1} + t_{n-1} - 2 t_n)
     of the Taylor partial sums; coincides with the [n/1] Pade row away from
     the degenerate points x = 0 and x = n+1 where the denominator vanishes.
+    A point whose cancellation needs more than MAX_AITKEN_BOOST extra bits
+    raises :class:`NumericalError`.
     """
     if n < 1:
         raise DomainError(f"aitken_row requires n >= 1, got {n}")
@@ -179,7 +186,11 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
         if abs(xw) <= guard or abs(xw - (n + 1)) <= guard * (n + 1):
             raise DegeneratePointError(
                 f"Aitken denominator vanishes at x=0 and x={n + 1}; got x={mp.nstr(xw, 17)}")
-    with ctx.work(_aitken_boost(n, float(xw))):
+    boost = _aitken_boost(n, float(xw))
+    if boost > MAX_AITKEN_BOOST:
+        raise NumericalError(f"aitken_row at x={mp.nstr(xw, 17)} would need {boost:.3g} extra bits "
+                             f"(at most {MAX_AITKEN_BOOST}) to absorb its cancellation")
+    with ctx.work(boost):
         xw = +xw
         t_prev = taylor_partial(n - 1, xw, ctx)
         t_mid = t_prev + xw**n / mpf(math.factorial(n))

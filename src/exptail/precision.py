@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, mpf_div, mpf_pos, round_nearest, to_str
+from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_pos, round_nearest, to_str
 
 from .errors import DomainError, UsageError
 
@@ -43,6 +44,9 @@ GUARD_BITS = 32
 Real = mpf
 
 _make = mp.make_mpf
+
+# what ``PrecisionContext.work`` returns where its precision is already active
+_HELD = nullcontext()
 
 
 def _rounded(x, prec: int):
@@ -90,13 +94,20 @@ class PrecisionContext:
         object.__setattr__(self, "target_rel_err", tre)
         # every cached call hashes its context: hash the mpf field once
         object.__setattr__(self, "_hash", hash((self.bits, tre)))
+        # raw 100 * target_rel_err at the working precision: a check row's
+        # err_bound per unit of max(|lhs|, |rhs|)
+        object.__setattr__(self, "err_scale",
+                           mpf_mul_int(tre._mpf_, 100, self.bits + GUARD_BITS, round_nearest))
 
     def __hash__(self):
         return self._hash
 
     def work(self, extra_bits: int = 0):
-        """Context manager activating the working precision."""
-        return mp.workprec(self.bits + GUARD_BITS + max(0, extra_bits))
+        """Context manager activating the working precision; where mpmath
+        already works at exactly that precision it changes nothing, so a
+        sweep that holds the precision pays no switch per row."""
+        prec = self.bits + GUARD_BITS + max(0, extra_bits)
+        return _HELD if mp.prec == prec else mp.workprec(prec)
 
     def finalize(self, x) -> Real:
         """Round a computed value back to exactly ``bits`` of mantissa."""
@@ -120,11 +131,14 @@ def as_real(x, ctx: PrecisionContext) -> Real:
     """Convert an input scalar to an mpf at the context's working precision.
 
     Mixed-precision operands are rounded to the coarser (context) precision;
-    a downgrade of a wider mpf is logged.
+    a downgrade of a wider mpf is logged.  An mpf of at most that many bits
+    is returned as it is, the value rounding would give.
     """
     wp = ctx.bits + GUARD_BITS
     if isinstance(x, mpf) and x._mpf_[3] > wp:
         log.warning("rounding %d-bit operand down to %d-bit context", x._mpf_[3], wp)
+    elif type(x) is mpf:
+        return x
     raw = _rounded(x, wp)
     if raw is None and hasattr(x, "denominator"):  # Fraction and other rationals
         # numerator and denominator are rounded before the division, as the
@@ -207,16 +221,18 @@ def format_real(x, ctx: PrecisionContext, digits: int | None = None) -> str:
     The text is exactly ``libmp.to_str(raw, digits, min_fixed=-4,
     max_fixed=18)`` of the value rounded to the working precision; finite
     non-zero values with |exp + bc| <= 3500 and fewer than 1,000 digits
-    take the shorter route of :func:`_decimal`."""
+    take the shorter route of :func:`_decimal`.  An mpf of at most the
+    working precision's bits is read as it is: rounding keeps its value."""
     if digits is None:
         digits = ctx.decimal_digits
-    raw = _rounded(x, ctx.bits + GUARD_BITS)
+    wp = ctx.bits + GUARD_BITS
+    raw = x._mpf_ if type(x) is mpf and x._mpf_[3] <= wp else _rounded(x, wp)
     if raw is not None:
         sign, man, exp, bc = raw
         if man and -3500 <= exp + bc <= 3500 and 0 < digits < 1000:
             return _decimal(sign, man, exp, bc, digits)
         return to_str(raw, digits, min_fixed=-4, max_fixed=18)
-    with mp.workprec(ctx.bits + GUARD_BITS):
+    with mp.workprec(wp):
         return mp.nstr(mpf(x), digits, min_fixed=-4, max_fixed=18)
 
 

@@ -10,7 +10,7 @@ from conftest import rel_err
 from exptail.errors import DomainError, NumericalError
 from exptail.numerics import gamma_fn, kummer_1f1_one, lower_incomplete_gamma, quad_integral
 from exptail.precision import PrecisionContext
-from exptail.remainders import r_frac, r_neg, r_obreshkov, r_tail
+from exptail.remainders import b_value, r_frac, r_neg, r_obreshkov, r_tail
 
 # frozen from an independent high-precision constant (square root of pi)
 SQRT_PI = ("1.7724538509055160272981674833411451827975494561223871282138077898"
@@ -25,6 +25,29 @@ def test_gamma_integer_factorials(ctx):
     assert gamma_fn(5, ctx) == 24
     assert gamma_fn(1, ctx) == 1
     assert gamma_fn(13, ctx) == math.factorial(12)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_gamma_and_b_value_at_order_1e5_against_mpmath(bits):
+    # mp.gamma's Stirling route: the exact factorial took over a second here
+    ctx = PrecisionContext(bits)
+    value, b = gamma_fn(100002, ctx), b_value(mpf(10) ** 5, 1, ctx)
+    with mp.workprec(bits + 64):
+        assert rel_err(value, mp.gamma(100002)) < ctx.target_rel_err
+        assert rel_err(b, mp.hyp1f1(1, 10**5 + 2, 1)) < ctx.target_rel_err
+
+
+@pytest.mark.parametrize("bits", [53, 256, 1024])
+@pytest.mark.parametrize("n,x", [(10**4, "1e5"), (16, "wp"), (10**4, "7.4367e152"),
+                                 (40, "2.5e4")])
+def test_contiguous_relation_against_mpmath(bits, n, x):
+    # |R_n(-x)| at x >= max(wp, 2(n+2)) steps n times up from 1F1(1; n+2; x)
+    ctx = PrecisionContext(bits)
+    x = ctx.finalize(bits + 32 if x == "wp" else mpf(x))
+    value = r_neg(n, x, ctx)
+    with mp.workprec(bits + 64):
+        reference = mp.exp(-x) * x ** (n + 1) / mp.factorial(n + 1) * mp.hyp1f1(n + 1, n + 2, x)
+    assert rel_err(value, reference) < ctx.target_rel_err
 
 
 def test_gamma_half(ctx):

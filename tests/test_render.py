@@ -1,6 +1,6 @@
 """Report rendering: the fixed-layout JSON writer gives the bytes of
 ``json.dumps(obj, indent=2)``, each distinct value is rendered once per
-report, and the default 53-bit report keeps its bytes."""
+report, and the default 53- and 256-bit reports keep their bytes."""
 
 import csv
 import hashlib
@@ -123,6 +123,16 @@ def test_default_report_bytes_53_bits(sweep53):
     assert digests["json"].startswith("4a59c55fa491")
     assert digests["csv"].startswith("1586ff74cfbf")
     assert digests["text"].startswith("8b0b07bcfb29")
+
+
+def test_default_report_bytes_256_bits():
+    ctx = PrecisionContext(256)
+    results = default_sweep(None, ctx)
+    digests = {fmt: hashlib.sha256(render_check_report(results, ctx, fmt).encode()).hexdigest()
+               for fmt in ("json", "csv", "text")}
+    assert digests["json"].startswith("b59ecc987fce")
+    assert digests["csv"].startswith("1108120acac3")
+    assert digests["text"].startswith("96cec7f689cd")
 
 
 def _count_calls(monkeypatch):

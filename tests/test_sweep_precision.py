@@ -1,0 +1,118 @@
+"""A sweep holds the working precision once for all its rows: its rows are
+those of single evaluations, mpmath's precision is restored however the
+sweep ends, and operands wider than the working precision are still
+rounded down to it (and logged) where values are taken as they are."""
+
+import logging
+
+import pytest
+from mpmath import mp, mpf
+from mpmath.libmp import mpf_pos, round_nearest
+
+from exptail import inequalities
+from exptail.errors import UsageError
+from exptail.inequalities import (CATALOG, default_sweep, evaluate_check, interp_constant,
+                                  parse_grid, sweep)
+from exptail.precision import GUARD_BITS, PrecisionContext, format_real
+
+FIELDS = ("x", "lhs", "rhs", "margin", "ratio", "err_bound")
+
+
+def _raw(row):
+    return {f: None if getattr(row, f) is None else getattr(row, f)._mpf_ for f in FIELDS}
+
+
+@pytest.mark.parametrize("ambient", [53, 640])
+def test_sweep_rows_match_single_evaluations(ambient):
+    # every 37th row, evaluated alone at either ambient precision
+    ctx = PrecisionContext(256)
+    with mp.workprec(ambient):
+        sample = default_sweep(None, ctx)[::37]
+        assert mp.prec == ambient
+    assert len(sample) == 280
+    for alone_ambient in (53, 640):
+        with mp.workprec(alone_ambient):
+            for row in sample:
+                alone = evaluate_check(row.check, ctx, dict(row.params, x=row.x))
+                assert (_raw(alone), alone.status, alone.params) == \
+                    (_raw(row), row.status, row.params), (row.check, alone_ambient)
+
+
+def test_sweeps_restore_the_ambient_precision(monkeypatch):
+    ctx = PrecisionContext(64)
+    seen = []
+    original = inequalities.evaluate_check
+
+    def recording(*args, **kwargs):
+        seen.append(mp.prec)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "evaluate_check", recording)
+    with mp.workprec(53):
+        assert default_sweep(["ALZER"], ctx)
+        assert mp.prec == 53
+        assert sweep(["ALZER"], parse_grid("n=1..2;x=lin(1,2,2)", ctx), ctx)
+        assert mp.prec == 53
+        # rows are evaluated at the working precision the sweep holds
+        assert set(seen) == {ctx.bits + GUARD_BITS}
+        with pytest.raises(UsageError):
+            default_sweep(["ALZER", "NO_SUCH_CHECK"], ctx)
+        assert mp.prec == 53
+        with pytest.raises(UsageError):
+            sweep(["ALZER", "NO_SUCH_CHECK"], parse_grid("n=1..2", ctx), ctx)
+        assert mp.prec == 53
+        with pytest.raises(UsageError, match="match no parameter"):
+            sweep(["ALZER"], parse_grid("n=1..2;nu=lin(0.5,1,2)", ctx), ctx)
+        assert mp.prec == 53
+
+
+def _wide(text, bits=1000):
+    with mp.workprec(bits):
+        return mpf(1) / 3 + mpf(text)
+
+
+def test_wide_parameter_rounded_and_logged_in_canonical_params(caplog):
+    ctx = PrecisionContext(256)
+    wp = ctx.bits + GUARD_BITS
+    a, x = _wide("0.5"), _wide("2")
+    with caplog.at_level(logging.WARNING, logger="exptail"):
+        p = inequalities._canonical_params(CATALOG["RATIO_32"], {"a": a, "x": x}, ctx)
+    assert p["a"]._mpf_ == mpf_pos(a._mpf_, wp, round_nearest)
+    assert p["x"]._mpf_ == mpf_pos(x._mpf_, wp, round_nearest)
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"rounding {a._mpf_[3]}-bit operand down to {wp}-bit context",
+         f"rounding {x._mpf_[3]}-bit operand down to {wp}-bit context"]
+    # the row's x is rounded on to ctx.bits
+    row = evaluate_check("RATIO_32", ctx, {"a": a, "x": x})
+    assert row.x._mpf_ == mpf_pos(p["x"]._mpf_, ctx.bits, round_nearest)
+    # a parameter of at most wp bits is taken as it is, unlogged
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="exptail"):
+        q = inequalities._canonical_params(CATALOG["RATIO_32"], p, ctx)
+    assert q["a"] is p["a"] and q["x"] is p["x"] and not caplog.records
+
+
+def test_wide_parameter_rounded_and_logged_in_per_point_constants(caplog):
+    ctx = PrecisionContext(256)
+    wp = ctx.bits + GUARD_BITS
+    nu = _wide("1")
+    interp_constant.cache_clear()
+    with caplog.at_level(logging.WARNING, logger="exptail"):
+        wide = interp_constant(nu, 2, mpf("0.5"), ctx)
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"rounding {nu._mpf_[3]}-bit operand down to {wp}-bit context"]
+    # the wide value and its rounding share one cache entry
+    rounded = interp_constant(mp.make_mpf(mpf_pos(nu._mpf_, wp, round_nearest)), 2,
+                              mpf("0.5"), ctx)
+    info = interp_constant.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert wide._mpf_ == rounded._mpf_
+
+
+def test_format_real_rounds_a_wide_value_first():
+    ctx = PrecisionContext(64)
+    wide = _wide("0")
+    rounded = mp.make_mpf(mpf_pos(wide._mpf_, ctx.bits + GUARD_BITS, round_nearest))
+    assert format_real(wide, ctx, 40) == format_real(rounded, ctx, 40)
+    with mp.workprec(1000):
+        assert format_real(wide, ctx, 40) != mp.nstr(wide, 40)
