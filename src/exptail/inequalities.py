@@ -24,8 +24,8 @@ A sweep (:func:`default_sweep`, :func:`sweep`) enters the working
 precision once and evaluates every row inside it: ``ctx.work()`` is a
 no-op where that precision is already active, so :func:`evaluate_check`
 switches mpmath's precision only when called on its own.  A row takes an
-mpf parameter of at most the working precision's bits as it is, and so
-does the row's result an x of at most ``ctx.bits`` bits; wider values are
+mpf parameter of at most the working precision's bits as it is, and its
+result keeps an x of at most ``ctx.bits`` bits as it is; wider values are
 rounded (and a wider parameter logged) as before, so a row's value is the
 same inside a sweep and alone, at any ambient ``mp.prec``.
 
