@@ -87,20 +87,26 @@ def _exposed(lookup, cached):
 
 
 def _raw_keyed(fn):
-    """``fn(a, x, ctx)``, or ``fn(name, a, x, ctx)``, cached per raw value of
-    its mpf arguments a and x; other arguments (integer orders, names, the
-    context) are keys as they are."""
+    """``fn(a, x, ctx)`` cached per raw value of its mpf arguments a and x;
+    other arguments (integer orders, the context) are keys as they are."""
     cached = _raw_cache(fn)
 
-    if fn.__code__.co_argcount == 3:
-        @wraps(fn)
-        def lookup(a, x, ctx):
-            return cached(a._mpf_ if type(a) is mpf else a, x._mpf_ if type(x) is mpf else x, ctx)
-    else:
-        @wraps(fn)
-        def lookup(name, a, x, ctx):
-            return cached(name, a._mpf_ if type(a) is mpf else a,
-                          x._mpf_ if type(x) is mpf else x, ctx)
+    @wraps(fn)
+    def lookup(a, x, ctx):
+        return cached(a._mpf_ if type(a) is mpf else a, x._mpf_ if type(x) is mpf else x, ctx)
+
+    return _exposed(lookup, cached)
+
+
+def _named_raw_keyed(fn):
+    """``fn(name, a, x, ctx)`` cached as :func:`_raw_keyed` caches, the
+    name a key as it is."""
+    cached = _raw_cache(fn)
+
+    @wraps(fn)
+    def lookup(name, a, x, ctx):
+        return cached(name, a._mpf_ if type(a) is mpf else a,
+                      x._mpf_ if type(x) is mpf else x, ctx)
 
     return _exposed(lookup, cached)
 
@@ -494,7 +500,7 @@ def _qv(n: int, x, ctx) -> Real:
     return ctx.finalize(result)
 
 
-@_raw_keyed
+@_named_raw_keyed
 def _fracint(fname: str, order, x, ctx) -> Real:
     """Fractional integral I^order of a bundled test function at x, order > 0.
 
@@ -1213,8 +1219,7 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
 def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> CheckResult:
     """The row of two evaluated sides: margin, err_bound and ratio rounded
     to nearest at the working precision, as mpf operators inside
-    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``
-    (an x of at most ``ctx.bits`` bits is kept as it is)."""
+    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``."""
     wp, bits, rnd = ctx.bits + GUARD_BITS, ctx.bits, round_nearest
     lhs, rhs = lhs._mpf_, rhs._mpf_
     margin = mpf_sub(lhs, rhs, wp, rnd)
@@ -1227,11 +1232,10 @@ def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> 
         status = "FAIL"
     else:
         status = "INDET"
-    x = p["x"]
     return CheckResult(
         check=name,
         params={k: v for k, v in p.items() if k != "x"},
-        x=x if x._mpf_[3] <= bits else _make(mpf_pos(x._mpf_, bits, rnd)),
+        x=ctx.finalize(p["x"]),
         lhs=_make(mpf_pos(lhs, bits, rnd)),
         rhs=_make(mpf_pos(rhs, bits, rnd)),
         margin=_make(mpf_pos(margin, bits, rnd)),

@@ -19,10 +19,11 @@ The catalog evaluates remainders at x <= 60 (KIM_39 at 2x), below the
 switch even at 53 bits (wp = 85), so it never reaches the second regime;
 it calls the kernel once per block of orders of
 :func:`.remainders.r_frac_ladder` (1,228 calls in a default 256-bit sweep)
-and once per |R_n(-x)|.  Where the closed form does not apply, the
-kernel refuses |x| > X_MAX (for x > 0, X_MAX < x < 2b), as its series
-would need about |x| terms; for x < 0, :func:`kummer_1f1_one` refuses it
-before boosting the precision.
+and once per |R_n(-x)|.  Below the switch the kernel refuses a series
+estimated to need more than MAX_SERIES_TERMS terms (:func:`_series_terms`:
+about max(0, x - b) up to its largest term, more near x = b at huge b);
+for x < 0, :func:`kummer_1f1_one` refuses |x| > X_MAX before boosting
+the precision.
 :func:`arctan_fracint`, the fractional integral of arctan, sums two
 geometric series whose bounded cancellation is paid for with extra
 working bits.
@@ -51,18 +52,50 @@ from .precision import GUARD_BITS, PrecisionContext, Real, as_real
 # Hard cap on adaptive panels before quad_integral gives up.
 DEFAULT_PANEL_BUDGET = 4000
 
-# The largest |x| at which a series is summed: it takes about |x| terms (at
-# |x| log2(e) extra bits for x < 0).  b = 1e4, x = -1.99e4 took 0.67 s at
-# 256 bits (pure-python mpmath, 2-core host); beyond it only the large-|x|
-# expansion, for |x| >= max(wp, 2b), is taken, and a point with
-# X_MAX < |x| < 2b is refused.
+# The largest |x| at which kummer_1f1_one sums its boosted series for x < 0:
+# about |x| terms at |x| log2(e) extra bits.  b = 1e4, x = -1.99e4 took
+# 0.67 s at 256 bits (pure-python mpmath, 2-core host); beyond it only the
+# large-|x| expansion, for |x| >= max(wp, 2b), is taken.
 X_MAX = 20000
+
+# The most terms the kernel's series is asked to sum; :func:`_series_terms`
+# estimates them before it starts.  1F1(2.5; 20006; 4.5e5), 4.4e5 terms,
+# took 0.44 s at 53 bits, 1.0 s at 256 bits and 4.4 s at 1,024 bits
+# (pure-python mpmath, 2-core host).
+MAX_SERIES_TERMS = 5 * 10**5
 
 
 def _series_budget(x_float: float, bits: int) -> int:
     """A-priori term-count bound from the ratio test: generous, never hit
     in practice, but turns a would-be hang into a diagnosable failure."""
     return int(3.0 * abs(x_float)) + 8 * bits + 256
+
+
+def _series_terms(a, b, x, wp: int) -> mpf:
+    """About how many terms the series of 1F1(a; b; x), a >= 1, b > 0, sums
+    at wp bits: those up to its largest term, at the k* where the term
+    ratio r_k = |x| (a+k) / ((b+k)(k+1)) falls to 1 (the larger root of
+    k**2 - (|x| - b - 1) k - (a |x| - b) = 0, else 0), and the j after it
+    until the terms are 2**-wp below it.  Past k*, -log r_k grows by about
+    c = (a-1)/((k*+1)(a+k*)) + 1/(b+k*) per term, so j terms fall by
+    L j + c j**2/2 nats, L = -log r_0 where k* = 0; c only shrinks later,
+    so j may be short by a small factor.  Formed at a precision that keeps
+    the root's coefficients exact to 2**-64 however large the parameters."""
+    xa = abs(x)
+    if not xa:
+        return mpf(1)
+    with mp.workprec(64 + max(0, mp.mag(a) + mp.mag(xa), mp.mag(b))):
+        p, q = xa - b - 1, a * xa - b
+        disc = p * p + 4 * q
+        s = mp.sqrt(disc) if disc > 0 else mpf(0)
+        # the larger root, without cancellation on either sign of p
+        k = (p + s) / 2 if p > 0 else (2 * q / (s - p) if s > p else mpf(0))
+        k = max(k, mpf(0))
+        lead = mp.log(b) - mp.log(a) - mp.log(xa) if k == 0 else mpf(0)
+        lead = max(lead, mpf(0))
+        c = (a - 1) / ((k + 1) * (a + k)) + 1 / (b + k)
+        drop = wp * mp.ln2
+        return k + 2 * drop / (lead + mp.sqrt(lead * lead + 2 * c * drop))
 
 
 def gamma_fn(v, ctx: PrecisionContext) -> Real:
@@ -199,8 +232,9 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     F(0) = 1 and F(1) by the contiguous relation (DLMF 13.3.1)
     k F(k+1) = (2k - b + x) F(k) + (b - k) F(k-1), whose terms are all
     positive for k < b and x >= b, so no step cancels
-    (:func:`_contiguous_up`).  Elsewhere |x| > X_MAX raises
-    :class:`DomainError`: the series would take about |x| terms.
+    (:func:`_contiguous_up`).  A series that :func:`_series_terms`
+    estimates at more than MAX_SERIES_TERMS terms raises
+    :class:`DomainError` before it starts.
     """
     if mp.isnan(b) or not mp.isfinite(a):
         raise NumericalError(f"1F1({a}; {b}; {x}) series does not converge: non-finite parameter")
@@ -209,10 +243,14 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     if _large_x(b, x, ctx) and a == int(a) and a <= b + 1:
         f1 = _kummer_one_large_x(b, x, ctx)
         return scale * (_contiguous_up(int(a), b, x, f1) if a > 1 else f1)
-    if abs(x) > X_MAX:
-        raise DomainError(f"1F1({a}; {b}; {x}) beyond |x| = {X_MAX} needs |x| >= max(wp, 2b): "
-                          f"its series would take about |x| terms")
     wp = mp.prec
+    budget = _series_budget(float(x), ctx.bits)
+    if budget > MAX_SERIES_TERMS:
+        terms = _series_terms(a, b, x, wp)
+        if terms > MAX_SERIES_TERMS:
+            raise DomainError(f"1F1({a}; {b}; {x}) would take about {mp.nstr(terms, 3)} series terms "
+                              f"(at most {MAX_SERIES_TERMS}); the closed form needs x >= max(wp, 2b)")
+        budget = 2 * MAX_SERIES_TERMS  # the estimate's misses stay bounded too
     target = ctx.target_rel_err
     # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))
     tol = 2 - target.exp - target.bc
@@ -224,7 +262,7 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     af, bf, xf = float(a), float(b), abs(float(x))
     term = total = 1 << wp
     exp = -wp
-    for k in range(1, _series_budget(xf, ctx.bits)):
+    for k in range(1, budget):
         term = (term * xm * na << up) // (nb * k << down)
         total += term
         gap = total.bit_length() - term.bit_length() - tol

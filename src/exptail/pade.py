@@ -25,9 +25,12 @@ from .precision import PrecisionContext, Real, as_real
 MAX_PADE_ORDER = 1000
 
 # The most extra bits aitken_row carries to absorb its cancellation, about
-# 2 |x| log2(e): enough for |x| up to ~22,000; beyond it one operand would
-# take megabytes.
-MAX_AITKEN_BOOST = 1 << 16
+# 2 |x| log2(e): |x| up to about 181,000.  Its cost is a few products and
+# one quotient at the boosted precision, nearly independent of n up to
+# 10^4: boosts of 345,527 and 691,716 bits (n = 29, x = 1.2e5 and 2.4e5)
+# took 0.32 s and 1.1 s at 53 and at 256 bits (pure-python mpmath, 2-core
+# host), so a call within this cap takes under a second.
+MAX_AITKEN_BOOST = 1 << 19
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,11 @@ _HELD = nullcontext()
 
 def _rounded(x, prec: int):
     """Raw libmp value of an ``mpf`` or ``int`` rounded to nearest at
-    ``prec`` bits, or None for operand types left to mpmath's constructor."""
+    ``prec`` bits, or None for operand types left to mpmath's constructor.
+    An mpf of at most ``prec`` bits is its own rounding."""
     if isinstance(x, mpf):
-        return mpf_pos(x._mpf_, prec, round_nearest)
+        raw = x._mpf_
+        return raw if raw[3] <= prec else mpf_pos(raw, prec, round_nearest)
     if isinstance(x, int):
         return from_int(x, prec, round_nearest)
     return None
@@ -222,11 +224,11 @@ def format_real(x, ctx: PrecisionContext, digits: int | None = None) -> str:
     max_fixed=18)`` of the value rounded to the working precision; finite
     non-zero values with |exp + bc| <= 3500 and fewer than 1,000 digits
     take the shorter route of :func:`_decimal`.  An mpf of at most the
-    working precision's bits is read as it is: rounding keeps its value."""
+    working precision's bits is read as it is (:func:`_rounded`)."""
     if digits is None:
         digits = ctx.decimal_digits
     wp = ctx.bits + GUARD_BITS
-    raw = x._mpf_ if type(x) is mpf and x._mpf_[3] <= wp else _rounded(x, wp)
+    raw = _rounded(x, wp)
     if raw is not None:
         sign, man, exp, bc = raw
         if man and -3500 <= exp + bc <= 3500 and 0 < digits < 1000:

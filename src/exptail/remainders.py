@@ -156,14 +156,16 @@ def r_obreshkov(n: int, m: int, x, ctx: PrecisionContext) -> Real:
     Summed through the termwise Beta-integral expansion of the kernel
     (x-t)**n t**m e**t (validated against quadrature in the test suite):
     (-1)**m n! m!/((n+m)! (n+m+1)!) x**(n+m+1) 1F1(m+1; n+m+2; x).
-    R_{n,0} coincides with the plain tail.
+    R_{n,0} coincides with the plain tail.  The factorials are rounded to
+    the working precision by ``mp.factorial``: at orders near 10^5 their
+    exact values took seconds to multiply and to convert.
     """
     if n < 0 or m < 0:
         raise DomainError(f"r_obreshkov requires n, m >= 0, got n={n}, m={m}")
     with ctx.work():
         xw = _check_nonneg_x(x, ctx)
-        prefactor = ((-1) ** m * math.factorial(n) * math.factorial(m) * xw ** (n + m + 1)
-                     / mpf(math.factorial(n + m) * math.factorial(n + m + 1)))
+        prefactor = ((-1) ** m * mp.factorial(n) * mp.factorial(m) * xw ** (n + m + 1)
+                     / (mp.factorial(n + m) * mp.factorial(n + m + 1)))
         result = _hyp1f1_pos(m + 1, n + m + 2, xw, ctx, prefactor)
     return ctx.finalize(result)
 

@@ -1,11 +1,13 @@
 """Fuzz of ``exptail eval``: over all quantities and hostile inputs (nan,
-the infinities, -0, 1e-300, 1e300, orders up to 10^4) a call ends with
-exit code 0, 2 or 3 and never with a traceback."""
+the infinities, -0, 1e-300, 1e300, orders up to 10^5) a call ends with
+exit code 0, 2 or 3 and never with a traceback; points below the large-x
+switch whose series is short return values."""
 
 import contextlib
 import io
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,11 +23,11 @@ FLAGS = {
 INTEGER_FLAGS = {"n", "m"}
 
 SPECIAL = st.sampled_from(["nan", "inf", "-inf", "-0", "0", "1e-300", "-1e-300", "1e300",
-                           "-1e300", "0.5", "1", "30", "1e4", "1e5", "-3"])
+                           "-1e300", "0.5", "1", "30", "1e4", "2.5e4", "3e4", "1e5", "-3"])
 REALS = st.one_of(SPECIAL, st.floats(allow_nan=True, allow_infinity=True).map(repr),
                   st.integers(-10**4, 10**4).map(str))
 ORDERS = st.one_of(st.integers(-2, 40), st.integers(0, 10**4),
-                   st.sampled_from([10**4, 9999, 1000])).map(str) | \
+                   st.sampled_from([10**5, 3 * 10**4, 10**4, 9999, 1000])).map(str) | \
     st.sampled_from(["1.5", "nan", "inf", "-0", "1e300"])
 
 
@@ -59,5 +61,37 @@ def test_eval_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err, argv
     if code:
         assert err.startswith(("error:", "numerical failure:")), (argv, err)
-    # a bound on cost, not a benchmark: the slowest call seen takes ~0.3 s
+    # a bound on cost, not a benchmark: of 1,500 exploratory calls the slowest
+    # took 2.2 s (`cesaro --n=100000`, an exact factorial)
     assert elapsed < 10, argv
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--quantity=kummer", "--b=1e5", "--x=3e4"],
+    ["--quantity=rn", "--n=50000", "--x=2.5e4"],
+    ["--quantity=ra", "--a=5e4", "--x=3e4"],
+    ["--quantity=q", "--n=40000", "--x=3e4"],
+    ["--quantity=gammainc", "--v=5e4", "--x=3e4"],
+    ["--quantity=kummer", "--b=1e5", "--x=1e5"],
+])
+def test_short_series_past_x_20000_return_values(flags):
+    # x < 2b keeps these off the closed form, but their series are short
+    code, out, err = _run(["eval", *flags])
+    assert (code, err) == (0, ""), flags
+    assert out.strip()
+
+
+def test_series_of_about_1e136_terms_is_refused_at_once():
+    # x = b: the terms fall off only after about sqrt(2 b wp ln 2) of them
+    start = time.perf_counter()
+    code, _, err = _run(["eval", "--quantity=ra", "--a=1.2355134971584838e+270",
+                         "--x=1.2355134971584838e+270"])
+    assert code == 2 and err.startswith("error:"), err
+    assert time.perf_counter() - start < 1

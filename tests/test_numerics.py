@@ -8,7 +8,8 @@ from mpmath import mp, mpf
 
 from conftest import rel_err
 from exptail.errors import DomainError, NumericalError
-from exptail.numerics import gamma_fn, kummer_1f1_one, lower_incomplete_gamma, quad_integral
+from exptail.numerics import (MAX_SERIES_TERMS, _series_terms, gamma_fn, kummer_1f1_one,
+                              lower_incomplete_gamma, quad_integral)
 from exptail.precision import PrecisionContext
 from exptail.remainders import b_value, r_frac, r_neg, r_obreshkov, r_tail
 
@@ -48,6 +49,48 @@ def test_contiguous_relation_against_mpmath(bits, n, x):
     with mp.workprec(bits + 64):
         reference = mp.exp(-x) * x ** (n + 1) / mp.factorial(n + 1) * mp.hyp1f1(n + 1, n + 2, x)
     assert rel_err(value, reference) < ctx.target_rel_err
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_short_series_past_x_20000_against_mpmath(bits):
+    # x < 2b keeps these below the closed form's switch; their terms fall
+    # from the first (x < b), so a few hundred of them are summed
+    ctx = PrecisionContext(bits)
+    n, x = 5 * 10**4, mpf("2.5e4")
+    kummer, tail = kummer_1f1_one(10**5, 3 * 10**4, ctx), r_tail(n, x, ctx)
+    with mp.workprec(bits + 64):
+        assert rel_err(kummer, mp.hyp1f1(1, 10**5, 3 * 10**4)) < ctx.target_rel_err
+        reference = x ** (n + 1) / mp.factorial(n + 1) * mp.hyp1f1(1, n + 2, x)
+        assert rel_err(tail, reference) < ctx.target_rel_err
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_obreshkov_at_orders_1e5_against_mpmath(bits):
+    # the factorials' exact values took about 20 s to multiply and convert
+    ctx, n, x = PrecisionContext(bits), 10**5, mpf(3356)
+    value = r_obreshkov(n, n, x, ctx)
+    with mp.workprec(bits + 64):
+        reference = (mp.factorial(n) ** 2 / (mp.factorial(2 * n) * mp.factorial(2 * n + 1))
+                     * x ** (2 * n + 1) * mp.hyp1f1(n + 1, 2 * n + 2, x))
+    assert rel_err(value, reference) < ctx.target_rel_err
+
+
+@pytest.mark.parametrize("a,b,x,wp,terms", [
+    (1, 10**5, 3 * 10**4, 288, (50, 400)),          # terms fall from the first
+    (1, 8, 20010, 20032, (2 * 10**4, 10**5)),       # x - b up to the peak, then ~sqrt(2 x wp)
+    (mpf("2.5"), 20006, mpf("4.5e5"), 288, (4.3e5, 4.6e5)),
+])
+def test_series_term_estimate(a, b, x, wp, terms):
+    # the estimate that decides a refusal: near the count on either side
+    # (4.4e5 summed terms for the third point)
+    assert terms[0] < _series_terms(mpf(a), mpf(b), mpf(x), wp) < terms[1] < MAX_SERIES_TERMS
+
+
+def test_series_past_max_terms_refused(ctx):
+    # x = b = 1e300: the terms only start falling after about 1e151 of them
+    assert _series_terms(mpf(1), mpf("1e300"), mpf("1e300"), 288) > 10**150
+    with pytest.raises(DomainError):
+        kummer_1f1_one(mpf("1e300"), mpf("1e300"), ctx)
 
 
 def test_gamma_half(ctx):

@@ -1,6 +1,7 @@
 """Rational approximants of exp: exact coefficients, the order condition,
 the Aitken link to the first row, and the direction switch at x = n+1."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +13,12 @@ from mpmath import mp, mpf
 
 import exptail
 from conftest import rel_err
-from exptail.errors import DegeneratePointError, DomainError, PoleError
-from exptail.pade import (MAX_PADE_ORDER, RationalApproximant, aitken_row,
-                          cesaro_identity_probe, cesaro_mean, delta_fn, denominator_roots,
-                          eval_approximant, order_condition_defect, pade_exp, taylor_partial)
+from exptail.errors import DegeneratePointError, DomainError, NumericalError, PoleError
+from exptail.pade import (MAX_AITKEN_BOOST, MAX_PADE_ORDER, RationalApproximant,
+                          _aitken_boost, aitken_row, cesaro_identity_probe, cesaro_mean,
+                          delta_fn, denominator_roots, eval_approximant,
+                          order_condition_defect, pade_exp, taylor_partial)
+from exptail.precision import PrecisionContext
 
 
 def test_low_order_coefficients():
@@ -95,6 +98,21 @@ def test_aitken_degenerate_points(ctx):
         aitken_row(2, 3, ctx)
     with pytest.raises(DegeneratePointError):
         aitken_row(2, 0, ctx)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("x", [181000, -181000])
+def test_aitken_just_under_the_boost_cap_against_exact_value(bits, x):
+    # n = 29 at |x| = 181,000 takes 521,501 extra bits, just under the cap
+    n, ctx = 29, PrecisionContext(bits)
+    assert _aitken_boost(n, x) <= MAX_AITKEN_BOOST < _aitken_boost(n, 182000)
+    t = [sum(Fraction(x) ** k / math.factorial(k) for k in range(m + 1)) for m in (n - 1, n, n + 1)]
+    exact = (t[0] * t[2] - t[1] ** 2) / (t[2] + t[0] - 2 * t[1])
+    with mp.workprec(bits + 64):
+        reference = mpf(exact.numerator) / exact.denominator
+    assert rel_err(aitken_row(n, x, ctx), reference) < ctx.target_rel_err
+    with pytest.raises(NumericalError):
+        aitken_row(n, 182000 if x > 0 else -182000, ctx)
 
 
 def test_aitken_near_zero_limit(ctx):
