@@ -78,9 +78,11 @@ def _series_terms(a, b, x, wp: int) -> mpf:
     k**2 - (|x| - b - 1) k - (a |x| - b) = 0, else 0), and the j after it
     until the terms are 2**-wp below it.  Past k*, -log r_k grows by about
     c = (a-1)/((k*+1)(a+k*)) + 1/(b+k*) per term, so j terms fall by
-    L j + c j**2/2 nats, L = -log r_0 where k* = 0; c only shrinks later,
-    so j may be short by a small factor.  Formed at a precision that keeps
-    the root's coefficients exact to 2**-64 however large the parameters."""
+    L j + c j**2/2 nats, L = -log r_0 where k* = 0.  Above 10^4 terms this
+    came within a few per cent of the summed count; below a few hundred it
+    may fall short several times over, far below the cap either way.
+    Formed at a precision that keeps the root's coefficients exact to
+    2**-64 however large the parameters."""
     xa = abs(x)
     if not xa:
         return mpf(1)
@@ -249,8 +251,9 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
         terms = _series_terms(a, b, x, wp)
         if terms > MAX_SERIES_TERMS:
             raise DomainError(f"1F1({a}; {b}; {x}) would take about {mp.nstr(terms, 3)} series terms "
-                              f"(at most {MAX_SERIES_TERMS}); the closed form needs x >= max(wp, 2b)")
-        budget = 2 * MAX_SERIES_TERMS  # the estimate's misses stay bounded too
+                              f"(at most {MAX_SERIES_TERMS}); the closed form needs an integer "
+                              f"a <= b + 1 and x >= max(wp, 2b)")
+        budget = min(budget, 2 * MAX_SERIES_TERMS)  # an estimate's miss stays bounded too
     target = ctx.target_rel_err
     # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))
     tol = 2 - target.exp - target.bc
