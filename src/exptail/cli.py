@@ -41,8 +41,24 @@ from .remainders import (b_value, eps_value, g_ratio, q_value, r_frac, r_neg,
 
 ENV_PRECISION = "EXPTAIL_PREC"
 
-EVAL_QUANTITIES = ("rn", "ra", "rneg", "robr", "q", "b", "eps", "g",
-                   "gammainc", "kummer", "pade", "aitken", "cesaro")
+# quantity -> (its function, the flags of its arguments in order); --n and
+# --m are integers, every other flag a real, and the context comes last
+EVAL = {
+    "rn": (r_tail, ("n", "x")),
+    "ra": (r_frac, ("a", "x")),
+    "rneg": (r_neg, ("n", "x")),
+    "robr": (r_obreshkov, ("n", "m", "x")),
+    "q": (q_value, ("n", "x")),
+    "b": (b_value, ("nu", "x")),
+    "eps": (eps_value, ("nu", "x")),
+    "g": (g_ratio, ("n", "x")),
+    "gammainc": (lower_incomplete_gamma, ("v", "x")),
+    "kummer": (kummer_1f1_one, ("b", "x")),
+    "pade": (lambda n, m, x, ctx: eval_approximant(pade_exp(n, m), x, ctx), ("n", "m", "x")),
+    "aitken": (aitken_row, ("n", "x")),
+    "cesaro": (cesaro_mean, ("n", "x")),
+}
+EVAL_QUANTITIES = tuple(EVAL)
 
 OUT_OF_SCOPE_PROBLEMS = {"2", "3", "4", "6", "10", "13", "14"}
 
@@ -134,51 +150,22 @@ def _json(value, pad: str = "") -> str:
 def _cmd_eval(args) -> int:
     ctx = _context(args)
     q = args.quantity
+    if q not in EVAL:
+        raise UsageError(f"unknown quantity '{q}' (known: {', '.join(EVAL_QUANTITIES)})")
+    fn, flags = EVAL[q]
 
-    def need(flag):
-        v = getattr(args, flag if flag != "lambda" else "lam")
-        if v is None:
+    def argument(flag):
+        raw = getattr(args, flag)
+        if raw is None:
             raise UsageError(f"quantity '{q}' requires --{flag}")
-        return v
-
-    def real(flag):
-        return parse_real(need(flag), ctx)
-
-    def integer(flag):
-        raw = need(flag)
+        if flag not in ("n", "m"):
+            return parse_real(raw, ctx)
         try:
             return int(raw)
         except ValueError as exc:
             raise UsageError(f"--{flag} must be an integer, got {raw!r}") from exc
 
-    if q == "rn":
-        value = r_tail(integer("n"), real("x"), ctx)
-    elif q == "ra":
-        value = r_frac(real("a"), real("x"), ctx)
-    elif q == "rneg":
-        value = r_neg(integer("n"), real("x"), ctx)
-    elif q == "robr":
-        value = r_obreshkov(integer("n"), integer("m"), real("x"), ctx)
-    elif q == "q":
-        value = q_value(integer("n"), real("x"), ctx)
-    elif q == "b":
-        value = b_value(real("nu"), real("x"), ctx)
-    elif q == "eps":
-        value = eps_value(real("nu"), real("x"), ctx)
-    elif q == "g":
-        value = g_ratio(integer("n"), real("x"), ctx)
-    elif q == "gammainc":
-        value = lower_incomplete_gamma(real("v"), real("x"), ctx)
-    elif q == "kummer":
-        value = kummer_1f1_one(real("b"), real("x"), ctx)
-    elif q == "pade":
-        value = eval_approximant(pade_exp(integer("n"), integer("m")), real("x"), ctx)
-    elif q == "aitken":
-        value = aitken_row(integer("n"), real("x"), ctx)
-    elif q == "cesaro":
-        value = cesaro_mean(integer("n"), real("x"), ctx)
-    else:
-        raise UsageError(f"unknown quantity '{q}' (known: {', '.join(EVAL_QUANTITIES)})")
+    value = fn(*[argument(flag) for flag in flags], ctx)
 
     dec = _renderer(ctx)
     print(dec(value))

@@ -6,15 +6,17 @@ signed margin with the convention (favored side) - (other side), so
 INDETERMINATE rather than pass or fail; err_bound is the first-order
 rounding estimate 100 * target_rel_err * max(|lhs|, |rhs|).
 
-Every positive remainder a check reads, and gamma(v, x), 1F1(1; b; x)
-and Q_n(x) through exact identities, comes from a bounded cache of
-*ladder blocks*: one series at the top of a block of LADDER_SPAN
-consecutive orders and the all-positive downward recurrence below it
-(:func:`.remainders.r_frac_ladder`).  A block is fixed by its fractional
-order, floor(order) // LADDER_SPAN and x, so a value never depends on the
-rows a sweep holds.  The value caches on top of it key on the raw
-``_mpf_`` tuples of their arguments, so a lookup hashes tuples of ints,
-never mpf objects.
+A sweep owns one :class:`Evaluator`, which computes every value its rows
+share once and keeps it in a single memo until the sweep returns; the
+module keeps no value between calls.  Every positive remainder a check
+reads, and gamma(v, x), 1F1(1; b; x) and Q_n(x) through exact identities,
+comes from *ladder blocks*: one series at the top of a block of
+LADDER_SPAN consecutive orders and the all-positive downward recurrence
+below it (:func:`.remainders.r_frac_ladder`).  A block is fixed by its
+fractional order, floor(order) // LADDER_SPAN and x, so a value never
+depends on the rows a sweep holds.  The memo keys on the raw ``_mpf_``
+tuples of the arguments, so a lookup hashes tuples of ints, never mpf
+objects.
 
 Sharp constants are produced in exact rational arithmetic whenever the
 parameters are integers (or rationals, for the interpolation constant
@@ -45,9 +47,10 @@ n/(n+1) < |R_{n-1}||R_{n+1}|/|R_n|**2 < (n+1)/(n+2).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from mpmath import mp, mpf
@@ -60,83 +63,7 @@ from .pade import eval_approximant, pade_exp
 from .precision import GUARD_BITS, PrecisionContext, Real, as_real
 from .remainders import finite_diff, q_value, r_frac, r_frac_ladder, r_neg, r_tail
 
-# Entries kept by each module-level cache.  The default sweep's largest
-# working set (``_rf`` after ``check --id all``) is about 2,100 entries, so
-# the bound costs it no misses, while a long-lived process sweeping ever new
-# points holds at most this many values per cache.
-_CACHE_SIZE = 8192
-
 _make = mp.make_mpf
-
-
-def _raw_cache(fn):
-    """Bounded cache of ``fn(*args, ctx)`` whose mpf arguments arrive as
-    their raw ``_mpf_`` tuples: a lookup hashes and compares tuples of ints,
-    never mpf objects, and a miss rebuilds the mpf values for ``fn``."""
-    @lru_cache(maxsize=_CACHE_SIZE)
-    def cached(*key):
-        *raw, ctx = key
-        return fn(*(_make(v) if type(v) is tuple else v for v in raw), ctx)
-
-    return cached
-
-
-def _exposed(lookup, cached):
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
-
-
-def _raw_keyed(fn):
-    """``fn(a, x, ctx)`` cached per raw value of its mpf arguments a and x;
-    other arguments (integer orders, the context) are keys as they are."""
-    cached = _raw_cache(fn)
-
-    @wraps(fn)
-    def lookup(a, x, ctx):
-        return cached(a._mpf_ if type(a) is mpf else a, x._mpf_ if type(x) is mpf else x, ctx)
-
-    return _exposed(lookup, cached)
-
-
-def _named_raw_keyed(fn):
-    """``fn(name, a, x, ctx)`` cached as :func:`_raw_keyed` caches, the
-    name a key as it is."""
-    cached = _raw_cache(fn)
-
-    @wraps(fn)
-    def lookup(name, a, x, ctx):
-        return cached(name, a._mpf_ if type(a) is mpf else a,
-                      x._mpf_ if type(x) is mpf else x, ctx)
-
-    return _exposed(lookup, cached)
-
-
-def _per_point(constant):
-    """Compute a Gamma-based sharp constant once per parameter point.
-
-    The three parameters are converted with :func:`as_real` before the
-    (bounded) cache lookup, so equal values of different Python types share
-    one entry and one result; the wrapped function receives the converted
-    values."""
-    cached = _raw_cache(constant)
-
-    @wraps(constant)
-    def lookup(p, a, b, ctx):
-        return cached(as_real(p, ctx)._mpf_, as_real(a, ctx)._mpf_, as_real(b, ctx)._mpf_, ctx)
-
-    return _exposed(lookup, cached)
-
-
-def _converted(constant):
-    """``as_real(constant(*params), ctx)`` for an exact rational constant,
-    computed once per parameter point: the Fraction is built and converted
-    only on a (bounded) cache miss."""
-    @lru_cache(maxsize=_CACHE_SIZE)
-    def real(*args):
-        *params, ctx = args
-        return as_real(constant(*params), ctx)
-
-    return real
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +103,9 @@ def chebyshev_constant_exact(p: int, a: int, b: int) -> Fraction:
     )
 
 
-@_per_point
 def chebyshev_constant(p, a, b, ctx: PrecisionContext) -> Real:
     with ctx.work():
+        p, a, b = (as_real(v, ctx) for v in (p, a, b))
         c = (
             gamma_fn(p + a + 2, ctx)
             * gamma_fn(p + b + 2, ctx)
@@ -187,10 +114,10 @@ def chebyshev_constant(p, a, b, ctx: PrecisionContext) -> Real:
     return ctx.finalize(c)
 
 
-@_per_point
 def interp_constant(nu, a, theta, ctx: PrecisionContext) -> Real:
     """Interpolation constant Gamma(nu+2)**(1-t) Gamma(nu+a+2)**t / Gamma(nu+at+2)."""
     with ctx.work():
+        nu, a, theta = (as_real(v, ctx) for v in (nu, a, theta))
         c = (
             gamma_fn(nu + 2, ctx) ** (1 - theta)
             * gamma_fn(nu + a + 2, ctx) ** theta
@@ -215,9 +142,9 @@ def interp_constant_power(nu: int, a: int, theta: Fraction) -> Fraction:
     )
 
 
-@_per_point
 def cor25_constant(nu, a, p, ctx: PrecisionContext) -> Real:
     with ctx.work():
+        nu, a, p = (as_real(v, ctx) for v in (nu, a, p))
         c = (
             gamma_fn(nu + 2, ctx) ** (p - 1)
             * gamma_fn(nu + a + 2, ctx)
@@ -233,9 +160,9 @@ def cor26_constant(n: int, k: int) -> Fraction:
     return Fraction(math.factorial(n + k + 1), math.factorial(n + 2)) / Fraction(n + 2) ** (k - 1)
 
 
-@_per_point
 def cor27_constant(n, a, b, ctx: PrecisionContext) -> Real:
     with ctx.work():
+        n, a, b = (as_real(v, ctx) for v in (n, a, b))
         g_n = gamma_fn(n + 2, ctx)
         c = (g_n / gamma_fn(n + b + 2, ctx)) ** a * (gamma_fn(n + a + 2, ctx) / g_n) ** b
     return ctx.finalize(c)
@@ -247,14 +174,6 @@ def neg_gen_k_constant(n: int, k: int) -> Fraction:
     if k < 0 or n - k < 0:
         raise UsageError(f"neg_gen_k_constant requires 0 <= k <= n, got n={n}, k={k}")
     return Fraction(math.factorial(n) ** 2, math.factorial(n - k) * math.factorial(n + k))
-
-
-# the exact constants at working precision, as the checks read them
-_alzer_real = _converted(alzer_constant)
-_gen_k_real = _converted(gen_k_constant)
-_incgamma_real = _converted(incgamma_constant)
-_cor26_real = _converted(cor26_constant)
-_neg_gen_k_real = _converted(neg_gen_k_constant)
 
 
 def constant_cross_identities(n_max: int = 12) -> list[str]:
@@ -402,40 +321,23 @@ def parse_grid(spec: str, ctx: PrecisionContext) -> ParamGrid:
 
 
 # ---------------------------------------------------------------------------
-# cached remainder access (sweeps revisit the same orders and abscissae;
-# the checks compare neighbouring orders, hence the ladder blocks)
+# the evaluator (sweeps revisit the same orders and abscissae; the checks
+# compare neighbouring orders, hence the ladder blocks)
 
 LADDER_SPAN = 8
-# blocks kept; the default sweep uses 803 at any precision
-_LADDER_CACHE_SIZE = _CACHE_SIZE // 4
+
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+# memo lookups answered and values computed by every evaluator of the
+# process: two counts, no values, for a run's cache-hit figure
+_hits = _misses = 0
 
 
-@lru_cache(maxsize=_LADDER_CACHE_SIZE)
-def _ladder(f_raw, block: int, x_raw, ctx) -> tuple[int, tuple]:
+def _ladder(f_raw, block: int, x, ctx) -> tuple[int, tuple]:
     """The lowest offset j and the values R_{f+j}(x) of one block."""
     lo = max(LADDER_SPAN * block - 1, 0 if f_raw == fzero else -1)
     hi = LADDER_SPAN * block + LADDER_SPAN - 2
-    return lo, r_frac_ladder(_make(f_raw), lo, hi, _make(x_raw), ctx)
-
-
-def _rung(a, shift: int, x, ctx) -> Real:
-    """R_{a+shift}(x) from its ladder block, where :func:`_on_ladder` holds.
-
-    a (an int or an mpf) is split exactly into floor(a) + f with
-    0 <= f < 1, so the order a + shift is never rounded."""
-    if isinstance(a, int):
-        f_raw, j = fzero, a
-    else:
-        sign, man, exp, _ = a._mpf_
-        if exp >= 0:
-            f_raw, j = fzero, int(a)
-        else:
-            signed = -man if sign else man
-            j = signed >> -exp
-            f_raw = from_man_exp(signed - (j << -exp), exp)
-    j += shift
-    lo, values = _ladder(f_raw, (j + 1) // LADDER_SPAN, x._mpf_, ctx)
-    return values[j - lo]
+    return lo, r_frac_ladder(_make(f_raw), lo, hi, x, ctx)
 
 
 def _on_ladder(a, shift: int, x) -> bool:
@@ -447,71 +349,11 @@ def _on_ladder(a, shift: int, x) -> bool:
             and a > -1 - shift)
 
 
-@_raw_keyed
-def _rt(n: int, x, ctx) -> Real:
-    if _on_ladder(n, 0, x):
-        return _rung(n, 0, x, ctx)
-    return r_tail(n, x, ctx)
-
-
-@_raw_keyed
-def _rf(a, x, ctx) -> Real:
-    if _on_ladder(a, 0, x):
-        return _rung(a, 0, x, ctx)
-    return r_frac(a, x, ctx)
-
-
-@_raw_keyed
-def _rn(n: int, x, ctx) -> Real:
-    # the recurrence of |R_n(-x)| across orders cancels: one series each
-    return r_neg(n, x, ctx)
-
-
-@_raw_keyed
-def _gi(v, x, ctx) -> Real:
-    """gamma(v, x) = Gamma(v) e**-x R_{v-1}(x)."""
-    if not _on_ladder(v, -1, x):
-        return lower_incomplete_gamma(v, x, ctx)
-    rem = _rung(v, -1, x, ctx)
-    with ctx.work():
-        result = mp.gamma(v) * mp.exp(-x) * rem
-    return ctx.finalize(result)
-
-
-@_raw_keyed
-def _kum(b, x, ctx) -> Real:
-    """1F1(1; b; x) = Gamma(b) R_{b-2}(x) / x**(b-1) for b > 1."""
-    if not _on_ladder(b, -2, x):
-        return kummer_1f1_one(b, x, ctx)
-    rem = _rung(b, -2, x, ctx)
-    with ctx.work():
-        result = mp.gamma(b) * rem / x ** (b - 1)
-    return ctx.finalize(result)
-
-
-@_raw_keyed
-def _qv(n: int, x, ctx) -> Real:
-    """Q_n(x) = log1p((n+1)! R_{n+1}(x) / x**(n+1)) / x."""
-    if not (n >= 1 and _on_ladder(n, 1, x)):
-        return q_value(n, x, ctx)
-    rem = _rung(n, 1, x, ctx)
-    with ctx.work():
-        result = mp.log1p(math.factorial(n + 1) * rem / x ** (n + 1)) / x
-    return ctx.finalize(result)
-
-
-@_named_raw_keyed
-def _fracint(fname: str, order, x, ctx) -> Real:
-    """Fractional integral I^order of a bundled test function at x, order > 0.
-
-    No route uses quadrature: ``exp`` is the fractional remainder
-    R_{order-1}, ``clamp`` the closed form
+def _closed_fracint(fname: str, order, x, ctx) -> Real:
+    """I^order of ``arctan`` by the two-piece series of
+    :func:`arctan_fracint`, or of ``clamp`` by the closed form
     I^order[min(t, 1)](x) = (x**(order+1) - (x-1)_+**(order+1)) / Gamma(order+2),
-    whose difference cancels at most log2(x) bits, and ``arctan`` the
-    two-piece series of :func:`arctan_fracint`.
-    """
-    if fname == "exp":
-        return _rf(order - 1, x, ctx)
+    whose difference cancels at most log2(x) bits."""
     if fname == "arctan":
         return arctan_fracint(order, x, ctx)
     with ctx.work():
@@ -522,6 +364,123 @@ def _fracint(fname: str, order, x, ctx) -> Real:
     return ctx.finalize(result)
 
 
+class Evaluator:
+    """The values the rows of one sweep share, at one context.
+
+    Every value is computed once, on its first read, and kept in one memo
+    that lives as long as the evaluator: a sweep (or a lone row) creates
+    it and drops it when it returns.  Keys hold mpf arguments as their raw
+    ``_mpf_`` tuples; the accessors take an mpf x, and an int or mpf order.
+    """
+
+    def __init__(self, ctx: PrecisionContext):
+        self.ctx = ctx
+        self._memo = {}
+
+    @staticmethod
+    def cache_info() -> CacheInfo:
+        """Memo hits and misses summed over every evaluator so far."""
+        return CacheInfo(_hits, _misses)
+
+    @cached_property
+    def x_grid(self) -> tuple:
+        """The x grid of the checks' default points."""
+        return log_grid(*DEFAULT_X_SPEC, self.ctx)
+
+    def _get(self, key, compute, *args):
+        global _hits, _misses
+        value = self._memo.get(key)
+        if value is None:
+            _misses += 1
+            value = self._memo[key] = compute(*args)
+        else:
+            _hits += 1
+        return value
+
+    def _rung(self, a, shift: int, x) -> Real:
+        """R_{a+shift}(x) from its ladder block, where :func:`_on_ladder` holds.
+
+        a (an int or an mpf) is split exactly into floor(a) + f with
+        0 <= f < 1, so the order a + shift is never rounded."""
+        if isinstance(a, int):
+            f_raw, j = fzero, a
+        else:
+            sign, man, exp, _ = a._mpf_
+            if exp >= 0:
+                f_raw, j = fzero, int(a)
+            else:
+                signed = -man if sign else man
+                j = signed >> -exp
+                f_raw = from_man_exp(signed - (j << -exp), exp)
+        j += shift
+        block = (j + 1) // LADDER_SPAN
+        lo, values = self._get(("ladder", f_raw, block, x._mpf_),
+                               _ladder, f_raw, block, x, self.ctx)
+        return values[j - lo]
+
+    def _remainder(self, direct, a, x) -> Real:
+        return self._rung(a, 0, x) if _on_ladder(a, 0, x) else direct(a, x, self.ctx)
+
+    def _derived(self, direct, a, shift: int, x, identity) -> Real:
+        """identity(R_{a+shift}(x)) at the working precision where the
+        remainder lies on a ladder, else direct(a, x, ctx)."""
+        if not _on_ladder(a, shift, x):
+            return direct(a, x, self.ctx)
+        rem = self._rung(a, shift, x)
+        with self.ctx.work():
+            result = identity(rem)
+        return self.ctx.finalize(result)
+
+    def _rt(self, n: int, x) -> Real:
+        return self._get(("rt", n, x._mpf_), self._remainder, r_tail, n, x)
+
+    def _rf(self, a, x) -> Real:
+        return self._get(("rf", a._mpf_ if type(a) is mpf else a, x._mpf_),
+                         self._remainder, r_frac, a, x)
+
+    def _rn(self, n: int, x) -> Real:
+        # the recurrence of |R_n(-x)| across orders cancels: one series each
+        return self._get(("rn", n, x._mpf_), r_neg, n, x, self.ctx)
+
+    def _gi(self, v, x) -> Real:
+        """gamma(v, x) = Gamma(v) e**-x R_{v-1}(x)."""
+        return self._get(("gi", v._mpf_, x._mpf_), self._derived, lower_incomplete_gamma, v, -1, x,
+                         lambda rem: mp.gamma(v) * mp.exp(-x) * rem)
+
+    def _kum(self, b, x) -> Real:
+        """1F1(1; b; x) = Gamma(b) R_{b-2}(x) / x**(b-1) for b > 1."""
+        return self._get(("kum", b._mpf_, x._mpf_), self._derived, kummer_1f1_one, b, -2, x,
+                         lambda rem: mp.gamma(b) * rem / x ** (b - 1))
+
+    def _qv(self, n: int, x) -> Real:
+        """Q_n(x) = log1p((n+1)! R_{n+1}(x) / x**(n+1)) / x, n >= 1."""
+        return self._get(("qv", n, x._mpf_), self._derived, q_value, n, 1, x,
+                         lambda rem: mp.log1p(math.factorial(n + 1) * rem / x ** (n + 1)) / x)
+
+    def _fracint(self, fname: str, order, x) -> Real:
+        """Fractional integral I^order of a bundled test function at x,
+        order > 0.  No route uses quadrature: ``exp`` is the fractional
+        remainder R_{order-1}, the others :func:`_closed_fracint`."""
+        if fname == "exp":
+            return self._rf(order - 1, x)
+        return self._get((fname, order._mpf_, x._mpf_), _closed_fracint, fname, order, x, self.ctx)
+
+    def _pade_row(self, n: int):
+        return self._get(("pade", n), pade_exp, n, 1)
+
+    def _constant(self, constant, *params) -> Real:
+        """A Gamma-based sharp constant, once per parameter point.  The
+        parameters are converted with :func:`as_real` before the lookup, so
+        equal values of different Python types share one entry."""
+        params = [as_real(v, self.ctx) for v in params]
+        return self._get((constant, *[v._mpf_ for v in params]), constant, *params, self.ctx)
+
+    def _exact(self, constant, *params) -> Real:
+        """An exact rational constant at the working precision, converted
+        once per parameter point."""
+        return self._get((constant, *params), lambda: as_real(constant(*params), self.ctx))
+
+
 # ---------------------------------------------------------------------------
 # the catalog
 
@@ -530,18 +489,23 @@ def _fracint(fname: str, order, x, ctx) -> Real:
 class CheckDef:
     name: str
     param_names: tuple[str, ...]
-    evaluate: Callable  # (params, ctx) -> (lhs, rhs)
+    evaluate: Callable  # (params, ev) -> (lhs, rhs)
     validate: Callable  # (params) -> None, raises UsageError
-    default_points: Callable  # (ctx) -> list[dict] including x (and y)
+    default_points: Callable  # (ev) -> list[dict] including x (and y)
     uses_y: bool = False
-    sharp_ratio: Callable | None = None  # (params, ctx) -> Real
+    sharp_ratio: Callable | None = None  # (params, ev) -> Real
     sharp_limits: Mapping[str, Callable] = field(default_factory=dict)  # dir -> params -> value
+
+
+def _tighter(low, high):
+    """The (lhs, rhs) pair of a two-sided bound with the smaller margin."""
+    return low if low[0] - low[1] <= high[0] - high[1] else high
 
 
 def _lhs_over_rhs(evaluate):
     """Sharpness ratio lhs/rhs from one evaluation of the check's sides."""
-    def ratio(p, ctx):
-        lhs, rhs = evaluate(p, ctx)
+    def ratio(p, ev):
+        lhs, rhs = evaluate(p, ev)
         return lhs / rhs
     return ratio
 
@@ -582,19 +546,13 @@ DEFAULT_THETAS = ("0.25", "0.5", "0.75")
 KIM_XY_VALUES = ("0.5", "1", "2")
 
 
-def default_x_grid(ctx: PrecisionContext) -> tuple:
-    lo, hi, count = DEFAULT_X_SPEC
-    return log_grid(lo, hi, count, ctx)
+def _cross(base: Sequence[dict], ev) -> list[dict]:
+    return [dict(b, x=x) for b in base for x in ev.x_grid]
 
 
-def _cross(base: Sequence[dict], ctx, x_values=None) -> list[dict]:
-    xs = default_x_grid(ctx) if x_values is None else x_values
-    return [dict(b, x=x) for b in base for x in xs]
-
-
-def _xy_cross(base: Sequence[dict], ctx, exclude_diagonal=False) -> list[dict]:
+def _xy_cross(base: Sequence[dict], ev, exclude_diagonal=False) -> list[dict]:
     out = []
-    vals = [as_real(v, ctx) for v in KIM_XY_VALUES]
+    vals = [as_real(v, ev.ctx) for v in KIM_XY_VALUES]
     for b in base:
         for x in vals:
             for y in vals:
@@ -623,29 +581,29 @@ def _register(cdef: CheckDef):
 # -- product / ratio family on the integer tail ----------------------------
 
 
-def _ev_alzer(p, ctx):
+def _ev_alzer(p, ev):
     n, x = p["n"], p["x"]
-    return (_rt(n - 1, x, ctx) * _rt(n + 1, x, ctx),
-            _alzer_real(n, ctx) * _rt(n, x, ctx) ** 2)
+    return (ev._rt(n - 1, x) * ev._rt(n + 1, x),
+            ev._exact(alzer_constant, n) * ev._rt(n, x) ** 2)
 
 
-def _ratio_alzer(p, ctx):
+def _ratio_alzer(p, ev):
     n, x = p["n"], p["x"]
-    return _rt(n - 1, x, ctx) * _rt(n + 1, x, ctx) / _rt(n, x, ctx) ** 2
+    return ev._rt(n - 1, x) * ev._rt(n + 1, x) / ev._rt(n, x) ** 2
 
 
 _register(CheckDef(
     "ALZER", ("n",), _ev_alzer,
     lambda p: _need_int(p, "n", 1),
-    lambda ctx: _cross([{"n": n} for n in range(1, 9)], ctx),
+    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
     sharp_ratio=_ratio_alzer,
-    sharp_limits={"zero": lambda p, ctx: alzer_constant(p["n"]), "inf": lambda p, ctx: Fraction(1)},
+    sharp_limits={"zero": lambda p, ev: alzer_constant(p["n"]), "inf": lambda p, ev: Fraction(1)},
 ))
 
 
-def _ev_gautschi(p, ctx):
+def _ev_gautschi(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
-    qs = [_qv(n + j, x, ctx) for j in range(k + 1)]
+    qs = [ev._qv(n + j, x) for j in range(k + 1)]
     value = qs[0] if k == 0 else finite_diff(qs, k).values[0] * (-1) ** k
     return value, mpf(0)
 
@@ -653,15 +611,15 @@ def _ev_gautschi(p, ctx):
 _register(CheckDef(
     "GAUTSCHI_K", ("n", "k"), _ev_gautschi,
     lambda p: (_need_int(p, "n", 1), _need_int(p, "k", 0)),
-    lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in (0, 1, 2)], ctx),
+    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in (0, 1, 2)], ev),
 ))
 
 
-def _ev_gen_k(p, ctx):
+def _ev_gen_k(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
     return (
-        _rt(n - k, x, ctx) * _rt(n + k, x, ctx),
-        _gen_k_real(n, k, ctx) * _rt(n, x, ctx) ** 2,
+        ev._rt(n - k, x) * ev._rt(n + k, x),
+        ev._exact(gen_k_constant, n, k) * ev._rt(n, x) ** 2,
     )
 
 
@@ -674,146 +632,147 @@ def _val_nk(p):
 
 _register(CheckDef(
     "GEN_K", ("n", "k"), _ev_gen_k, _val_nk,
-    lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ctx),
-    sharp_ratio=lambda p, ctx: _rt(p["n"] - p["k"], p["x"], ctx) * _rt(p["n"] + p["k"], p["x"], ctx)
-    / _rt(p["n"], p["x"], ctx) ** 2,
-    sharp_limits={"zero": lambda p, ctx: gen_k_constant(p["n"], p["k"]), "inf": lambda p, ctx: Fraction(1)},
+    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
+    sharp_ratio=lambda p, ev: ev._rt(p["n"] - p["k"], p["x"]) * ev._rt(p["n"] + p["k"], p["x"])
+    / ev._rt(p["n"], p["x"]) ** 2,
+    sharp_limits={"zero": lambda p, ev: gen_k_constant(p["n"], p["k"]), "inf": lambda p, ev: Fraction(1)},
 ))
 
 
-def _ev_kummer_form(p, ctx):
+def _ev_kummer_form(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
     return (
-        _kum(mpf(n + 2 - k), x, ctx) * _kum(mpf(n + 2 + k), x, ctx),
-        _kum(mpf(n + 2), x, ctx) ** 2,
+        ev._kum(mpf(n + 2 - k), x) * ev._kum(mpf(n + 2 + k), x),
+        ev._kum(mpf(n + 2), x) ** 2,
     )
 
 
 _register(CheckDef(
     "KUMMER_FORM", ("n", "k"), _ev_kummer_form, _val_nk,
-    lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ctx),
+    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
     sharp_ratio=_lhs_over_rhs(_ev_kummer_form),
-    sharp_limits={"zero": lambda p, ctx: Fraction(1)},
+    sharp_limits={"zero": lambda p, ev: Fraction(1)},
 ))
 
 
-def _ev_incgamma(p, ctx):
+def _ev_incgamma(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = (_incgamma_real(n, k, ctx)
-           * _gi(mpf(n + k + 1), x, ctx) * _gi(mpf(n + 1 - k), x, ctx))
-    return lhs, _gi(mpf(n + 1), x, ctx) ** 2
+    lhs = (ev._exact(incgamma_constant, n, k)
+           * ev._gi(mpf(n + k + 1), x) * ev._gi(mpf(n + 1 - k), x))
+    return lhs, ev._gi(mpf(n + 1), x) ** 2
 
 
 _register(CheckDef(
     "INCGAMMA_FORM", ("n", "k"), _ev_incgamma, _val_nk,
-    lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ctx),
-    sharp_ratio=lambda p, ctx: _gi(mpf(p["n"] + 1), p["x"], ctx) ** 2
-    / (_gi(mpf(p["n"] + p["k"] + 1), p["x"], ctx) * _gi(mpf(p["n"] + 1 - p["k"]), p["x"], ctx)),
-    sharp_limits={"zero": lambda p, ctx: incgamma_constant(p["n"], p["k"])},
+    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
+    sharp_ratio=lambda p, ev: ev._gi(mpf(p["n"] + 1), p["x"]) ** 2
+    / (ev._gi(mpf(p["n"] + p["k"] + 1), p["x"]) * ev._gi(mpf(p["n"] + 1 - p["k"]), p["x"])),
+    sharp_limits={"zero": lambda p, ev: incgamma_constant(p["n"], p["k"])},
 ))
 
 
-def _ev_fracint_form(p, ctx):
+def _ev_fracint_form(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = _rf(mpf(n + k), x, ctx) * _rf(mpf(n - k), x, ctx) / _gen_k_real(n, k, ctx)
-    return lhs, _rf(mpf(n), x, ctx) ** 2
+    lhs = ev._rf(mpf(n + k), x) * ev._rf(mpf(n - k), x) / ev._exact(gen_k_constant, n, k)
+    return lhs, ev._rf(mpf(n), x) ** 2
 
 
 _register(CheckDef(
     "FRACINT_FORM", ("n", "k"), _ev_fracint_form, _val_nk,
-    lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ctx),
+    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
 ))
 
 
 # -- Chebyshev / interpolation family ---------------------------------------
 
 
-def _cheb_constant(p, a, b, ctx):
+def _cheb_constant(p, a, b, ev):
     if all(float(v) == int(v) for v in (p, a, b)) and p >= 0:
-        return as_real(chebyshev_constant_exact(int(p), int(a), int(b)), ctx)
-    return chebyshev_constant(p, a, b, ctx)
+        return ev._exact(chebyshev_constant_exact, int(p), int(a), int(b))
+    return ev._constant(chebyshev_constant, p, a, b)
 
 
-def _ev_chebyshev(p, ctx):
+def _ev_chebyshev(p, ev):
     pp, a, b, x = p["p"], p["a"], p["beta"], p["x"]
-    lhs = _rf(pp, x, ctx) * _rf(pp + a + b, x, ctx)
-    rhs = _cheb_constant(pp, a, b, ctx) * _rf(pp + a, x, ctx) * _rf(pp + b, x, ctx)
+    lhs = ev._rf(pp, x) * ev._rf(pp + a + b, x)
+    rhs = _cheb_constant(pp, a, b, ev) * ev._rf(pp + a, x) * ev._rf(pp + b, x)
     return lhs, rhs
 
 
-def _ratio_chebyshev(p, ctx):
+def _ratio_chebyshev(p, ev):
     pp, a, b, x = p["p"], p["a"], p["beta"], p["x"]
-    return _rf(pp, x, ctx) * _rf(pp + a + b, x, ctx) / (_rf(pp + a, x, ctx) * _rf(pp + b, x, ctx))
+    return ev._rf(pp, x) * ev._rf(pp + a + b, x) / (ev._rf(pp + a, x) * ev._rf(pp + b, x))
 
 
 _register(CheckDef(
     "CHEBYSHEV_GEN", ("p", "a", "beta"), _ev_chebyshev,
     lambda p: (_need_real(p, "p", strict_gt=-1), _need_real(p, "a", ge=0),
                _need_real(p, "beta", ge=0)),
-    lambda ctx: _cross(
-        [{"p": pp, "a": as_real(a, ctx), "beta": as_real(b, ctx)}
-         for pp in _fracs(ctx) for (a, b) in (("1", "2"), ("0.5", "1.5"))], ctx),
+    lambda ev: _cross(
+        [{"p": pp, "a": as_real(a, ev.ctx), "beta": as_real(b, ev.ctx)}
+         for pp in _fracs(ev.ctx) for (a, b) in (("1", "2"), ("0.5", "1.5"))], ev),
     sharp_ratio=_ratio_chebyshev,
-    sharp_limits={"zero": lambda p, ctx: _cheb_constant(p["p"], p["a"], p["beta"], ctx)},
+    sharp_limits={"zero": lambda p, ev: _cheb_constant(p["p"], p["a"], p["beta"], ev)},
 ))
 
 
-def _ev_interp(p, ctx):
+def _ev_interp(p, ev):
     nu, a, th, x = p["nu"], p["a"], p["theta"], p["x"]
-    c = interp_constant(nu, a, th, ctx)
-    lhs = c * _rf(nu, x, ctx) ** (1 - th) * _rf(nu + a, x, ctx) ** th
-    return lhs, _rf(nu + a * th, x, ctx)
+    c = ev._constant(interp_constant, nu, a, th)
+    lhs = c * ev._rf(nu, x) ** (1 - th) * ev._rf(nu + a, x) ** th
+    return lhs, ev._rf(nu + a * th, x)
 
 
 _register(CheckDef(
     "INTERP", ("nu", "a", "theta"), _ev_interp,
     lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "a", ge=0),
                _need_real(p, "theta", ge=0, le=1)),
-    lambda ctx: _cross(
-        [{"nu": nu, "a": as_real(a, ctx), "theta": as_real(t, ctx)}
-         for nu in _fracs(ctx) for a in ("1", "2.5") for t in DEFAULT_THETAS], ctx),
-    sharp_ratio=lambda p, ctx: _rf(p["nu"] + p["a"] * p["theta"], p["x"], ctx)
-    / (_rf(p["nu"], p["x"], ctx) ** (1 - p["theta"]) * _rf(p["nu"] + p["a"], p["x"], ctx) ** p["theta"]),
-    sharp_limits={"zero": lambda p, ctx: interp_constant(p["nu"], p["a"], p["theta"], ctx)},
+    lambda ev: _cross(
+        [{"nu": nu, "a": as_real(a, ev.ctx), "theta": as_real(t, ev.ctx)}
+         for nu in _fracs(ev.ctx) for a in ("1", "2.5") for t in DEFAULT_THETAS], ev),
+    sharp_ratio=lambda p, ev: ev._rf(p["nu"] + p["a"] * p["theta"], p["x"])
+    / (ev._rf(p["nu"], p["x"]) ** (1 - p["theta"]) * ev._rf(p["nu"] + p["a"], p["x"]) ** p["theta"]),
+    sharp_limits={"zero": lambda p, ev: ev._constant(interp_constant, p["nu"], p["a"], p["theta"])},
 ))
 
 
-def _ev_cor25(p, ctx):
+def _ev_cor25(p, ev):
     nu, a, pw, x = p["nu"], p["a"], p["p"], p["x"]
-    lhs = cor25_constant(nu, a, pw, ctx) * _rf(nu + a, x, ctx) * _rf(nu, x, ctx) ** (pw - 1)
-    return lhs, _rf(nu + a / pw, x, ctx) ** pw
+    lhs = ev._constant(cor25_constant, nu, a, pw) * ev._rf(nu + a, x) * ev._rf(nu, x) ** (pw - 1)
+    return lhs, ev._rf(nu + a / pw, x) ** pw
 
 
 _register(CheckDef(
     "COR_25", ("nu", "a", "p"), _ev_cor25,
     lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "a", strict_gt=0),
                _need_real(p, "p", ge=1)),
-    lambda ctx: _cross(
-        [{"nu": nu, "a": as_real(a, ctx), "p": as_real(pw, ctx)}
-         for nu in _fracs(ctx) for a in ("1", "2.5") for pw in ("1.5", "2", "3")], ctx),
+    lambda ev: _cross(
+        [{"nu": nu, "a": as_real(a, ev.ctx), "p": as_real(pw, ev.ctx)}
+         for nu in _fracs(ev.ctx) for a in ("1", "2.5") for pw in ("1.5", "2", "3")], ev),
 ))
 
 
-def _ev_cor26(p, ctx):
+def _ev_cor26(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
-    lhs = _cor26_real(n, k, ctx) * _rt(n + k, x, ctx) * _rt(n, x, ctx) ** (k - 1)
-    return lhs, _rt(n + 1, x, ctx) ** k
+    lhs = ev._exact(cor26_constant, n, k) * ev._rt(n + k, x) * ev._rt(n, x) ** (k - 1)
+    return lhs, ev._rt(n + 1, x) ** k
 
 
 _register(CheckDef(
     "COR_26", ("n", "k"), _ev_cor26,
     lambda p: (_need_int(p, "n", 0), _need_int(p, "k", 0)),
-    lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in (2, 3, 4)], ctx),
-    sharp_ratio=lambda p, ctx: _rt(p["n"] + 1, p["x"], ctx) ** p["k"]
-    / (_rt(p["n"] + p["k"], p["x"], ctx) * _rt(p["n"], p["x"], ctx) ** (p["k"] - 1)),
-    sharp_limits={"zero": lambda p, ctx: cor26_constant(p["n"], p["k"])},
+    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in (2, 3, 4)], ev),
+    sharp_ratio=lambda p, ev: ev._rt(p["n"] + 1, p["x"]) ** p["k"]
+    / (ev._rt(p["n"] + p["k"], p["x"]) * ev._rt(p["n"], p["x"]) ** (p["k"] - 1)),
+    sharp_limits={"zero": lambda p, ev: cor26_constant(p["n"], p["k"])},
 ))
 
 
-def _ev_cor27(p, ctx):
+def _ev_cor27(p, ev):
     n, a, b, x = p["n"], p["a"], p["beta"], p["x"]
-    lhs = cor27_constant(n, a, b, ctx) * _rf(mpf(n), x, ctx) ** (a - b) * _rf(n + a, x, ctx) ** b
-    return lhs, _rf(n + b, x, ctx) ** a
+    lhs = (ev._constant(cor27_constant, n, a, b)
+           * ev._rf(mpf(n), x) ** (a - b) * ev._rf(n + a, x) ** b)
+    return lhs, ev._rf(n + b, x) ** a
 
 
 def _val_cor27(p):
@@ -826,40 +785,40 @@ def _val_cor27(p):
 
 _register(CheckDef(
     "COR_27", ("n", "a", "beta"), _ev_cor27, _val_cor27,
-    lambda ctx: _cross(
-        [{"n": n, "a": as_real(a, ctx), "beta": as_real(b, ctx)}
-         for n in range(1, 9) for (a, b) in (("2", "1"), ("3.7", "1.5"), ("1.5", "0.5"))], ctx),
+    lambda ev: _cross(
+        [{"n": n, "a": as_real(a, ev.ctx), "beta": as_real(b, ev.ctx)}
+         for n in range(1, 9) for (a, b) in (("2", "1"), ("3.7", "1.5"), ("1.5", "0.5"))], ev),
 ))
 
 
-def _ev_prod28(p, ctx):
+def _ev_prod28(p, ev):
     nu, a, x = p["nu"], p["a"], p["x"]
-    thetas = [as_real(t, ctx) for t in DEFAULT_THETAS]
+    thetas = [as_real(t, ev.ctx) for t in DEFAULT_THETAS]
     beta = sum(thetas)
     c = mpf(1)
     rhs = mpf(1)
     for t in thetas:
-        c *= interp_constant(nu, a, t, ctx)
-        rhs *= _rf(nu + a * t, x, ctx)
-    lhs = c * _rf(nu, x, ctx) ** (len(thetas) - beta) * _rf(nu + a, x, ctx) ** beta
+        c *= ev._constant(interp_constant, nu, a, t)
+        rhs *= ev._rf(nu + a * t, x)
+    lhs = c * ev._rf(nu, x) ** (len(thetas) - beta) * ev._rf(nu + a, x) ** beta
     return lhs, rhs
 
 
 _register(CheckDef(
     "PROD_28", ("nu", "a"), _ev_prod28,
     lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "a", ge=0)),
-    lambda ctx: _cross(
-        [{"nu": nu, "a": as_real(a, ctx)} for nu in _fracs(ctx) for a in ("1", "2")], ctx),
+    lambda ev: _cross(
+        [{"nu": nu, "a": as_real(a, ev.ctx)} for nu in _fracs(ev.ctx) for a in ("1", "2")], ev),
 ))
 
 
 # -- complete-monotonicity consequences -------------------------------------
 
 
-def _ev_refined31(p, ctx):
+def _ev_refined31(p, ev):
     a, x = p["a"], p["x"]
-    ra, ra1 = _rf(a, x, ctx), _rf(a + 1, x, ctx)
-    lhs = ra1 * _rf(a - 1, x, ctx) - (a + 1) / (a + 2) * ra**2
+    ra, ra1 = ev._rf(a, x), ev._rf(a + 1, x)
+    lhs = ra1 * ev._rf(a - 1, x) - (a + 1) / (a + 2) * ra**2
     rhs = ra**2 / (a + 2) - (a + 2) / x**2 * ra1**2
     return lhs, rhs
 
@@ -867,25 +826,25 @@ def _ev_refined31(p, ctx):
 _register(CheckDef(
     "REFINED_31", ("a",), _ev_refined31,
     lambda p: _need_real(p, "a", strict_gt=0),
-    lambda ctx: _cross([{"a": a} for a in _fracs(ctx, strict_gt=0)], ctx),
+    lambda ev: _cross([{"a": a} for a in _fracs(ev.ctx, strict_gt=0)], ev),
 ))
 
 
-def _ev_ratio32(p, ctx):
+def _ev_ratio32(p, ev):
     a, x = p["a"], p["x"]
-    return _rf(a, x, ctx), (a + 2) / x * _rf(a + 1, x, ctx)
+    return ev._rf(a, x), (a + 2) / x * ev._rf(a + 1, x)
 
 
 _register(CheckDef(
     "RATIO_32", ("a",), _ev_ratio32,
     lambda p: _need_real(p, "a", strict_gt=-1),
-    lambda ctx: _cross([{"a": a} for a in _fracs(ctx)], ctx),
+    lambda ev: _cross([{"a": a} for a in _fracs(ev.ctx)], ev),
 ))
 
 
-def _ev_fracmono(p, ctx):
+def _ev_fracmono(p, ev):
     a, f, x = p["a"], p["f"], p["x"]
-    return _fracint(f, a, x, ctx), (a + 1) / x * _fracint(f, a + 1, x, ctx)
+    return ev._fracint(f, a, x), (a + 1) / x * ev._fracint(f, a + 1, x)
 
 
 def _val_fracmono(p):
@@ -894,11 +853,11 @@ def _val_fracmono(p):
         raise _Inadmissible(f"unknown test function {p.get('f')!r}; pick exp, arctan or clamp")
 
 
-def _fracmono_defaults(ctx):
-    base = [{"a": a, "f": "exp"} for a in _fracs(ctx, only_positive=True)]
-    base += [{"a": a, "f": f} for a in _fracs(ctx, only_positive=True)[:2]
+def _fracmono_defaults(ev):
+    base = [{"a": a, "f": "exp"} for a in _fracs(ev.ctx, only_positive=True)]
+    base += [{"a": a, "f": f} for a in _fracs(ev.ctx, only_positive=True)[:2]
              for f in ("arctan", "clamp")]
-    return _cross(base, ctx)
+    return _cross(base, ev)
 
 
 _register(CheckDef(
@@ -906,39 +865,38 @@ _register(CheckDef(
 ))
 
 
-def _ev_two_sided35(p, ctx):
+def _ev_two_sided35(p, ev):
     nu, x = p["nu"], p["x"]
-    low = (_rf(nu - 1, x, ctx), (nu + 1) / x * _rf(nu, x, ctx))
-    high = ((1 + (nu + 1) / x) * _rf(nu, x, ctx), _rf(nu - 1, x, ctx))
-    return low if low[0] - low[1] <= high[0] - high[1] else high
+    return _tighter((ev._rf(nu - 1, x), (nu + 1) / x * ev._rf(nu, x)),
+                    ((1 + (nu + 1) / x) * ev._rf(nu, x), ev._rf(nu - 1, x)))
 
 
 _register(CheckDef(
     "TWO_SIDED_35", ("nu",), _ev_two_sided35,
     lambda p: _need_real(p, "nu", strict_gt=0),
-    lambda ctx: _cross(
-        [{"nu": as_real(v, ctx)} for v in ("0.5", "1.5", "3.7", "1", "2", "4", "8")], ctx),
+    lambda ev: _cross(
+        [{"nu": as_real(v, ev.ctx)} for v in ("0.5", "1.5", "3.7", "1", "2", "4", "8")], ev),
 ))
 
 
-def _ev_strength36(p, ctx):
+def _ev_strength36(p, ev):
     nu, x = p["nu"], p["x"]
-    lhs = _rf(nu - 2, x, ctx) - nu / x * _rf(nu - 1, x, ctx)
-    rhs = (nu + 2) / x * (_rf(nu - 1, x, ctx) - (nu + 1) / x * _rf(nu, x, ctx))
+    lhs = ev._rf(nu - 2, x) - nu / x * ev._rf(nu - 1, x)
+    rhs = (nu + 2) / x * (ev._rf(nu - 1, x) - (nu + 1) / x * ev._rf(nu, x))
     return lhs, rhs
 
 
 _register(CheckDef(
     "STRENGTH_36", ("nu",), _ev_strength36,
     lambda p: _need_real(p, "nu", strict_gt=1),
-    lambda ctx: _cross([{"nu": as_real(v, ctx)} for v in ("1.5", "3.7", "2", "3", "5")], ctx),
+    lambda ev: _cross([{"nu": as_real(v, ev.ctx)} for v in ("1.5", "3.7", "2", "3", "5")], ev),
 ))
 
 
-def _ev_kim37(p, ctx):
+def _ev_kim37(p, ev):
     nu, x, y = p["nu"], p["x"], p["y"]
-    lhs = _rf(nu, x + y, ctx)
-    rhs = gamma_fn(nu + 2, ctx) * (1 / x + 1 / y) ** (nu + 1) * _rf(nu, x, ctx) * _rf(nu, y, ctx)
+    lhs = ev._rf(nu, x + y)
+    rhs = gamma_fn(nu + 2, ev.ctx) * (1 / x + 1 / y) ** (nu + 1) * ev._rf(nu, x) * ev._rf(nu, y)
     return lhs, rhs
 
 
@@ -946,58 +904,58 @@ _register(CheckDef(
     "KIM_37", ("nu",), _ev_kim37,
     lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "x", strict_gt=0),
                _need_real(p, "y", strict_gt=0)),
-    lambda ctx: _xy_cross([{"nu": nu} for nu in _fracs(ctx)], ctx),
+    lambda ev: _xy_cross([{"nu": nu} for nu in _fracs(ev.ctx)], ev),
     uses_y=True,
 ))
 
 
-def _ev_kim38(p, ctx):
+def _ev_kim38(p, ev):
     nu, pw, x, y = p["nu"], p["p"], p["x"], p["y"]
     qw = pw / (pw - 1)
     bracket = (x + y) / ((x + pw * y) ** (1 / pw) * x ** (1 / qw))
-    lhs = bracket ** (nu + 1) * _rf(nu, x + pw * y, ctx) ** (1 / pw) * _rf(nu, x, ctx) ** (1 / qw)
-    return lhs, _rf(nu, x + y, ctx)
+    lhs = bracket ** (nu + 1) * ev._rf(nu, x + pw * y) ** (1 / pw) * ev._rf(nu, x) ** (1 / qw)
+    return lhs, ev._rf(nu, x + y)
 
 
 _register(CheckDef(
     "KIM_38", ("nu", "p"), _ev_kim38,
     lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "p", strict_gt=1),
                _need_real(p, "x", strict_gt=0), _need_real(p, "y", strict_gt=0)),
-    lambda ctx: _xy_cross(
-        [{"nu": nu, "p": as_real(pw, ctx)} for nu in _fracs(ctx) for pw in ("2", "3")], ctx),
+    lambda ev: _xy_cross(
+        [{"nu": nu, "p": as_real(pw, ev.ctx)} for nu in _fracs(ev.ctx) for pw in ("2", "3")], ev),
     uses_y=True,
 ))
 
 
-def _ev_kim39(p, ctx):
+def _ev_kim39(p, ev):
     nu, x = p["nu"], p["x"]
-    lhs = _rf(nu, 2 * x, ctx)
-    rhs = gamma_fn(nu + 2, ctx) * mpf(2) ** (nu + 1) / x ** (nu + 1) * _rf(nu, x, ctx) ** 2
+    lhs = ev._rf(nu, 2 * x)
+    rhs = gamma_fn(nu + 2, ev.ctx) * mpf(2) ** (nu + 1) / x ** (nu + 1) * ev._rf(nu, x) ** 2
     return lhs, rhs
 
 
 _register(CheckDef(
     "KIM_39", ("nu",), _ev_kim39,
     lambda p: _need_real(p, "nu", strict_gt=-1),
-    lambda ctx: _cross([{"nu": nu} for nu in _fracs(ctx)], ctx),
+    lambda ev: _cross([{"nu": nu} for nu in _fracs(ev.ctx)], ev),
     sharp_ratio=_lhs_over_rhs(_ev_kim39),
-    sharp_limits={"zero": lambda p, ctx: Fraction(1)},
+    sharp_limits={"zero": lambda p, ev: Fraction(1)},
 ))
 
 
-def _ev_kim40(p, ctx):
+def _ev_kim40(p, ev):
     # Scaling-consistent version of the doubling bound: the square of the
     # sum-point value against the bracket to the power nu+1.
     nu, x, y = p["nu"], p["x"], p["y"]
-    lhs = ((x + y) ** 2 / (4 * x * y)) ** (nu + 1) * _rf(nu, 2 * x, ctx) * _rf(nu, 2 * y, ctx)
-    return lhs, _rf(nu, x + y, ctx) ** 2
+    lhs = ((x + y) ** 2 / (4 * x * y)) ** (nu + 1) * ev._rf(nu, 2 * x) * ev._rf(nu, 2 * y)
+    return lhs, ev._rf(nu, x + y) ** 2
 
 
 _register(CheckDef(
     "KIM_40", ("nu",), _ev_kim40,
     lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "x", strict_gt=0),
                _need_real(p, "y", strict_gt=0)),
-    lambda ctx: _xy_cross([{"nu": nu} for nu in _fracs(ctx)], ctx, exclude_diagonal=True),
+    lambda ev: _xy_cross([{"nu": nu} for nu in _fracs(ev.ctx)], ev, exclude_diagonal=True),
     uses_y=True,
 ))
 
@@ -1005,103 +963,97 @@ _register(CheckDef(
 # -- negative-argument magnitude family --------------------------------------
 
 
-def _ev_neg_alzer(p, ctx):
+def _ev_neg_alzer(p, ev):
     n, x = p["n"], p["x"]
     return (
-        _rn(n - 1, x, ctx) * _rn(n + 1, x, ctx),
-        _neg_gen_k_real(n, 1, ctx) * _rn(n, x, ctx) ** 2,
+        ev._rn(n - 1, x) * ev._rn(n + 1, x),
+        ev._exact(neg_gen_k_constant, n, 1) * ev._rn(n, x) ** 2,
     )
 
 
-def _ratio_neg_alzer(p, ctx):
+def _ratio_neg_alzer(p, ev):
     n, x = p["n"], p["x"]
-    return _rn(n - 1, x, ctx) * _rn(n + 1, x, ctx) / _rn(n, x, ctx) ** 2
+    return ev._rn(n - 1, x) * ev._rn(n + 1, x) / ev._rn(n, x) ** 2
 
 
 _register(CheckDef(
     "NEG_ALZER", ("n",), _ev_neg_alzer,
     lambda p: _need_int(p, "n", 1),
-    lambda ctx: _cross([{"n": n} for n in range(1, 9)], ctx),
+    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
     sharp_ratio=_ratio_neg_alzer,
-    sharp_limits={"inf": lambda p, ctx: neg_gen_k_constant(p["n"], 1),
-                  "zero": lambda p, ctx: alzer_constant(p["n"])},
+    sharp_limits={"inf": lambda p, ev: neg_gen_k_constant(p["n"], 1),
+                  "zero": lambda p, ev: alzer_constant(p["n"])},
 ))
 
 
-def _ev_neg_gen_k(p, ctx):
+def _ev_neg_gen_k(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
     return (
-        _rn(n - k, x, ctx) * _rn(n + k, x, ctx),
-        _neg_gen_k_real(n, k, ctx) * _rn(n, x, ctx) ** 2,
+        ev._rn(n - k, x) * ev._rn(n + k, x),
+        ev._exact(neg_gen_k_constant, n, k) * ev._rn(n, x) ** 2,
     )
 
 
 _register(CheckDef(
     "NEG_GEN_K", ("n", "k"), _ev_neg_gen_k, _val_nk,
-    lambda ctx: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ctx),
-    sharp_ratio=lambda p, ctx: _rn(p["n"] - p["k"], p["x"], ctx) * _rn(p["n"] + p["k"], p["x"], ctx)
-    / _rn(p["n"], p["x"], ctx) ** 2,
-    sharp_limits={"inf": lambda p, ctx: neg_gen_k_constant(p["n"], p["k"])},
+    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
+    sharp_ratio=lambda p, ev: ev._rn(p["n"] - p["k"], p["x"]) * ev._rn(p["n"] + p["k"], p["x"])
+    / ev._rn(p["n"], p["x"]) ** 2,
+    sharp_limits={"inf": lambda p, ev: neg_gen_k_constant(p["n"], p["k"])},
 ))
 
 
-def _ev_neg_sandwich(p, ctx):
+def _ev_neg_sandwich(p, ev):
     n, x = p["n"], p["x"]
-    prod = _rn(n - 1, x, ctx) * _rn(n + 1, x, ctx)
-    sq = _rn(n, x, ctx) ** 2
-    low = (prod, _neg_gen_k_real(n, 1, ctx) * sq)
-    high = (_alzer_real(n, ctx) * sq, prod)
-    return low if low[0] - low[1] <= high[0] - high[1] else high
+    prod = ev._rn(n - 1, x) * ev._rn(n + 1, x)
+    sq = ev._rn(n, x) ** 2
+    return _tighter((prod, ev._exact(neg_gen_k_constant, n, 1) * sq),
+                    (ev._exact(alzer_constant, n) * sq, prod))
 
 
 _register(CheckDef(
     "NEG_SANDWICH", ("n",), _ev_neg_sandwich,
     lambda p: _need_int(p, "n", 1),
-    lambda ctx: _cross([{"n": n} for n in range(1, 9)], ctx),
+    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
 ))
 
 
 # -- appendix family ----------------------------------------------------------
 
 
-def _ev_reverse43(p, ctx):
+def _ev_reverse43(p, ev):
     n, x = p["n"], p["x"]
-    return _rt(n, x, ctx) ** 2, _rt(n - 1, x, ctx) * _rt(n + 1, x, ctx)
+    return ev._rt(n, x) ** 2, ev._rt(n - 1, x) * ev._rt(n + 1, x)
 
 
 _register(CheckDef(
     "REVERSE_43", ("n",), _ev_reverse43,
     lambda p: _need_int(p, "n", 1),
-    lambda ctx: _cross([{"n": n} for n in range(1, 9)], ctx),
-    sharp_ratio=lambda p, ctx: _rt(p["n"], p["x"], ctx) ** 2
-    / (_rt(p["n"] - 1, p["x"], ctx) * _rt(p["n"] + 1, p["x"], ctx)),
-    sharp_limits={"inf": lambda p, ctx: Fraction(1)},
+    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
+    sharp_ratio=lambda p, ev: ev._rt(p["n"], p["x"]) ** 2
+    / (ev._rt(p["n"] - 1, p["x"]) * ev._rt(p["n"] + 1, p["x"])),
+    sharp_limits={"inf": lambda p, ev: Fraction(1)},
 ))
 
 
-def _ev_linear44(p, ctx):
+def _ev_linear44(p, ev):
     n, x = p["n"], p["x"]
-    with ctx.work():
+    with ev.ctx.work():
         lhs = x ** (n + 1) / mpf(math.factorial(n))
-    return lhs, (n + 1 - x) * _rt(n, x, ctx)
+    return lhs, (n + 1 - x) * ev._rt(n, x)
 
 
 _register(CheckDef(
     "LINEAR_44", ("n",), _ev_linear44,
     lambda p: _need_int(p, "n", 0),
-    lambda ctx: _cross([{"n": n} for n in range(1, 9)], ctx),
+    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
 ))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _pade_row(n: int):
-    return pade_exp(n, 1)
-
-
-def _ev_pade_row45(p, ctx):
+def _ev_pade_row45(p, ev):
     n, x = p["n"], p["x"]
-    val = eval_approximant(_pade_row(n), x, ctx)
-    with ctx.work():
+    val = eval_approximant(ev._pade_row(n), x, ev.ctx)
+    with ev.ctx.work():
         ex = mp.exp(x)
     if x < n + 1:
         return val, ex
@@ -1111,50 +1063,48 @@ def _ev_pade_row45(p, ctx):
 _register(CheckDef(
     "PADE_ROW_45", ("n",), _ev_pade_row45,
     lambda p: _need_int(p, "n", 0),
-    lambda ctx: _cross([{"n": n} for n in range(1, 9)], ctx),
+    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
 ))
 
 
-def _ev_sandwich49(p, ctx):
+def _ev_sandwich49(p, ev):
     n, x = p["n"], p["x"]
-    prod = _rt(n - 1, x, ctx) * _rt(n + 1, x, ctx)
-    sq = _rt(n, x, ctx) ** 2
-    low = (prod, _alzer_real(n, ctx) * sq)
-    high = (sq, prod)
-    return low if low[0] - low[1] <= high[0] - high[1] else high
+    prod = ev._rt(n - 1, x) * ev._rt(n + 1, x)
+    sq = ev._rt(n, x) ** 2
+    return _tighter((prod, ev._exact(alzer_constant, n) * sq), (sq, prod))
 
 
 _register(CheckDef(
     "SANDWICH_49", ("n",), _ev_sandwich49,
     lambda p: _need_int(p, "n", 1),
-    lambda ctx: _cross([{"n": n} for n in range(1, 9)], ctx),
+    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
     sharp_ratio=_ratio_alzer,
-    sharp_limits={"zero": lambda p, ctx: alzer_constant(p["n"]), "inf": lambda p, ctx: Fraction(1)},
+    sharp_limits={"zero": lambda p, ev: alzer_constant(p["n"]), "inf": lambda p, ev: Fraction(1)},
 ))
 
 
 # the predicted enclosure ((2n+1)/(n+1), (2n+3)/(n+1)) of problem 15
-_prob15_low = _converted(lambda n: Fraction(2 * n + 1, n + 1))
-_prob15_high = _converted(lambda n: Fraction(2 * n + 3, n + 1))
+def _prob15_low(n: int) -> Fraction:
+    return Fraction(2 * n + 1, n + 1)
 
 
-def _ev_prob15(p, ctx):
+def _prob15_high(n: int) -> Fraction:
+    return Fraction(2 * n + 3, n + 1)
+
+
+def _ev_prob15(p, ev):
     n, x = p["n"], p["x"]
     f = (
-        _rt(n - 2, x, ctx) * _rt(n, x, ctx) / _rt(n - 1, x, ctx) ** 2
-        + _rt(n, x, ctx) ** 2 / (_rt(n - 1, x, ctx) * _rt(n + 1, x, ctx))
+        ev._rt(n - 2, x) * ev._rt(n, x) / ev._rt(n - 1, x) ** 2
+        + ev._rt(n, x) ** 2 / (ev._rt(n - 1, x) * ev._rt(n + 1, x))
     )
-    lo = _prob15_low(n, ctx)
-    hi = _prob15_high(n, ctx)
-    low = (f, lo)
-    high = (hi, f)
-    return low if low[0] - low[1] <= high[0] - high[1] else high
+    return _tighter((f, ev._exact(_prob15_low, n)), (ev._exact(_prob15_high, n), f))
 
 
 _register(CheckDef(
     "PROB15_BOUNDS", ("n",), _ev_prob15,
     lambda p: _need_int(p, "n", 2),
-    lambda ctx: _cross([{"n": n} for n in range(2, 9)], ctx),
+    lambda ev: _cross([{"n": n} for n in range(2, 9)], ev),
 ))
 
 
@@ -1195,11 +1145,14 @@ def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
     return out
 
 
-def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping | None = None) -> CheckResult:
+def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping | None = None,
+                   ev: Evaluator | None = None) -> CheckResult:
     """Evaluate one catalog inequality at one parameter point.
 
     The parameters are canonicalized and validated once; a point outside
-    the check's admissible region raises a :class:`UsageError`."""
+    the check's admissible region raises a :class:`UsageError`.  ``ev`` is
+    the evaluator of the sweep the row belongs to (an evaluator at ``ctx``);
+    a row evaluated on its own gets a fresh one."""
     if isinstance(check, CheckId):
         name, params = check.id, dict(check.params)
     else:
@@ -1212,7 +1165,7 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
     if not mpf_gt(p["x"]._mpf_, fzero):
         raise UsageError(f"check {name} requires x > 0, got {p['x']}")
     with ctx.work():  # a no-op inside a sweep, which holds the precision
-        lhs, rhs = cdef.evaluate(p, ctx)
+        lhs, rhs = cdef.evaluate(p, Evaluator(ctx) if ev is None else ev)
     return _result(name, p, lhs, rhs, ctx)
 
 
@@ -1245,9 +1198,9 @@ def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> 
     )
 
 
-def _evaluate_point(cdef: CheckDef, point: dict, ctx) -> CheckResult | None:
+def _evaluate_point(cdef: CheckDef, point: dict, ev: Evaluator) -> CheckResult | None:
     try:
-        return evaluate_check(cdef.name, ctx, point)
+        return evaluate_check(cdef.name, ev.ctx, point, ev)
     except (_Inadmissible, PoleError):
         return None  # outside the check's admissible region, or at a pole
     except NumericalError:
@@ -1277,6 +1230,7 @@ def sweep(ids: Sequence[str], grid: ParamGrid, ctx: PrecisionContext) -> list[Ch
     axes = {ax.name: ax.values for ax in grid.axes}
     used_axes = set()
     results = []
+    ev = Evaluator(ctx)
     with ctx.work():
         for name in ids:
             cdef = CATALOG.get(name)
@@ -1288,7 +1242,7 @@ def sweep(ids: Sequence[str], grid: ParamGrid, ctx: PrecisionContext) -> list[Ch
 
             bases = []
             seen = set()
-            for pt in cdef.default_points(ctx):
+            for pt in cdef.default_points(ev):
                 base = {k: v for k, v in pt.items() if k not in override}
                 key = tuple(sorted((k, str(v)) for k, v in base.items()))
                 if key not in seen:
@@ -1305,7 +1259,7 @@ def sweep(ids: Sequence[str], grid: ParamGrid, ctx: PrecisionContext) -> list[Ch
 
             for base in bases:
                 for combo in expand(0, {}):
-                    res = _evaluate_point(cdef, dict(base, **combo), ctx)
+                    res = _evaluate_point(cdef, dict(base, **combo), ev)
                     if res is not None:
                         results.append(res)
     unused = set(axes) - used_axes
@@ -1318,13 +1272,14 @@ def default_sweep(ids: Sequence[str] | None, ctx: PrecisionContext) -> list[Chec
     """Evaluate checks over their built-in default parameter points
     (the standing verification grid)."""
     results = []
+    ev = Evaluator(ctx)
     with ctx.work():
         for name in ids or CHECK_IDS:
             cdef = CATALOG.get(name)
             if cdef is None:
                 raise UsageError(f"unknown check id '{name}'")
-            for point in cdef.default_points(ctx):
-                res = _evaluate_point(cdef, point, ctx)
+            for point in cdef.default_points(ev):
+                res = _evaluate_point(cdef, point, ev)
                 if res is not None:
                     results.append(res)
     return results
@@ -1380,6 +1335,7 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
         raise UsageError(f"check {name} has no documented sharpness limit toward '{direction}'")
     fixed = dict(params)
     fixed.pop("x", None)
+    ev = Evaluator(ctx)
     with ctx.work():
         if direction == "zero":
             xs = [mpf(10) ** (-e) for e in range(2, 9)]
@@ -1392,14 +1348,14 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
             p = _canonical_params(cdef, dict(fixed, x=x, y=x), ctx) if cdef.uses_y \
                 else _canonical_params(cdef, dict(fixed, x=x), ctx)
             cdef.validate(p)
-            samples.append((x, cdef.sharp_ratio(p, ctx)))
+            samples.append((x, cdef.sharp_ratio(p, ev)))
         extrap = _richardson([s[1] for s in samples], mpf(1) / 10)
         limit = extrap[-1]
         tail = extrap[-3:]
         converged = len(tail) == 3 and all(
             abs(t - limit) <= mpf("1e-6") * max(1, abs(limit)) for t in tail
         )
-        documented = cdef.sharp_limits[direction](p, ctx)
+        documented = cdef.sharp_limits[direction](p, ev)
         documented = None if documented is None else as_real(documented, ctx)
     if not converged:
         raise NumericalError(

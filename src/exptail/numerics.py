@@ -65,10 +65,11 @@ X_MAX = 20000
 MAX_SERIES_TERMS = 5 * 10**5
 
 
-def _series_budget(x_float: float, bits: int) -> int:
+def _series_budget(x, bits: int) -> int:
     """A-priori term-count bound from the ratio test: generous, never hit
-    in practice, but turns a would-be hang into a diagnosable failure."""
-    return int(3.0 * abs(x_float)) + 8 * bits + 256
+    in practice, but turns a would-be hang into a diagnosable failure.
+    Sized from the mpf x itself, which may lie beyond the float range."""
+    return int(3 * abs(x)) + 8 * bits + 256
 
 
 def _series_terms(a, b, x, wp: int) -> mpf:
@@ -246,7 +247,7 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
         f1 = _kummer_one_large_x(b, x, ctx)
         return scale * (_contiguous_up(int(a), b, x, f1) if a > 1 else f1)
     wp = mp.prec
-    budget = _series_budget(float(x), ctx.bits)
+    budget = _series_budget(x, ctx.bits)
     if budget > MAX_SERIES_TERMS:
         terms = _series_terms(a, b, x, wp)
         if terms > MAX_SERIES_TERMS:
@@ -267,6 +268,8 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     exp = -wp
     for k in range(1, budget):
         term = (term * xm * na << up) // (nb * k << down)
+        if not term:  # every later term is 0 too; past the float range r would be nan
+            break
         total += term
         gap = total.bit_length() - term.bit_length() - tol
         if gap >= 0:

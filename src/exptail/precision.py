@@ -94,15 +94,10 @@ class PrecisionContext:
                 f"target_rel_err must satisfy 2**(1-bits) <= err, got {tre} at {self.bits} bits"
             )
         object.__setattr__(self, "target_rel_err", tre)
-        # every cached call hashes its context: hash the mpf field once
-        object.__setattr__(self, "_hash", hash((self.bits, tre)))
         # raw 100 * target_rel_err at the working precision: a check row's
         # err_bound per unit of max(|lhs|, |rhs|)
         object.__setattr__(self, "err_scale",
                            mpf_mul_int(tre._mpf_, 100, self.bits + GUARD_BITS, round_nearest))
-
-    def __hash__(self):
-        return self._hash
 
     def work(self, extra_bits: int = 0):
         """Context manager activating the working precision; where mpmath

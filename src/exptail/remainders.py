@@ -83,7 +83,7 @@ def r_tail(n: int, x, ctx: PrecisionContext) -> Real:
         raise DomainError(f"r_tail requires n >= 0, got {n}")
     with ctx.work():
         xw = _check_nonneg_x(x, ctx)
-        result = _hyp1f1_pos(1, n + 2, xw, ctx, xw ** (n + 1) / mpf(math.factorial(n + 1)))
+        result = _hyp1f1_pos(1, n + 2, xw, ctx, xw ** (n + 1) / mp.factorial(n + 1))
     return ctx.finalize(result)
 
 
@@ -145,7 +145,7 @@ def r_neg(n: int, x, ctx: PrecisionContext) -> Real:
         raise DomainError(f"r_neg requires n >= 0, got {n}")
     with ctx.work():
         xw = _check_nonneg_x(x, ctx)
-        prefactor = mp.exp(-xw) * xw ** (n + 1) / mpf(math.factorial(n + 1))
+        prefactor = mp.exp(-xw) * xw ** (n + 1) / mp.factorial(n + 1)
         result = _hyp1f1_pos(n + 1, n + 2, xw, ctx, prefactor)
     return ctx.finalize(result)
 
@@ -317,7 +317,7 @@ def cross_check(spec: RemainderSpec, x, ctx: PrecisionContext) -> Real:
                 with ctx.work(boost):
                     term = (-xw) ** (n + 1) / mpf(math.factorial(n + 1))
                     total = term
-                    for k in range(n + 2, n + 2 + _series_budget(float(xw), ctx.bits)):
+                    for k in range(n + 2, n + 2 + _series_budget(xw, ctx.bits)):
                         term *= -xw / k
                         total += term
                         if abs(term) < ctx.target_rel_err * abs(total) and xw < k + 1:

@@ -13,7 +13,7 @@ from mpmath.libmp import from_man_exp
 from conftest import rel_err
 from exptail import inequalities, numerics
 from exptail.errors import DomainError, UsageError
-from exptail.inequalities import (CATALOG, CHECK_IDS, CheckId, GridAxis, ParamGrid,
+from exptail.inequalities import (CATALOG, CHECK_IDS, CheckId, Evaluator, GridAxis, ParamGrid,
                                   alzer_constant, chebyshev_constant, chebyshev_constant_exact,
                                   constant_cross_identities, cor25_constant, cor26_constant,
                                   cor27_constant, default_sweep,
@@ -144,7 +144,7 @@ def test_fracint_closed_forms_against_quadrature(fname, bits, points):
     for a, x in points:
         order, x = as_real(a, ctx), as_real(x, ctx)
         expected = _fracint_by_quadrature(fname, order, x, oracle_ctx)
-        assert rel_err(inequalities._fracint(fname, order, x, ctx), expected) \
+        assert rel_err(Evaluator(ctx)._fracint(fname, order, x), expected) \
             <= ctx.target_rel_err, (a, x)
 
 
@@ -168,7 +168,6 @@ def test_fracmono_sweep_runs_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(numerics, "quad_integral", no_quadrature)
     monkeypatch.setattr(inequalities, "quad_integral", no_quadrature, raising=False)
-    inequalities._fracint.cache_clear()
     rows = default_sweep(["FRACMONO_34"], PrecisionContext(256))
     assert len(rows) == 175 and all(r.status == "PASS" for r in rows)
 
@@ -329,18 +328,18 @@ def test_sharpness_usage_errors(ctx):
 def test_sharp_ratio_evaluates_the_check_once(ctx, monkeypatch, name, params, accessor, calls):
     cdef = CATALOG[name]
     counted = []
-    original = getattr(inequalities, accessor)
+    original = getattr(Evaluator, accessor)
 
-    def counting(*args):
+    def counting(ev, *args):
         counted.append(args)
-        return original(*args)
+        return original(ev, *args)
 
-    monkeypatch.setattr(inequalities, accessor, counting)
+    monkeypatch.setattr(Evaluator, accessor, counting)
     with ctx.work():
-        ratio = cdef.sharp_ratio(params, ctx)
+        ratio = cdef.sharp_ratio(params, Evaluator(ctx))
     assert len(counted) == calls
     with ctx.work():
-        lhs, rhs = cdef.evaluate(params, ctx)
+        lhs, rhs = cdef.evaluate(params, Evaluator(ctx))
         assert ratio == lhs / rhs
 
 
@@ -353,36 +352,13 @@ def test_sharp_ratio_evaluates_the_check_once(ctx, monkeypatch, name, params, ac
 def test_sharp_constants_cached_per_parameter_point(constant, params):
     # equal parameter values of different Python types share one entry
     ctx = PrecisionContext(200)
-    constant.cache_clear()
-    first = constant(*params[0], ctx)
-    second = constant(*params[1], ctx)
-    info = constant.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert info.maxsize == inequalities._CACHE_SIZE
-    assert first._mpf_ == second._mpf_
-    assert constant.__wrapped__(*(as_real(v, ctx) for v in params[1]), ctx)._mpf_ == first._mpf_
-
-
-def test_bounded_cache_overflow_keeps_values():
-    # REVERSE_43 with n = 1..8 reads r_tail orders 0..9 at every x, so this
-    # grid needs more _rt entries than the cache holds
-    ctx = PrecisionContext(53)
-    cache = inequalities._rt
-    count = inequalities._CACHE_SIZE // 10 + 1
-    grid = parse_grid(f"n=1..8;x=log(1e-3,30,{count})", ctx)
-    cache.cache_clear()
-    fresh = sweep(["REVERSE_43"], grid, ctx)
-    info = cache.cache_info()
-    assert info.maxsize == inequalities._CACHE_SIZE
-    assert info.currsize == info.maxsize
-    again = sweep(["REVERSE_43"], grid, ctx)  # through the evicting cache
-    assert cache.cache_info().currsize == info.maxsize
-
-    def key(r):
-        return r.x._mpf_, r.lhs._mpf_, r.rhs._mpf_, r.margin._mpf_, r.status
-
-    assert len(fresh) == 8 * count
-    assert [key(r) for r in again] == [key(r) for r in fresh]
+    ev, before = Evaluator(ctx), Evaluator.cache_info()
+    first = ev._constant(constant, *params[0])
+    second = ev._constant(constant, *params[1])
+    after = Evaluator.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert first is second
+    assert constant(*(as_real(v, ctx) for v in params[1]), ctx)._mpf_ == first._mpf_
 
 
 @pytest.mark.parametrize("n", [2.5, mpf("2.5"), "2.5", "two"])
@@ -420,7 +396,7 @@ def test_each_default_point_validated_and_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(inequalities, "evaluate_check", counted)
     results = default_sweep(None, ctx)
-    points = [n for n in CHECK_IDS for _ in CATALOG[n].default_points(ctx)]
+    points = [n for n in CHECK_IDS for _ in CATALOG[n].default_points(Evaluator(ctx))]
     assert validated == evaluated == [r.check for r in results] == points
 
 

@@ -7,8 +7,8 @@ from mpmath import mp, mpf
 
 from exptail import inequalities, numerics, remainders
 from exptail.errors import DomainError
-from exptail.inequalities import (LADDER_SPAN, default_sweep, evaluate_check,
-                                  parse_grid, sweep)
+from exptail.inequalities import (LADDER_SPAN, Evaluator, default_sweep, evaluate_check,
+                                  interp_constant)
 from exptail.precision import PrecisionContext
 from exptail.remainders import r_frac, r_frac_ladder, r_tail
 
@@ -16,9 +16,18 @@ from conftest import rel_err
 
 
 def _clear_caches():
-    for value in vars(inequalities).values():
-        if callable(getattr(value, "cache_clear", None)):
-            value.cache_clear()
+    """Evaluations from here on start cold: the catalog keeps its values in
+    the evaluator of one sweep or row, and the module holds none to clear."""
+    assert [name for name, value in vars(inequalities).items()
+            if hasattr(value, "cache_clear")] == []
+
+
+def _calls_to(monkeypatch, name):
+    """The argument tuples of every call the catalog makes to ``name``."""
+    calls = []
+    original = getattr(inequalities, name)
+    monkeypatch.setattr(inequalities, name, lambda *args: calls.append(args) or original(*args))
+    return calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,27 +105,20 @@ def test_row_alone_equals_its_sweep_row(cold_sweep_256):
             (row.lhs._mpf_, row.rhs._mpf_, row.margin._mpf_, row.status), row
 
 
-def test_bounded_ladder_cache_overflow_keeps_values():
-    # REVERSE_43 with n = 1..8 reads orders 0..9, two blocks per x, so this
-    # grid needs more blocks than the ladder cache holds
-    ctx = PrecisionContext(53)
-    cache = inequalities._ladder
-    count = inequalities._LADDER_CACHE_SIZE // 2 + 1
-    grid = parse_grid(f"n=1..8;x=log(1e-3,30,{count})", ctx)
-    _clear_caches()
-    fresh = sweep(["REVERSE_43"], grid, ctx)
-    info = cache.cache_info()
-    assert info.currsize == info.maxsize == inequalities._LADDER_CACHE_SIZE
-    inequalities._rt.cache_clear()  # every value is read again from the blocks
-    again = sweep(["REVERSE_43"], grid, ctx)
-    assert cache.cache_info().currsize == info.maxsize
-    assert cache.cache_info().misses > info.misses
+def test_nothing_survives_a_sweep(monkeypatch):
+    # a second sweep in the process builds every ladder block again, from
+    # its own evaluator, and each sweep builds the default x grid once
+    blocks, grids = _calls_to(monkeypatch, "r_frac_ladder"), _calls_to(monkeypatch, "log_grid")
+    ctx = PrecisionContext(256)
+    first = default_sweep(None, ctx)
+    assert (len(blocks), len(grids)) == (803, 1)
+    second = default_sweep(None, ctx)
+    assert (len(blocks), len(grids)) == (2 * 803, 2)
 
     def key(r):
         return r.x._mpf_, r.lhs._mpf_, r.rhs._mpf_, r.margin._mpf_, r.status
 
-    assert len(fresh) == 8 * count
-    assert [key(r) for r in again] == [key(r) for r in fresh]
+    assert [key(r) for r in second] == [key(r) for r in first]
 
 
 @pytest.mark.parametrize("accessor,direct,args", [
@@ -127,29 +129,31 @@ def test_bounded_ladder_cache_overflow_keeps_values():
     ("_kum", numerics.kummer_1f1_one, (mpf(11), mpf("0.3"))),
     ("_qv", remainders.q_value, (5, mpf(20))),
 ])
-def test_derived_accessors_match_the_public_routes(ctx, accessor, direct, args):
+def test_derived_accessors_match_the_public_routes(ctx, monkeypatch, accessor, direct, args):
     # the catalog reads gamma(v, x), 1F1(1; b; x) and Q_n(x) from ladder
     # values through exact identities; the public functions keep their
     # direct routes
-    _clear_caches()
-    value = getattr(inequalities, accessor)(*args, ctx)
-    assert inequalities._ladder.cache_info().misses == 1
+    blocks = _calls_to(monkeypatch, "r_frac_ladder")
+    value = getattr(Evaluator(ctx), accessor)(*args)
+    assert len(blocks) == 1
     assert rel_err(value, direct(*args, ctx)) <= ctx.target_rel_err
 
 
 def test_raw_keys_share_entries_and_hash_no_mpf(ctx, monkeypatch):
     # equal mpf values made separately hit one entry, and a lookup hashes
     # the raw tuples, never an mpf
-    _clear_caches()
+    ev = Evaluator(ctx)
     a, x = mpf("3.7"), mpf("1.25")
-    first = inequalities._rf(ctx.finalize(a), ctx.finalize(x), ctx)
-    constant = inequalities.interp_constant(a, 1, mpf("0.5"), ctx)
+    first = ev._rf(ctx.finalize(a), ctx.finalize(x))
+    constant = ev._constant(interp_constant, a, 1, mpf("0.5"))
 
     def no_hash(self):
         raise AssertionError("an mpf was hashed")
 
     monkeypatch.setattr(type(a), "__hash__", no_hash)
-    second = inequalities._rf(ctx.finalize(a), ctx.finalize(x), ctx)
-    assert inequalities.interp_constant(a, 1, mpf("0.5"), ctx) is constant
-    info = inequalities._rf.cache_info()
-    assert (info.hits, info.misses) == (1, 1) and first is second
+    before = Evaluator.cache_info()
+    second = ev._rf(ctx.finalize(a), ctx.finalize(x))
+    assert ev._constant(interp_constant, a, 1, mpf("0.5")) is constant
+    after = Evaluator.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    assert first is second

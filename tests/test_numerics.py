@@ -30,12 +30,17 @@ def test_gamma_integer_factorials(ctx):
 
 @pytest.mark.parametrize("bits", [53, 256])
 def test_gamma_and_b_value_at_order_1e5_against_mpmath(bits):
-    # mp.gamma's Stirling route: the exact factorial took over a second here
-    ctx = PrecisionContext(bits)
-    value, b = gamma_fn(100002, ctx), b_value(mpf(10) ** 5, 1, ctx)
+    # mp.gamma's Stirling route: the exact factorial took over a second here,
+    # and converting (n + 1)! to an mpf most of a second in r_tail and r_neg
+    ctx, n = PrecisionContext(bits), 10**5
+    value, b = gamma_fn(n + 2, ctx), b_value(mpf(n), 1, ctx)
+    tail, neg = r_tail(n, 1, ctx), r_neg(n, 1, ctx)
     with mp.workprec(bits + 64):
-        assert rel_err(value, mp.gamma(100002)) < ctx.target_rel_err
-        assert rel_err(b, mp.hyp1f1(1, 10**5 + 2, 1)) < ctx.target_rel_err
+        assert rel_err(value, mp.gamma(n + 2)) < ctx.target_rel_err
+        assert rel_err(b, mp.hyp1f1(1, n + 2, 1)) < ctx.target_rel_err
+        assert rel_err(tail, mp.hyp1f1(1, n + 2, 1) / mp.factorial(n + 1)) < ctx.target_rel_err
+        assert rel_err(neg, mp.hyp1f1(n + 1, n + 2, 1) / (mp.e * mp.factorial(n + 1))) \
+            < ctx.target_rel_err
 
 
 @pytest.mark.parametrize("bits", [53, 256, 1024])
@@ -54,12 +59,16 @@ def test_contiguous_relation_against_mpmath(bits, n, x):
 @pytest.mark.parametrize("bits", [53, 256])
 def test_short_series_past_x_20000_against_mpmath(bits):
     # x < 2b keeps these below the closed form's switch; their terms fall
-    # from the first (x < b), so a few hundred of them are summed
+    # from the first (x < b), so a few hundred of them are summed, and past
+    # the float range, where x / b = 1e-100, one
     ctx = PrecisionContext(bits)
     n, x = 5 * 10**4, mpf("2.5e4")
-    kummer, tail = kummer_1f1_one(10**5, 3 * 10**4, ctx), r_tail(n, x, ctx)
+    kummer_points = [(10**5, 3 * 10**4), (mpf("1e500"), mpf("1e400"))]
+    kummers = [kummer_1f1_one(b, z, ctx) for b, z in kummer_points]
+    tail = r_tail(n, x, ctx)
     with mp.workprec(bits + 64):
-        assert rel_err(kummer, mp.hyp1f1(1, 10**5, 3 * 10**4)) < ctx.target_rel_err
+        for (b, z), kummer in zip(kummer_points, kummers):
+            assert rel_err(kummer, mp.hyp1f1(1, b, z)) < ctx.target_rel_err
         reference = x ** (n + 1) / mp.factorial(n + 1) * mp.hyp1f1(1, n + 2, x)
         assert rel_err(tail, reference) < ctx.target_rel_err
 

@@ -11,8 +11,8 @@ from mpmath.libmp import mpf_pos, round_nearest
 
 from exptail import inequalities
 from exptail.errors import UsageError
-from exptail.inequalities import (CATALOG, default_sweep, evaluate_check, interp_constant,
-                                  parse_grid, sweep)
+from exptail.inequalities import (CATALOG, Evaluator, default_sweep, evaluate_check,
+                                  interp_constant, parse_grid, sweep)
 from exptail.precision import GUARD_BITS, PrecisionContext, format_real
 
 FIELDS = ("x", "lhs", "rhs", "margin", "ratio", "err_bound")
@@ -96,16 +96,16 @@ def test_wide_parameter_rounded_and_logged_in_per_point_constants(caplog):
     ctx = PrecisionContext(256)
     wp = ctx.bits + GUARD_BITS
     nu = _wide("1")
-    interp_constant.cache_clear()
+    ev, before = Evaluator(ctx), Evaluator.cache_info()
     with caplog.at_level(logging.WARNING, logger="exptail"):
-        wide = interp_constant(nu, 2, mpf("0.5"), ctx)
+        wide = ev._constant(interp_constant, nu, 2, mpf("0.5"))
     assert [r.getMessage() for r in caplog.records] == \
         [f"rounding {nu._mpf_[3]}-bit operand down to {wp}-bit context"]
-    # the wide value and its rounding share one cache entry
-    rounded = interp_constant(mp.make_mpf(mpf_pos(nu._mpf_, wp, round_nearest)), 2,
-                              mpf("0.5"), ctx)
-    info = interp_constant.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    # the wide value and its rounding share one memo entry
+    rounded = ev._constant(interp_constant, mp.make_mpf(mpf_pos(nu._mpf_, wp, round_nearest)), 2,
+                           mpf("0.5"))
+    after = Evaluator.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert wide._mpf_ == rounded._mpf_
 
 
