@@ -23,6 +23,7 @@ from exptail.inequalities import (CATALOG, CHECK_IDS, CheckId, Evaluator, GridAx
                                   sweep)
 from exptail.numerics import arctan_fracint, quad_integral
 from exptail.precision import PrecisionContext, as_real
+from exptail.remainders import r_tail
 
 def test_exact_constants():
     assert alzer_constant(1) == Fraction(2, 3)
@@ -359,6 +360,37 @@ def test_sharp_constants_cached_per_parameter_point(constant, params):
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert first is second
     assert constant(*(as_real(v, ctx) for v in params[1]), ctx)._mpf_ == first._mpf_
+
+
+def test_bounded_cache_overflow_keeps_values(monkeypatch):
+    # REVERSE_43 with n = 1..8 reads r_tail orders 0..9 at every x, so this
+    # grid needs more r_tail values than the old bounded cache held (8192);
+    # the sweep's evaluator keeps each, so each is computed exactly once
+    ctx = PrecisionContext(53)
+    count = 8192 // 10 + 1
+    grid = parse_grid(f"n=1..8;x=log(1e-3,30,{count})", ctx)
+    computed = []
+    original = Evaluator._remainder
+
+    def counting(ev, direct, a, x):
+        if direct is r_tail:
+            computed.append((a, x._mpf_))
+        return original(ev, direct, a, x)
+
+    monkeypatch.setattr(Evaluator, "_remainder", counting)
+    fresh = sweep(["REVERSE_43"], grid, ctx)
+    assert len(computed) == len(set(computed)) == 10 * count
+    again = sweep(["REVERSE_43"], grid, ctx)
+    assert len(computed) == 2 * 10 * count
+
+    def key(r):
+        return r.x._mpf_, r.lhs._mpf_, r.rhs._mpf_, r.margin._mpf_, r.status
+
+    assert len(fresh) == 8 * count
+    assert [key(r) for r in again] == [key(r) for r in fresh]
+    for row in fresh[::401]:
+        alone = evaluate_check(row.check, ctx, dict(row.params, x=row.x))
+        assert key(alone) == key(row), row
 
 
 @pytest.mark.parametrize("n", [2.5, mpf("2.5"), "2.5", "two"])

@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 from exptail import inequalities, numerics, remainders
 from exptail.errors import DomainError
 from exptail.inequalities import (LADDER_SPAN, Evaluator, default_sweep, evaluate_check,
-                                  interp_constant)
+                                  interp_constant, parse_grid, sweep)
 from exptail.precision import PrecisionContext
 from exptail.remainders import r_frac, r_frac_ladder, r_tail
 
@@ -103,6 +103,27 @@ def test_row_alone_equals_its_sweep_row(cold_sweep_256):
         alone = evaluate_check(row.check, ctx, dict(row.params, x=row.x))
         assert (alone.lhs._mpf_, alone.rhs._mpf_, alone.margin._mpf_, alone.status) == \
             (row.lhs._mpf_, row.rhs._mpf_, row.margin._mpf_, row.status), row
+
+
+def test_bounded_ladder_cache_overflow_keeps_values(monkeypatch):
+    # REVERSE_43 with n = 1..8 reads orders 0..9, two blocks per x, so this
+    # grid needs more blocks than the old bounded ladder cache held (2048);
+    # the sweep's evaluator keeps each, so none is built twice
+    ctx = PrecisionContext(53)
+    count = 2048 // 2 + 1
+    grid = parse_grid(f"n=1..8;x=log(1e-3,30,{count})", ctx)
+    blocks = _calls_to(monkeypatch, "r_frac_ladder")
+    fresh = sweep(["REVERSE_43"], grid, ctx)
+    built = [(lo, hi, x._mpf_) for _, lo, hi, x, _ in blocks]
+    assert len(built) == len(set(built)) == 2 * count
+    again = sweep(["REVERSE_43"], grid, ctx)
+    assert len(blocks) == 2 * 2 * count
+
+    def key(r):
+        return r.x._mpf_, r.lhs._mpf_, r.rhs._mpf_, r.margin._mpf_, r.status
+
+    assert len(fresh) == 8 * count
+    assert [key(r) for r in again] == [key(r) for r in fresh]
 
 
 def test_nothing_survives_a_sweep(monkeypatch):
