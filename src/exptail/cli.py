@@ -71,20 +71,26 @@ def _context(args) -> PrecisionContext:
     return PrecisionContext(bits=bits)
 
 
-def _renderer(ctx, digits: int | None = None):
+def _renderer(ctx, digits: int | None = None, quoted: bool = False):
     """Decimal rendering of values for one report: strings are memoized by
-    ``_mpf_`` until the returned function is dropped; None renders as ""."""
+    ``_mpf_`` until the returned function is dropped; None renders as "".
+    With ``quoted`` each string is its JSON string literal: decimal text
+    holds nothing JSON escapes, so that is the text between quotes."""
     memo = {}
+    if digits is None:
+        digits = ctx.decimal_digits
 
     def dec(value) -> str:
         if value is None:
-            return ""
+            return '""' if quoted else ""
         key = getattr(value, "_mpf_", None)
-        if key is None:
-            return format_real(value, ctx, digits)
-        text = memo.get(key)
+        text = memo.get(key) if key is not None else None
         if text is None:
-            text = memo[key] = format_real(value, ctx, digits)
+            text = format_real(value, ctx, digits)
+            if quoted:
+                text = f'"{text}"'
+            if key is not None:
+                memo[key] = text
         return text
 
     return dec
@@ -177,26 +183,29 @@ def _cmd_eval(args) -> int:
 # check
 
 
-def _check_json(results, ctx, summary, dec) -> str:
+def _check_json(results, ctx, summary) -> str:
     """The JSON check report: each record is written from a fixed template
-    in the layout of ``json.dumps(obj, indent=2)``."""
-    params_text = _once_per_point(lambda params: _json(_param_json(params, dec), "      "))
+    in the layout of ``json.dumps(obj, indent=2)``, with every value's
+    string literal rendered once."""
+    quoted = _renderer(ctx, quoted=True)
+    params_text = _once_per_point(
+        lambda params: _json(_param_json(params, lambda v: quoted(v)[1:-1]), "      "))
     records = ",\n".join(
         f'''    {{
       "check": {_quote(r.check)},
       "params": {params_text(r.params)},
-      "x": {_quote(dec(r.x))},
-      "lhs": {_quote(dec(r.lhs))},
-      "rhs": {_quote(dec(r.rhs))},
-      "margin": {_quote(dec(r.margin))},
-      "ratio": {_quote(dec(r.ratio))},
-      "status": {_quote(r.status)},
-      "err_bound": {_quote(dec(r.err_bound))}
+      "x": {quoted(r.x)},
+      "lhs": {quoted(r.lhs)},
+      "rhs": {quoted(r.rhs)},
+      "margin": {quoted(r.margin)},
+      "ratio": {quoted(r.ratio)},
+      "status": "{r.status}",
+      "err_bound": {quoted(r.err_bound)}
     }}''' for r in results)
     records = f"[\n{records}\n  ]" if records else "[]"
     return f'''{{
   "precision_bits": {json.dumps(ctx.bits)},
-  "target_rel_err": {_quote(dec(ctx.target_rel_err))},
+  "target_rel_err": {quoted(ctx.target_rel_err)},
   "records": {records},
   "summary": {_json(summary, "  ")}
 }}
@@ -205,9 +214,9 @@ def _check_json(results, ctx, summary, dec) -> str:
 
 def render_check_report(results, ctx, fmt: str) -> str:
     summary = summarize(results)
-    dec = _renderer(ctx)
     if fmt == "json":
-        return _check_json(results, ctx, summary, dec)
+        return _check_json(results, ctx, summary)
+    dec = _renderer(ctx)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")

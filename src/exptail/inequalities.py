@@ -54,13 +54,13 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_lt, mpf_mul,
-                          mpf_neg, mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_sub,
+                          round_nearest)
 
 from .errors import NumericalError, PoleError, UsageError
 from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
 from .pade import eval_approximant, pade_exp
-from .precision import GUARD_BITS, PrecisionContext, Real, as_real
+from .precision import GUARD_BITS, PrecisionContext, Real, _fit, as_real
 from .remainders import finite_diff, q_value, r_frac, r_frac_ladder, r_neg, r_tail
 
 _make = mp.make_mpf
@@ -207,7 +207,7 @@ class CheckId:
     params: Mapping = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     check: str
     params: dict
@@ -333,13 +333,6 @@ CacheInfo = namedtuple("CacheInfo", "hits misses")
 _hits = _misses = 0
 
 
-def _ladder(f_raw, block: int, x, ctx) -> tuple[int, tuple]:
-    """The lowest offset j and the values R_{f+j}(x) of one block."""
-    lo = max(LADDER_SPAN * block - 1, 0 if f_raw == fzero else -1)
-    hi = LADDER_SPAN * block + LADDER_SPAN - 2
-    return lo, r_frac_ladder(_make(f_raw), lo, hi, x, ctx)
-
-
 def _on_ladder(a, shift: int, x) -> bool:
     """Whether R_{a+shift}(x) lies on a ladder: a finite order above -1 and
     a finite x > 0.  Anything else takes the direct route, which raises on
@@ -414,9 +407,15 @@ class Evaluator:
                 f_raw = from_man_exp(signed - (j << -exp), exp)
         j += shift
         block = (j + 1) // LADDER_SPAN
-        lo, values = self._get(("ladder", f_raw, block, x._mpf_),
-                               _ladder, f_raw, block, x, self.ctx)
+        lo, values = self._get(("ladder", f_raw, block, x._mpf_), self._ladder, f_raw, block, x)
         return values[j - lo]
+
+    def _ladder(self, f_raw, block: int, x) -> tuple[int, tuple]:
+        """The lowest offset j and the values R_{f+j}(x) of one block; the
+        block takes Gamma and log x from the memo."""
+        lo = max(LADDER_SPAN * block - 1, 0 if f_raw == fzero else -1)
+        hi = LADDER_SPAN * block + LADDER_SPAN - 2
+        return lo, r_frac_ladder(_make(f_raw), lo, hi, x, self.ctx, memo=self._get)
 
     def _remainder(self, direct, a, x) -> Real:
         return self._rung(a, 0, x) if _on_ladder(a, 0, x) else direct(a, x, self.ctx)
@@ -1172,30 +1171,54 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
 def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> CheckResult:
     """The row of two evaluated sides: margin, err_bound and ratio rounded
     to nearest at the working precision, as mpf operators inside
-    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``."""
+    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``.
+
+    The work is done on raw ``mpmath.libmp`` values.  Values that already
+    fit a precision are taken as they are, which is what rounding would
+    give (:func:`_abs`, :func:`.precision._fit`), and magnitudes are
+    compared by :func:`_above`."""
     wp, bits, rnd = ctx.bits + GUARD_BITS, ctx.bits, round_nearest
-    lhs, rhs = lhs._mpf_, rhs._mpf_
-    margin = mpf_sub(lhs, rhs, wp, rnd)
-    abs_lhs, abs_rhs = mpf_abs(lhs, wp, rnd), mpf_abs(rhs, wp, rnd)
-    larger = abs_rhs if mpf_gt(abs_rhs, abs_lhs) else abs_lhs
-    err_bound = mpf_mul(ctx.err_scale, larger, wp, rnd)
-    if mpf_gt(margin, err_bound):
-        status = "PASS"
-    elif mpf_lt(margin, mpf_neg(err_bound)):
-        status = "FAIL"
-    else:
-        status = "INDET"
+    left, right = lhs._mpf_, rhs._mpf_
+    margin = mpf_sub(left, right, wp, rnd)
+    abs_left, abs_right = _abs(left, wp), _abs(right, wp)
+    err_bound = mpf_mul(ctx.err_scale, abs_right if _above(abs_right, abs_left) else abs_left,
+                        wp, rnd)
+    # margin > err_bound is PASS, margin < -err_bound FAIL, anything else
+    # (a nan among them) INDET
+    status = ("FAIL" if margin[0] else "PASS") if _above(margin, err_bound) else "INDET"
     return CheckResult(
-        check=name,
-        params={k: v for k, v in p.items() if k != "x"},
-        x=ctx.finalize(p["x"]),
-        lhs=_make(mpf_pos(lhs, bits, rnd)),
-        rhs=_make(mpf_pos(rhs, bits, rnd)),
-        margin=_make(mpf_pos(margin, bits, rnd)),
-        ratio=None if rhs == fzero else _make(mpf_pos(mpf_div(lhs, rhs, wp, rnd), bits, rnd)),
-        err_bound=_make(mpf_pos(err_bound, bits, rnd)),
-        status=status,
+        name,
+        {k: v for k, v in p.items() if k != "x"},
+        ctx.finalize(p["x"]),
+        ctx.finalize(lhs),
+        ctx.finalize(rhs),
+        _make(_fit(margin, bits)),
+        None if right == fzero else _make(_fit(mpf_div(left, right, wp, rnd), bits)),
+        _make(_fit(err_bound, bits)),
+        status,
     )
+
+
+def _abs(raw: tuple, wp: int) -> tuple:
+    """|raw| rounded at wp: a finite non-zero value of at most wp bits with
+    its sign cleared."""
+    if raw[1] and raw[3] <= wp:
+        return (0, raw[1], raw[2], raw[3])
+    return mpf_abs(raw, wp, round_nearest)
+
+
+def _above(a: tuple, b: tuple) -> bool:
+    """|a| > |b| for raw values; for finite non-zero ones by their leading
+    bits and, where those agree, by the mantissas at one exponent."""
+    if not (a[1] and b[1]):  # a zero or a special value
+        return mpf_gt(mpf_abs(a), mpf_abs(b))
+    top_a, top_b = a[2] + a[3], b[2] + b[3]
+    if top_a != top_b:
+        return top_a > top_b
+    shift = a[2] - b[2]
+    if shift >= 0:
+        return a[1] << shift > b[1]
+    return a[1] > b[1] << -shift
 
 
 def _evaluate_point(cdef: CheckDef, point: dict, ev: Evaluator) -> CheckResult | None:

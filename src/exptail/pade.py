@@ -24,12 +24,12 @@ from .precision import PrecisionContext, Real, as_real
 # from the command line, 1200 about 1 s, and n = 3000 took 13.6 s.
 MAX_PADE_ORDER = 1000
 
-# The most extra bits aitken_row carries to absorb its cancellation, about
-# 2 |x| log2(e): |x| up to about 181,000.  Its cost is a few products and
-# one quotient at the boosted precision, nearly independent of n up to
-# 10^4: boosts of 345,527 and 691,716 bits (n = 29, x = 1.2e5 and 2.4e5)
-# took 0.32 s and 1.1 s at 53 and at 256 bits (pure-python mpmath, 2-core
-# host), so a call within this cap takes under a second.
+# The most extra bits aitken_row carries to absorb the cancellation of the
+# alternating partial sums at x < 0, about 2 |x| log2(e): x down to about
+# -181,000 (x >= 0 needs a few dozen bits at any x).  Boosts of 345,527 and
+# 691,716 bits (n = 29, x = -1.2e5 and -2.4e5) took 0.32 s and 1.1 s at 53
+# and at 256 bits (pure-python mpmath, 2-core host), so a call within this
+# cap takes under a second.
 MAX_AITKEN_BOOST = 1 << 19
 
 
@@ -149,26 +149,38 @@ def eval_approximant(appr: RationalApproximant, x, ctx: PrecisionContext) -> Rea
     return ctx.finalize(result)
 
 
+def _partial_sum(n: int, x) -> Real:
+    """sum_{k<=n} x**k/k! at the active precision."""
+    term = mpf(1)
+    total = term
+    for k in range(1, n + 1):
+        term *= x / k
+        total += term
+    return total
+
+
 def taylor_partial(n: int, x, ctx: PrecisionContext) -> Real:
     """Degree-n partial sum of the exponential series."""
     if n < 0:
         raise DomainError(f"taylor_partial requires n >= 0, got {n}")
     with ctx.work():
-        xw = as_real(x, ctx)
-        term = mpf(1)
-        total = term
-        for k in range(1, n + 1):
-            term *= xw / k
-            total += term
+        total = _partial_sum(n, as_real(x, ctx))
     return ctx.finalize(total)
 
 
 def _aitken_boost(n: int, x: float) -> int:
-    """The Aitken numerator cancels t_n**2 ~ e**(2x) down to roughly
+    """Extra bits :func:`aitken_row` carries at x.
+
+    For x >= 0 the closed form has only positive terms up to its last
+    difference, which past x = n+1 keeps at least 1/(2n+2) of its larger
+    part (it is -(n+1) P(x)/(x-n-1) with P the [n/1] numerator, whose x**n
+    coefficient is 1/(n+1)!), so it loses at most log2(2n+2) bits, and the
+    n roundings of the sum cost log2(n) more.  For x < 0 the transform of
+    the alternating partial sums cancels t_n**2 ~ e**(2|x|) down to roughly
     x**(2n+1)/(n!(n+1)!); compensate with that many bits."""
-    ax = abs(x)
-    if ax == 0:
-        return 64
+    if x >= 0:
+        return 2 * (2 * n + 2).bit_length() + 8
+    ax = -x
     lost = 2 * ax * 1.4427 + (math.lgamma(n + 1) + math.lgamma(n + 2)) / math.log(2) \
         - (2 * n + 1) * math.log2(ax)
     return max(0, int(lost)) + 64
@@ -178,7 +190,11 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
     """Aitken transform (t_{n-1} t_{n+1} - t_n**2)/(t_{n+1} + t_{n-1} - 2 t_n)
     of the Taylor partial sums; coincides with the [n/1] Pade row away from
     the degenerate points x = 0 and x = n+1 where the denominator vanishes.
-    A point whose cancellation needs more than MAX_AITKEN_BOOST extra bits
+
+    For x > 0 it is evaluated as the closed form t_{n-1} + (n+1) u_n/(n+1-x)
+    with u_n = x**n/n! = t_n - t_{n-1}, whose denominator is exact, so it
+    needs only a few guard bits at any x (:func:`_aitken_boost`).  A point
+    x < 0 whose cancellation needs more than MAX_AITKEN_BOOST extra bits
     raises :class:`NumericalError`.
     """
     if n < 1:
@@ -194,12 +210,14 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
         raise NumericalError(f"aitken_row at x={mp.nstr(xw, 17)} would need {boost:.3g} extra bits "
                              f"(at most {MAX_AITKEN_BOOST}) to absorb its cancellation")
     with ctx.work(boost):
-        xw = +xw
-        t_prev = taylor_partial(n - 1, xw, ctx)
-        t_mid = t_prev + xw**n / mpf(math.factorial(n))
-        t_next = t_mid + xw ** (n + 1) / mpf(math.factorial(n + 1))
-        den = t_next + t_prev - 2 * t_mid
-        result = (t_prev * t_next - t_mid * t_mid) / den
+        if xw > 0:
+            result = _partial_sum(n - 1, xw) + (n + 1) * (xw**n / mp.factorial(n)) / (n + 1 - xw)
+        else:
+            t_prev = taylor_partial(n - 1, xw, ctx)
+            t_mid = t_prev + xw**n / mpf(math.factorial(n))
+            t_next = t_mid + xw ** (n + 1) / mpf(math.factorial(n + 1))
+            den = t_next + t_prev - 2 * t_mid
+            result = (t_prev * t_next - t_mid * t_mid) / den
     return ctx.finalize(result)
 
 
@@ -223,11 +241,18 @@ def cesaro_mean(n: int, x, ctx: PrecisionContext) -> Real:
         raise DomainError(f"cesaro_mean requires n >= 0, got {n}")
     with ctx.work():
         xw = as_real(x, ctx)
+        # for x >= 0 the terms fall once j > x; a term below 2**-(wp+1) of
+        # the sum is under half its last place, so neither it nor any later
+        # term changes the rounded sum
+        falls_from = int(xw) + 1 if 0 <= xw < n else n + 1
+        small = mpf(2) ** -(mp.prec + 1)
         pow_term = mpf(1)
         total = mpf(0)
         for j in range(n + 1):
             total += (1 - mpf(j) / (n + 1)) * pow_term
             pow_term *= xw / (j + 1)
+            if j >= falls_from and pow_term < small * total:
+                break
     return ctx.finalize(total)
 
 

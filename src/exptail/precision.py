@@ -15,10 +15,22 @@ The conversion, rounding and rendering helpers (:func:`as_real`,
 and ``Fraction`` operands through ``mpmath.libmp`` at an explicit precision
 and never switch mpmath's global context, so their results do not depend
 on an ambient ``mp.prec`` and they cost no context enter/exit per value.
-:func:`format_real` gives exactly the text of ``libmp.to_str``; for finite
-non-zero values of ordinary size it converts the binary mantissa to decimal
-with one multiply by a tabled power of ten and ``str``, and leaves only
+A value that already fits the precision is its own rounding and is taken
+as it is (:func:`_fit`): ``as_real`` and ``finalize`` return such an mpf
+itself, with no new object.  :func:`format_real` gives exactly the text of
+``libmp.to_str``; for finite non-zero values of ordinary size it converts
+the binary mantissa to decimal with one multiply by a power of ten, tabled
+with its size by the fixed-point precision, and ``str``, and leaves only
 zero, the special values and huge exponents to ``to_str``.
+
+:func:`as_real` converts and does not validate: nan and the infinities
+pass through it unchanged, and each function decides what a non-finite
+argument means.  Where a limit exists it is returned (1F1(1; +oo; x) = 1,
+R_{+oo}(x) = 0 for 0 <= x < 1); a series whose parameter is nan, or which
+cannot converge, raises :class:`.errors.NumericalError`; a function with a
+finite domain raises :class:`.errors.DomainError`.  The command line
+refuses nan and the infinities when it parses them (:func:`parse_real`,
+exit code 2).
 """
 
 from __future__ import annotations
@@ -49,13 +61,17 @@ _make = mp.make_mpf
 _HELD = nullcontext()
 
 
+def _fit(raw: tuple, prec: int) -> tuple:
+    """A raw libmp value rounded to nearest at ``prec`` bits; a value of at
+    most ``prec`` bits (or a special value) is its own rounding."""
+    return raw if raw[3] <= prec else mpf_pos(raw, prec, round_nearest)
+
+
 def _rounded(x, prec: int):
     """Raw libmp value of an ``mpf`` or ``int`` rounded to nearest at
-    ``prec`` bits, or None for operand types left to mpmath's constructor.
-    An mpf of at most ``prec`` bits is its own rounding."""
+    ``prec`` bits, or None for operand types left to mpmath's constructor."""
     if isinstance(x, mpf):
-        raw = x._mpf_
-        return raw if raw[3] <= prec else mpf_pos(raw, prec, round_nearest)
+        return _fit(x._mpf_, prec)
     if isinstance(x, int):
         return from_int(x, prec, round_nearest)
     return None
@@ -107,7 +123,10 @@ class PrecisionContext:
         return _HELD if mp.prec == prec else mp.workprec(prec)
 
     def finalize(self, x) -> Real:
-        """Round a computed value back to exactly ``bits`` of mantissa."""
+        """Round a computed value back to exactly ``bits`` of mantissa; an
+        mpf that already fits is its own rounding and is returned as it is."""
+        if type(x) is mpf and x._mpf_[3] <= self.bits:
+            return x
         raw = _rounded(x, self.bits)
         if raw is not None:
             return _make(raw)
@@ -129,7 +148,8 @@ def as_real(x, ctx: PrecisionContext) -> Real:
 
     Mixed-precision operands are rounded to the coarser (context) precision;
     a downgrade of a wider mpf is logged.  An mpf of at most that many bits
-    is returned as it is, the value rounding would give.
+    is returned as it is, the value rounding would give.  nan and the
+    infinities are converted, not refused (see the module docstring).
     """
     wp = ctx.bits + GUARD_BITS
     if isinstance(x, mpf) and x._mpf_[3] > wp:
@@ -154,12 +174,13 @@ def as_real(x, ctx: PrecisionContext) -> Real:
 # derives the same working sizes from it
 _LOG2_10 = math.log(10, 2)
 
-# 10**k by k = fixdps, filled as renderings need them.  fixdps is
-# fixprec * log10(2) with fixprec <= (digits + 3) * log2(10) + 10 + 3500, so
-# k <= digits + 1,060; the fast path takes digits < 1,000, which bounds the
-# table at ~2,060 entries (under 1 MB) and keeps every str() far below
-# Python's 4,300-digit int conversion limit.
-_POW10: dict[int, int] = {}
+# fixprec -> (fixdps, 10**fixdps), filled as renderings need them.  fixdps
+# is fixprec * log10(2) rounded, with fixprec <= (digits + 3) * log2(10) +
+# 10 + 3500; the fast path takes digits < 1,000, which bounds the table at
+# ~6,850 entries with fixdps <= 2,060 (under 3 MB; a 1024-bit default report
+# fills 886 entries, 0.2 MB) and keeps every str() far below Python's
+# 4,300-digit int conversion limit.
+_POW10: dict[int, tuple[int, int]] = {}
 
 
 def _decimal(sign: int, man: int, exp: int, bc: int, digits: int) -> str:
@@ -173,12 +194,13 @@ def _decimal(sign: int, man: int, exp: int, bc: int, digits: int) -> str:
     notation.  Only the binary-to-decimal step is done by one multiply and
     ``str`` instead of mpmath's helpers."""
     fixprec = max(0, int((digits + 3) * _LOG2_10) + 10 - exp - bc)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    entry = _POW10.get(fixprec)
+    if entry is None:
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        entry = _POW10[fixprec] = fixdps, 10**fixdps
+    fixdps, scale = entry
     shift = exp + fixprec
     fixed = man << shift if shift >= 0 else man >> -shift
-    scale = _POW10.get(fixdps)
-    if scale is None:
-        scale = _POW10[fixdps] = 10**fixdps
     text = str(fixed * scale >> fixprec)
     exponent = len(text) - fixdps - 1
     if len(text) > digits and text[digits] >= "5":

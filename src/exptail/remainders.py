@@ -14,9 +14,11 @@ remainder here has bounded cost at any x.
 :func:`r_frac_ladder` serves callers that need R_a(x) at many orders a
 with one fractional part: one series at the top order of a block, then
 the all-positive downward recurrence R_{a-1} = R_a + x**a/Gamma(a+1),
-which neither cancels nor calls the kernel again.  The catalog reads
-its positive remainders this way; the single-order functions here keep
-their direct series.  The quadrature forms survive
+which neither cancels nor calls the kernel again.  Its steps run in
+integer fixed point at twice the working precision, and a caller
+reading many blocks shares Gamma and log x between them through a memo
+it passes in.  The catalog reads its positive remainders this way; the
+single-order functions here keep their direct series.  The quadrature forms survive
 only inside :func:`cross_check` as oracles (together with the
 subtraction forms at boosted precision).
 """
@@ -27,10 +29,14 @@ import enum
 import math
 from dataclasses import dataclass
 from mpmath import mp, mpf
+from mpmath.libmp import (from_man_exp, mpf_div, mpf_exp, mpf_gamma, mpf_log, mpf_mul, mpf_pow,
+                          round_nearest)
 
 from .errors import DomainError, NumericalError, UsageError
 from .numerics import _hyp1f1_pos, _series_budget, quad_integral
-from .precision import PrecisionContext, Real, as_real
+from .precision import GUARD_BITS, PrecisionContext, Real, as_real
+
+_make = mp.make_mpf
 
 
 class RemainderKind(enum.Enum):
@@ -99,33 +105,75 @@ def r_frac(a, x, ctx: PrecisionContext) -> Real:
     return ctx.finalize(result)
 
 
-def r_frac_ladder(f, lo: int, hi: int, x, ctx: PrecisionContext) -> tuple[Real, ...]:
+def _memo_free(key, compute, *args):
+    """The ``memo`` of a ladder block computed on its own: no memo."""
+    return compute(*args)
+
+
+def _power(x, e, wp: int, memo):
+    """x**e for raw x > 0 and e, rounded as ``mpf_pow`` rounds it at wp:
+    integer and half-integer powers by ``mpf_pow`` itself, others as
+    exp(e log x) with log x at wp + 10 bits taken from ``memo``."""
+    if e[2] >= -1:
+        return mpf_pow(x, e, wp, round_nearest)
+    log_x = memo(("log", x), mpf_log, x, wp + 10, round_nearest)
+    return mpf_exp(mpf_mul(e, log_x), wp, round_nearest)
+
+
+def r_frac_ladder(f, lo: int, hi: int, x, ctx: PrecisionContext, *,
+                  memo=_memo_free) -> tuple[Real, ...]:
     """R_{f+j}(x) for j = lo, lo+1, ..., hi: one series for a block of orders.
 
     Needs 0 <= f < 1, lo <= hi, f + lo > -1 and x > 0.  The top order
     a = f + hi is summed by the kernel; each lower order follows by the
     all-positive recurrence R_{a-1}(x) = R_a(x) + t_a with
     t_a = x**a/Gamma(a+1) and t_{a-1} = t_a a/x (DLMF 8.8.1 in remainder
-    form), so no step cancels.  The steps run at the working precision and
-    each value is rounded to ``ctx.bits`` once.
+    form), so no step cancels.  The steps run on Python integers at
+    2 * wp bits with one shared exponent, and each value is rounded to
+    ``ctx.bits`` once.
+
+    The top term x**(a+1)/Gamma(a+2) is rounded at wp exactly as the mpf
+    operators round it.  ``memo(key, compute, *args)`` returns
+    ``compute(*args)``, from a cache where it holds ``key``: a caller
+    reading many blocks at one context passes one, so Gamma(a+2) is
+    computed once per top order and log x once per x.
     """
     if not (0 <= f < 1 and lo <= hi and (lo >= 0 or lo == -1 and f > 0)):
         raise DomainError(f"r_frac_ladder needs 0 <= f < 1 and f + {lo} > -1, got f={f}, hi={hi}")
+    wp, bits = ctx.bits + GUARD_BITS, ctx.bits
     with ctx.work():
         xw = _check_nonneg_x(x, ctx)
         if not xw > 0:
             raise DomainError(f"r_frac_ladder requires x > 0, got {xw}")
-        a = mpf(f) + hi
-        t = xw ** (a + 1) / mp.gamma(a + 2)
-        rem = _hyp1f1_pos(1, a + 2, xw, ctx, t)
-        t = t * (a + 1) / xw
-        values = [rem]
-        for _ in range(hi - lo):
-            rem += t
-            t = t * a / xw
-            a -= 1
-            values.append(rem)
-    return tuple(ctx.finalize(v) for v in reversed(values))
+        f = mpf(f)
+        a = f + hi
+        top = (a + 2)._mpf_
+        t = _make(mpf_div(_power(xw._mpf_, (a + 1)._mpf_, wp, memo),
+                          memo(("gamma", top), mpf_gamma, top, wp, round_nearest),
+                          wp, round_nearest))
+        _, rem, unit, bc = _hyp1f1_pos(1, a + 2, xw, ctx, t)._mpf_
+    # rem and term hold R_{f+j} and t_{f+j+1} in units of 2**unit, rem
+    # with 2 wp bits at the top.  With f + j + 1 = (num + (j + 1 << s)) / 2**s
+    # exactly and x = xm 2**xe, the step t_{f+j} = t_{f+j+1} (f+j+1)/x is
+    # one integer product and one floor division
+    shift = 2 * wp - bc
+    unit -= shift
+    rem <<= shift
+    _, tm, te, _ = t._mpf_
+    term = tm << te - unit if te >= unit else tm >> unit - te
+    _, fm, fe, _ = f._mpf_
+    s = max(0, -fe)
+    num = fm << fe + s
+    _, xm, xe, _ = xw._mpf_
+    d = xe + s
+    values = [_make(from_man_exp(rem, unit, bits, round_nearest))]
+    for j in range(hi, lo, -1):
+        factor = num + (j + 1 << s)
+        term = term * factor // (xm << d) if d >= 0 else (term * factor << -d) // xm
+        rem += term
+        values.append(_make(from_man_exp(rem, unit, bits, round_nearest)))
+    values.reverse()
+    return tuple(values)
 
 
 def neg_remainder_sign(n: int) -> int:
@@ -188,11 +236,15 @@ def q_value(n: int, x, ctx: PrecisionContext) -> Real:
 
 
 def b_value(nu, x, ctx: PrecisionContext) -> Real:
-    """Normalised remainder Gamma(nu+2) * R_nu(x); log-convex in nu."""
-    from .numerics import gamma_fn
-
+    """Normalised remainder Gamma(nu+2) * R_nu(x) = x**(nu+1) 1F1(1; nu+2; x)
+    for finite nu > -1 and x >= 0; log-convex in nu.  Summed as the
+    series, without the two Gamma(nu+2) of the product, which cancel."""
     with ctx.work():
-        result = gamma_fn(mpf(nu) + 2, ctx) * r_frac(nu, x, ctx)
+        nuw = as_real(nu, ctx)
+        if not (nuw > -1 and mp.isfinite(nuw)):
+            raise DomainError(f"b_value requires finite nu > -1, got {nuw}")
+        xw = _check_nonneg_x(x, ctx)
+        result = _hyp1f1_pos(1, nuw + 2, xw, ctx, xw ** (nuw + 1))
     return ctx.finalize(result)
 
 

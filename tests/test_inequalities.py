@@ -25,6 +25,41 @@ from exptail.numerics import arctan_fracint, quad_integral
 from exptail.precision import PrecisionContext, as_real
 from exptail.remainders import r_tail
 
+_RAW = st.builds(lambda negative, man, exp: from_man_exp(-man if negative else man, exp),
+                 st.booleans(), st.integers(1, 2**300), st.integers(-400, 400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_RAW, b=_RAW, near=st.integers(-3, 3))
+def test_magnitude_comparison_matches_mpf(a, b, near):
+    # also against values sharing a's leading bit and exponent
+    c = from_man_exp(max(1, a[1] + near), a[2])
+    for u, v in ((a, b), (b, a), (a, c), (c, a), (a, a)):
+        assert inequalities._above(u, v) == (abs(mp.make_mpf(u)) > abs(mp.make_mpf(v)))
+
+
+_SIDES = st.one_of(st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1", "-1"]).map(mpf),
+                   st.floats(allow_nan=False, allow_infinity=False).map(mpf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lhs=_SIDES, rhs=_SIDES, scale=st.sampled_from([None, "1", "-1", "1.0000001", "0.9999999"]))
+def test_row_verdict_matches_the_mpf_rule(lhs, rhs, scale):
+    # margin > err_bound is PASS, margin < -err_bound FAIL, else INDET, with
+    # err_bound = 100 target_rel_err max(|lhs|, |rhs|), all at wp
+    ctx = PrecisionContext(53)
+    if scale is not None:
+        rhs = lhs * mpf(scale)
+    row = inequalities._result("ALZER", {"x": mpf(1)}, lhs, rhs, ctx)
+    with mp.workprec(53 + 32):
+        margin = lhs - rhs
+        err_bound = mp.make_mpf(ctx.err_scale) * max(abs(lhs), abs(rhs))
+        expected = "PASS" if margin > err_bound else "FAIL" if margin < -err_bound else "INDET"
+    assert row.status == expected
+    if err_bound == err_bound:  # not nan
+        assert row.err_bound == ctx.finalize(err_bound)
+
+
 def test_exact_constants():
     assert alzer_constant(1) == Fraction(2, 3)
     assert gen_k_constant(2, 2) == Fraction(3, 10)

@@ -9,7 +9,7 @@ from exptail import inequalities, numerics, remainders
 from exptail.errors import DomainError
 from exptail.inequalities import (LADDER_SPAN, Evaluator, default_sweep, evaluate_check,
                                   interp_constant, parse_grid, sweep)
-from exptail.precision import PrecisionContext
+from exptail.precision import GUARD_BITS, PrecisionContext
 from exptail.remainders import r_frac, r_frac_ladder, r_tail
 
 from conftest import rel_err
@@ -26,7 +26,8 @@ def _calls_to(monkeypatch, name):
     """The argument tuples of every call the catalog makes to ``name``."""
     calls = []
     original = getattr(inequalities, name)
-    monkeypatch.setattr(inequalities, name, lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(inequalities, name,
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
     return calls
 
 
@@ -47,6 +48,40 @@ def test_block_values_match_the_direct_routes(f, x, bits, block):
         direct = r_tail(j, x, ctx) if f == 0 else r_frac(f + j, x, ctx)
         assert rel_err(value, direct) <= ctx.target_rel_err, (f, j, x, bits)
         assert value._mpf_[3] <= bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.one_of(st.just(0), st.integers(0, 2**40 - 1)),
+       x=st.floats(1e-6, 60), bits=st.sampled_from([53, 256, 1024]),
+       block=st.integers(0, 2))
+def test_fixed_point_steps_match_an_mpf_recurrence_at_twice_wp(f, x, bits, block):
+    # the downward steps run on integers; an mpf recurrence at 2 wp from
+    # the kernel's top value gives each value to within one unit in the
+    # last of ``bits`` places
+    ctx = PrecisionContext(bits)
+    f, x = mpf(f) / 2**40, mpf(x)
+    lo = max(LADDER_SPAN * block - 1, 0 if f == 0 else -1)
+    hi = LADDER_SPAN * block + LADDER_SPAN - 2
+    tops = []
+    kernel = remainders._hyp1f1_pos
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(remainders, "_hyp1f1_pos",
+                      lambda *args: tops.append(kernel(*args)) or tops[-1])
+        values = r_frac_ladder(f, lo, hi, x, ctx)
+    with mp.workprec(2 * (bits + GUARD_BITS)):
+        a = f + hi
+        t = x ** (a + 1) / mp.gamma(a + 2)
+        rem = tops[0]
+        reference = [rem]
+        for _ in range(hi - lo):
+            t = t * (a + 1) / x
+            rem += t
+            a -= 1
+            reference.append(rem)
+        reference.reverse()
+        for j, value, ref in zip(range(lo, hi + 1), values, reference):
+            ulp = mpf(2) ** (value._mpf_[2] + value._mpf_[3] - bits)
+            assert abs(value - ref) <= ulp, (f, j, x, bits)
 
 
 @pytest.mark.parametrize("f,lo,hi,x", [

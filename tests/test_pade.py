@@ -100,19 +100,57 @@ def test_aitken_degenerate_points(ctx):
         aitken_row(2, 0, ctx)
 
 
+def _exact_aitken(n: int, x: Fraction) -> Fraction:
+    t = [sum(x ** k / math.factorial(k) for k in range(m + 1)) for m in (n - 1, n, n + 1)]
+    return (t[0] * t[2] - t[1] ** 2) / (t[2] + t[0] - 2 * t[1])
+
+
+def _exact(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
 @pytest.mark.parametrize("bits", [53, 256])
 @pytest.mark.parametrize("x", [181000, -181000])
 def test_aitken_just_under_the_boost_cap_against_exact_value(bits, x):
-    # n = 29 at |x| = 181,000 takes 521,501 extra bits, just under the cap
+    # n = 29 at x = -181,000 takes 521,501 extra bits, just under the cap,
+    # and x = -182,000 is refused; the closed form for x > 0 needs a few
+    # guard bits, so x = 182,000 is evaluated
     n, ctx = 29, PrecisionContext(bits)
-    assert _aitken_boost(n, x) <= MAX_AITKEN_BOOST < _aitken_boost(n, 182000)
-    t = [sum(Fraction(x) ** k / math.factorial(k) for k in range(m + 1)) for m in (n - 1, n, n + 1)]
-    exact = (t[0] * t[2] - t[1] ** 2) / (t[2] + t[0] - 2 * t[1])
+    assert _aitken_boost(n, -181000) <= MAX_AITKEN_BOOST < _aitken_boost(n, -182000)
+    for point in (x, 182000) if x > 0 else (x,):
+        exact = _exact_aitken(n, Fraction(point))
+        with mp.workprec(bits + 64):
+            reference = mpf(exact.numerator) / exact.denominator
+        assert rel_err(aitken_row(n, point, ctx), reference) < ctx.target_rel_err, point
+    if x < 0:
+        with pytest.raises(NumericalError):
+            aitken_row(n, -182000, ctx)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("n,x", [(1, "0.5"), (3, "4.1"), (10, "11.01"), (10, "9000"),
+                                 (29, "1e9"), (100, "50"), (100, "101.01"), (100, "1000"),
+                                 (2, "3.001")])
+def test_aitken_closed_form_against_exact_value(bits, n, x):
+    # x > 0, near and past the degenerate point n + 1, at a few guard bits
+    ctx = PrecisionContext(bits)
+    xw = ctx.finalize(mpf(x))
+    assert _aitken_boost(n, float(xw)) < 64
+    exact = _exact_aitken(n, _exact(xw))
     with mp.workprec(bits + 64):
         reference = mpf(exact.numerator) / exact.denominator
-    assert rel_err(aitken_row(n, x, ctx), reference) < ctx.target_rel_err
-    with pytest.raises(NumericalError):
-        aitken_row(n, 182000 if x > 0 else -182000, ctx)
+    assert rel_err(aitken_row(n, xw, ctx), reference) < ctx.target_rel_err
+
+
+def test_aitken_at_large_x_is_fast():
+    # the closed form took 2 ms here at about 26,000 extra bits
+    ctx = PrecisionContext(256)
+    start = time.perf_counter()
+    for _ in range(10):
+        aitken_row(10, 9000, ctx)
+    assert _aitken_boost(10, 9000) < 64
+    assert time.perf_counter() - start < 0.5
 
 
 def test_aitken_near_zero_limit(ctx):
@@ -140,6 +178,31 @@ def test_delta_sign_matches_inequality_direction(ctx):
 def test_cesaro_values(ctx):
     assert cesaro_mean(0, mpf(5), ctx) == 1
     assert rel_err(cesaro_mean(1, 1, ctx), mpf("1.5")) == 0
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("x", ["0.75", "3", "1500", "1999.5", "2500", "-5"])
+def test_cesaro_against_exact_sum(bits, x):
+    # for 0 <= x < n the sum stops once its terms fall below half an ulp;
+    # x >= n and x < 0 sum every term
+    n, ctx = 2000, PrecisionContext(bits)
+    xw = ctx.finalize(mpf(x))
+    xf = _exact(xw)
+    exact = sum((1 - Fraction(j, n + 1)) * xf ** j / math.factorial(j) for j in range(n + 1))
+    with mp.workprec(bits + 64):
+        reference = mpf(exact.numerator) / exact.denominator
+    assert rel_err(cesaro_mean(n, xw, ctx), reference) < ctx.target_rel_err
+
+
+def test_cesaro_at_order_1e5_stops_early():
+    # every one of the 100,001 terms took 1.6 s here
+    ctx = PrecisionContext(256)
+    start = time.perf_counter()
+    value = cesaro_mean(10**5, 1, ctx)
+    assert time.perf_counter() - start < 0.2
+    with mp.workprec(256 + 64):
+        reference = mp.e - mp.e / (10**5 + 1)  # sum_j (1 - j/(n+1)) / j! to 2**-300
+    assert rel_err(value, reference) < ctx.target_rel_err
 
 
 def test_cesaro_identity_probe(ctx):

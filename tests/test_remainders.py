@@ -13,6 +13,7 @@ from conftest import rel_err
 from exptail.errors import DomainError, UsageError
 from exptail.numerics import gamma_fn, quad_integral
 from exptail.pade import taylor_partial
+from exptail.precision import PrecisionContext
 from exptail.remainders import (RemainderKind, RemainderSpec, b_value, cross_check,
                                 eps_value, finite_diff, g_ratio, neg_remainder_sign, q_value,
                                 r_frac, r_neg, r_obreshkov, r_tail)
@@ -184,6 +185,27 @@ def test_b_value(ctx):
     assert rel_err(b_value(0, 1, ctx), mp.e - 1) < 10 * ctx.target_rel_err
     composed = gamma_fn(mpf("2.5"), ctx) * r_frac(mpf("0.5"), 2, ctx)
     assert rel_err(b_value(mpf("0.5"), 2, ctx), composed) < 10 * ctx.target_rel_err
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("nu,x", [(0, "1"), ("0.5", "2"), ("-0.75", "0.01"), ("13.7", "30"),
+                                  ("3", "1e-20"), ("2.25", "400")])
+def test_b_value_against_mpmath(bits, nu, x):
+    # x**(nu+1) 1F1(1; nu+2; x) summed directly, on the series route and
+    # (x = 400) the large-x route
+    ctx = PrecisionContext(bits)
+    nuw, xw = ctx.finalize(mpf(nu)), ctx.finalize(mpf(x))
+    value = b_value(nuw, xw, ctx)
+    with mp.workprec(bits + 64):
+        reference = xw ** (nuw + 1) * mp.hyp1f1(1, nuw + 2, xw)
+    assert rel_err(value, reference) < ctx.target_rel_err
+    assert b_value(nuw, 0, ctx) == 0
+
+
+@pytest.mark.parametrize("nu,x", [(-1, 1), (-2, 1), ("nan", 1), ("inf", 1), (1, -1)])
+def test_b_value_domain(ctx, nu, x):
+    with pytest.raises(DomainError):
+        b_value(mpf(nu), x, ctx)
 
 
 def test_b_log_convexity(ctx):

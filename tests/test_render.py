@@ -1,6 +1,6 @@
 """Report rendering: the fixed-layout JSON writer gives the bytes of
 ``json.dumps(obj, indent=2)``, each distinct value is rendered once per
-report, and the default 53- and 256-bit reports keep their bytes."""
+report, and the default 53-, 256- and 1024-bit reports keep their bytes."""
 
 import csv
 import hashlib
@@ -133,6 +133,13 @@ def test_default_report_bytes_256_bits():
     assert digests["json"].startswith("b59ecc987fce")
     assert digests["csv"].startswith("1108120acac3")
     assert digests["text"].startswith("96cec7f689cd")
+
+
+def test_default_report_bytes_1024_bits():
+    ctx = PrecisionContext(1024)
+    results = default_sweep(None, ctx)
+    digest = hashlib.sha256(render_check_report(results, ctx, "json").encode()).hexdigest()
+    assert digest.startswith("41b499b0f8f2")
 
 
 def _count_calls(monkeypatch):
