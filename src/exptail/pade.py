@@ -181,6 +181,8 @@ def _aitken_boost(n: int, x: float) -> int:
     if x >= 0:
         return 2 * (2 * n + 2).bit_length() + 8
     ax = -x
+    if ax == math.inf:  # past the float range, and past any cap
+        return MAX_AITKEN_BOOST + 1
     lost = 2 * ax * 1.4427 + (math.lgamma(n + 1) + math.lgamma(n + 2)) / math.log(2) \
         - (2 * n + 1) * math.log2(ax)
     return max(0, int(lost)) + 64

@@ -153,6 +153,13 @@ def test_aitken_at_large_x_is_fast():
     assert time.perf_counter() - start < 0.5
 
 
+def test_aitken_past_the_float_range_is_refused(ctx):
+    # float(x) is -inf there; the boost estimate was nan and raised ValueError
+    with pytest.raises(NumericalError):
+        aitken_row(3, mpf("-1e400"), ctx)
+    assert rel_err(aitken_row(3, mpf("1e400"), ctx), -mpf("1e800") / 6) < ctx.target_rel_err
+
+
 def test_aitken_near_zero_limit(ctx):
     assert abs(aitken_row(3, mpf("1e-8"), ctx) - 1) < mpf("1e-7")
 
