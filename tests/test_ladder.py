@@ -84,6 +84,27 @@ def test_fixed_point_steps_match_an_mpf_recurrence_at_twice_wp(f, x, bits, block
             assert abs(value - ref) <= ulp, (f, j, x, bits)
 
 
+@settings(max_examples=60, deadline=None)
+@given(e=st.one_of(st.integers(-3, 40).map(mpf), st.integers(-79, 79).map(lambda k: mpf(k) / 2),
+                   st.floats(-0.999, 40).map(mpf)),
+       x=st.floats(1e-6, 1e4).map(mpf), bits=st.sampled_from([53, 256]))
+def test_top_term_power_rounds_as_mpf_pow(e, x, bits):
+    # the ladder's x**(a+1), with log x from a memo, is the mpf operator's
+    # value bit for bit, on its integer, half-integer and exp-log paths
+    wp = bits + GUARD_BITS
+    memo = {}
+
+    def cached(key, compute, *args):
+        if key not in memo:
+            memo[key] = compute(*args)
+        return memo[key]
+
+    with mp.workprec(wp):
+        expected = (x ** e)._mpf_
+    for _ in range(2):
+        assert remainders._power(x._mpf_, e._mpf_, wp, cached) == expected
+
+
 @pytest.mark.parametrize("f,lo,hi,x", [
     (mpf(0), -1, 6, 1), (mpf("0.5"), -2, 6, 1), (mpf(1), 0, 6, 1),
     (mpf("-0.5"), 0, 6, 1), (mpf("0.5"), 3, 2, 1), (mpf("0.5"), 0, 6, 0),
