@@ -13,7 +13,9 @@ distinct value once: its decimal strings are memoized by ``_mpf_``, and its
 params text by parameter point, for the length of one render call.  JSON
 reports are laid out by a fixed-layout writer that encodes each scalar with
 the C routines of :mod:`json` and gives the same bytes as
-``json.dumps(obj, indent=2)``.  ``python -m exptail`` runs :func:`main`.
+``json.dumps(obj, indent=2)``.  A check report goes to its file or stdout
+a chunk of records at a time, once the sweep has returned.
+``python -m exptail`` runs :func:`main`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (DegeneratePointError, DomainError, NumericalError, PoleError,
@@ -183,15 +186,30 @@ def _cmd_eval(args) -> int:
 # check
 
 
-def _check_json(results, ctx, summary) -> str:
+# records per write to a report's sink: a write holds one chunk's text
+CHUNK_RECORDS = 256
+
+
+def _chunks(results):
+    for start in range(0, len(results), CHUNK_RECORDS):
+        yield results[start:start + CHUNK_RECORDS]
+
+
+def _check_json(results, ctx, write) -> None:
     """The JSON check report: each record is written from a fixed template
     in the layout of ``json.dumps(obj, indent=2)``, with every value's
     string literal rendered once."""
     quoted = _renderer(ctx, quoted=True)
     params_text = _once_per_point(
         lambda params: _json(_param_json(params, lambda v: quoted(v)[1:-1]), "      "))
-    records = ",\n".join(
-        f'''    {{
+    write(f'''{{
+  "precision_bits": {json.dumps(ctx.bits)},
+  "target_rel_err": {quoted(ctx.target_rel_err)},
+  "records": ''')
+    opening = "[\n"
+    for chunk in _chunks(results):
+        write(opening + ",\n".join(
+            f'''    {{
       "check": {_quote(r.check)},
       "params": {params_text(r.params)},
       "x": {quoted(r.x)},
@@ -201,56 +219,79 @@ def _check_json(results, ctx, summary) -> str:
       "ratio": {quoted(r.ratio)},
       "status": "{r.status}",
       "err_bound": {quoted(r.err_bound)}
-    }}''' for r in results)
-    records = f"[\n{records}\n  ]" if records else "[]"
-    return f'''{{
-  "precision_bits": {json.dumps(ctx.bits)},
-  "target_rel_err": {quoted(ctx.target_rel_err)},
-  "records": {records},
-  "summary": {_json(summary, "  ")}
+    }}''' for r in chunk))
+        opening = ",\n"
+    write("[]" if not results else "\n  ]")
+    write(f''',
+  "summary": {_json(summarize(results), "  ")}
 }}
-'''
+''')
 
 
-def render_check_report(results, ctx, fmt: str) -> str:
-    summary = summarize(results)
-    if fmt == "json":
-        return _check_json(results, ctx, summary)
+def _check_csv(results, ctx, write) -> None:
     dec = _renderer(ctx)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        writer.writerow(["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status",
-                         "err_bound"])
-        params_text = _once_per_point(
-            lambda params: json.dumps(_param_json(params, dec), sort_keys=True))
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    params_text = _once_per_point(
+        lambda params: json.dumps(_param_json(params, dec), sort_keys=True))
+
+    def drain():
+        write(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+
+    writer.writerow(["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status",
+                     "err_bound"])
+    drain()
+    for chunk in _chunks(results):
         writer.writerows(
             [r.check, params_text(r.params), dec(r.x), dec(r.lhs), dec(r.rhs), dec(r.margin),
              dec(r.ratio), r.status, dec(r.err_bound)]
-            for r in results)
-        return buf.getvalue()
-    if fmt == "text":
-        short = _renderer(ctx, 8)
-        lines = []
-        for r in results:
-            ps = " ".join(f"{k}={_param_json(v, dec)}" for k, v in r.params.items())
-            lines.append(
-                f"{r.status:6s} {r.check:14s} {ps} x={short(r.x)} margin={short(r.margin)}"
-            )
-        lines.append(
-            f"summary: {summary['PASS']} pass, {summary['FAIL']} fail, "
-            f"{summary['INDET']} indeterminate, {summary['ERROR']} error"
-        )
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"unknown format '{fmt}'")
+            for r in chunk)
+        drain()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _check_text(results, ctx, write) -> None:
+    summary = summarize(results)
+    dec, short = _renderer(ctx), _renderer(ctx, 8)
+
+    def line(r) -> str:
+        ps = " ".join(f"{k}={_param_json(v, dec)}" for k, v in r.params.items())
+        return f"{r.status:6s} {r.check:14s} {ps} x={short(r.x)} margin={short(r.margin)}\n"
+
+    for chunk in _chunks(results):
+        write("".join(map(line, chunk)))
+    write(f"summary: {summary['PASS']} pass, {summary['FAIL']} fail, "
+          f"{summary['INDET']} indeterminate, {summary['ERROR']} error\n")
+
+
+_CHECK_WRITERS = {"json": _check_json, "csv": _check_csv, "text": _check_text}
+
+
+def render_check_report(results, ctx, fmt: str, out=None) -> str | None:
+    """Write the check report of ``results`` in ``fmt`` ("json", "csv" or
+    "text") to the text sink ``out``, one write per chunk of at most
+    ``CHUNK_RECORDS`` records, so the report is never held whole: besides
+    the results, rendering holds each distinct value's string and one
+    chunk's text.  Without ``out`` the same writer fills a string, which is
+    returned.  An unknown format raises before anything is written."""
+    writer = _CHECK_WRITERS.get(fmt)
+    if writer is None:
+        raise UsageError(f"unknown format '{fmt}'")
+    sink = io.StringIO() if out is None else out
+    writer(results, ctx, sink.write)
+    return sink.getvalue() if out is None else None
+
+
+@contextmanager
+def _sink(out_path: str | None):
+    """The text sink of a report: the file ``out_path``, created here, or
+    stdout."""
+    if not out_path:
+        yield sys.stdout
+        return
+    with open(out_path, "w", newline="") as fh:
+        yield fh
 
 
 def _cmd_check(args) -> int:
@@ -263,7 +304,10 @@ def _cmd_check(args) -> int:
         results = sweep(ids, parse_grid(args.grid, ctx), ctx)
     else:
         results = default_sweep(ids, ctx)
-    _emit(render_check_report(results, ctx, args.format), args.out)
+    # the sink is opened only once the sweep has returned, so a usage
+    # error found by the sweep leaves no output
+    with _sink(args.out) as out:
+        render_check_report(results, ctx, args.format, out)
     summary = summarize(results)
     if summary["ERROR"]:
         return 3
@@ -377,7 +421,9 @@ def _cmd_explore(args) -> int:
     else:
         print(f"error: unknown problem '{problem}'", file=sys.stderr)
         return 2
-    _emit(render_report(report, ctx, args.format), args.out)
+    text = render_report(report, ctx, args.format)
+    with _sink(args.out) as out:
+        out.write(text)
     return 0
 
 

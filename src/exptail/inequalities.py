@@ -380,6 +380,11 @@ class Evaluator:
         """The x grid of the checks' default points."""
         return log_grid(*DEFAULT_X_SPEC, self.ctx)
 
+    @cached_property
+    def thetas(self) -> tuple:
+        """The interpolation weights of INTERP's points and PROD_28's product."""
+        return tuple(as_real(t, self.ctx) for t in DEFAULT_THETAS)
+
     def _get(self, key, compute, *args):
         global _hits, _misses
         value = self._memo.get(key)
@@ -444,7 +449,7 @@ class Evaluator:
     def _gi(self, v, x) -> Real:
         """gamma(v, x) = Gamma(v) e**-x R_{v-1}(x)."""
         return self._get(("gi", v._mpf_, x._mpf_), self._derived, lower_incomplete_gamma, v, -1, x,
-                         lambda rem: mp.gamma(v) * mp.exp(-x) * rem)
+                         lambda rem: mp.gamma(v) * self._exp_neg(x) * rem)
 
     def _kum(self, b, x) -> Real:
         """1F1(1; b; x) = Gamma(b) R_{b-2}(x) / x**(b-1) for b > 1."""
@@ -463,6 +468,18 @@ class Evaluator:
         if fname == "exp":
             return self._rf(order - 1, x)
         return self._get((fname, order._mpf_, x._mpf_), _closed_fracint, fname, order, x, self.ctx)
+
+    def _exp(self, x) -> Real:
+        """e**x at the working precision, unrounded, once per x."""
+        return self._get(("exp", x._mpf_), self._at_work, lambda: mp.exp(x))
+
+    def _exp_neg(self, x) -> Real:
+        """e**-x at the working precision, unrounded, once per x."""
+        return self._get(("exp-", x._mpf_), self._at_work, lambda: mp.exp(-x))
+
+    def _at_work(self, compute):
+        with self.ctx.work():
+            return compute()
 
     def _pade_row(self, n: int):
         return self._get(("pade", n), pade_exp, n, 1)
@@ -727,8 +744,8 @@ _register(CheckDef(
     lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "a", ge=0),
                _need_real(p, "theta", ge=0, le=1)),
     lambda ev: _cross(
-        [{"nu": nu, "a": as_real(a, ev.ctx), "theta": as_real(t, ev.ctx)}
-         for nu in _fracs(ev.ctx) for a in ("1", "2.5") for t in DEFAULT_THETAS], ev),
+        [{"nu": nu, "a": as_real(a, ev.ctx), "theta": t}
+         for nu in _fracs(ev.ctx) for a in ("1", "2.5") for t in ev.thetas], ev),
     sharp_ratio=lambda p, ev: ev._rf(p["nu"] + p["a"] * p["theta"], p["x"])
     / (ev._rf(p["nu"], p["x"]) ** (1 - p["theta"]) * ev._rf(p["nu"] + p["a"], p["x"]) ** p["theta"]),
     sharp_limits={"zero": lambda p, ev: ev._constant(interp_constant, p["nu"], p["a"], p["theta"])},
@@ -792,7 +809,7 @@ _register(CheckDef(
 
 def _ev_prod28(p, ev):
     nu, a, x = p["nu"], p["a"], p["x"]
-    thetas = [as_real(t, ev.ctx) for t in DEFAULT_THETAS]
+    thetas = ev.thetas
     beta = sum(thetas)
     c = mpf(1)
     rhs = mpf(1)
@@ -1052,8 +1069,7 @@ _register(CheckDef(
 def _ev_pade_row45(p, ev):
     n, x = p["n"], p["x"]
     val = eval_approximant(ev._pade_row(n), x, ev.ctx)
-    with ev.ctx.work():
-        ex = mp.exp(x)
+    ex = ev._exp(x)
     if x < n + 1:
         return val, ex
     return ex, val

@@ -121,6 +121,20 @@ def test_check_bad_grid(capsys):
     assert code == 2  # axis matching no parameter
 
 
+@pytest.mark.parametrize("argv", [
+    ["--id", "ALZER", "--grid", "x=lin(-1,1,3)"],  # found by the sweep, mid-grid
+    ["--id", "NOSUCH"],
+    ["--id", "ALZER", "--grid", "zz=1..3;x=lin(1,1,1)"],  # an unused axis
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_check_usage_errors_write_nothing(capsys, tmp_path, argv, to_file):
+    out_file = tmp_path / "report.json"
+    extra = ["--out", str(out_file)] if to_file else []
+    code, out, _ = run(capsys, "check", *argv, *extra)
+    assert code == 2 and out == ""
+    assert not out_file.exists()
+
+
 def test_check_all_with_shared_grid(capsys, tmp_path):
     # one shared grid drives the whole catalog: named axes override the
     # defaults, everything else keeps its default values
@@ -168,6 +182,24 @@ def test_check_determinism_bytes(capsys, tmp_path):
     assert run(capsys, *args, "--out", str(f1))[0] == 0
     assert run(capsys, *args, "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_check_stdout_gives_the_bytes_of_out(tmp_path, fmt):
+    # 320 rows: more than one chunk reaches the sink
+    args = ("check", "--id", "ALZER", "--grid", "n=1..8;x=log(1e-3,30,40)", "--bits", "53",
+            "--format", fmt)
+    src = os.path.dirname(os.path.dirname(exptail.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out_file = tmp_path / "report"
+    to_file = subprocess.run([sys.executable, "-m", "exptail", *args, "--out", str(out_file)],
+                             capture_output=True, env=env, timeout=300)
+    to_stdout = subprocess.run([sys.executable, "-m", "exptail", *args],
+                               capture_output=True, env=env, timeout=300)
+    assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out_file.read_bytes()
+    assert to_stdout.stdout.count(b"ALZER") == 320
 
 
 def test_check_cold_subprocess_matches_warm_in_process(capsys, tmp_path):

@@ -2,13 +2,15 @@
 grids, degenerate edges, and the sharpness machinery."""
 
 import dataclasses
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_neg
 
 from conftest import rel_err
 from exptail import inequalities, numerics
@@ -426,6 +428,25 @@ def test_bounded_cache_overflow_keeps_values(monkeypatch):
     for row in fresh[::401]:
         alone = evaluate_check(row.check, ctx, dict(row.params, x=row.x))
         assert key(alone) == key(row), row
+
+
+def test_cold_sweep_takes_each_exponential_once_per_x(monkeypatch):
+    # PADE_ROW_45 reads e**x and INCGAMMA_FORM's gamma(v, x) reads e**-x at
+    # every grid x, for many orders each
+    ctx = PrecisionContext(256)
+    grid = Evaluator(ctx).x_grid
+    calls = Counter()
+    exp = mp.exp
+
+    def counted(x):
+        if sys._getframe(1).f_globals["__name__"] == "exptail.inequalities":
+            calls[x._mpf_] += 1
+        return exp(x)
+
+    monkeypatch.setattr(mp, "exp", counted)
+    default_sweep(None, ctx)
+    assert [calls[x._mpf_] for x in grid] == [1] * len(grid)
+    assert [calls[mpf_neg(x._mpf_)] for x in grid] == [1] * len(grid)
 
 
 @pytest.mark.parametrize("n", [2.5, mpf("2.5"), "2.5", "two"])

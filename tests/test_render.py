@@ -1,11 +1,13 @@
 """Report rendering: the fixed-layout JSON writer gives the bytes of
 ``json.dumps(obj, indent=2)``, each distinct value is rendered once per
-report, and the default 53-, 256- and 1024-bit reports keep their bytes."""
+report, the default 53-, 256- and 1024-bit reports keep their bytes, and a
+report reaches its sink in bounded chunks."""
 
 import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -232,3 +234,60 @@ def test_csv_params_rendered_once_per_point(sweep53, monkeypatch):
     out = render_check_report(results, ctx, "csv")
     columns = {row[1] for row in csv.reader(io.StringIO(out))} - {"params"}
     assert len(calls) == len(columns) < len(results) / 50
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# what marks one record in each format's text
+_RECORD_MARK = {"json": '"check": ', "csv": "\r\n", "text": "\n"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_sink_gets_the_report_in_bounded_chunks(sweep53, fmt):
+    ctx, results = sweep53
+    sink = _Recorder()
+    assert render_check_report(results, ctx, fmt, sink) is None
+    assert "".join(sink.writes) == render_check_report(results, ctx, fmt)
+    assert len(sink.writes) > 1
+    assert max(w.count(_RECORD_MARK[fmt]) for w in sink.writes) <= 512
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_sink_gets_the_empty_report(fmt):
+    ctx = PrecisionContext(53)
+    sink = _Recorder()
+    render_check_report([], ctx, fmt, sink)
+    assert "".join(sink.writes) == render_check_report([], ctx, fmt)
+
+
+def test_unknown_format_writes_nothing(sweep53):
+    ctx, results = sweep53
+    sink = _Recorder()
+    with pytest.raises(cli.UsageError):
+        render_check_report(results, ctx, "xml", sink)
+    assert sink.writes == []
+
+
+def test_json_report_to_a_discarding_sink_holds_no_whole_report(sweep53):
+    # building the report as one string peaked at 3.3x its length
+    ctx, results = sweep53
+    length = len(render_check_report(results, ctx, "json"))
+
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+    tracemalloc.start()
+    try:
+        render_check_report(results, ctx, "json", Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * length, (peak, length)
