@@ -34,7 +34,7 @@ from .errors import (DegeneratePointError, DomainError, NumericalError, PoleErro
 from .explorer import (problem1_monotonicity, problem5_pade_cm, problem7_limit,
                        problem8_gautschi_k, problem9_limit, problem11_gdiffs,
                        problem12_row_monotone, problem15_range, rk_error_demo)
-from .inequalities import (CHECK_IDS, default_sweep, parse_grid, sharpness_probe,
+from .inequalities import (CATALOG, CHECK_IDS, default_sweep, parse_grid, sharpness_probe,
                            summarize, sweep)
 from .numerics import kummer_1f1_one, lower_incomplete_gamma
 from .pade import aitken_row, cesaro_mean, eval_approximant, pade_exp
@@ -318,17 +318,19 @@ def _cmd_check(args) -> int:
 # sharpness
 
 
+# the flags of ``sharpness``: every parameter but x and y that a check with
+# a documented limit declares
+SHARPNESS_FLAGS = tuple(dict.fromkeys(
+    spec.name for cdef in CATALOG.values() if cdef.sharp_limits for spec in cdef.params
+    if spec.name not in ("x", "y")))
+
+
 def _cmd_sharpness(args) -> int:
     ctx = _context(args)
-    params = {}
-    for flag in ("n", "k"):
-        v = getattr(args, flag)
-        if v is not None:
-            params[flag] = int(v)
-    for flag in ("a", "beta", "p", "nu", "theta"):
-        v = getattr(args, flag)
-        if v is not None:
-            params[flag] = parse_real(v, ctx)
+    # each flag is read as a number once; the check's declared kind then
+    # judges it, so an order that is not integral is a usage error
+    params = {flag: parse_real(getattr(args, flag), ctx) for flag in SHARPNESS_FLAGS
+              if getattr(args, flag) is not None}
     direction = {"zero": "zero", "inf": "inf"}.get(args.dir)
     if direction is None:
         raise UsageError(f"--dir must be 'zero' or 'inf', got {args.dir!r}")
@@ -470,13 +472,8 @@ def _parser() -> argparse.ArgumentParser:
     p_sharp = sub.add_parser("sharpness", help="extrapolate a check's sharp limit")
     p_sharp.add_argument("--id", required=True)
     p_sharp.add_argument("--dir", required=True, help="'zero' (x->0) or 'inf' (x->oo)")
-    p_sharp.add_argument("--n", default=None)
-    p_sharp.add_argument("--k", default=None)
-    p_sharp.add_argument("--a", default=None)
-    p_sharp.add_argument("--beta", default=None)
-    p_sharp.add_argument("--p", default=None)
-    p_sharp.add_argument("--nu", default=None)
-    p_sharp.add_argument("--theta", default=None)
+    for flag in SHARPNESS_FLAGS:
+        p_sharp.add_argument(f"--{flag}", default=None)
     add_common(p_sharp)
     p_sharp.set_defaults(func=_cmd_sharpness)
 

@@ -18,9 +18,20 @@ depends on the rows a sweep holds.  The memo keys on the raw ``_mpf_``
 tuples of the arguments, so a lookup hashes tuples of ints, never mpf
 objects.
 
+The catalog is one table, ``CATALOG``, of :class:`CheckDef` records.  A
+record declares each parameter once, with its kind (int, real or str) and
+its bounds, where a bound may name another parameter as in k <= n; the
+canonical form of a point, its validation and the default points all
+follow from those declarations, and a grid axis or a ``sharpness`` flag
+sets the parameter of its name.  Checks that state the same inequality
+share one sides function and take their sharpness ratio from it; a record
+that gives no ratio has lhs/rhs.
+
 Sharp constants are produced in exact rational arithmetic whenever the
 parameters are integers (or rationals, for the interpolation constant
 raised to the denominator power) and through the gamma function otherwise.
+The integer ones are products of as many fractions as the spread k (or
+a), so their cost does not grow with the order n.
 
 A sweep (:func:`default_sweep`, :func:`sweep`) enters the working
 precision once and evaluates every row inside it: ``ctx.work()`` is a
@@ -47,11 +58,13 @@ n/(n+1) < |R_{n-1}||R_{n+1}|/|R_n|**2 < (n+1)/(n+2).
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import permutations, product
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_sub,
@@ -78,12 +91,11 @@ def alzer_constant(n: int) -> Fraction:
 
 
 def gen_k_constant(n: int, k: int) -> Fraction:
-    """((n+1)!)**2 / ((n+k+1)! (n-k+1)!), sharp for the order-k spread."""
+    """((n+1)!)**2 / ((n+k+1)! (n-k+1)!), sharp for the order-k spread:
+    prod_{i=1..k} (n-k+1+i)/(n+1+i)."""
     if k < 0 or n - k < 0:
         raise UsageError(f"gen_k_constant requires 0 <= k <= n, got n={n}, k={k}")
-    return Fraction(
-        math.factorial(n + 1) ** 2, math.factorial(n + k + 1) * math.factorial(n - k + 1)
-    )
+    return Fraction(math.prod(range(n - k + 2, n + 2)), math.prod(range(n + 2, n + k + 2)))
 
 
 def incgamma_constant(n: int, k: int) -> Fraction:
@@ -94,13 +106,11 @@ def incgamma_constant(n: int, k: int) -> Fraction:
 
 
 def chebyshev_constant_exact(p: int, a: int, b: int) -> Fraction:
-    """Gamma(p+a+2)Gamma(p+b+2) / (Gamma(p+2)Gamma(p+a+b+2)) at integers."""
+    """Gamma(p+a+2)Gamma(p+b+2) / (Gamma(p+2)Gamma(p+a+b+2)) at integers:
+    prod_{i=1..a} (p+1+i)/(p+b+1+i)."""
     if p < 0 or a < 0 or b < 0:
         raise UsageError("exact Chebyshev constant needs integer p, a, beta >= 0")
-    return Fraction(
-        math.factorial(p + a + 1) * math.factorial(p + b + 1),
-        math.factorial(p + 1) * math.factorial(p + a + b + 1),
-    )
+    return Fraction(math.prod(range(p + 2, p + a + 2)), math.prod(range(p + b + 2, p + a + b + 2)))
 
 
 def chebyshev_constant(p, a, b, ctx: PrecisionContext) -> Real:
@@ -154,10 +164,11 @@ def cor25_constant(nu, a, p, ctx: PrecisionContext) -> Real:
 
 
 def cor26_constant(n: int, k: int) -> Fraction:
-    """(n+k+1)! / ((n+2)**(k-1) (n+2)!)."""
+    """(n+k+1)! / ((n+2)**(k-1) (n+2)!): prod_{i=3..k+1} (n+i)/(n+2), which
+    is 1 at k = 0 and k = 1."""
     if n < 0 or k < 0:
         raise UsageError(f"cor26_constant requires n, k >= 0, got n={n}, k={k}")
-    return Fraction(math.factorial(n + k + 1), math.factorial(n + 2)) / Fraction(n + 2) ** (k - 1)
+    return Fraction(math.prod(range(n + 3, n + k + 2)), (n + 2) ** max(k - 1, 0))
 
 
 def cor27_constant(n, a, b, ctx: PrecisionContext) -> Real:
@@ -170,10 +181,11 @@ def cor27_constant(n, a, b, ctx: PrecisionContext) -> Real:
 
 def neg_gen_k_constant(n: int, k: int) -> Fraction:
     """(n!)**2 / ((n-k)! (n+k)!): the Cauchy-Schwarz constant for the
-    magnitude of the negative-argument remainder, sharp as x -> oo."""
+    magnitude of the negative-argument remainder, sharp as x -> oo;
+    prod_{i=1..k} (n-k+i)/(n+i)."""
     if k < 0 or n - k < 0:
         raise UsageError(f"neg_gen_k_constant requires 0 <= k <= n, got n={n}, k={k}")
-    return Fraction(math.factorial(n) ** 2, math.factorial(n - k) * math.factorial(n + k))
+    return Fraction(math.prod(range(n - k + 1, n + 1)), math.prod(range(n + 1, n + k + 1)))
 
 
 def constant_cross_identities(n_max: int = 12) -> list[str]:
@@ -382,7 +394,7 @@ class Evaluator:
 
     @cached_property
     def thetas(self) -> tuple:
-        """The interpolation weights of INTERP's points and PROD_28's product."""
+        """The interpolation weights of PROD_28's product."""
         return tuple(as_real(t, self.ctx) for t in DEFAULT_THETAS)
 
     def _get(self, key, compute, *args):
@@ -501,16 +513,112 @@ class Evaluator:
 # the catalog
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class Param(NamedTuple):
+    """A declared parameter of a check: its name, its kind (``int``, ``mpf``
+    for a real, or ``str``) and its bounds.  A numeric bound is a number or
+    the name of another parameter of the check, as in k <= n; ``among``
+    lists the values a string may take."""
+
     name: str
-    param_names: tuple[str, ...]
-    evaluate: Callable  # (params, ev) -> (lhs, rhs)
-    validate: Callable  # (params) -> None, raises UsageError
-    default_points: Callable  # (ev) -> list[dict] including x (and y)
-    uses_y: bool = False
-    sharp_ratio: Callable | None = None  # (params, ev) -> Real
-    sharp_limits: Mapping[str, Callable] = field(default_factory=dict)  # dir -> params -> value
+    kind: type
+    gt: object = None
+    ge: object = None
+    le: object = None
+    among: tuple | None = None
+
+
+def _as_int(v, ctx) -> int:
+    """An order given as an int, or as an integral mpf, float or decimal
+    string; anything else raises ValueError, never truncated.  An mpf is
+    judged as it is and any other value at the working precision."""
+    if isinstance(v, int):
+        return int(v)
+    r = v if isinstance(v, mpf) else as_real(v, ctx)
+    if not mp.isint(r):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(r)
+
+
+# kind -> (what a value of it is called, its conversion (value, ctx) -> value)
+_KINDS = {int: ("an integer", _as_int), mpf: ("a real", as_real),
+          str: ("a string", lambda v, ctx: str(v))}
+
+# bound field -> (its symbol, its test)
+_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le),
+           "among": ("in", lambda v, among: v in among)}
+
+
+class _Inadmissible(UsageError):
+    """A parameter point outside a check's admissible region: a direct
+    evaluation reports it as a usage error, a sweep skips the point."""
+
+
+@dataclass(frozen=True, eq=False)
+class CheckDef:
+    """One inequality of the catalog.
+
+    ``evaluate(p, ev)`` returns its sides (lhs, rhs) at a canonical point p.
+    ``params`` declares each parameter once; x is appended where a check
+    does not declare it.  ``defaults`` maps a parameter, or a tuple of
+    parameters taking values together, to its default values (decimal
+    strings for reals); :meth:`default_points` crosses them in order.
+    ``validate(p)`` raises :class:`_Inadmissible` where p breaks a declared
+    bound; ``sharp_ratio(p, ev)`` defaults to lhs/rhs; ``sharp_limits`` maps
+    a direction to the documented limit of that ratio, ``(p, ev) -> value``.
+    """
+
+    name: str
+    params: tuple[Param, ...]
+    defaults: Mapping
+    evaluate: Callable
+    sharp_ratio: Callable | None = None
+    sharp_limits: Mapping[str, Callable] = field(default_factory=dict)
+    validate: Callable | None = None
+
+    def __post_init__(self):
+        if "x" not in (spec.name for spec in self.params):
+            object.__setattr__(self, "params", self.params + (Param("x", mpf),))
+        if self.sharp_ratio is None:
+            object.__setattr__(self, "sharp_ratio", _lhs_over_rhs(self.evaluate))
+        if self.validate is None:
+            object.__setattr__(self, "validate", self._refuse)
+
+    @cached_property
+    def _bounds(self) -> tuple:
+        return tuple((spec.name, *_BOUNDS[key], bound) for spec in self.params
+                     for key, bound in zip(Param._fields[2:], spec[2:]) if bound is not None)
+
+    def _fault(self, p: Mapping) -> str | None:
+        """The first declared bound p breaks, or None; a parameter p does
+        not hold is not judged."""
+        for name, symbol, test, bound in self._bounds:
+            v = p.get(name)
+            limit = p.get(bound) if isinstance(bound, str) else bound
+            if v is not None and limit is not None and not test(v, limit):
+                return f"check {self.name} needs {name} {symbol} {bound}, got {name} = {v}"
+        return None
+
+    def _refuse(self, p: Mapping) -> None:
+        fault = self._fault(p)
+        if fault is not None:
+            raise _Inadmissible(fault)
+
+    def default_points(self, ev) -> list[dict]:
+        """The product of the default axes in order, less the points a bound
+        refuses, crossed with x from the default x grid; a check of x and y
+        that lists no pairs of them takes every pair of KIM_XY_VALUES."""
+        kinds = {spec.name: _KINDS[spec.kind][1] for spec in self.params}
+        axes = dict(self.defaults)
+        if "y" in kinds and ("x", "y") not in axes:
+            axes["x", "y"] = tuple(product(KIM_XY_VALUES, repeat=2))
+        points = [{}]
+        for key, values in axes.items():
+            names, rows = (key, values) if isinstance(key, tuple) else ((key,), zip(values))
+            column = [{name: kinds[name](v, ev.ctx) for name, v in zip(names, row)}
+                      for row in rows]
+            points = [{**pt, **vals} for pt in points for vals in column]
+        points = [pt for pt in points if self._fault(pt) is None]
+        return points if "y" in kinds else [dict(pt, x=x) for pt in points for x in ev.x_grid]
 
 
 def _tighter(low, high):
@@ -526,95 +634,58 @@ def _lhs_over_rhs(evaluate):
     return ratio
 
 
-class _Inadmissible(UsageError):
-    """A parameter point outside a check's admissible region: a direct
-    evaluation reports it as a usage error, a sweep skips the point."""
-
-
-def _need_int(params, name, minimum=None):
-    v = params.get(name)
-    if v is None or not float(v) == int(v):
-        raise _Inadmissible(f"parameter '{name}' must be an integer, got {v!r}")
-    v = int(v)
-    if minimum is not None and v < minimum:
-        raise _Inadmissible(f"parameter '{name}' must be >= {minimum}, got {v}")
-    return v
-
-
-def _need_real(params, name, strict_gt=None, ge=None, le=None):
-    """A canonical real parameter, judged as it is: rounding it to mpmath's
-    ambient precision could move it across a bound."""
-    v = params.get(name)
-    if v is None:
-        raise _Inadmissible(f"missing parameter '{name}'")
-    if strict_gt is not None and not v > strict_gt:
-        raise _Inadmissible(f"parameter '{name}' must exceed {strict_gt}, got {v}")
-    if ge is not None and not v >= ge:
-        raise _Inadmissible(f"parameter '{name}' must be >= {ge}, got {v}")
-    if le is not None and not v <= le:
-        raise _Inadmissible(f"parameter '{name}' must be <= {le}, got {v}")
-    return v
-
-
 DEFAULT_X_SPEC = ("1e-3", "30", 25)
+ORDERS = range(1, 9)
 FRACTIONAL_ORDERS = ("-0.5", "0.5", "1.5", "3.7")
 DEFAULT_THETAS = ("0.25", "0.5", "0.75")
 KIM_XY_VALUES = ("0.5", "1", "2")
 
 
-def _cross(base: Sequence[dict], ev) -> list[dict]:
-    return [dict(b, x=x) for b in base for x in ev.x_grid]
+# -- the Turan-type products, on the tail (_rt) or on |R_n(-x)| (_rn) --------
 
 
-def _xy_cross(base: Sequence[dict], ev, exclude_diagonal=False) -> list[dict]:
-    out = []
-    vals = [as_real(v, ev.ctx) for v in KIM_XY_VALUES]
-    for b in base:
-        for x in vals:
-            for y in vals:
-                if exclude_diagonal and x == y:
-                    continue
-                out.append(dict(b, x=x, y=y))
-    return out
+def _spread(rem: str, p, ev):
+    """R_{n-k} R_{n+k} and R_n**2 from the remainder accessor ``rem``, with
+    k = 1 where a check has no k."""
+    n, k, x = p["n"], p.get("k", 1), p["x"]
+    r = getattr(ev, rem)
+    return r(n - k, x) * r(n + k, x), r(n, x) ** 2
 
 
-def _fracs(ctx, only_positive=False, strict_gt=None):
-    vals = [as_real(v, ctx) for v in FRACTIONAL_ORDERS]
-    if only_positive:
-        vals = [v for v in vals if v > 0]
-    if strict_gt is not None:
-        vals = [v for v in vals if v > strict_gt]
-    return vals
+def _spread_ratio(rem: str):
+    def ratio(p, ev):
+        prod, square = _spread(rem, p, ev)
+        return prod / square
+    return ratio
 
 
-CATALOG: dict[str, CheckDef] = {}
+def _turan(rem: str, constant) -> dict:
+    """R_{n-k} R_{n+k} against constant(n, k) R_n**2; its sharpness ratio
+    is R_{n-k} R_{n+k} / R_n**2."""
+    def sides(p, ev):
+        prod, square = _spread(rem, p, ev)
+        return prod, ev._exact(constant, p["n"], p.get("k", 1)) * square
+    return {"evaluate": sides, "sharp_ratio": _spread_ratio(rem)}
 
 
-def _register(cdef: CheckDef):
-    CATALOG[cdef.name] = cdef
+def _sandwich(rem: str, low, high=None) -> dict:
+    """low(n, 1) R_n**2 < R_{n-1} R_{n+1} < high(n, 1) R_n**2, high = 1 when
+    not given, reported on the tighter side."""
+    def sides(p, ev):
+        prod, square = _spread(rem, p, ev)
+        n = p["n"]
+        upper = square if high is None else ev._exact(high, n, 1) * square
+        return _tighter((prod, ev._exact(low, n, 1) * square), (upper, prod))
+    return {"evaluate": sides, "sharp_ratio": _spread_ratio(rem)}
 
 
-# -- product / ratio family on the integer tail ----------------------------
+def _limit(constant):
+    """The documented limit constant(n, k), k = 1 where a check has no k."""
+    return lambda p, ev: constant(p["n"], p.get("k", 1))
 
 
-def _ev_alzer(p, ev):
-    n, x = p["n"], p["x"]
-    return (ev._rt(n - 1, x) * ev._rt(n + 1, x),
-            ev._exact(alzer_constant, n) * ev._rt(n, x) ** 2)
-
-
-def _ratio_alzer(p, ev):
-    n, x = p["n"], p["x"]
-    return ev._rt(n - 1, x) * ev._rt(n + 1, x) / ev._rt(n, x) ** 2
-
-
-_register(CheckDef(
-    "ALZER", ("n",), _ev_alzer,
-    lambda p: _need_int(p, "n", 1),
-    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
-    sharp_ratio=_ratio_alzer,
-    sharp_limits={"zero": lambda p, ev: alzer_constant(p["n"]), "inf": lambda p, ev: Fraction(1)},
-))
+def _one(p, ev):
+    return 1
 
 
 def _ev_gautschi(p, ev):
@@ -624,51 +695,9 @@ def _ev_gautschi(p, ev):
     return value, mpf(0)
 
 
-_register(CheckDef(
-    "GAUTSCHI_K", ("n", "k"), _ev_gautschi,
-    lambda p: (_need_int(p, "n", 1), _need_int(p, "k", 0)),
-    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in (0, 1, 2)], ev),
-))
-
-
-def _ev_gen_k(p, ev):
-    n, k, x = p["n"], p["k"], p["x"]
-    return (
-        ev._rt(n - k, x) * ev._rt(n + k, x),
-        ev._exact(gen_k_constant, n, k) * ev._rt(n, x) ** 2,
-    )
-
-
-def _val_nk(p):
-    n = _need_int(p, "n", 0)
-    k = _need_int(p, "k", 0)
-    if n - k < 0:
-        raise _Inadmissible(f"requires k <= n, got n={n}, k={k}")
-
-
-_register(CheckDef(
-    "GEN_K", ("n", "k"), _ev_gen_k, _val_nk,
-    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
-    sharp_ratio=lambda p, ev: ev._rt(p["n"] - p["k"], p["x"]) * ev._rt(p["n"] + p["k"], p["x"])
-    / ev._rt(p["n"], p["x"]) ** 2,
-    sharp_limits={"zero": lambda p, ev: gen_k_constant(p["n"], p["k"]), "inf": lambda p, ev: Fraction(1)},
-))
-
-
 def _ev_kummer_form(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
-    return (
-        ev._kum(mpf(n + 2 - k), x) * ev._kum(mpf(n + 2 + k), x),
-        ev._kum(mpf(n + 2), x) ** 2,
-    )
-
-
-_register(CheckDef(
-    "KUMMER_FORM", ("n", "k"), _ev_kummer_form, _val_nk,
-    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
-    sharp_ratio=_lhs_over_rhs(_ev_kummer_form),
-    sharp_limits={"zero": lambda p, ev: Fraction(1)},
-))
+    return ev._kum(mpf(n + 2 - k), x) * ev._kum(mpf(n + 2 + k), x), ev._kum(mpf(n + 2), x) ** 2
 
 
 def _ev_incgamma(p, ev):
@@ -678,13 +707,9 @@ def _ev_incgamma(p, ev):
     return lhs, ev._gi(mpf(n + 1), x) ** 2
 
 
-_register(CheckDef(
-    "INCGAMMA_FORM", ("n", "k"), _ev_incgamma, _val_nk,
-    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
-    sharp_ratio=lambda p, ev: ev._gi(mpf(p["n"] + 1), p["x"]) ** 2
-    / (ev._gi(mpf(p["n"] + p["k"] + 1), p["x"]) * ev._gi(mpf(p["n"] + 1 - p["k"]), p["x"])),
-    sharp_limits={"zero": lambda p, ev: incgamma_constant(p["n"], p["k"])},
-))
+def _ratio_incgamma(p, ev):
+    n, k, x = p["n"], p["k"], p["x"]
+    return ev._gi(mpf(n + 1), x) ** 2 / (ev._gi(mpf(n + k + 1), x) * ev._gi(mpf(n + 1 - k), x))
 
 
 def _ev_fracint_form(p, ev):
@@ -693,25 +718,20 @@ def _ev_fracint_form(p, ev):
     return lhs, ev._rf(mpf(n), x) ** 2
 
 
-_register(CheckDef(
-    "FRACINT_FORM", ("n", "k"), _ev_fracint_form, _val_nk,
-    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
-))
-
-
 # -- Chebyshev / interpolation family ---------------------------------------
 
 
-def _cheb_constant(p, a, b, ev):
-    if all(float(v) == int(v) for v in (p, a, b)) and p >= 0:
-        return ev._exact(chebyshev_constant_exact, int(p), int(a), int(b))
-    return ev._constant(chebyshev_constant, p, a, b)
+def _cheb_constant(p, ev):
+    pp, a, b = p["p"], p["a"], p["beta"]
+    if all(float(v) == int(v) for v in (pp, a, b)) and pp >= 0:
+        return ev._exact(chebyshev_constant_exact, int(pp), int(a), int(b))
+    return ev._constant(chebyshev_constant, pp, a, b)
 
 
 def _ev_chebyshev(p, ev):
     pp, a, b, x = p["p"], p["a"], p["beta"], p["x"]
     lhs = ev._rf(pp, x) * ev._rf(pp + a + b, x)
-    rhs = _cheb_constant(pp, a, b, ev) * ev._rf(pp + a, x) * ev._rf(pp + b, x)
+    rhs = _cheb_constant(p, ev) * ev._rf(pp + a, x) * ev._rf(pp + b, x)
     return lhs, rhs
 
 
@@ -720,36 +740,19 @@ def _ratio_chebyshev(p, ev):
     return ev._rf(pp, x) * ev._rf(pp + a + b, x) / (ev._rf(pp + a, x) * ev._rf(pp + b, x))
 
 
-_register(CheckDef(
-    "CHEBYSHEV_GEN", ("p", "a", "beta"), _ev_chebyshev,
-    lambda p: (_need_real(p, "p", strict_gt=-1), _need_real(p, "a", ge=0),
-               _need_real(p, "beta", ge=0)),
-    lambda ev: _cross(
-        [{"p": pp, "a": as_real(a, ev.ctx), "beta": as_real(b, ev.ctx)}
-         for pp in _fracs(ev.ctx) for (a, b) in (("1", "2"), ("0.5", "1.5"))], ev),
-    sharp_ratio=_ratio_chebyshev,
-    sharp_limits={"zero": lambda p, ev: _cheb_constant(p["p"], p["a"], p["beta"], ev)},
-))
+def _interp_constant(p, ev):
+    return ev._constant(interp_constant, p["nu"], p["a"], p["theta"])
 
 
 def _ev_interp(p, ev):
     nu, a, th, x = p["nu"], p["a"], p["theta"], p["x"]
-    c = ev._constant(interp_constant, nu, a, th)
-    lhs = c * ev._rf(nu, x) ** (1 - th) * ev._rf(nu + a, x) ** th
+    lhs = _interp_constant(p, ev) * ev._rf(nu, x) ** (1 - th) * ev._rf(nu + a, x) ** th
     return lhs, ev._rf(nu + a * th, x)
 
 
-_register(CheckDef(
-    "INTERP", ("nu", "a", "theta"), _ev_interp,
-    lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "a", ge=0),
-               _need_real(p, "theta", ge=0, le=1)),
-    lambda ev: _cross(
-        [{"nu": nu, "a": as_real(a, ev.ctx), "theta": t}
-         for nu in _fracs(ev.ctx) for a in ("1", "2.5") for t in ev.thetas], ev),
-    sharp_ratio=lambda p, ev: ev._rf(p["nu"] + p["a"] * p["theta"], p["x"])
-    / (ev._rf(p["nu"], p["x"]) ** (1 - p["theta"]) * ev._rf(p["nu"] + p["a"], p["x"]) ** p["theta"]),
-    sharp_limits={"zero": lambda p, ev: ev._constant(interp_constant, p["nu"], p["a"], p["theta"])},
-))
+def _ratio_interp(p, ev):
+    nu, a, th, x = p["nu"], p["a"], p["theta"], p["x"]
+    return ev._rf(nu + a * th, x) / (ev._rf(nu, x) ** (1 - th) * ev._rf(nu + a, x) ** th)
 
 
 def _ev_cor25(p, ev):
@@ -758,30 +761,15 @@ def _ev_cor25(p, ev):
     return lhs, ev._rf(nu + a / pw, x) ** pw
 
 
-_register(CheckDef(
-    "COR_25", ("nu", "a", "p"), _ev_cor25,
-    lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "a", strict_gt=0),
-               _need_real(p, "p", ge=1)),
-    lambda ev: _cross(
-        [{"nu": nu, "a": as_real(a, ev.ctx), "p": as_real(pw, ev.ctx)}
-         for nu in _fracs(ev.ctx) for a in ("1", "2.5") for pw in ("1.5", "2", "3")], ev),
-))
-
-
 def _ev_cor26(p, ev):
     n, k, x = p["n"], p["k"], p["x"]
     lhs = ev._exact(cor26_constant, n, k) * ev._rt(n + k, x) * ev._rt(n, x) ** (k - 1)
     return lhs, ev._rt(n + 1, x) ** k
 
 
-_register(CheckDef(
-    "COR_26", ("n", "k"), _ev_cor26,
-    lambda p: (_need_int(p, "n", 0), _need_int(p, "k", 0)),
-    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in (2, 3, 4)], ev),
-    sharp_ratio=lambda p, ev: ev._rt(p["n"] + 1, p["x"]) ** p["k"]
-    / (ev._rt(p["n"] + p["k"], p["x"]) * ev._rt(p["n"], p["x"]) ** (p["k"] - 1)),
-    sharp_limits={"zero": lambda p, ev: cor26_constant(p["n"], p["k"])},
-))
+def _ratio_cor26(p, ev):
+    n, k, x = p["n"], p["k"], p["x"]
+    return ev._rt(n + 1, x) ** k / (ev._rt(n + k, x) * ev._rt(n, x) ** (k - 1))
 
 
 def _ev_cor27(p, ev):
@@ -789,22 +777,6 @@ def _ev_cor27(p, ev):
     lhs = (ev._constant(cor27_constant, n, a, b)
            * ev._rf(mpf(n), x) ** (a - b) * ev._rf(n + a, x) ** b)
     return lhs, ev._rf(n + b, x) ** a
-
-
-def _val_cor27(p):
-    _need_int(p, "n", 0)
-    a = _need_real(p, "a", ge=0)
-    b = _need_real(p, "beta", ge=0)
-    if not a >= b:
-        raise _Inadmissible(f"requires a >= beta, got a={a}, beta={b}")
-
-
-_register(CheckDef(
-    "COR_27", ("n", "a", "beta"), _ev_cor27, _val_cor27,
-    lambda ev: _cross(
-        [{"n": n, "a": as_real(a, ev.ctx), "beta": as_real(b, ev.ctx)}
-         for n in range(1, 9) for (a, b) in (("2", "1"), ("3.7", "1.5"), ("1.5", "0.5"))], ev),
-))
 
 
 def _ev_prod28(p, ev):
@@ -820,14 +792,6 @@ def _ev_prod28(p, ev):
     return lhs, rhs
 
 
-_register(CheckDef(
-    "PROD_28", ("nu", "a"), _ev_prod28,
-    lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "a", ge=0)),
-    lambda ev: _cross(
-        [{"nu": nu, "a": as_real(a, ev.ctx)} for nu in _fracs(ev.ctx) for a in ("1", "2")], ev),
-))
-
-
 # -- complete-monotonicity consequences -------------------------------------
 
 
@@ -839,23 +803,9 @@ def _ev_refined31(p, ev):
     return lhs, rhs
 
 
-_register(CheckDef(
-    "REFINED_31", ("a",), _ev_refined31,
-    lambda p: _need_real(p, "a", strict_gt=0),
-    lambda ev: _cross([{"a": a} for a in _fracs(ev.ctx, strict_gt=0)], ev),
-))
-
-
 def _ev_ratio32(p, ev):
     a, x = p["a"], p["x"]
     return ev._rf(a, x), (a + 2) / x * ev._rf(a + 1, x)
-
-
-_register(CheckDef(
-    "RATIO_32", ("a",), _ev_ratio32,
-    lambda p: _need_real(p, "a", strict_gt=-1),
-    lambda ev: _cross([{"a": a} for a in _fracs(ev.ctx)], ev),
-))
 
 
 def _ev_fracmono(p, ev):
@@ -863,36 +813,10 @@ def _ev_fracmono(p, ev):
     return ev._fracint(f, a, x), (a + 1) / x * ev._fracint(f, a + 1, x)
 
 
-def _val_fracmono(p):
-    _need_real(p, "a", strict_gt=0)
-    if p.get("f") not in ("exp", "arctan", "clamp"):
-        raise _Inadmissible(f"unknown test function {p.get('f')!r}; pick exp, arctan or clamp")
-
-
-def _fracmono_defaults(ev):
-    base = [{"a": a, "f": "exp"} for a in _fracs(ev.ctx, only_positive=True)]
-    base += [{"a": a, "f": f} for a in _fracs(ev.ctx, only_positive=True)[:2]
-             for f in ("arctan", "clamp")]
-    return _cross(base, ev)
-
-
-_register(CheckDef(
-    "FRACMONO_34", ("a", "f"), _ev_fracmono, _val_fracmono, _fracmono_defaults,
-))
-
-
 def _ev_two_sided35(p, ev):
     nu, x = p["nu"], p["x"]
     return _tighter((ev._rf(nu - 1, x), (nu + 1) / x * ev._rf(nu, x)),
                     ((1 + (nu + 1) / x) * ev._rf(nu, x), ev._rf(nu - 1, x)))
-
-
-_register(CheckDef(
-    "TWO_SIDED_35", ("nu",), _ev_two_sided35,
-    lambda p: _need_real(p, "nu", strict_gt=0),
-    lambda ev: _cross(
-        [{"nu": as_real(v, ev.ctx)} for v in ("0.5", "1.5", "3.7", "1", "2", "4", "8")], ev),
-))
 
 
 def _ev_strength36(p, ev):
@@ -902,27 +826,11 @@ def _ev_strength36(p, ev):
     return lhs, rhs
 
 
-_register(CheckDef(
-    "STRENGTH_36", ("nu",), _ev_strength36,
-    lambda p: _need_real(p, "nu", strict_gt=1),
-    lambda ev: _cross([{"nu": as_real(v, ev.ctx)} for v in ("1.5", "3.7", "2", "3", "5")], ev),
-))
-
-
 def _ev_kim37(p, ev):
     nu, x, y = p["nu"], p["x"], p["y"]
     lhs = ev._rf(nu, x + y)
     rhs = gamma_fn(nu + 2, ev.ctx) * (1 / x + 1 / y) ** (nu + 1) * ev._rf(nu, x) * ev._rf(nu, y)
     return lhs, rhs
-
-
-_register(CheckDef(
-    "KIM_37", ("nu",), _ev_kim37,
-    lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "x", strict_gt=0),
-               _need_real(p, "y", strict_gt=0)),
-    lambda ev: _xy_cross([{"nu": nu} for nu in _fracs(ev.ctx)], ev),
-    uses_y=True,
-))
 
 
 def _ev_kim38(p, ev):
@@ -933,30 +841,11 @@ def _ev_kim38(p, ev):
     return lhs, ev._rf(nu, x + y)
 
 
-_register(CheckDef(
-    "KIM_38", ("nu", "p"), _ev_kim38,
-    lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "p", strict_gt=1),
-               _need_real(p, "x", strict_gt=0), _need_real(p, "y", strict_gt=0)),
-    lambda ev: _xy_cross(
-        [{"nu": nu, "p": as_real(pw, ev.ctx)} for nu in _fracs(ev.ctx) for pw in ("2", "3")], ev),
-    uses_y=True,
-))
-
-
 def _ev_kim39(p, ev):
     nu, x = p["nu"], p["x"]
     lhs = ev._rf(nu, 2 * x)
     rhs = gamma_fn(nu + 2, ev.ctx) * mpf(2) ** (nu + 1) / x ** (nu + 1) * ev._rf(nu, x) ** 2
     return lhs, rhs
-
-
-_register(CheckDef(
-    "KIM_39", ("nu",), _ev_kim39,
-    lambda p: _need_real(p, "nu", strict_gt=-1),
-    lambda ev: _cross([{"nu": nu} for nu in _fracs(ev.ctx)], ev),
-    sharp_ratio=_lhs_over_rhs(_ev_kim39),
-    sharp_limits={"zero": lambda p, ev: Fraction(1)},
-))
 
 
 def _ev_kim40(p, ev):
@@ -967,73 +856,6 @@ def _ev_kim40(p, ev):
     return lhs, ev._rf(nu, x + y) ** 2
 
 
-_register(CheckDef(
-    "KIM_40", ("nu",), _ev_kim40,
-    lambda p: (_need_real(p, "nu", strict_gt=-1), _need_real(p, "x", strict_gt=0),
-               _need_real(p, "y", strict_gt=0)),
-    lambda ev: _xy_cross([{"nu": nu} for nu in _fracs(ev.ctx)], ev, exclude_diagonal=True),
-    uses_y=True,
-))
-
-
-# -- negative-argument magnitude family --------------------------------------
-
-
-def _ev_neg_alzer(p, ev):
-    n, x = p["n"], p["x"]
-    return (
-        ev._rn(n - 1, x) * ev._rn(n + 1, x),
-        ev._exact(neg_gen_k_constant, n, 1) * ev._rn(n, x) ** 2,
-    )
-
-
-def _ratio_neg_alzer(p, ev):
-    n, x = p["n"], p["x"]
-    return ev._rn(n - 1, x) * ev._rn(n + 1, x) / ev._rn(n, x) ** 2
-
-
-_register(CheckDef(
-    "NEG_ALZER", ("n",), _ev_neg_alzer,
-    lambda p: _need_int(p, "n", 1),
-    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
-    sharp_ratio=_ratio_neg_alzer,
-    sharp_limits={"inf": lambda p, ev: neg_gen_k_constant(p["n"], 1),
-                  "zero": lambda p, ev: alzer_constant(p["n"])},
-))
-
-
-def _ev_neg_gen_k(p, ev):
-    n, k, x = p["n"], p["k"], p["x"]
-    return (
-        ev._rn(n - k, x) * ev._rn(n + k, x),
-        ev._exact(neg_gen_k_constant, n, k) * ev._rn(n, x) ** 2,
-    )
-
-
-_register(CheckDef(
-    "NEG_GEN_K", ("n", "k"), _ev_neg_gen_k, _val_nk,
-    lambda ev: _cross([{"n": n, "k": k} for n in range(1, 9) for k in range(1, n + 1)], ev),
-    sharp_ratio=lambda p, ev: ev._rn(p["n"] - p["k"], p["x"]) * ev._rn(p["n"] + p["k"], p["x"])
-    / ev._rn(p["n"], p["x"]) ** 2,
-    sharp_limits={"inf": lambda p, ev: neg_gen_k_constant(p["n"], p["k"])},
-))
-
-
-def _ev_neg_sandwich(p, ev):
-    n, x = p["n"], p["x"]
-    prod = ev._rn(n - 1, x) * ev._rn(n + 1, x)
-    sq = ev._rn(n, x) ** 2
-    return _tighter((prod, ev._exact(neg_gen_k_constant, n, 1) * sq),
-                    (ev._exact(alzer_constant, n) * sq, prod))
-
-
-_register(CheckDef(
-    "NEG_SANDWICH", ("n",), _ev_neg_sandwich,
-    lambda p: _need_int(p, "n", 1),
-    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
-))
-
-
 # -- appendix family ----------------------------------------------------------
 
 
@@ -1042,28 +864,11 @@ def _ev_reverse43(p, ev):
     return ev._rt(n, x) ** 2, ev._rt(n - 1, x) * ev._rt(n + 1, x)
 
 
-_register(CheckDef(
-    "REVERSE_43", ("n",), _ev_reverse43,
-    lambda p: _need_int(p, "n", 1),
-    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
-    sharp_ratio=lambda p, ev: ev._rt(p["n"], p["x"]) ** 2
-    / (ev._rt(p["n"] - 1, p["x"]) * ev._rt(p["n"] + 1, p["x"])),
-    sharp_limits={"inf": lambda p, ev: Fraction(1)},
-))
-
-
 def _ev_linear44(p, ev):
     n, x = p["n"], p["x"]
     with ev.ctx.work():
         lhs = x ** (n + 1) / mpf(math.factorial(n))
     return lhs, (n + 1 - x) * ev._rt(n, x)
-
-
-_register(CheckDef(
-    "LINEAR_44", ("n",), _ev_linear44,
-    lambda p: _need_int(p, "n", 0),
-    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
-))
 
 
 def _ev_pade_row45(p, ev):
@@ -1075,53 +880,79 @@ def _ev_pade_row45(p, ev):
     return ex, val
 
 
-_register(CheckDef(
-    "PADE_ROW_45", ("n",), _ev_pade_row45,
-    lambda p: _need_int(p, "n", 0),
-    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
-))
-
-
-def _ev_sandwich49(p, ev):
-    n, x = p["n"], p["x"]
-    prod = ev._rt(n - 1, x) * ev._rt(n + 1, x)
-    sq = ev._rt(n, x) ** 2
-    return _tighter((prod, ev._exact(alzer_constant, n) * sq), (sq, prod))
-
-
-_register(CheckDef(
-    "SANDWICH_49", ("n",), _ev_sandwich49,
-    lambda p: _need_int(p, "n", 1),
-    lambda ev: _cross([{"n": n} for n in range(1, 9)], ev),
-    sharp_ratio=_ratio_alzer,
-    sharp_limits={"zero": lambda p, ev: alzer_constant(p["n"]), "inf": lambda p, ev: Fraction(1)},
-))
-
-
-# the predicted enclosure ((2n+1)/(n+1), (2n+3)/(n+1)) of problem 15
-def _prob15_low(n: int) -> Fraction:
-    return Fraction(2 * n + 1, n + 1)
-
-
-def _prob15_high(n: int) -> Fraction:
-    return Fraction(2 * n + 3, n + 1)
-
-
 def _ev_prob15(p, ev):
+    # against the predicted enclosure ((2n+1)/(n+1), (2n+3)/(n+1)) of problem 15
     n, x = p["n"], p["x"]
-    f = (
-        ev._rt(n - 2, x) * ev._rt(n, x) / ev._rt(n - 1, x) ** 2
-        + ev._rt(n, x) ** 2 / (ev._rt(n - 1, x) * ev._rt(n + 1, x))
-    )
-    return _tighter((f, ev._exact(_prob15_low, n)), (ev._exact(_prob15_high, n), f))
+    f = (ev._rt(n - 2, x) * ev._rt(n, x) / ev._rt(n - 1, x) ** 2
+         + ev._rt(n, x) ** 2 / (ev._rt(n - 1, x) * ev._rt(n + 1, x)))
+    return _tighter((f, ev._exact(Fraction, 2 * n + 1, n + 1)),
+                    (ev._exact(Fraction, 2 * n + 3, n + 1), f))
 
 
-_register(CheckDef(
-    "PROB15_BOUNDS", ("n",), _ev_prob15,
-    lambda p: _need_int(p, "n", 2),
-    lambda ev: _cross([{"n": n} for n in range(2, 9)], ev),
-))
+_N0, _N1 = Param("n", int, ge=0), Param("n", int, ge=1)
+_NK = (_N0, Param("k", int, ge=0, le="n"))
+_NK_DEFAULTS = {"n": ORDERS, "k": ORDERS}
+_NU, _X, _Y = Param("nu", mpf, gt=-1), Param("x", mpf, gt=0), Param("y", mpf, gt=0)
 
+CATALOG: dict[str, CheckDef] = {cdef.name: cdef for cdef in (
+    CheckDef("ALZER", (_N1,), {"n": ORDERS}, **_turan("_rt", gen_k_constant),
+             sharp_limits={"zero": _limit(gen_k_constant), "inf": _one}),
+    CheckDef("GAUTSCHI_K", (_N1, Param("k", int, ge=0)), {"n": ORDERS, "k": (0, 1, 2)},
+             _ev_gautschi),
+    CheckDef("GEN_K", _NK, _NK_DEFAULTS, **_turan("_rt", gen_k_constant),
+             sharp_limits={"zero": _limit(gen_k_constant), "inf": _one}),
+    CheckDef("KUMMER_FORM", _NK, _NK_DEFAULTS, _ev_kummer_form, sharp_limits={"zero": _one}),
+    CheckDef("INCGAMMA_FORM", _NK, _NK_DEFAULTS, _ev_incgamma, _ratio_incgamma,
+             {"zero": _limit(incgamma_constant)}),
+    CheckDef("FRACINT_FORM", _NK, _NK_DEFAULTS, _ev_fracint_form),
+    CheckDef("CHEBYSHEV_GEN",
+             (Param("p", mpf, gt=-1), Param("a", mpf, ge=0), Param("beta", mpf, ge=0)),
+             {"p": FRACTIONAL_ORDERS, ("a", "beta"): (("1", "2"), ("0.5", "1.5"))},
+             _ev_chebyshev, _ratio_chebyshev, {"zero": _cheb_constant}),
+    CheckDef("INTERP", (_NU, Param("a", mpf, ge=0), Param("theta", mpf, ge=0, le=1)),
+             {"nu": FRACTIONAL_ORDERS, "a": ("1", "2.5"), "theta": DEFAULT_THETAS},
+             _ev_interp, _ratio_interp, {"zero": _interp_constant}),
+    CheckDef("COR_25", (_NU, Param("a", mpf, gt=0), Param("p", mpf, ge=1)),
+             {"nu": FRACTIONAL_ORDERS, "a": ("1", "2.5"), "p": ("1.5", "2", "3")}, _ev_cor25),
+    CheckDef("COR_26", (_N0, Param("k", int, ge=0)), {"n": ORDERS, "k": (2, 3, 4)},
+             _ev_cor26, _ratio_cor26, {"zero": _limit(cor26_constant)}),
+    CheckDef("COR_27", (_N0, Param("a", mpf, ge=0), Param("beta", mpf, ge=0, le="a")),
+             {"n": ORDERS, ("a", "beta"): (("2", "1"), ("3.7", "1.5"), ("1.5", "0.5"))},
+             _ev_cor27),
+    CheckDef("PROD_28", (_NU, Param("a", mpf, ge=0)),
+             {"nu": FRACTIONAL_ORDERS, "a": ("1", "2")}, _ev_prod28),
+    CheckDef("REFINED_31", (Param("a", mpf, gt=0),), {"a": FRACTIONAL_ORDERS}, _ev_refined31),
+    CheckDef("RATIO_32", (Param("a", mpf, gt=-1),), {"a": FRACTIONAL_ORDERS}, _ev_ratio32),
+    CheckDef("FRACMONO_34",
+             (Param("a", mpf, gt=0), Param("f", str, among=("exp", "arctan", "clamp"))),
+             {("a", "f"): (("0.5", "exp"), ("1.5", "exp"), ("3.7", "exp"), ("0.5", "arctan"),
+                           ("0.5", "clamp"), ("1.5", "arctan"), ("1.5", "clamp"))},
+             _ev_fracmono),
+    CheckDef("TWO_SIDED_35", (Param("nu", mpf, gt=0),),
+             {"nu": ("0.5", "1.5", "3.7", "1", "2", "4", "8")}, _ev_two_sided35),
+    CheckDef("STRENGTH_36", (Param("nu", mpf, gt=1),), {"nu": ("1.5", "3.7", "2", "3", "5")},
+             _ev_strength36),
+    CheckDef("KIM_37", (_NU, _X, _Y), {"nu": FRACTIONAL_ORDERS}, _ev_kim37),
+    CheckDef("KIM_38", (_NU, Param("p", mpf, gt=1), _X, _Y),
+             {"nu": FRACTIONAL_ORDERS, "p": ("2", "3")}, _ev_kim38),
+    CheckDef("KIM_39", (_NU,), {"nu": FRACTIONAL_ORDERS}, _ev_kim39,
+             sharp_limits={"zero": _one}),
+    CheckDef("KIM_40", (_NU, _X, _Y),
+             {"nu": FRACTIONAL_ORDERS, ("x", "y"): tuple(permutations(KIM_XY_VALUES, 2))},
+             _ev_kim40),
+    CheckDef("NEG_ALZER", (_N1,), {"n": ORDERS}, **_turan("_rn", neg_gen_k_constant),
+             sharp_limits={"inf": _limit(neg_gen_k_constant), "zero": _limit(gen_k_constant)}),
+    CheckDef("NEG_GEN_K", _NK, _NK_DEFAULTS, **_turan("_rn", neg_gen_k_constant),
+             sharp_limits={"inf": _limit(neg_gen_k_constant)}),
+    CheckDef("NEG_SANDWICH", (_N1,), {"n": ORDERS},
+             **_sandwich("_rn", neg_gen_k_constant, gen_k_constant)),
+    CheckDef("REVERSE_43", (_N1,), {"n": ORDERS}, _ev_reverse43, sharp_limits={"inf": _one}),
+    CheckDef("LINEAR_44", (_N0,), {"n": ORDERS}, _ev_linear44),
+    CheckDef("PADE_ROW_45", (_N0,), {"n": ORDERS}, _ev_pade_row45),
+    CheckDef("SANDWICH_49", (_N1,), {"n": ORDERS}, **_sandwich("_rt", gen_k_constant),
+             sharp_limits={"zero": _limit(gen_k_constant), "inf": _one}),
+    CheckDef("PROB15_BOUNDS", (Param("n", int, ge=2),), {"n": ORDERS}, _ev_prob15),
+)}
 
 CHECK_IDS = tuple(CATALOG)
 
@@ -1130,33 +961,20 @@ CHECK_IDS = tuple(CATALOG)
 # evaluation, sweeping, sharpness
 
 
-def _integer_param(cdef: CheckDef, name: str, v, ctx) -> int:
-    """An order given as an int, or as an integral mpf, float or decimal
-    string; anything else is a usage error, never truncated.  An mpf is
-    judged as it is and any other value at the working precision."""
-    if isinstance(v, int):
-        return int(v)
-    try:
-        r = v if isinstance(v, mpf) else as_real(v, ctx)
-    except (TypeError, ValueError):
-        r = None
-    if r is None or not mp.isint(r):
-        raise _Inadmissible(f"check {cdef.name} needs an integer '{name}', got {v!r}")
-    return int(r)
-
-
 def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
+    """The declared parameters of a point, each converted by its kind; a
+    value its kind cannot read (an order that is not integral, say) is
+    inadmissible."""
     out = {}
-    for name in cdef.param_names + ("x",) + (("y",) if cdef.uses_y else ()):
-        if name not in params:
-            raise UsageError(f"check {cdef.name} needs parameter '{name}'")
-        v = params[name]
-        if name == "f":
-            out[name] = str(v)
-        elif name in ("n", "k"):
-            out[name] = _integer_param(cdef, name, v, ctx)
-        else:
-            out[name] = as_real(v, ctx)
+    for spec in cdef.params:
+        if spec.name not in params:
+            raise UsageError(f"check {cdef.name} needs parameter '{spec.name}'")
+        v = params[spec.name]
+        what, convert = _KINDS[spec.kind]
+        try:
+            out[spec.name] = convert(v, ctx)
+        except (TypeError, ValueError) as exc:
+            raise _Inadmissible(f"check {cdef.name} needs {what} '{spec.name}', got {v}") from exc
     return out
 
 
@@ -1253,6 +1071,40 @@ def _evaluate_point(cdef: CheckDef, point: dict, ev: Evaluator) -> CheckResult |
         )
 
 
+def _overridden(points: list[dict], override: list[str], axes: Mapping) -> list[dict]:
+    """Each distinct default point less the overridden parameters, in
+    order, crossed with the grid values of those parameters."""
+    bases = {}
+    for pt in points:
+        base = {k: v for k, v in pt.items() if k not in override}
+        bases.setdefault(tuple(sorted((k, str(v)) for k, v in base.items())), base)
+    return [dict(base, **dict(zip(override, combo))) for base in bases.values()
+            for combo in product(*(axes[name] for name in override))]
+
+
+def _sweep(ids: Iterable[str], axes: Mapping, ctx: PrecisionContext) -> tuple[list, set]:
+    """The rows of the checks ``ids`` over their default points, the grid
+    values in ``axes`` replacing the defaults of the parameters they name,
+    with the names of the axes some check used."""
+    results, used = [], set()
+    ev = Evaluator(ctx)
+    with ctx.work():
+        for name in ids:
+            cdef = CATALOG.get(name)
+            if cdef is None:
+                raise UsageError(f"unknown check id '{name}'")
+            points = cdef.default_points(ev)
+            override = [spec.name for spec in cdef.params if spec.name in axes]
+            if override:
+                used.update(override)
+                points = _overridden(points, override, axes)
+            for point in points:
+                res = _evaluate_point(cdef, point, ev)
+                if res is not None:
+                    results.append(res)
+    return results, used
+
+
 def sweep(ids: Sequence[str], grid: ParamGrid, ctx: PrecisionContext) -> list[CheckResult]:
     """Evaluate the given checks over an explicit parameter grid.
 
@@ -1267,41 +1119,8 @@ def sweep(ids: Sequence[str], grid: ParamGrid, ctx: PrecisionContext) -> list[Ch
     if not isinstance(grid, ParamGrid):
         raise UsageError("sweep needs a ParamGrid")
     axes = {ax.name: ax.values for ax in grid.axes}
-    used_axes = set()
-    results = []
-    ev = Evaluator(ctx)
-    with ctx.work():
-        for name in ids:
-            cdef = CATALOG.get(name)
-            if cdef is None:
-                raise UsageError(f"unknown check id '{name}'")
-            names = cdef.param_names + ("x",) + (("y",) if cdef.uses_y else ())
-            override = [n for n in names if n in axes]
-            used_axes.update(override)
-
-            bases = []
-            seen = set()
-            for pt in cdef.default_points(ev):
-                base = {k: v for k, v in pt.items() if k not in override}
-                key = tuple(sorted((k, str(v)) for k, v in base.items()))
-                if key not in seen:
-                    seen.add(key)
-                    bases.append(base)
-
-            def expand(i, acc):
-                if i == len(override):
-                    yield dict(acc)
-                    return
-                for v in axes[override[i]]:
-                    acc[override[i]] = v
-                    yield from expand(i + 1, acc)
-
-            for base in bases:
-                for combo in expand(0, {}):
-                    res = _evaluate_point(cdef, dict(base, **combo), ev)
-                    if res is not None:
-                        results.append(res)
-    unused = set(axes) - used_axes
+    results, used = _sweep(ids, axes, ctx)
+    unused = set(axes) - used
     if unused:
         raise UsageError(f"grid axes {sorted(unused)} match no parameter of {list(ids)}")
     return results
@@ -1310,18 +1129,7 @@ def sweep(ids: Sequence[str], grid: ParamGrid, ctx: PrecisionContext) -> list[Ch
 def default_sweep(ids: Sequence[str] | None, ctx: PrecisionContext) -> list[CheckResult]:
     """Evaluate checks over their built-in default parameter points
     (the standing verification grid)."""
-    results = []
-    ev = Evaluator(ctx)
-    with ctx.work():
-        for name in ids or CHECK_IDS:
-            cdef = CATALOG.get(name)
-            if cdef is None:
-                raise UsageError(f"unknown check id '{name}'")
-            for point in cdef.default_points(ev):
-                res = _evaluate_point(cdef, point, ev)
-                if res is not None:
-                    results.append(res)
-    return results
+    return _sweep(ids or CHECK_IDS, {}, ctx)[0]
 
 
 def summarize(results: Sequence[CheckResult]) -> dict:
@@ -1370,7 +1178,7 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
     cdef = CATALOG.get(name)
     if cdef is None:
         raise UsageError(f"unknown check id '{name}'")
-    if cdef.sharp_ratio is None or direction not in cdef.sharp_limits:
+    if direction not in cdef.sharp_limits:
         raise UsageError(f"check {name} has no documented sharpness limit toward '{direction}'")
     fixed = dict(params)
     fixed.pop("x", None)
@@ -1384,8 +1192,7 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
             raise UsageError(f"direction must be 'zero' or 'inf', got {direction!r}")
         samples = []
         for x in xs:
-            p = _canonical_params(cdef, dict(fixed, x=x, y=x), ctx) if cdef.uses_y \
-                else _canonical_params(cdef, dict(fixed, x=x), ctx)
+            p = _canonical_params(cdef, dict(fixed, x=x, y=x), ctx)  # y only where declared
             cdef.validate(p)
             samples.append((x, cdef.sharp_ratio(p, ev)))
         extrap = _richardson([s[1] for s in samples], mpf(1) / 10)

@@ -27,10 +27,16 @@ MAX_PADE_ORDER = 1000
 # The most extra bits aitken_row carries to absorb the cancellation of the
 # alternating partial sums at x < 0, about 2 |x| log2(e): x down to about
 # -181,000 (x >= 0 needs a few dozen bits at any x).  Boosts of 345,527 and
-# 691,716 bits (n = 29, x = -1.2e5 and -2.4e5) took 0.32 s and 1.1 s at 53
-# and at 256 bits (pure-python mpmath, 2-core host), so a call within this
-# cap takes under a second.
+# 521,501 bits (n = 29, x = -1.2e5 and -1.81e5) took 1.3-1.6 s at 53 and at
+# 256 bits (pure-python mpmath, 2-core host), every partial sum at the boost,
+# so a call within this cap takes about two seconds at most.
 MAX_AITKEN_BOOST = 1 << 19
+
+# The most coefficient steps (one multiply-add each) that denominator_roots
+# spends on its scan and bisections together: with m = 999 a Horner pass is
+# about 4 ms at 53 and at 256 bits (2-core host), so a search stays near a
+# second.
+MAX_ROOT_SEARCH_STEPS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -87,23 +93,36 @@ def order_condition_defect(appr: RationalApproximant) -> list[Fraction]:
     return defects
 
 
-def _poly_eval(coeffs, x):
+def _coefficients(coeffs) -> list:
+    """Exact coefficients as mpf values at the active precision."""
+    return [mpf(c.numerator) / c.denominator for c in coeffs]
+
+
+def _poly_eval(coeffs: list, x):
+    """Horner's rule over coefficients already converted by :func:`_coefficients`."""
     total = mpf(0)
     for c in reversed(coeffs):
-        total = total * x + mpf(c.numerator) / c.denominator
+        total = total * x + c
     return total
 
 
 def denominator_roots(appr: RationalApproximant, lo, hi, ctx: PrecisionContext) -> list[Real]:
     """Real roots of the denominator inside [lo, hi], located by sign-change
-    scanning followed by bisection at context precision."""
+    scanning followed by bisection at context precision.
+
+    The scan takes 64 (m+1) points, fewer where they would cost more than
+    half of MAX_ROOT_SEARCH_STEPS; a search whose bisections would spend
+    the rest raises :class:`NumericalError`."""
     with ctx.work():
         a, b = as_real(lo, ctx), as_real(hi, ctx)
         if appr.m == 0 or a >= b:
             return []
-        steps = 64 * (appr.m + 1)
+        den = _coefficients(appr.den)
+        passes = MAX_ROOT_SEARCH_STEPS // (appr.m + 1)  # Horner passes the search may make
+        steps = min(64 * (appr.m + 1), passes // 2)
+        passes -= steps + 1
         xs = [a + (b - a) * i / steps for i in range(steps + 1)]
-        fs = [_poly_eval(appr.den, x) for x in xs]
+        fs = [_poly_eval(den, x) for x in xs]
         roots = []
         tol = mpf(2) ** (-(ctx.bits + 8))
         for i in range(steps):
@@ -115,8 +134,13 @@ def denominator_roots(appr: RationalApproximant, lo, hi, ctx: PrecisionContext) 
                 ra, rb = xs[i], xs[i + 1]
                 fa = f0
                 while rb - ra > tol * max(1, abs(ra)):
+                    passes -= 1
+                    if passes < 0:
+                        raise NumericalError(
+                            f"locating the real roots of a degree-{appr.m} denominator would "
+                            f"take more than {MAX_ROOT_SEARCH_STEPS} Horner steps")
                     mid = (ra + rb) / 2
-                    fm = _poly_eval(appr.den, mid)
+                    fm = _poly_eval(den, mid)
                     if fm == 0:
                         ra = rb = mid
                         break
@@ -135,26 +159,31 @@ def eval_approximant(appr: RationalApproximant, x, ctx: PrecisionContext) -> Rea
     10*target_rel_err relative distance of a real denominator root."""
     with ctx.work():
         xw = as_real(x, ctx)
-        den = _poly_eval(appr.den, xw)
-        scale = sum(abs(mpf(c.numerator) / c.denominator) * abs(xw) ** j
-                    for j, c in enumerate(appr.den))
+        den_coeffs = _coefficients(appr.den)
+        den = _poly_eval(den_coeffs, xw)
+        scale = sum(abs(c) * abs(xw) ** j for j, c in enumerate(den_coeffs))
         if abs(den) <= 100 * ctx.target_rel_err * scale:
             window = max(abs(xw), mpf(1))
-            roots = denominator_roots(appr, xw - window, xw + window, ctx)
+            try:
+                roots = denominator_roots(appr, xw - window, xw + window, ctx)
+            except NumericalError:  # a search past its budget names no root
+                roots = []
             near = min(roots, key=lambda r: abs(r - xw)) if roots else xw
             raise PoleError(
                 f"evaluation at x={mp.nstr(xw, 17)} is too close to the denominator root "
                 f"near {mp.nstr(near, 17)}", root=near)
-        result = _poly_eval(appr.num, xw) / den
+        result = _poly_eval(_coefficients(appr.num), xw) / den
     return ctx.finalize(result)
 
 
 def _partial_sum(n: int, x) -> Real:
-    """sum_{k<=n} x**k/k! at the active precision."""
+    """sum_{k<=n} x**k/k! at the active precision.  Each term is the last
+    one times x, then divided by k: x / k first would be a division at the
+    full precision, which is the cost at aitken_row's boosts."""
     term = mpf(1)
     total = term
     for k in range(1, n + 1):
-        term *= x / k
+        term = term * x / k
         total += term
     return total
 
@@ -215,7 +244,7 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
         if xw > 0:
             result = _partial_sum(n - 1, xw) + (n + 1) * (xw**n / mp.factorial(n)) / (n + 1 - xw)
         else:
-            t_prev = taylor_partial(n - 1, xw, ctx)
+            t_prev = _partial_sum(n - 1, xw)
             t_mid = t_prev + xw**n / mpf(math.factorial(n))
             t_next = t_mid + xw ** (n + 1) / mpf(math.factorial(n + 1))
             den = t_next + t_prev - 2 * t_mid

@@ -2,6 +2,7 @@
 override, and byte determinism of reports."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,10 @@ from mpmath import mp
 
 import exptail
 from exptail.cli import main
+
+
+# sha256 of the joined transcripts of test_sharpness_transcripts_pinned
+PINNED_SHARPNESS = "9dacfb1a566778c76314e04c4c41c80de3685c8f15ce718c32b5ab02b61c79ae"
 
 
 def run(capsys, *argv):
@@ -355,3 +360,39 @@ def test_python_dash_m_exptail(tmp_path):
     assert package.returncode == 0 and package.stdout == module.stdout
     # the exit code is the command's
     assert _subprocess("-m", "exptail", "check", "--id", "NOSUCH").returncode == 2
+
+
+def _sharpness_argv(name, direction, bits):
+    """``sharpness`` at the first default point of a check: every parameter
+    but x and y as its flag."""
+    from exptail.inequalities import CATALOG, Evaluator
+    from exptail.precision import PrecisionContext
+
+    point = CATALOG[name].default_points(Evaluator(PrecisionContext(bits)))[0]
+    flags = [f"--{k}={v if isinstance(v, int) else mp.nstr(v, 30)}"
+             for k, v in point.items() if k not in ("x", "y")]
+    return ["sharpness", "--id", name, "--dir", direction, f"--bits={bits}", *flags]
+
+
+def test_sharpness_transcripts_pinned(capsys):
+    # every documented limit of the catalog, at 53 and 256 bits
+    from exptail.inequalities import CATALOG
+
+    transcripts = []
+    for bits in (53, 256):
+        for name, cdef in CATALOG.items():
+            for direction in sorted(cdef.sharp_limits):
+                argv = _sharpness_argv(name, direction, bits)
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                transcripts.append(" ".join(argv) + "\n" + out)
+    assert len(transcripts) == 32
+    digest = hashlib.sha256("".join(transcripts).encode()).hexdigest()
+    assert digest == PINNED_SHARPNESS
+
+
+@pytest.mark.parametrize("n", ["2.5", "two"])
+def test_sharpness_non_integer_order_is_a_usage_error(capsys, n):
+    code, out, err = run(capsys, "sharpness", "--id", "ALZER", "--dir", "zero", "--n", n)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err

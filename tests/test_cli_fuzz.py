@@ -95,3 +95,15 @@ def test_series_of_about_1e136_terms_is_refused_at_once():
                          "--x=1.2355134971584838e+270"])
     assert code == 2 and err.startswith("error:"), err
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("bits", ["53", "256"])
+def test_pade_pole_search_is_bounded(bits):
+    # x = 300 lies where the degree-999 denominator cancels to noise: the
+    # pole branch's root search is refused past its budget, not run for
+    # half an hour, and the point is still reported as a pole
+    start = time.perf_counter()
+    code, _, err = _run(["eval", "--quantity=pade", "--n=0", "--m=999", "--x=300",
+                         f"--bits={bits}"])
+    assert code == 2 and err.startswith("error:"), err
+    assert time.perf_counter() - start < 10

@@ -2,7 +2,9 @@
 grids, degenerate edges, and the sharpness machinery."""
 
 import dataclasses
+import math
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -69,6 +71,28 @@ def test_exact_constants():
     assert cor26_constant(1, 2) == Fraction(24, 3 ** 1 * 6)
     assert neg_gen_k_constant(3, 1) == Fraction(3, 4)
     assert chebyshev_constant_exact(0, 1, 1) == Fraction(2, 3)
+
+
+def test_product_constants_equal_their_factorial_forms():
+    f = math.factorial
+    for n in range(40):
+        for k in range(n + 1):
+            assert gen_k_constant(n, k) == Fraction(f(n + 1) ** 2, f(n + k + 1) * f(n - k + 1))
+            assert neg_gen_k_constant(n, k) == Fraction(f(n) ** 2, f(n - k) * f(n + k))
+        for k in range(41):
+            assert cor26_constant(n, k) == \
+                Fraction(f(n + k + 1), f(n + 2)) / Fraction(n + 2) ** (k - 1)
+            assert chebyshev_constant_exact(n, k, 3) == \
+                Fraction(f(n + k + 1) * f(n + 4), f(n + 1) * f(n + k + 4))
+
+
+@pytest.mark.parametrize("name,k", [("GEN_K", 1), ("NEG_GEN_K", 1), ("COR_26", 2)])
+def test_row_at_order_one_million_is_quick(ctx, name, k):
+    # the exact constants cost the k factors of their products, not (n+k)!
+    start = time.perf_counter()
+    row = evaluate_check(name, ctx, {"n": 10**6, "k": k, "x": 1})
+    assert row.status == "PASS"
+    assert time.perf_counter() - start < 2
 
 
 def test_constant_cross_identities_zero_error():

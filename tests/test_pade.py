@@ -128,6 +128,19 @@ def test_aitken_just_under_the_boost_cap_against_exact_value(bits, x):
             aitken_row(n, -182000, ctx)
 
 
+@pytest.mark.parametrize("n", [29, 100, 200])
+@pytest.mark.parametrize("x", [-1, -50, -80, -200])
+def test_aitken_at_negative_x_against_exact_value(n, x):
+    # the alternating partial sums keep the boost that absorbs their
+    # cancellation, at every precision
+    exact = _exact_aitken(n, Fraction(x))
+    for bits in (53, 256, 1024):
+        ctx = PrecisionContext(bits)
+        with mp.workprec(bits + 64):
+            reference = mpf(exact.numerator) / exact.denominator
+        assert rel_err(aitken_row(n, x, ctx), reference) < ctx.target_rel_err, bits
+
+
 @pytest.mark.parametrize("bits", [53, 256])
 @pytest.mark.parametrize("n,x", [(1, "0.5"), (3, "4.1"), (10, "11.01"), (10, "9000"),
                                  (29, "1e9"), (100, "50"), (100, "101.01"), (100, "1000"),
