@@ -38,30 +38,28 @@ from .inequalities import (CATALOG, CHECK_IDS, default_sweep, parse_grid, sharpn
                            summarize, sweep)
 from .numerics import kummer_1f1_one, lower_incomplete_gamma
 from .pade import aitken_row, cesaro_mean, eval_approximant, pade_exp
-from .precision import PrecisionContext, format_real, parse_real
+from .precision import Param, PrecisionContext, declared, format_real, parse_real
 from .remainders import (b_value, eps_value, g_ratio, q_value, r_frac, r_neg,
                          r_obreshkov, r_tail)
 
 ENV_PRECISION = "EXPTAIL_PREC"
 
-# quantity -> (its function, the flags of its arguments in order); --n and
-# --m are integers, every other flag a real, and the context comes last
-EVAL = {
-    "rn": (r_tail, ("n", "x")),
-    "ra": (r_frac, ("a", "x")),
-    "rneg": (r_neg, ("n", "x")),
-    "robr": (r_obreshkov, ("n", "m", "x")),
-    "q": (q_value, ("n", "x")),
-    "b": (b_value, ("nu", "x")),
-    "eps": (eps_value, ("nu", "x")),
-    "g": (g_ratio, ("n", "x")),
-    "gammainc": (lower_incomplete_gamma, ("v", "x")),
-    "kummer": (kummer_1f1_one, ("b", "x")),
-    "pade": (lambda n, m, x, ctx: eval_approximant(pade_exp(n, m), x, ctx), ("n", "m", "x")),
-    "aitken": (aitken_row, ("n", "x")),
-    "cesaro": (cesaro_mean, ("n", "x")),
-}
+
+@declared(Param("n", int), Param("m", int), Param("x"))
+def _pade_value(n: int, m: int, x, ctx: PrecisionContext):
+    """The [n/m] Pade approximant of exp at x."""
+    return eval_approximant(pade_exp(n, m), x, ctx)
+
+
+# quantity -> its function; each declared argument is the flag of its name,
+# read as its kind declares, and the context comes last
+EVAL = {"rn": r_tail, "ra": r_frac, "rneg": r_neg, "robr": r_obreshkov, "q": q_value,
+        "b": b_value, "eps": eps_value, "g": g_ratio, "gammainc": lower_incomplete_gamma,
+        "kummer": kummer_1f1_one, "pade": _pade_value, "aitken": aitken_row,
+        "cesaro": cesaro_mean}
 EVAL_QUANTITIES = tuple(EVAL)
+# the flags of ``eval``: every argument some quantity declares
+EVAL_FLAGS = tuple(dict.fromkeys(spec.name for fn in EVAL.values() for spec in fn.params))
 
 OUT_OF_SCOPE_PROBLEMS = {"2", "3", "4", "6", "10", "13", "14"}
 
@@ -161,20 +159,19 @@ def _cmd_eval(args) -> int:
     q = args.quantity
     if q not in EVAL:
         raise UsageError(f"unknown quantity '{q}' (known: {', '.join(EVAL_QUANTITIES)})")
-    fn, flags = EVAL[q]
 
-    def argument(flag):
-        raw = getattr(args, flag)
+    def argument(spec):
+        raw = getattr(args, spec.name)
         if raw is None:
-            raise UsageError(f"quantity '{q}' requires --{flag}")
-        if flag not in ("n", "m"):
+            raise UsageError(f"quantity '{q}' requires --{spec.name}")
+        if spec.kind is not int:
             return parse_real(raw, ctx)
         try:
             return int(raw)
         except ValueError as exc:
-            raise UsageError(f"--{flag} must be an integer, got {raw!r}") from exc
+            raise UsageError(f"--{spec.name} must be an integer, got {raw!r}") from exc
 
-    value = fn(*[argument(flag) for flag in flags], ctx)
+    value = EVAL[q](*map(argument, EVAL[q].params), ctx)
 
     dec = _renderer(ctx)
     print(dec(value))
@@ -448,13 +445,8 @@ def _parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one quantity at one point")
     p_eval.add_argument("--quantity", required=True,
                         help=f"one of: {', '.join(EVAL_QUANTITIES)}")
-    p_eval.add_argument("--n", default=None)
-    p_eval.add_argument("--m", default=None)
-    p_eval.add_argument("--a", default=None)
-    p_eval.add_argument("--nu", default=None)
-    p_eval.add_argument("--v", default=None)
-    p_eval.add_argument("--b", default=None)
-    p_eval.add_argument("--x", default=None)
+    for flag in EVAL_FLAGS:
+        p_eval.add_argument(f"--{flag}", default=None)
     add_common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 

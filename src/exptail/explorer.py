@@ -154,17 +154,13 @@ def problem7_limit(n_max: int, c, ctx: PrecisionContext = None) -> Report:
     ctx = ctx or PrecisionContext()
     if n_max < 10:
         raise UsageError(f"problem 7 needs n_max >= 10, got {n_max}")
+    rows = []
+    values = []
     with ctx.work():
         c = as_real(c, ctx)
         if not c > 0:
             raise DomainError(f"problem 7 needs c > 0, got {c}")
-        step = max(1, n_max // 10)
-        ns = list(range(10, n_max + 1, step))
-        boost = int(float(c) * n_max * 1.4427) + 64
-    rows = []
-    values = []
-    with ctx.work(boost):
-        for n in ns:
+        for n in range(10, n_max + 1, max(1, n_max // 10)):
             x = c * n
             val = (x / n) * g_ratio(n, x, ctx)
             ratio_prev = values[-1] if values else None
@@ -242,17 +238,14 @@ def problem9_limit(a, m: int, n_max: int, ctx: PrecisionContext = None) -> Repor
         raise UsageError(f"problem 9 needs n_max >= 10, got {n_max}")
     if m < 0:
         raise UsageError(f"problem 9 needs m >= 0, got {m}")
+    rows = []
+    values = []
     with ctx.work():
         a = as_real(a, ctx)
         if not a > 0:
             raise DomainError(f"problem 9 needs a > 0, got {a}")
-        boost = int(float(a) * n_max * 1.4427) + 64
-    rows = []
-    values = []
-    with ctx.work(boost):
         denom = mp.exp(a * m)
-        step = max(1, n_max // 10)
-        for n in range(10, n_max + 1, step):
+        for n in range(10, n_max + 1, max(1, n_max // 10)):
             val = r_obreshkov(n, m, a * n, ctx) / denom
             values.append(val)
             rows.append((n, ctx.finalize(val),

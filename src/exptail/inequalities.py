@@ -58,13 +58,12 @@ n/(n+1) < |R_{n-1}||R_{n+1}|/|R_n|**2 < (n+1)/(n+2).
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_sub,
@@ -73,10 +72,9 @@ from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul
 from .errors import NumericalError, PoleError, UsageError
 from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
 from .pade import eval_approximant, pade_exp
-from .precision import GUARD_BITS, PrecisionContext, Real, _fit, as_real
+from .precision import (GUARD_BITS, KINDS, Param, PrecisionContext, Real, _fit, _make, as_real,
+                        bounds, breach, convert, declared)
 from .remainders import finite_diff, q_value, r_frac, r_frac_ladder, r_neg, r_tail
-
-_make = mp.make_mpf
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +111,18 @@ def chebyshev_constant_exact(p: int, a: int, b: int) -> Fraction:
     return Fraction(math.prod(range(p + 2, p + a + 2)), math.prod(range(p + b + 2, p + a + b + 2)))
 
 
+@declared(Param("p"), Param("a"), Param("b"))
 def chebyshev_constant(p, a, b, ctx: PrecisionContext) -> Real:
-    with ctx.work():
-        p, a, b = (as_real(v, ctx) for v in (p, a, b))
-        c = (
-            gamma_fn(p + a + 2, ctx)
-            * gamma_fn(p + b + 2, ctx)
-            / (gamma_fn(p + 2, ctx) * gamma_fn(p + a + b + 2, ctx))
-        )
-    return ctx.finalize(c)
+    """Gamma(p+a+2)Gamma(p+b+2) / (Gamma(p+2)Gamma(p+a+b+2))."""
+    return (gamma_fn(p + a + 2, ctx) * gamma_fn(p + b + 2, ctx)
+            / (gamma_fn(p + 2, ctx) * gamma_fn(p + a + b + 2, ctx)))
 
 
+@declared(Param("nu"), Param("a"), Param("theta"))
 def interp_constant(nu, a, theta, ctx: PrecisionContext) -> Real:
     """Interpolation constant Gamma(nu+2)**(1-t) Gamma(nu+a+2)**t / Gamma(nu+at+2)."""
-    with ctx.work():
-        nu, a, theta = (as_real(v, ctx) for v in (nu, a, theta))
-        c = (
-            gamma_fn(nu + 2, ctx) ** (1 - theta)
-            * gamma_fn(nu + a + 2, ctx) ** theta
-            / gamma_fn(nu + a * theta + 2, ctx)
-        )
-    return ctx.finalize(c)
+    return (gamma_fn(nu + 2, ctx) ** (1 - theta) * gamma_fn(nu + a + 2, ctx) ** theta
+            / gamma_fn(nu + a * theta + 2, ctx))
 
 
 def interp_constant_power(nu: int, a: int, theta: Fraction) -> Fraction:
@@ -152,15 +141,11 @@ def interp_constant_power(nu: int, a: int, theta: Fraction) -> Fraction:
     )
 
 
+@declared(Param("nu"), Param("a"), Param("p"))
 def cor25_constant(nu, a, p, ctx: PrecisionContext) -> Real:
-    with ctx.work():
-        nu, a, p = (as_real(v, ctx) for v in (nu, a, p))
-        c = (
-            gamma_fn(nu + 2, ctx) ** (p - 1)
-            * gamma_fn(nu + a + 2, ctx)
-            / gamma_fn(nu + a / p + 2, ctx) ** p
-        )
-    return ctx.finalize(c)
+    """Gamma(nu+2)**(p-1) Gamma(nu+a+2) / Gamma(nu+a/p+2)**p."""
+    return (gamma_fn(nu + 2, ctx) ** (p - 1) * gamma_fn(nu + a + 2, ctx)
+            / gamma_fn(nu + a / p + 2, ctx) ** p)
 
 
 def cor26_constant(n: int, k: int) -> Fraction:
@@ -171,12 +156,11 @@ def cor26_constant(n: int, k: int) -> Fraction:
     return Fraction(math.prod(range(n + 3, n + k + 2)), (n + 2) ** max(k - 1, 0))
 
 
+@declared(Param("n"), Param("a"), Param("b"))
 def cor27_constant(n, a, b, ctx: PrecisionContext) -> Real:
-    with ctx.work():
-        n, a, b = (as_real(v, ctx) for v in (n, a, b))
-        g_n = gamma_fn(n + 2, ctx)
-        c = (g_n / gamma_fn(n + b + 2, ctx)) ** a * (gamma_fn(n + a + 2, ctx) / g_n) ** b
-    return ctx.finalize(c)
+    """(Gamma(n+2)/Gamma(n+b+2))**a (Gamma(n+a+2)/Gamma(n+2))**b."""
+    g_n = gamma_fn(n + 2, ctx)
+    return (g_n / gamma_fn(n + b + 2, ctx)) ** a * (gamma_fn(n + a + 2, ctx) / g_n) ** b
 
 
 def neg_gen_k_constant(n: int, k: int) -> Fraction:
@@ -257,29 +241,24 @@ class ParamGrid:
         if len(set(names)) != len(names):
             raise UsageError(f"duplicate grid axis in {names}")
 
-    @property
-    def names(self) -> set[str]:
-        return {ax.name for ax in self.axes}
 
-    def points(self) -> Iterable[dict]:
-        def rec(i, acc):
-            if i == len(self.axes):
-                yield dict(acc)
-                return
-            ax = self.axes[i]
-            for v in ax.values:
-                acc[ax.name] = v
-                yield from rec(i + 1, acc)
-
-        yield from rec(0, {})
+def _ends(lo, hi, count: int, ctx: PrecisionContext) -> tuple:
+    """The endpoints of a grid axis of ``count`` values at the working
+    precision.  A count below 1 or an endpoint that is nan or infinite
+    raises :class:`UsageError`; between finite endpoints every value is
+    finite, as mpf exponents do not overflow."""
+    if count < 1:
+        raise UsageError(f"grid count must be >= 1, got {count}")
+    ends = as_real(lo, ctx), as_real(hi, ctx)
+    if not all(map(mp.isfinite, ends)):
+        raise UsageError(f"grid endpoints must be finite, got {lo}, {hi}")
+    return ends
 
 
 def log_grid(lo, hi, count: int, ctx: PrecisionContext) -> tuple:
     """Logarithmically spaced values, deterministic at context precision."""
-    if count < 1:
-        raise UsageError(f"grid count must be >= 1, got {count}")
     with ctx.work():
-        lo, hi = as_real(lo, ctx), as_real(hi, ctx)
+        lo, hi = _ends(lo, hi, count, ctx)
         if not (lo > 0 and hi > 0):
             raise UsageError("log spacing needs positive endpoints")
         if count == 1:
@@ -290,10 +269,9 @@ def log_grid(lo, hi, count: int, ctx: PrecisionContext) -> tuple:
 
 
 def lin_grid(lo, hi, count: int, ctx: PrecisionContext) -> tuple:
-    if count < 1:
-        raise UsageError(f"grid count must be >= 1, got {count}")
+    """Evenly spaced values, deterministic at context precision."""
     with ctx.work():
-        lo, hi = as_real(lo, ctx), as_real(hi, ctx)
+        lo, hi = _ends(lo, hi, count, ctx)
         if count == 1:
             return (ctx.finalize(lo),)
         step = (hi - lo) / (count - 1)
@@ -354,6 +332,7 @@ def _on_ladder(a, shift: int, x) -> bool:
             and a > -1 - shift)
 
 
+@declared(Param("fname", str), Param("order"), Param("x"))
 def _closed_fracint(fname: str, order, x, ctx) -> Real:
     """I^order of ``arctan`` by the two-piece series of
     :func:`arctan_fracint`, or of ``clamp`` by the closed form
@@ -361,12 +340,10 @@ def _closed_fracint(fname: str, order, x, ctx) -> Real:
     whose difference cancels at most log2(x) bits."""
     if fname == "arctan":
         return arctan_fracint(order, x, ctx)
-    with ctx.work():
-        gamma = gamma_fn(order + 2, ctx)
+    gamma = gamma_fn(order + 2, ctx)
     with ctx.work(max(0, mp.mag(x))):
         kink = (x - 1) ** (order + 1) if x > 1 else 0
-        result = (x ** (order + 1) - kink) / gamma
-    return ctx.finalize(result)
+        return (x ** (order + 1) - kink) / gamma
 
 
 class Evaluator:
@@ -442,10 +419,7 @@ class Evaluator:
         remainder lies on a ladder, else direct(a, x, ctx)."""
         if not _on_ladder(a, shift, x):
             return direct(a, x, self.ctx)
-        rem = self._rung(a, shift, x)
-        with self.ctx.work():
-            result = identity(rem)
-        return self.ctx.finalize(result)
+        return self.ctx.finalize(self._at_work(identity, self._rung(a, shift, x)))
 
     def _rt(self, n: int, x) -> Real:
         return self._get(("rt", n, x._mpf_), self._remainder, r_tail, n, x)
@@ -455,8 +429,12 @@ class Evaluator:
                          self._remainder, r_frac, a, x)
 
     def _rn(self, n: int, x) -> Real:
-        # the recurrence of |R_n(-x)| across orders cancels: one series each
-        return self._get(("rn", n, x._mpf_), r_neg, n, x, self.ctx)
+        # the recurrence of |R_n(-x)| across orders cancels: one series
+        # each, with e**-x from the memo
+        return self._get(("rn", n, x._mpf_), self._neg, n, x)
+
+    def _neg(self, n: int, x) -> Real:
+        return r_neg(n, x, self.ctx, memo=self._get)
 
     def _gi(self, v, x) -> Real:
         """gamma(v, x) = Gamma(v) e**-x R_{v-1}(x)."""
@@ -489,9 +467,9 @@ class Evaluator:
         """e**-x at the working precision, unrounded, once per x."""
         return self._get(("exp-", x._mpf_), self._at_work, lambda: mp.exp(-x))
 
-    def _at_work(self, compute):
+    def _at_work(self, compute, *args):
         with self.ctx.work():
-            return compute()
+            return compute(*args)
 
     def _pade_row(self, n: int):
         return self._get(("pade", n), pade_exp, n, 1)
@@ -511,41 +489,6 @@ class Evaluator:
 
 # ---------------------------------------------------------------------------
 # the catalog
-
-
-class Param(NamedTuple):
-    """A declared parameter of a check: its name, its kind (``int``, ``mpf``
-    for a real, or ``str``) and its bounds.  A numeric bound is a number or
-    the name of another parameter of the check, as in k <= n; ``among``
-    lists the values a string may take."""
-
-    name: str
-    kind: type
-    gt: object = None
-    ge: object = None
-    le: object = None
-    among: tuple | None = None
-
-
-def _as_int(v, ctx) -> int:
-    """An order given as an int, or as an integral mpf, float or decimal
-    string; anything else raises ValueError, never truncated.  An mpf is
-    judged as it is and any other value at the working precision."""
-    if isinstance(v, int):
-        return int(v)
-    r = v if isinstance(v, mpf) else as_real(v, ctx)
-    if not mp.isint(r):
-        raise ValueError(f"{v!r} is not an integer")
-    return int(r)
-
-
-# kind -> (what a value of it is called, its conversion (value, ctx) -> value)
-_KINDS = {int: ("an integer", _as_int), mpf: ("a real", as_real),
-          str: ("a string", lambda v, ctx: str(v))}
-
-# bound field -> (its symbol, its test)
-_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le),
-           "among": ("in", lambda v, among: v in among)}
 
 
 class _Inadmissible(UsageError):
@@ -585,18 +528,13 @@ class CheckDef:
 
     @cached_property
     def _bounds(self) -> tuple:
-        return tuple((spec.name, *_BOUNDS[key], bound) for spec in self.params
-                     for key, bound in zip(Param._fields[2:], spec[2:]) if bound is not None)
+        return bounds(self.params)
 
     def _fault(self, p: Mapping) -> str | None:
         """The first declared bound p breaks, or None; a parameter p does
         not hold is not judged."""
-        for name, symbol, test, bound in self._bounds:
-            v = p.get(name)
-            limit = p.get(bound) if isinstance(bound, str) else bound
-            if v is not None and limit is not None and not test(v, limit):
-                return f"check {self.name} needs {name} {symbol} {bound}, got {name} = {v}"
-        return None
+        fault = breach(self._bounds, p)
+        return None if fault is None else f"check {self.name} needs {fault}"
 
     def _refuse(self, p: Mapping) -> None:
         fault = self._fault(p)
@@ -607,7 +545,7 @@ class CheckDef:
         """The product of the default axes in order, less the points a bound
         refuses, crossed with x from the default x grid; a check of x and y
         that lists no pairs of them takes every pair of KIM_XY_VALUES."""
-        kinds = {spec.name: _KINDS[spec.kind][1] for spec in self.params}
+        kinds = {spec.name: KINDS[spec.kind][1] for spec in self.params}
         axes = dict(self.defaults)
         if "y" in kinds and ("x", "y") not in axes:
             axes["x", "y"] = tuple(product(KIM_XY_VALUES, repeat=2))
@@ -969,12 +907,10 @@ def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
     for spec in cdef.params:
         if spec.name not in params:
             raise UsageError(f"check {cdef.name} needs parameter '{spec.name}'")
-        v = params[spec.name]
-        what, convert = _KINDS[spec.kind]
         try:
-            out[spec.name] = convert(v, ctx)
-        except (TypeError, ValueError) as exc:
-            raise _Inadmissible(f"check {cdef.name} needs {what} '{spec.name}', got {v}") from exc
+            out[spec.name] = convert(spec, params[spec.name], ctx)
+        except ValueError as exc:
+            raise _Inadmissible(f"check {cdef.name} needs {exc}") from exc
     return out
 
 

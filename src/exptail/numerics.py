@@ -47,7 +47,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
 
 from .errors import DomainError, NumericalError
-from .precision import GUARD_BITS, PrecisionContext, Real, as_real
+from .precision import GUARD_BITS, Param, PrecisionContext, Real, as_real, declared
 
 # Hard cap on adaptive panels before quad_integral gives up.
 DEFAULT_PANEL_BUDGET = 4000
@@ -101,6 +101,7 @@ def _series_terms(a, b, x, wp: int) -> mpf:
         return k + 2 * drop / (lead + mp.sqrt(lead * lead + 2 * c * drop))
 
 
+@declared(Param("v", gt=0))
 def gamma_fn(v, ctx: PrecisionContext) -> Real:
     """Gamma function for v > 0 by ``mp.gamma`` at the working precision.
 
@@ -108,12 +109,7 @@ def gamma_fn(v, ctx: PrecisionContext) -> Real:
     (v - 1)! (tabled below 150, else by ``ifac`` while v log2 v < 10 wp)
     and otherwise uses its Stirling route, in about a millisecond where
     the exact factorial of v = 1e5 takes over a second."""
-    with ctx.work():
-        v = as_real(v, ctx)
-        if not mp.isfinite(v) or v <= 0:
-            raise DomainError(f"gamma_fn requires finite v > 0, got {v}")
-        result = mp.gamma(v)
-    return ctx.finalize(result)
+    return mp.gamma(v)
 
 
 def _fixed_param(p, wp: int) -> tuple[int, int, int]:
@@ -290,6 +286,7 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     return scale * mp.ldexp(total, exp)
 
 
+@declared(Param("order", ge=0), Param("x", gt=0))
 def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
     """Riemann-Liouville integral I^order[arctan](x), order >= 0, x > 0.
 
@@ -314,14 +311,8 @@ def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
     2**-order.  The bounds floor at 2 units, the size of the floored
     fixed-point terms once the true ones have vanished.
     """
-    with ctx.work():
-        order = as_real(order, ctx)
-        x = as_real(x, ctx)
-        if not (mp.isfinite(order) and order >= 0 and mp.isfinite(x) and x > 0):
-            raise DomainError(
-                f"arctan_fracint requires finite order >= 0 and x > 0, got {order}, {x}")
-        gamma = gamma_fn(order + 1, ctx)
-        d = x / 2 if x >= 2 else mpf(0)
+    gamma = gamma_fn(order + 1, ctx)
+    d = x / 2 if x >= 2 else mpf(0)
     boost = math.ceil(math.log2(2 * math.hypot(1, float(x))))
     if d:
         boost += math.ceil(float(order) * math.log2(3))
@@ -365,29 +356,22 @@ def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
                     break
                 j_prev, j_cur = j_cur, ((1 << wp) // j - (j_prev * inv_d >> wp)) * inv_d >> wp
             total += x**order * mp.ldexp(near0, -wp)
-        result = total / gamma
-    return ctx.finalize(result)
+        return total / gamma
 
 
+@declared(Param("v", gt=0, finite=False), Param("x", ge=0))
 def lower_incomplete_gamma(v, x, ctx: PrecisionContext) -> Real:
     """gamma(v, x) = integral of t**(v-1) e**-t over (0, x).
 
     Evaluated through the all-positive series
     gamma(v,x) = x**v e**-x / v * 1F1(1; v+1; x).
     """
-    with ctx.work():
-        v = as_real(v, ctx)
-        x = as_real(x, ctx)
-        if v <= 0:
-            raise DomainError(f"lower_incomplete_gamma requires v > 0, got v={v}")
-        if x < 0:
-            raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-        if mp.isinf(v) and x > 0:
-            raise NumericalError(f"incomplete gamma series does not converge for v={v}")
-        result = _hyp1f1_pos(1, v + 1, x, ctx, x**v * mp.exp(-x) / v)
-    return ctx.finalize(result)
+    if mp.isinf(v) and x > 0:
+        raise NumericalError(f"incomplete gamma series does not converge for v={v}")
+    return _hyp1f1_pos(1, v + 1, x, ctx, x**v * mp.exp(-x) / v)
 
 
+@declared(Param("b", gt=0, finite=False), Param("x"))
 def kummer_1f1_one(b, x, ctx: PrecisionContext) -> Real:
     """1F1(1; b; x) = sum_k x**k / (b)_k with (b)_k the rising factorial.
 
@@ -399,21 +383,14 @@ def kummer_1f1_one(b, x, ctx: PrecisionContext) -> Real:
     The boosted series costs about |x| terms, so it is refused with a
     :class:`DomainError` beyond |x| = X_MAX.
     """
-    with ctx.work():
-        b = as_real(b, ctx)
-        if b <= 0:
-            raise DomainError(f"kummer_1f1_one requires b > 0, got b={b}")
-        if not mp.isfinite(x):
-            raise DomainError(f"kummer_1f1_one requires finite x, got x={x}")
-        if x < 0 and _large_x(b, -x, ctx):
-            return ctx.finalize(_kummer_one_large_x(b, +mpf(x), ctx))
-        if x < -X_MAX:
-            raise DomainError(f"kummer_1f1_one at x < -{X_MAX} needs |x| >= max(wp, 2b), "
-                              f"got b={b}, x={x}")
+    if x < 0 and _large_x(b, -x, ctx):
+        return _kummer_one_large_x(b, x, ctx)
+    if x < -X_MAX:
+        raise DomainError(f"kummer_1f1_one at x < -{X_MAX} needs |x| >= max(wp, 2b), "
+                          f"got b={b}, x={x}")
     boost = int(abs(float(x)) * 1.4427) + 16 if x < 0 else 0
     with ctx.work(boost):
-        result = _hyp1f1_pos(1, b, +mpf(x), ctx)
-    return ctx.finalize(result)
+        return _hyp1f1_pos(1, b, x, ctx)
 
 
 class QuadResult(NamedTuple):

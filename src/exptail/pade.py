@@ -17,7 +17,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import DegeneratePointError, DomainError, NumericalError, PoleError
-from .precision import PrecisionContext, Real, as_real
+from .precision import Param, PrecisionContext, Real, as_real, declared
 
 # Largest total degree n + m that pade_exp builds.  The exact coefficients
 # are O(n + m) Fractions of factorials; n + m = 1000 takes about 0.6 s
@@ -154,26 +154,24 @@ def denominator_roots(appr: RationalApproximant, lo, hi, ctx: PrecisionContext) 
         return [ctx.finalize(r) for r in roots]
 
 
+@declared(Param("appr", object), Param("x"))
 def eval_approximant(appr: RationalApproximant, x, ctx: PrecisionContext) -> Real:
     """num(x)/den(x) at context precision, refusing points within
     10*target_rel_err relative distance of a real denominator root."""
-    with ctx.work():
-        xw = as_real(x, ctx)
-        den_coeffs = _coefficients(appr.den)
-        den = _poly_eval(den_coeffs, xw)
-        scale = sum(abs(c) * abs(xw) ** j for j, c in enumerate(den_coeffs))
-        if abs(den) <= 100 * ctx.target_rel_err * scale:
-            window = max(abs(xw), mpf(1))
-            try:
-                roots = denominator_roots(appr, xw - window, xw + window, ctx)
-            except NumericalError:  # a search past its budget names no root
-                roots = []
-            near = min(roots, key=lambda r: abs(r - xw)) if roots else xw
-            raise PoleError(
-                f"evaluation at x={mp.nstr(xw, 17)} is too close to the denominator root "
-                f"near {mp.nstr(near, 17)}", root=near)
-        result = _poly_eval(_coefficients(appr.num), xw) / den
-    return ctx.finalize(result)
+    den_coeffs = _coefficients(appr.den)
+    den = _poly_eval(den_coeffs, x)
+    scale = sum(abs(c) * abs(x) ** j for j, c in enumerate(den_coeffs))
+    if abs(den) <= 100 * ctx.target_rel_err * scale:
+        window = max(abs(x), mpf(1))
+        try:
+            roots = denominator_roots(appr, x - window, x + window, ctx)
+        except NumericalError:  # a search past its budget names no root
+            roots = []
+        near = min(roots, key=lambda r: abs(r - x)) if roots else x
+        raise PoleError(
+            f"evaluation at x={mp.nstr(x, 17)} is too close to the denominator root "
+            f"near {mp.nstr(near, 17)}", root=near)
+    return _poly_eval(_coefficients(appr.num), x) / den
 
 
 def _partial_sum(n: int, x) -> Real:
@@ -188,13 +186,10 @@ def _partial_sum(n: int, x) -> Real:
     return total
 
 
+@declared(Param("n", int, ge=0), Param("x"))
 def taylor_partial(n: int, x, ctx: PrecisionContext) -> Real:
     """Degree-n partial sum of the exponential series."""
-    if n < 0:
-        raise DomainError(f"taylor_partial requires n >= 0, got {n}")
-    with ctx.work():
-        total = _partial_sum(n, as_real(x, ctx))
-    return ctx.finalize(total)
+    return _partial_sum(n, x)
 
 
 def _aitken_boost(n: int, x: float) -> int:
@@ -217,6 +212,7 @@ def _aitken_boost(n: int, x: float) -> int:
     return max(0, int(lost)) + 64
 
 
+@declared(Param("n", int, ge=1), Param("x"))
 def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
     """Aitken transform (t_{n-1} t_{n+1} - t_n**2)/(t_{n+1} + t_{n-1} - 2 t_n)
     of the Taylor partial sums; coincides with the [n/1] Pade row away from
@@ -228,28 +224,21 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
     x < 0 whose cancellation needs more than MAX_AITKEN_BOOST extra bits
     raises :class:`NumericalError`.
     """
-    if n < 1:
-        raise DomainError(f"aitken_row requires n >= 1, got {n}")
-    with ctx.work():
-        xw = as_real(x, ctx)
-        guard = 10 * ctx.target_rel_err
-        if abs(xw) <= guard or abs(xw - (n + 1)) <= guard * (n + 1):
-            raise DegeneratePointError(
-                f"Aitken denominator vanishes at x=0 and x={n + 1}; got x={mp.nstr(xw, 17)}")
-    boost = _aitken_boost(n, float(xw))
+    guard = 10 * ctx.target_rel_err
+    if abs(x) <= guard or abs(x - (n + 1)) <= guard * (n + 1):
+        raise DegeneratePointError(
+            f"Aitken denominator vanishes at x=0 and x={n + 1}; got x={mp.nstr(x, 17)}")
+    boost = _aitken_boost(n, float(x))
     if boost > MAX_AITKEN_BOOST:
-        raise NumericalError(f"aitken_row at x={mp.nstr(xw, 17)} would need {boost:.3g} extra bits "
+        raise NumericalError(f"aitken_row at x={mp.nstr(x, 17)} would need {boost:.3g} extra bits "
                              f"(at most {MAX_AITKEN_BOOST}) to absorb its cancellation")
     with ctx.work(boost):
-        if xw > 0:
-            result = _partial_sum(n - 1, xw) + (n + 1) * (xw**n / mp.factorial(n)) / (n + 1 - xw)
-        else:
-            t_prev = _partial_sum(n - 1, xw)
-            t_mid = t_prev + xw**n / mpf(math.factorial(n))
-            t_next = t_mid + xw ** (n + 1) / mpf(math.factorial(n + 1))
-            den = t_next + t_prev - 2 * t_mid
-            result = (t_prev * t_next - t_mid * t_mid) / den
-    return ctx.finalize(result)
+        if x > 0:
+            return _partial_sum(n - 1, x) + (n + 1) * (x**n / mp.factorial(n)) / (n + 1 - x)
+        t_prev = _partial_sum(n - 1, x)
+        t_mid = t_prev + x**n / mpf(math.factorial(n))
+        t_next = t_mid + x ** (n + 1) / mpf(math.factorial(n + 1))
+        return (t_prev * t_next - t_mid * t_mid) / (t_next + t_prev - 2 * t_mid)
 
 
 def delta_fn(n: int, x) -> Real:
@@ -260,6 +249,7 @@ def delta_fn(n: int, x) -> Real:
     return mpf(x) - (n + 1)
 
 
+@declared(Param("n", int, ge=0), Param("x"))
 def cesaro_mean(n: int, x, ctx: PrecisionContext) -> Real:
     """First-order Cesaro mean of the exponential partial sums:
     sum_{j=0}^n (1 - j/(n+1)) x**j/j!.
@@ -268,23 +258,19 @@ def cesaro_mean(n: int, x, ctx: PrecisionContext) -> Real:
     the numerical comparison against the alternative reading with the
     factor (1 - j*x/(n+1)).
     """
-    if n < 0:
-        raise DomainError(f"cesaro_mean requires n >= 0, got {n}")
-    with ctx.work():
-        xw = as_real(x, ctx)
-        # for x >= 0 the terms fall once j > x; a term below 2**-(wp+1) of
-        # the sum is under half its last place, so neither it nor any later
-        # term changes the rounded sum
-        falls_from = int(xw) + 1 if 0 <= xw < n else n + 1
-        small = mpf(2) ** -(mp.prec + 1)
-        pow_term = mpf(1)
-        total = mpf(0)
-        for j in range(n + 1):
-            total += (1 - mpf(j) / (n + 1)) * pow_term
-            pow_term *= xw / (j + 1)
-            if j >= falls_from and pow_term < small * total:
-                break
-    return ctx.finalize(total)
+    # for x >= 0 the terms fall once j > x; a term below 2**-(wp+1) of
+    # the sum is under half its last place, so neither it nor any later
+    # term changes the rounded sum
+    falls_from = int(x) + 1 if 0 <= x < n else n + 1
+    small = mpf(2) ** -(mp.prec + 1)
+    pow_term = mpf(1)
+    total = mpf(0)
+    for j in range(n + 1):
+        total += (1 - mpf(j) / (n + 1)) * pow_term
+        pow_term *= x / (j + 1)
+        if j >= falls_from and pow_term < small * total:
+            break
+    return total
 
 
 def cesaro_identity_probe(n: int, x, ctx: PrecisionContext) -> dict:

@@ -23,22 +23,31 @@ the binary mantissa to decimal with one multiply by a power of ten, tabled
 with its size by the fixed-point precision, and ``str``, and leaves only
 zero, the special values and huge exponents to ``to_str``.
 
-:func:`as_real` converts and does not validate: nan and the infinities
-pass through it unchanged, and each function decides what a non-finite
-argument means.  Where a limit exists it is returned (1F1(1; +oo; x) = 1,
-R_{+oo}(x) = 0 for 0 <= x < 1); a series whose parameter is nan, or which
-cannot converge, raises :class:`.errors.NumericalError`; a function with a
-finite domain raises :class:`.errors.DomainError`.  The command line
+Every public scalar function declares its arguments once, as
+:class:`Param` records, through :func:`declared`: the one boundary that
+converts each argument by its kind, checks its bounds, holds ``ctx.work()``
+and returns ``ctx.finalize`` of the result.  The inequality catalog
+declares its parameters with the same records.
+
+:func:`as_real` converts and does not validate; the declarations do.  A
+real is finite unless declared otherwise, so a nan or infinite x raises
+:class:`.errors.DomainError`.  An order declared non-finite (r_frac's a,
+eps_value's nu, 1F1(1; b; x)'s b, gamma(v, x)'s v) passes nan and +oo to
+its series, which returns the limit (1F1(1; +oo; x) = 1, R_{+oo}(x) = 0 for
+0 <= x < 1) or raises :class:`.errors.NumericalError`.  The command line
 refuses nan and the infinities when it parses them (:func:`parse_real`,
-exit code 2).
+the grid axes; exit code 2).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_pos, round_nearest, to_str
@@ -168,6 +177,108 @@ def as_real(x, ctx: PrecisionContext) -> Real:
         return _make(raw)
     with ctx.work():  # decimal strings, floats
         return +mpf(x)
+
+
+class Param(NamedTuple):
+    """A declared argument: its name, its kind (``int``, ``mpf`` for a real,
+    ``str``, or ``object`` for a value taken as it is) and its bounds.  A
+    numeric bound is a number or the name of another parameter, as in
+    k <= n; ``among`` lists the values a string may take.  A real is
+    finite unless ``finite`` is False (see the module docstring)."""
+
+    name: str
+    kind: type = mpf
+    gt: object = None
+    ge: object = None
+    le: object = None
+    among: tuple | None = None
+    finite: bool = True
+
+
+def _as_int(v, ctx) -> int:
+    """An order given as an int, or as an integral mpf, float or decimal
+    string; anything else raises ValueError, never truncated.  An mpf is
+    judged as it is and any other value at the working precision."""
+    if isinstance(v, int):
+        return int(v)
+    r = v if isinstance(v, mpf) else as_real(v, ctx)
+    if not mp.isint(r):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(r)
+
+
+# kind -> (what a value of it is called, its conversion (value, ctx) -> value)
+KINDS = {int: ("an integer", _as_int), mpf: ("a real", as_real),
+         str: ("a string", lambda v, ctx: str(v)), object: ("a value", lambda v, ctx: v)}
+
+# bound field -> (its symbol, its test)
+_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le),
+           "among": ("in", lambda v, among: v in among)}
+
+
+def convert(spec: Param, v, ctx: PrecisionContext):
+    """``v`` read by the kind of ``spec`` at the working precision.  Raises
+    ValueError, saying what was expected, where the kind cannot read it or
+    where a real declared finite is nan or infinite."""
+    what, read = KINDS[spec.kind]
+    try:
+        value = read(v, ctx)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} '{spec.name}', got {v}") from exc
+    # a special mpf (zero, nan, +-oo) has mantissa 0, and only zero has bc 0
+    if spec.finite and spec.kind is mpf and not (value._mpf_[1] or not value._mpf_[3]):
+        raise ValueError(f"a finite real '{spec.name}', got {value}")
+    return value
+
+
+def bounds(params) -> tuple:
+    """(name, symbol, test, bound) of every bound declared in ``params``."""
+    return tuple((spec.name, *_BOUNDS[key], bound) for spec in params
+                 for key, bound in zip(_BOUNDS, spec[2:6]) if bound is not None)
+
+
+def breach(checks: tuple, values) -> str | None:
+    """The first of the :func:`bounds` ``checks`` that the mapping ``values``
+    breaks, as "name symbol bound, got name = value", or None.  A parameter
+    it does not hold is not judged, nor a nan (only a non-finite real)."""
+    for name, symbol, test, bound in checks:
+        v = values.get(name)
+        limit = values.get(bound) if isinstance(bound, str) else bound
+        if v is not None and limit is not None and not test(v, limit) and v == v:
+            return f"{name} {symbol} {bound}, got {name} = {v}"
+    return None
+
+
+def declared(*params: Param):
+    """Decorator giving ``f(*args, ctx, **options)`` its one boundary: each
+    argument is converted by its declared kind (:func:`convert`) and its
+    bounds checked, either failure a :class:`DomainError`; then f runs
+    inside ``ctx.work()``, entering only the boosted blocks it needs, and
+    its result is finalized.  The declarations are the function's ``params``."""
+    checks = bounds(params)
+
+    def wrap(impl):
+        label = impl.__name__
+
+        @functools.wraps(impl)
+        def public(*args, **options):
+            if len(args) != len(params) + 1:
+                raise TypeError(f"{label}() takes {len(params)} arguments and a context")
+            ctx = args[-1]
+            with ctx.work():  # entered first, so no conversion switches precision
+                try:
+                    values = {spec.name: convert(spec, v, ctx) for spec, v in zip(params, args)}
+                except ValueError as exc:
+                    raise DomainError(f"{label} needs {exc}") from exc
+                fault = breach(checks, values)
+                if fault is not None:
+                    raise DomainError(f"{label} requires {fault}")
+                return ctx.finalize(impl(*values.values(), ctx, **options))
+
+        public.params = params
+        return public
+
+    return wrap
 
 
 # log2(10) exactly as ``libmp.to_str`` computes it, so the fast path below

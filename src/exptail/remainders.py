@@ -34,9 +34,10 @@ from mpmath.libmp import (from_man_exp, mpf_div, mpf_exp, mpf_gamma, mpf_log, mp
 
 from .errors import DomainError, NumericalError, UsageError
 from .numerics import _hyp1f1_pos, _series_budget, quad_integral
-from .precision import GUARD_BITS, PrecisionContext, Real, as_real
+from .precision import GUARD_BITS, Param, PrecisionContext, Real, _make, as_real, declared
 
-_make = mp.make_mpf
+_N0, _N1 = Param("n", int, ge=0), Param("n", int, ge=1)
+_X0, _X = Param("x", ge=0), Param("x", gt=0)
 
 
 class RemainderKind(enum.Enum):
@@ -76,38 +77,22 @@ class DiffTable:
     k: int
 
 
-def _check_nonneg_x(x, ctx):
-    xw = as_real(x, ctx)
-    if xw < 0:
-        raise DomainError(f"remainder argument must be >= 0, got {xw}")
-    return xw
+def _memo_free(key, compute, *args):
+    """The ``memo`` of a caller without one: every value computed."""
+    return compute(*args)
 
 
+@declared(_N0, _X0)
 def r_tail(n: int, x, ctx: PrecisionContext) -> Real:
     """Tail sum_{k>n} x**k/k! = x**(n+1)/(n+1)! 1F1(1; n+2; x), x >= 0."""
-    if n < 0:
-        raise DomainError(f"r_tail requires n >= 0, got {n}")
-    with ctx.work():
-        xw = _check_nonneg_x(x, ctx)
-        result = _hyp1f1_pos(1, n + 2, xw, ctx, xw ** (n + 1) / mp.factorial(n + 1))
-    return ctx.finalize(result)
+    return _hyp1f1_pos(1, n + 2, x, ctx, x ** (n + 1) / mp.factorial(n + 1))
 
 
+@declared(Param("a", gt=-1, finite=False), _X0)
 def r_frac(a, x, ctx: PrecisionContext) -> Real:
     """Fractional-order remainder R_a(x), real a > -1, via the Kummer series
     x**(a+1)/Gamma(a+2) * 1F1(1; a+2; x)."""
-    with ctx.work():
-        aw = as_real(a, ctx)
-        if not aw > -1:
-            raise DomainError(f"r_frac requires a > -1, got {aw}")
-        xw = _check_nonneg_x(x, ctx)
-        result = _hyp1f1_pos(1, aw + 2, xw, ctx, xw ** (aw + 1) / mp.gamma(aw + 2))
-    return ctx.finalize(result)
-
-
-def _memo_free(key, compute, *args):
-    """The ``memo`` of a ladder block computed on its own: no memo."""
-    return compute(*args)
+    return _hyp1f1_pos(1, a + 2, x, ctx, x ** (a + 1) / mp.gamma(a + 2))
 
 
 def _power(x, e, wp: int, memo):
@@ -142,9 +127,9 @@ def r_frac_ladder(f, lo: int, hi: int, x, ctx: PrecisionContext, *,
         raise DomainError(f"r_frac_ladder needs 0 <= f < 1 and f + {lo} > -1, got f={f}, hi={hi}")
     wp, bits = ctx.bits + GUARD_BITS, ctx.bits
     with ctx.work():
-        xw = _check_nonneg_x(x, ctx)
-        if not xw > 0:
-            raise DomainError(f"r_frac_ladder requires x > 0, got {xw}")
+        xw = as_real(x, ctx)
+        if not (mp.isfinite(xw) and xw > 0):
+            raise DomainError(f"r_frac_ladder requires finite x > 0, got {xw}")
         f = mpf(f)
         a = f + hi
         top = (a + 2)._mpf_
@@ -181,23 +166,26 @@ def neg_remainder_sign(n: int) -> int:
     return -1 if n % 2 == 0 else 1
 
 
-def r_neg(n: int, x, ctx: PrecisionContext) -> Real:
+def _exp_neg(x) -> Real:
+    return mp.exp(-x)
+
+
+@declared(_N0, _X0)
+def r_neg(n: int, x, ctx: PrecisionContext, *, memo=_memo_free) -> Real:
     """Magnitude |R_n(-x)| for x >= 0 (use :func:`neg_remainder_sign` for
     the sign).
 
     Termwise integration of the positive kernel (x-t)**n e**-t gives
     |R_n(-x)| = e**-x x**(n+1)/(n+1)! * 1F1(n+1; n+2; x), all terms
-    positive, so no precision boost is needed.
+    positive, so no precision boost is needed.  e**-x is taken from
+    ``memo`` (as for :func:`r_frac_ladder`) under the key ("exp-", raw x),
+    so a caller reading many orders at one x computes it once.
     """
-    if n < 0:
-        raise DomainError(f"r_neg requires n >= 0, got {n}")
-    with ctx.work():
-        xw = _check_nonneg_x(x, ctx)
-        prefactor = mp.exp(-xw) * xw ** (n + 1) / mp.factorial(n + 1)
-        result = _hyp1f1_pos(n + 1, n + 2, xw, ctx, prefactor)
-    return ctx.finalize(result)
+    prefactor = memo(("exp-", x._mpf_), _exp_neg, x) * x ** (n + 1) / mp.factorial(n + 1)
+    return _hyp1f1_pos(n + 1, n + 2, x, ctx, prefactor)
 
 
+@declared(_N0, Param("m", int, ge=0), _X0)
 def r_obreshkov(n: int, m: int, x, ctx: PrecisionContext) -> Real:
     """Two-parameter remainder R_{n,m}(x), signed: its sign is (-1)**m.
 
@@ -208,16 +196,12 @@ def r_obreshkov(n: int, m: int, x, ctx: PrecisionContext) -> Real:
     the working precision by ``mp.factorial``: at orders near 10^5 their
     exact values took seconds to multiply and to convert.
     """
-    if n < 0 or m < 0:
-        raise DomainError(f"r_obreshkov requires n, m >= 0, got n={n}, m={m}")
-    with ctx.work():
-        xw = _check_nonneg_x(x, ctx)
-        prefactor = ((-1) ** m * mp.factorial(n) * mp.factorial(m) * xw ** (n + m + 1)
-                     / (mp.factorial(n + m) * mp.factorial(n + m + 1)))
-        result = _hyp1f1_pos(m + 1, n + m + 2, xw, ctx, prefactor)
-    return ctx.finalize(result)
+    prefactor = ((-1) ** m * mp.factorial(n) * mp.factorial(m) * x ** (n + m + 1)
+                 / (mp.factorial(n + m) * mp.factorial(n + m + 1)))
+    return _hyp1f1_pos(m + 1, n + m + 2, x, ctx, prefactor)
 
 
+@declared(_N1, _X)
 def q_value(n: int, x, ctx: PrecisionContext) -> Real:
     """Mean-value exponent Q_n(x) in R_n(x) = x**(n+1)/(n+1)! e**(x Q_n(x)).
 
@@ -225,56 +209,30 @@ def q_value(n: int, x, ctx: PrecisionContext) -> Real:
     1/(n+2) exists but is excluded).  Evaluated as log1p(x/(n+2) *
     1F1(1; n+3; x))/x, as log 1F1(1; n+2; x) rounds to log 1 for tiny x.
     """
-    if n < 1:
-        raise DomainError(f"q_value requires n >= 1, got {n}")
-    with ctx.work():
-        xw = as_real(x, ctx)
-        if not xw > 0:
-            raise DomainError(f"q_value requires x > 0, got {xw}")
-        result = mp.log1p(_hyp1f1_pos(1, n + 3, xw, ctx, xw / (n + 2))) / xw
-    return ctx.finalize(result)
+    return mp.log1p(_hyp1f1_pos(1, n + 3, x, ctx, x / (n + 2))) / x
 
 
+@declared(Param("nu", gt=-1), _X0)
 def b_value(nu, x, ctx: PrecisionContext) -> Real:
     """Normalised remainder Gamma(nu+2) * R_nu(x) = x**(nu+1) 1F1(1; nu+2; x)
     for finite nu > -1 and x >= 0; log-convex in nu.  Summed as the
     series, without the two Gamma(nu+2) of the product, which cancel."""
-    with ctx.work():
-        nuw = as_real(nu, ctx)
-        if not (nuw > -1 and mp.isfinite(nuw)):
-            raise DomainError(f"b_value requires finite nu > -1, got {nuw}")
-        xw = _check_nonneg_x(x, ctx)
-        result = _hyp1f1_pos(1, nuw + 2, xw, ctx, xw ** (nuw + 1))
-    return ctx.finalize(result)
+    return _hyp1f1_pos(1, nu + 2, x, ctx, x ** (nu + 1))
 
 
+@declared(Param("nu", gt=-1, finite=False), _X)
 def eps_value(nu, x, ctx: PrecisionContext) -> Real:
     """Ratio defect R_nu/R_{nu+1} - (nu+2)/x, nu > -1; lies in (0, 1) and
     increases from 1/(nu+3) (x -> 0) to 1 (x -> oo).  Evaluated without
     the subtraction as 1F1(2; nu+4; x) / ((nu+3) 1F1(1; nu+3; x)), since
     1F1(1; b; x) - 1F1(1; b+1; x) = x/(b (b+1)) 1F1(2; b+2; x)."""
-    with ctx.work():
-        nuw = as_real(nu, ctx)
-        xw = as_real(x, ctx)
-        if not xw > 0:
-            raise DomainError(f"eps_value requires x > 0, got {xw}")
-        if not nuw > -1:
-            raise DomainError(f"eps_value requires nu > -1, got {nuw}")
-        result = (_hyp1f1_pos(2, nuw + 4, xw, ctx)
-                  / _hyp1f1_pos(1, nuw + 3, xw, ctx, nuw + 3))
-    return ctx.finalize(result)
+    return _hyp1f1_pos(2, nu + 4, x, ctx) / _hyp1f1_pos(1, nu + 3, x, ctx, nu + 3)
 
 
+@declared(_N1, _X)
 def g_ratio(n: int, x, ctx: PrecisionContext) -> Real:
     """Consecutive-order ratio R_{n-1}(x)/R_n(x); exceeds 1 for x > 0."""
-    if n < 1:
-        raise DomainError(f"g_ratio requires n >= 1, got {n}")
-    with ctx.work():
-        xw = as_real(x, ctx)
-        if not xw > 0:
-            raise DomainError(f"g_ratio requires x > 0, got {xw}")
-        result = r_tail(n - 1, xw, ctx) / r_tail(n, xw, ctx)
-    return ctx.finalize(result)
+    return r_tail(n - 1, x, ctx) / r_tail(n, x, ctx)
 
 
 def finite_diff(values, k: int) -> DiffTable:
@@ -313,93 +271,90 @@ def _subtraction_boost(n: int, x) -> int:
     return max(0, int(log2_big - log2_rem)) + 64
 
 
+@declared(Param("spec", object), _X0)
 def cross_check(spec: RemainderSpec, x, ctx: PrecisionContext) -> Real:
     """Evaluate every applicable route for the given remainder and return
     the maximum pairwise relative deviation (0 is perfect agreement;
     anything below ~100 * target_rel_err counts as healthy)."""
-    with ctx.work():
-        xw = _check_nonneg_x(x, ctx)
-        if xw == 0:
-            return ctx.finalize(0)
-        vals = []
+    if x == 0:
+        return 0
+    vals = []
 
-        def run(name, fn):
-            try:
-                vals.append(fn())
-            except NumericalError as exc:
-                raise NumericalError(f"cross_check path '{name}' failed: {exc}",
-                                     best_estimate=exc.best_estimate) from exc
+    def run(name, fn):
+        try:
+            vals.append(fn())
+        except NumericalError as exc:
+            raise NumericalError(f"cross_check path '{name}' failed: {exc}",
+                                 best_estimate=exc.best_estimate) from exc
 
-        if spec.kind is RemainderKind.INTEGER_TAIL:
-            n = spec.n
-            fact = mpf(math.factorial(n))
-            run("tail-series", lambda: r_tail(n, xw, ctx))
-            run("kernel-quadrature", lambda: quad_integral(
-                lambda t: (xw - t) ** n * mp.exp(t), 0, xw, n, ctx).value / fact)
+    if spec.kind is RemainderKind.INTEGER_TAIL:
+        n = spec.n
+        fact = mpf(math.factorial(n))
+        run("tail-series", lambda: r_tail(n, x, ctx))
+        run("kernel-quadrature", lambda: quad_integral(
+            lambda t: (x - t) ** n * mp.exp(t), 0, x, n, ctx).value / fact)
 
-            def rep_shifted():
-                inner = quad_integral(lambda t: t ** (n + 1) * mp.exp(-xw * t), 0, 1, 0, ctx).value
-                return xw ** (n + 1) / mpf(math.factorial(n + 1)) * (1 + xw * mp.exp(xw) * inner)
+        def rep_shifted():
+            inner = quad_integral(lambda t: t ** (n + 1) * mp.exp(-x * t), 0, 1, 0, ctx).value
+            return x ** (n + 1) / mpf(math.factorial(n + 1)) * (1 + x * mp.exp(x) * inner)
 
-            run("shifted-kernel", rep_shifted)
+        run("shifted-kernel", rep_shifted)
 
-            def subtraction():
-                boost = _subtraction_boost(n, float(xw))
-                with ctx.work(boost):
-                    partial = sum(xw**k / mpf(math.factorial(k)) for k in range(n + 1))
-                    return +(mp.exp(xw) - partial)
+        def subtraction():
+            boost = _subtraction_boost(n, float(x))
+            with ctx.work(boost):
+                partial = sum(x**k / mpf(math.factorial(k)) for k in range(n + 1))
+                return +(mp.exp(x) - partial)
 
-            run("subtraction", subtraction)
+        run("subtraction", subtraction)
 
-        elif spec.kind is RemainderKind.FRACTIONAL:
-            a = as_real(spec.a, ctx)
-            run("kummer-series", lambda: r_frac(a, xw, ctx))
-            run("kernel-quadrature", lambda: quad_integral(
-                lambda t: (xw - t) ** a * mp.exp(t), 0, xw, a, ctx).value / mp.gamma(a + 1))
+    elif spec.kind is RemainderKind.FRACTIONAL:
+        a = as_real(spec.a, ctx)
+        run("kummer-series", lambda: r_frac(a, x, ctx))
+        run("kernel-quadrature", lambda: quad_integral(
+            lambda t: (x - t) ** a * mp.exp(t), 0, x, a, ctx).value / mp.gamma(a + 1))
 
-        elif spec.kind is RemainderKind.NEGATIVE_ARGUMENT:
-            n = spec.n
-            fact = mpf(math.factorial(n))
-            run("positive-series", lambda: r_neg(n, xw, ctx))
-            run("kernel-quadrature", lambda: quad_integral(
-                lambda t: (xw - t) ** n * mp.exp(-t), 0, xw, n, ctx).value / fact)
+    elif spec.kind is RemainderKind.NEGATIVE_ARGUMENT:
+        n = spec.n
+        fact = mpf(math.factorial(n))
+        run("positive-series", lambda: r_neg(n, x, ctx))
+        run("kernel-quadrature", lambda: quad_integral(
+            lambda t: (x - t) ** n * mp.exp(-t), 0, x, n, ctx).value / fact)
 
-            def alternating():
-                boost = _subtraction_boost(n, float(xw))
-                with ctx.work(boost):
-                    term = (-xw) ** (n + 1) / mpf(math.factorial(n + 1))
-                    total = term
-                    for k in range(n + 2, n + 2 + _series_budget(xw, ctx.bits)):
-                        term *= -xw / k
-                        total += term
-                        if abs(term) < ctx.target_rel_err * abs(total) and xw < k + 1:
-                            break
-                    return +abs(total)
+        def alternating():
+            boost = _subtraction_boost(n, float(x))
+            with ctx.work(boost):
+                term = (-x) ** (n + 1) / mpf(math.factorial(n + 1))
+                total = term
+                for k in range(n + 2, n + 2 + _series_budget(x, ctx.bits)):
+                    term *= -x / k
+                    total += term
+                    if abs(term) < ctx.target_rel_err * abs(total) and x < k + 1:
+                        break
+                return +abs(total)
 
-            run("alternating-tail", alternating)
+        run("alternating-tail", alternating)
 
-        elif spec.kind is RemainderKind.OBRESHKOV:
-            n, m = spec.n, spec.m
-            sign = -1 if m % 2 else 1
-            run("beta-series", lambda: r_obreshkov(n, m, xw, ctx))
-            run("kernel-quadrature", lambda: sign * quad_integral(
-                lambda t: (xw - t) ** n * t ** m * mp.exp(t), 0, xw, n, ctx).value
-                / mpf(math.factorial(n + m)))
+    elif spec.kind is RemainderKind.OBRESHKOV:
+        n, m = spec.n, spec.m
+        sign = -1 if m % 2 else 1
+        run("beta-series", lambda: r_obreshkov(n, m, x, ctx))
+        run("kernel-quadrature", lambda: sign * quad_integral(
+            lambda t: (x - t) ** n * t ** m * mp.exp(t), 0, x, n, ctx).value
+            / mpf(math.factorial(n + m)))
 
-            def explicit():
-                boost = _subtraction_boost(n + m, float(xw))
-                with ctx.work(boost):
-                    cnm = math.comb
-                    front = sum((-1) ** j * mpf(cnm(m, j)) / cnm(n + m, j) * xw**j
-                                / math.factorial(j) for j in range(m + 1))
-                    back = sum(mpf(cnm(n, j)) / cnm(n + m, j) * xw**j / math.factorial(j)
-                               for j in range(n + 1))
-                    return +(front * mp.exp(xw) - back)
+        def explicit():
+            boost = _subtraction_boost(n + m, float(x))
+            with ctx.work(boost):
+                cnm = math.comb
+                front = sum((-1) ** j * mpf(cnm(m, j)) / cnm(n + m, j) * x**j
+                            / math.factorial(j) for j in range(m + 1))
+                back = sum(mpf(cnm(n, j)) / cnm(n + m, j) * x**j / math.factorial(j)
+                           for j in range(n + 1))
+                return +(front * mp.exp(x) - back)
 
-            run("explicit-form", explicit)
+        run("explicit-form", explicit)
 
-        scale = max(abs(v) for v in vals)
-        if scale == 0:
-            return ctx.finalize(0)
-        deviation = (max(vals) - min(vals)) / scale
-    return ctx.finalize(deviation)
+    scale = max(abs(v) for v in vals)
+    return 0 if scale == 0 else (max(vals) - min(vals)) / scale
+

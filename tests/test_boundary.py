@@ -1,0 +1,169 @@
+"""The declared-argument boundary of the public scalar functions: one
+declaration per function converts, checks and holds the precision, and
+the inequality catalog reads its parameters through the same records."""
+
+import contextlib
+import inspect
+import io
+import sys
+
+import pytest
+from mpmath import mp, mpf
+
+from exptail import inequalities, precision, remainders
+from exptail.cli import EVAL, main
+from exptail.errors import DomainError, UsageError
+from exptail.inequalities import (CATALOG, Evaluator, chebyshev_constant, cor25_constant,
+                                  cor27_constant, default_sweep, interp_constant, lin_grid,
+                                  log_grid)
+from exptail.numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
+from exptail.pade import aitken_row, cesaro_mean, eval_approximant, pade_exp, taylor_partial
+from exptail.precision import GUARD_BITS, Param, PrecisionContext
+from exptail.remainders import (b_value, eps_value, g_ratio, q_value, r_frac, r_neg,
+                                r_obreshkov, r_tail)
+
+# each x-taking function with admissible values of its other arguments
+X_TAKING = {
+    r_tail: (3,), r_frac: (mpf("0.5"),), r_neg: (3,), r_obreshkov: (3, 1), q_value: (3,),
+    b_value: (mpf("0.5"),), eps_value: (mpf("0.5"),), g_ratio: (3,),
+    arctan_fracint: (mpf("0.5"),), lower_incomplete_gamma: (mpf("1.5"),),
+    kummer_1f1_one: (mpf("2.5"),), eval_approximant: (pade_exp(2, 1),), taylor_partial: (3,),
+    aitken_row: (3,), cesaro_mean: (3,),
+}
+DECLARED = (*X_TAKING, gamma_fn, chebyshev_constant, interp_constant, cor25_constant,
+            cor27_constant)
+
+
+def test_twenty_functions_declare_their_arguments_once():
+    assert len(DECLARED) == 20
+    for fn in DECLARED:
+        names = list(inspect.signature(fn.__wrapped__).parameters)
+        assert [spec.name for spec in fn.params] == names[:len(fn.params)], fn.__name__
+        assert names[len(fn.params)] == "ctx", fn.__name__
+    # the catalog declares its parameters with the same records and kinds
+    assert inequalities.Param is precision.Param and inequalities.KINDS is precision.KINDS
+    assert all(type(spec) is Param for cdef in CATALOG.values() for spec in cdef.params)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fn", list(X_TAKING), ids=lambda fn: fn.__name__)
+def test_non_finite_x_is_a_domain_error(ctx, fn, x):
+    with pytest.raises(DomainError, match="finite real 'x'"):
+        fn(*X_TAKING[fn], mpf(x), ctx)
+
+
+def test_broken_bounds_and_unreadable_kinds_are_domain_errors(ctx):
+    with pytest.raises(DomainError, match="r_tail requires n >= 0"):
+        r_tail(-1, 1, ctx)
+    with pytest.raises(DomainError, match="q_value requires x > 0"):
+        q_value(2, 0, ctx)
+    with pytest.raises(DomainError, match="r_obreshkov needs an integer 'm'"):
+        r_obreshkov(2, 1.5, 1, ctx)
+    with pytest.raises(TypeError):
+        r_tail(2, ctx)
+    # an integral float or decimal string is an integer order
+    assert r_tail(2.0, 1, ctx) == r_tail("2", 1, ctx) == r_tail(2, 1, ctx)
+
+
+def test_orders_declared_non_finite_keep_their_lower_bounds(ctx):
+    # +oo and nan reach the series (test_numerics.py pins their outcomes)
+    for fn in (r_frac, eps_value, kummer_1f1_one, lower_incomplete_gamma):
+        with pytest.raises(DomainError, match="requires"):
+            fn(mpf("-inf"), 1, ctx)
+
+
+@pytest.mark.parametrize("spec", ["lin(inf,inf,1)", "lin(nan,nan,1)", "lin(1,inf,2)",
+                                  "lin(-inf,1,3)", "log(1,inf,3)", "log(inf,inf,1)"])
+def test_grid_axes_refuse_non_finite_values(spec):
+    ctx = PrecisionContext(53)
+    make = lin_grid if spec.startswith("lin") else log_grid
+    lo, hi, count = spec[4:-1].split(",")
+    with pytest.raises(UsageError):
+        make(lo, hi, int(count), ctx)
+    assert all(map(mp.isfinite, lin_grid("-0", "1e300", 2, ctx)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--id", "ALZER", "--grid", "n=1..1;x=lin(inf,inf,1)"],
+    ["check", "--id", "RATIO_32", "--grid", "a=lin(inf,inf,1);x=lin(1,1,1)"],
+    ["check", "--id", "PADE_ROW_45", "--grid", "x=lin(inf,inf,1)"],
+    ["check", "--id", "ALZER", "--grid", "x=lin(1,inf,2)"],
+    ["explore", "--problem", "1", "--xgrid", "lin(nan,1,3)"],
+])
+def test_non_finite_grid_exits_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and err.getvalue().startswith("error:"), err.getvalue()
+    assert out.getvalue() == ""
+
+
+def _exp_calls_from_remainders(monkeypatch) -> list:
+    calls = []
+    exp = mp.exp
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == remainders.__name__:
+            calls.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "exp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ids", [None, ["NEG_ALZER", "NEG_GEN_K", "NEG_SANDWICH"]])
+def test_r_neg_takes_exp_from_the_sweep_memo(monkeypatch, ids):
+    # e**-x once per x of the default grid at most, not once per (n, x)
+    calls = _exp_calls_from_remainders(monkeypatch)
+    default_sweep(ids, PrecisionContext(256))
+    assert len(calls) <= 25
+
+
+def test_r_neg_with_a_memo_is_bit_identical(ctx):
+    ev = Evaluator(ctx)
+    for x in ev.x_grid:
+        for n in range(10):
+            assert ev._rn(n, x)._mpf_ == r_neg(n, x, ctx)._mpf_
+
+
+@pytest.fixture
+def precision_never_lowered(monkeypatch):
+    """``PrecisionContext.work`` raising where it would lower an active
+    precision above the context's working precision: a public function
+    called inside a caller's boost would undo that boost."""
+    work = PrecisionContext.work
+
+    def guarded(self, extra_bits=0):
+        wanted = self.bits + GUARD_BITS + max(0, extra_bits)
+        if self.bits + GUARD_BITS < mp.prec and wanted < mp.prec:
+            raise AssertionError(f"a {mp.prec}-bit boost lowered to {wanted} bits")
+        return work(self, extra_bits)
+
+    monkeypatch.setattr(PrecisionContext, "work", guarded)
+    with mp.workprec(53):  # the tests' ambient 640 bits would trip every call
+        yield
+
+
+_FLAG_VALUES = {"n": "3", "m": "1", "x": "1.5", "a": "0.5", "nu": "0.5", "v": "1.5", "b": "2.5"}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("x", ["1.5", "-7"])
+@pytest.mark.parametrize("quantity", list(EVAL))
+def test_eval_never_lowers_a_boost(precision_never_lowered, quantity, x):
+    flags = [f"--{spec.name}={dict(_FLAG_VALUES, x=x)[spec.name]}"
+             for spec in EVAL[quantity].params]
+    code, err = _run(["eval", "--quantity", quantity, *flags])
+    # x = -7 is outside the remainders' domain: a usage error, not a lowered boost
+    assert code == 0 or (x == "-7" and err.startswith("error:")), (quantity, err)
+
+
+@pytest.mark.parametrize("problem", ["1", "5", "7", "8", "9", "11", "12", "15", "rk"])
+def test_explore_never_lowers_a_boost(precision_never_lowered, problem):
+    assert _run(["explore", "--problem", problem]) == (0, "")

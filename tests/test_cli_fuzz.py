@@ -1,7 +1,8 @@
 """Fuzz of ``exptail eval``: over all quantities and hostile inputs (nan,
 the infinities, -0, 1e-300, 1e300, orders up to 10^5) a call ends with
 exit code 0, 2 or 3 and never with a traceback; points below the large-x
-switch whose series is short return values."""
+switch whose series is short return values.  ``exptail check --grid`` with
+single-point axes at such endpoints ends with 0, 1, 2 or 3, likewise."""
 
 import contextlib
 import io
@@ -107,3 +108,40 @@ def test_pade_pole_search_is_bounded(bits):
                          f"--bits={bits}"])
     assert code == 2 and err.startswith("error:"), err
     assert time.perf_counter() - start < 10
+
+
+# checks of the grid fuzz -> the real parameters a grid axis may set
+GRID_AXES = {"ALZER": ("x",), "RATIO_32": ("a", "x"), "PADE_ROW_45": ("x",),
+             "KIM_37": ("nu", "x", "y"), "INCGAMMA_FORM": ("x",)}
+ENDPOINTS = st.sampled_from(["nan", "inf", "-inf", "-0", "1e300", "-1e300", "1e-300", "-1e-300",
+                             "0.5", "2"])
+
+
+@st.composite
+def check_argv(draw):
+    check = draw(st.sampled_from(sorted(GRID_AXES)))
+    axes = []
+    for name in GRID_AXES[check]:
+        if name == "x" or draw(st.booleans()):
+            spacing = draw(st.sampled_from(["lin", "log"]))
+            axes.append(f"{name}={spacing}({draw(ENDPOINTS)},{draw(ENDPOINTS)},1)")
+    argv = ["check", "--id", check, "--grid", ";".join(axes), "--format", "text"]
+    if draw(st.booleans()):
+        argv.append("--bits=53")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(check_argv())
+def test_check_grid_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+    if code == 2 or (code == 3 and err):
+        assert err.startswith(("error:", "numerical failure:")), (argv, err)
+    assert elapsed < 10, argv
