@@ -12,11 +12,20 @@ module keeps no value between calls.  Every positive remainder a check
 reads, and gamma(v, x), 1F1(1; b; x) and Q_n(x) through exact identities,
 comes from *ladder blocks*: one series at the top of a block of
 LADDER_SPAN consecutive orders and the all-positive downward recurrence
-below it (:func:`.remainders.r_frac_ladder`).  A block is fixed by its
+below it (:func:`.remainders.r_frac_ladder`), and from no other route: an
+order of -1 or below raises DomainError.  A block is fixed by its
 fractional order, floor(order) // LADDER_SPAN and x, so a value never
 depends on the rows a sweep holds.  The memo keys on the raw ``_mpf_``
 tuples of the arguments, so a lookup hashes tuples of ints, never mpf
 objects.
+
+A point is admitted in one place, :func:`_admit`, for every row and every
+sharpness sample: the check is looked up, the point canonicalized and
+validated against the declared bounds (a sweep skips a point they refuse),
+and x <= 0, as any int or real parameter of magnitude 2**bits or more, is a
+usage error.  Below that magnitude an integer shift such as a + 1 or x + y
+at the working precision, bits + GUARD_BITS, keeps the shift; beyond it
+a + 1 can round to a, and a row would compare the wrong remainders.
 
 The catalog is one table, ``CATALOG``, of :class:`CheckDef` records.  A
 record declares each parameter once, with its kind (int, real or str) and
@@ -69,12 +78,12 @@ from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_sub,
                           round_nearest)
 
-from .errors import NumericalError, PoleError, UsageError
-from .numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
+from .errors import DomainError, NumericalError, PoleError, UsageError
+from .numerics import arctan_fracint, gamma_fn
 from .pade import eval_approximant, pade_exp
 from .precision import (GUARD_BITS, KINDS, Param, PrecisionContext, Real, _fit, _make, as_real,
                         bounds, breach, convert, declared)
-from .remainders import finite_diff, q_value, r_frac, r_frac_ladder, r_neg, r_tail
+from .remainders import finite_diff, r_frac_ladder, r_neg
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +332,6 @@ CacheInfo = namedtuple("CacheInfo", "hits misses")
 _hits = _misses = 0
 
 
-def _on_ladder(a, shift: int, x) -> bool:
-    """Whether R_{a+shift}(x) lies on a ladder: a finite order above -1 and
-    a finite x > 0.  Anything else takes the direct route, which raises on
-    a point outside its domain."""
-    return (isinstance(x, mpf) and mp.isfinite(x) and x > 0
-            and (isinstance(a, int) or isinstance(a, mpf) and mp.isfinite(a))
-            and a > -1 - shift)
-
-
 @declared(Param("fname", str), Param("order"), Param("x"))
 def _closed_fracint(fname: str, order, x, ctx) -> Real:
     """I^order of ``arctan`` by the two-piece series of
@@ -385,9 +385,10 @@ class Evaluator:
         return value
 
     def _rung(self, a, shift: int, x) -> Real:
-        """R_{a+shift}(x) from its ladder block, where :func:`_on_ladder` holds.
+        """R_{a+shift}(x) from its ladder block, for a finite x > 0 and an
+        order above -1 (else :class:`DomainError`).
 
-        a (an int or an mpf) is split exactly into floor(a) + f with
+        a (an int or a finite mpf) is split exactly into floor(a) + f with
         0 <= f < 1, so the order a + shift is never rounded."""
         if isinstance(a, int):
             f_raw, j = fzero, a
@@ -400,6 +401,8 @@ class Evaluator:
                 j = signed >> -exp
                 f_raw = from_man_exp(signed - (j << -exp), exp)
         j += shift
+        if j < (0 if f_raw == fzero else -1):
+            raise DomainError(f"no ladder holds the order {a + shift}, which is not above -1")
         block = (j + 1) // LADDER_SPAN
         lo, values = self._get(("ladder", f_raw, block, x._mpf_), self._ladder, f_raw, block, x)
         return values[j - lo]
@@ -411,22 +414,15 @@ class Evaluator:
         hi = LADDER_SPAN * block + LADDER_SPAN - 2
         return lo, r_frac_ladder(_make(f_raw), lo, hi, x, self.ctx, memo=self._get)
 
-    def _remainder(self, direct, a, x) -> Real:
-        return self._rung(a, 0, x) if _on_ladder(a, 0, x) else direct(a, x, self.ctx)
-
-    def _derived(self, direct, a, shift: int, x, identity) -> Real:
-        """identity(R_{a+shift}(x)) at the working precision where the
-        remainder lies on a ladder, else direct(a, x, ctx)."""
-        if not _on_ladder(a, shift, x):
-            return direct(a, x, self.ctx)
+    def _derived(self, a, shift: int, x, identity) -> Real:
+        """identity(R_{a+shift}(x)) at the working precision."""
         return self.ctx.finalize(self._at_work(identity, self._rung(a, shift, x)))
 
     def _rt(self, n: int, x) -> Real:
-        return self._get(("rt", n, x._mpf_), self._remainder, r_tail, n, x)
+        return self._get(("rt", n, x._mpf_), self._rung, n, 0, x)
 
     def _rf(self, a, x) -> Real:
-        return self._get(("rf", a._mpf_ if type(a) is mpf else a, x._mpf_),
-                         self._remainder, r_frac, a, x)
+        return self._get(("rf", a._mpf_ if type(a) is mpf else a, x._mpf_), self._rung, a, 0, x)
 
     def _rn(self, n: int, x) -> Real:
         # the recurrence of |R_n(-x)| across orders cancels: one series
@@ -438,17 +434,17 @@ class Evaluator:
 
     def _gi(self, v, x) -> Real:
         """gamma(v, x) = Gamma(v) e**-x R_{v-1}(x)."""
-        return self._get(("gi", v._mpf_, x._mpf_), self._derived, lower_incomplete_gamma, v, -1, x,
+        return self._get(("gi", v._mpf_, x._mpf_), self._derived, v, -1, x,
                          lambda rem: mp.gamma(v) * self._exp_neg(x) * rem)
 
     def _kum(self, b, x) -> Real:
         """1F1(1; b; x) = Gamma(b) R_{b-2}(x) / x**(b-1) for b > 1."""
-        return self._get(("kum", b._mpf_, x._mpf_), self._derived, kummer_1f1_one, b, -2, x,
+        return self._get(("kum", b._mpf_, x._mpf_), self._derived, b, -2, x,
                          lambda rem: mp.gamma(b) * rem / x ** (b - 1))
 
     def _qv(self, n: int, x) -> Real:
         """Q_n(x) = log1p((n+1)! R_{n+1}(x) / x**(n+1)) / x, n >= 1."""
-        return self._get(("qv", n, x._mpf_), self._derived, q_value, n, 1, x,
+        return self._get(("qv", n, x._mpf_), self._derived, n, 1, x,
                          lambda rem: mp.log1p(math.factorial(n + 1) * rem / x ** (n + 1)) / x)
 
     def _fracint(self, fname: str, order, x) -> Real:
@@ -530,16 +526,10 @@ class CheckDef:
     def _bounds(self) -> tuple:
         return bounds(self.params)
 
-    def _fault(self, p: Mapping) -> str | None:
-        """The first declared bound p breaks, or None; a parameter p does
-        not hold is not judged."""
-        fault = breach(self._bounds, p)
-        return None if fault is None else f"check {self.name} needs {fault}"
-
     def _refuse(self, p: Mapping) -> None:
-        fault = self._fault(p)
+        fault = breach(self._bounds, p)  # a parameter p does not hold is not judged
         if fault is not None:
-            raise _Inadmissible(fault)
+            raise _Inadmissible(f"check {self.name} needs {fault}")
 
     def default_points(self, ev) -> list[dict]:
         """The product of the default axes in order, less the points a bound
@@ -555,7 +545,7 @@ class CheckDef:
             column = [{name: kinds[name](v, ev.ctx) for name, v in zip(names, row)}
                       for row in rows]
             points = [{**pt, **vals} for pt in points for vals in column]
-        points = [pt for pt in points if self._fault(pt) is None]
+        points = [pt for pt in points if breach(self._bounds, pt) is None]
         return points if "y" in kinds else [dict(pt, x=x) for pt in points for x in ev.x_grid]
 
 
@@ -767,7 +757,8 @@ def _ev_strength36(p, ev):
 def _ev_kim37(p, ev):
     nu, x, y = p["nu"], p["x"], p["y"]
     lhs = ev._rf(nu, x + y)
-    rhs = gamma_fn(nu + 2, ev.ctx) * (1 / x + 1 / y) ** (nu + 1) * ev._rf(nu, x) * ev._rf(nu, y)
+    rhs = (ev._constant(gamma_fn, nu + 2) * (1 / x + 1 / y) ** (nu + 1)
+           * ev._rf(nu, x) * ev._rf(nu, y))
     return lhs, rhs
 
 
@@ -782,7 +773,7 @@ def _ev_kim38(p, ev):
 def _ev_kim39(p, ev):
     nu, x = p["nu"], p["x"]
     lhs = ev._rf(nu, 2 * x)
-    rhs = gamma_fn(nu + 2, ev.ctx) * mpf(2) ** (nu + 1) / x ** (nu + 1) * ev._rf(nu, x) ** 2
+    rhs = ev._constant(gamma_fn, nu + 2) * mpf(2) ** (nu + 1) / x ** (nu + 1) * ev._rf(nu, x) ** 2
     return lhs, rhs
 
 
@@ -914,28 +905,45 @@ def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
     return out
 
 
+def _check_def(name: str) -> CheckDef:
+    """The catalog record of ``name``; an unknown id is a usage error."""
+    cdef = CATALOG.get(name)
+    if cdef is None:
+        raise UsageError(f"unknown check id '{name}' (known: {', '.join(CHECK_IDS)})")
+    return cdef
+
+
+def _admit(check: CheckId | str, params: Mapping | None, ctx: PrecisionContext,
+           **at) -> tuple[CheckDef, dict]:
+    """The record of ``check``, a :class:`CheckId` or a name with
+    ``params``, and its canonical point with ``at`` set over it, admitted
+    as the module docstring says."""
+    if isinstance(check, CheckId):
+        check, params = check.id, check.params
+    cdef = _check_def(check)
+    p = _canonical_params(cdef, {**(params or {}), **at}, ctx)
+    cdef.validate(p)
+    if not mpf_gt(p["x"]._mpf_, fzero):
+        raise UsageError(f"check {check} requires x > 0, got {p['x']}")
+    for name, v in p.items():  # |v| < 2**top: an int's length, an mpf's exp + bc
+        top = v.bit_length() if type(v) is int else v._mpf_[2] + v._mpf_[3] if type(v) is mpf else 0
+        if top > ctx.bits:
+            raise UsageError(f"check {check} needs |{name}| < 2**{ctx.bits}, got {name} = {v}")
+    return cdef, p
+
+
 def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping | None = None,
                    ev: Evaluator | None = None) -> CheckResult:
     """Evaluate one catalog inequality at one parameter point.
 
-    The parameters are canonicalized and validated once; a point outside
-    the check's admissible region raises a :class:`UsageError`.  ``ev`` is
-    the evaluator of the sweep the row belongs to (an evaluator at ``ctx``);
-    a row evaluated on its own gets a fresh one."""
-    if isinstance(check, CheckId):
-        name, params = check.id, dict(check.params)
-    else:
-        name, params = check, dict(params or {})
-    cdef = CATALOG.get(name)
-    if cdef is None:
-        raise UsageError(f"unknown check id '{name}' (known: {', '.join(CHECK_IDS)})")
-    p = _canonical_params(cdef, params, ctx)
-    cdef.validate(p)
-    if not mpf_gt(p["x"]._mpf_, fzero):
-        raise UsageError(f"check {name} requires x > 0, got {p['x']}")
+    The point is admitted once (:func:`_admit`); a point outside the
+    check's admissible region raises a :class:`UsageError`.  ``ev`` is the
+    evaluator of the sweep the row belongs to (an evaluator at ``ctx``); a
+    row evaluated on its own gets a fresh one."""
+    cdef, p = _admit(check, params, ctx)
     with ctx.work():  # a no-op inside a sweep, which holds the precision
         lhs, rhs = cdef.evaluate(p, Evaluator(ctx) if ev is None else ev)
-    return _result(name, p, lhs, rhs, ctx)
+    return _result(cdef.name, p, lhs, rhs, ctx)
 
 
 def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> CheckResult:
@@ -1021,14 +1029,13 @@ def _overridden(points: list[dict], override: list[str], axes: Mapping) -> list[
 def _sweep(ids: Iterable[str], axes: Mapping, ctx: PrecisionContext) -> tuple[list, set]:
     """The rows of the checks ``ids`` over their default points, the grid
     values in ``axes`` replacing the defaults of the parameters they name,
-    with the names of the axes some check used."""
+    with the names of the axes some check used.  Every id is looked up
+    before the first row."""
+    cdefs = [_check_def(name) for name in ids]
     results, used = [], set()
     ev = Evaluator(ctx)
     with ctx.work():
-        for name in ids:
-            cdef = CATALOG.get(name)
-            if cdef is None:
-                raise UsageError(f"unknown check id '{name}'")
+        for cdef in cdefs:
             points = cdef.default_points(ev)
             override = [spec.name for spec in cdef.params if spec.name in axes]
             if override:
@@ -1107,29 +1114,15 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
     """Estimate the limiting value of a check's structural ratio as
     x -> 0 or x -> oo by sampling a geometric x-sequence and applying
     repeated Richardson extrapolation."""
-    if isinstance(check, CheckId):
-        name, params = check.id, dict(check.params)
-    else:
-        name, params = check, dict(params or {})
-    cdef = CATALOG.get(name)
-    if cdef is None:
-        raise UsageError(f"unknown check id '{name}'")
-    if direction not in cdef.sharp_limits:
+    name = check.id if isinstance(check, CheckId) else check
+    if direction not in _check_def(name).sharp_limits:
         raise UsageError(f"check {name} has no documented sharpness limit toward '{direction}'")
-    fixed = dict(params)
-    fixed.pop("x", None)
     ev = Evaluator(ctx)
     with ctx.work():
-        if direction == "zero":
-            xs = [mpf(10) ** (-e) for e in range(2, 9)]
-        elif direction == "inf":
-            xs = [mpf(10) ** e for e in range(1, 5)]
-        else:
-            raise UsageError(f"direction must be 'zero' or 'inf', got {direction!r}")
         samples = []
-        for x in xs:
-            p = _canonical_params(cdef, dict(fixed, x=x, y=x), ctx)  # y only where declared
-            cdef.validate(p)
+        for e in range(-2, -9, -1) if direction == "zero" else range(1, 5):
+            x = mpf(10) ** e
+            cdef, p = _admit(check, params, ctx, x=x, y=x)  # y only where declared
             samples.append((x, cdef.sharp_ratio(p, ev)))
         extrap = _richardson([s[1] for s in samples], mpf(1) / 10)
         limit = extrap[-1]
@@ -1147,7 +1140,7 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
         )
     return SharpnessResult(
         check=name,
-        params=fixed,
+        params={k: v for k, v in p.items() if k not in ("x", "y")},
         direction=direction,
         samples=[(ctx.finalize(x), ctx.finalize(r)) for x, r in samples],
         extrapolants=[ctx.finalize(t) for t in extrap],

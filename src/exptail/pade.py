@@ -24,13 +24,15 @@ from .precision import Param, PrecisionContext, Real, as_real, declared
 # from the command line, 1200 about 1 s, and n = 3000 took 13.6 s.
 MAX_PADE_ORDER = 1000
 
-# The most extra bits aitken_row carries to absorb the cancellation of the
-# alternating partial sums at x < 0, about 2 |x| log2(e): x down to about
-# -181,000 (x >= 0 needs a few dozen bits at any x).  Boosts of 345,527 and
-# 521,501 bits (n = 29, x = -1.2e5 and -1.81e5) took 1.3-1.6 s at 53 and at
-# 256 bits (pure-python mpmath, 2-core host), every partial sum at the boost,
-# so a call within this cap takes about two seconds at most.
+# aitken_row's caps.  Its boost, the extra bits that absorb the cancellation
+# of the alternating partial sums at x < 0, is about 2 |x| log2(e) (x >= 0
+# needs a few dozen bits), so the boost cap takes n = 29 down to x = -181,000.
+# All n terms run at the boost, about 1 ns per term and extra bit at 53 and
+# at 256 bits (pure-python mpmath, 2-core host; x = -26: n = 12,000, 2.1e9,
+# 1.8-2.2 s; n = 30,000, 1.6e10, 12-13 s; n = 8,000 at x = -216,046, 4.2e9,
+# 4.4-4.9 s), so a call within both caps takes about five seconds at most.
 MAX_AITKEN_BOOST = 1 << 19
+MAX_AITKEN_WORK = 1 << 32  # n times the boost
 
 # The most coefficient steps (one multiply-add each) that denominator_roots
 # spends on its scan and bisections together: with m = 999 a Horner pass is
@@ -221,17 +223,19 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
     For x > 0 it is evaluated as the closed form t_{n-1} + (n+1) u_n/(n+1-x)
     with u_n = x**n/n! = t_n - t_{n-1}, whose denominator is exact, so it
     needs only a few guard bits at any x (:func:`_aitken_boost`).  A point
-    x < 0 whose cancellation needs more than MAX_AITKEN_BOOST extra bits
-    raises :class:`NumericalError`.
+    x < 0 whose cancellation needs more than MAX_AITKEN_BOOST extra bits, or
+    more than MAX_AITKEN_WORK terms times extra bits, raises
+    :class:`NumericalError`.
     """
     guard = 10 * ctx.target_rel_err
     if abs(x) <= guard or abs(x - (n + 1)) <= guard * (n + 1):
         raise DegeneratePointError(
             f"Aitken denominator vanishes at x=0 and x={n + 1}; got x={mp.nstr(x, 17)}")
     boost = _aitken_boost(n, float(x))
-    if boost > MAX_AITKEN_BOOST:
-        raise NumericalError(f"aitken_row at x={mp.nstr(x, 17)} would need {boost:.3g} extra bits "
-                             f"(at most {MAX_AITKEN_BOOST}) to absorb its cancellation")
+    if boost > MAX_AITKEN_BOOST or n * boost > MAX_AITKEN_WORK:
+        raise NumericalError(f"aitken_row at n={n}, x={mp.nstr(x, 17)} would sum {n} terms at "
+                             f"{boost:.3g} extra bits (at most {MAX_AITKEN_BOOST}, and n times "
+                             f"that at most {MAX_AITKEN_WORK})")
     with ctx.work(boost):
         if x > 0:
             return _partial_sum(n - 1, x) + (n + 1) * (x**n / mp.factorial(n)) / (n + 1 - x)

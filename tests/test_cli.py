@@ -140,6 +140,31 @@ def test_check_usage_errors_write_nothing(capsys, tmp_path, argv, to_file):
     assert not out_file.exists()
 
 
+def test_check_unknown_id_among_known_fails_before_any_row(capsys, monkeypatch):
+    # every id is resolved before the sweep evaluates its first row
+    from exptail import inequalities
+
+    calls = []
+    original = inequalities.evaluate_check
+    monkeypatch.setattr(inequalities, "evaluate_check",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    code, out, err = run(capsys, "check", "--id", "ALZER,NOSUCH")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: unknown check id 'NOSUCH' (known: ALZER, ")
+
+
+@pytest.mark.parametrize("check,grid", [
+    # at 288 bits a + 1 == a and x + y == x: the rows compared the wrong
+    # remainders and reported FAIL
+    ("RATIO_32", "a=lin(1e300,1e300,1);x=lin(0.5,0.5,1)"),
+    ("KIM_37", "nu=lin(0.5,0.5,1);x=lin(1e300,1e300,1);y=lin(2,2,1)"),
+])
+def test_check_parameter_of_2_to_the_bits_is_refused(capsys, check, grid):
+    code, out, err = run(capsys, "check", "--id", check, "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "< 2**256" in err
+
+
 def test_check_all_with_shared_grid(capsys, tmp_path):
     # one shared grid drives the whole catalog: named axes override the
     # defaults, everything else keeps its default values

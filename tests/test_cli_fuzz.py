@@ -110,6 +110,16 @@ def test_pade_pole_search_is_bounded(bits):
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize("bits", ["53", "256"])
+def test_aitken_work_is_bounded(bits):
+    # 30,000 terms at 523,939 extra bits, just under the boost cap, took
+    # 12-16 s; the work cap refuses the call at once
+    start = time.perf_counter()
+    code, _, err = _run(["eval", "--quantity=aitken", "--n=30000", "--x=-26", f"--bits={bits}"])
+    assert code == 3 and err.startswith("numerical failure:"), err
+    assert time.perf_counter() - start < 10
+
+
 # checks of the grid fuzz -> the real parameters a grid axis may set
 GRID_AXES = {"ALZER": ("x",), "RATIO_32": ("a", "x"), "PADE_ROW_45": ("x",),
              "KIM_37": ("nu", "x", "y"), "INCGAMMA_FORM": ("x",)}

@@ -27,7 +27,6 @@ from exptail.inequalities import (CATALOG, CHECK_IDS, CheckId, Evaluator, GridAx
                                   sweep)
 from exptail.numerics import arctan_fracint, quad_integral
 from exptail.precision import PrecisionContext, as_real
-from exptail.remainders import r_tail
 
 _RAW = st.builds(lambda negative, man, exp: from_man_exp(-man if negative else man, exp),
                  st.booleans(), st.integers(1, 2**300), st.integers(-400, 400))
@@ -431,14 +430,14 @@ def test_bounded_cache_overflow_keeps_values(monkeypatch):
     count = 8192 // 10 + 1
     grid = parse_grid(f"n=1..8;x=log(1e-3,30,{count})", ctx)
     computed = []
-    original = Evaluator._remainder
+    original = Evaluator._rung
 
-    def counting(ev, direct, a, x):
-        if direct is r_tail:
+    def counting(ev, a, shift, x):
+        if isinstance(a, int) and shift == 0:  # an r_tail value, read by _rt
             computed.append((a, x._mpf_))
-        return original(ev, direct, a, x)
+        return original(ev, a, shift, x)
 
-    monkeypatch.setattr(Evaluator, "_remainder", counting)
+    monkeypatch.setattr(Evaluator, "_rung", counting)
     fresh = sweep(["REVERSE_43"], grid, ctx)
     assert len(computed) == len(set(computed)) == 10 * count
     again = sweep(["REVERSE_43"], grid, ctx)
@@ -471,6 +470,31 @@ def test_cold_sweep_takes_each_exponential_once_per_x(monkeypatch):
     default_sweep(None, ctx)
     assert [calls[x._mpf_] for x in grid] == [1] * len(grid)
     assert [calls[mpf_neg(x._mpf_)] for x in grid] == [1] * len(grid)
+
+
+def test_cold_sweep_takes_each_gamma_constant_once(monkeypatch):
+    # KIM_37 and KIM_39 read Gamma(nu + 2) from the sweep's memo
+    calls = []
+    gamma = inequalities.gamma_fn
+    monkeypatch.setattr(inequalities, "gamma_fn",
+                        lambda *args: calls.append(args) or gamma(*args))
+    default_sweep(None, PrecisionContext(256))
+    assert len(calls) == 363
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_parameters_just_below_2_to_the_bits_are_evaluated(bits):
+    # 2**bits - 1 plus a small integer is exact at bits + GUARD_BITS; one
+    # more is refused
+    ctx = PrecisionContext(bits)
+    below, at = as_real(2**bits - 1, ctx), as_real(2**bits, ctx)
+    for name, point, refused in [
+            ("RATIO_32", {"a": below, "x": mpf("0.5")}, {"a": at}),
+            ("KIM_37", {"nu": mpf("0.5"), "x": below, "y": mpf(2)}, {"x": at}),
+            ("REVERSE_43", {"n": 2**bits - 1, "x": mpf("0.5")}, {"n": 2**bits})]:
+        assert evaluate_check(name, ctx, point).status in ("PASS", "INDET")
+        with pytest.raises(UsageError, match=f"2\\*\\*{bits}"):
+            evaluate_check(name, ctx, {**point, **refused})
 
 
 @pytest.mark.parametrize("n", [2.5, mpf("2.5"), "2.5", "two"])

@@ -216,6 +216,14 @@ def test_derived_accessors_match_the_public_routes(ctx, monkeypatch, accessor, d
     assert rel_err(value, direct(*args, ctx)) <= ctx.target_rel_err
 
 
+@pytest.mark.parametrize("accessor,order", [("_rt", -1), ("_rt", -2), ("_rf", mpf(-1))])
+def test_orders_below_the_ladders_are_refused(ctx, accessor, order):
+    # block 0 of the integer orders starts at 0: order -1 would read past
+    # its start, at the top value R_6
+    with pytest.raises(DomainError):
+        getattr(Evaluator(ctx), accessor)(order, mpf(2))
+
+
 def test_raw_keys_share_entries_and_hash_no_mpf(ctx, monkeypatch):
     # equal mpf values made separately hit one entry, and a lookup hashes
     # the raw tuples, never an mpf
