@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -31,9 +32,6 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (DegeneratePointError, DomainError, NumericalError, PoleError,
                      UsageError)
-from .explorer import (problem1_monotonicity, problem5_pade_cm, problem7_limit,
-                       problem8_gautschi_k, problem9_limit, problem11_gdiffs,
-                       problem12_row_monotone, problem15_range, rk_error_demo)
 from .inequalities import (CATALOG, CHECK_IDS, default_sweep, parse_grid, sharpness_probe,
                            summarize, sweep)
 from .numerics import kummer_1f1_one, lower_incomplete_gamma
@@ -291,7 +289,35 @@ def _sink(out_path: str | None):
         yield fh
 
 
+@contextmanager
+def _collector_held():
+    """Python's cyclic garbage collector off for the block, and back in the
+    state it was found in afterwards, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _cmd_check(args) -> int:
+    # a sweep and its report make no reference cycles (the rows, their mpf
+    # values and the evaluator's memo are freed by reference counting), so
+    # the collector's passes over them are pure cost.  It comes back once
+    # the rows are freed: restored while they live, its next young pass
+    # would scan every one of them
+    with _collector_held():
+        summary = _check(args)
+    if summary["ERROR"]:
+        return 3
+    return 1 if summary["FAIL"] else 0
+
+
+def _check(args) -> dict:
+    """Sweep, write the report and return its summary; the rows are
+    dropped on return."""
     ctx = _context(args)
     ids = list(CHECK_IDS) if args.id == "all" else [s.strip() for s in args.id.split(",")]
     if args.grid:
@@ -302,10 +328,7 @@ def _cmd_check(args) -> int:
     # error found by the sweep leaves no output
     with _sink(args.out) as out:
         render_check_report(results, ctx, args.format, out)
-    summary = summarize(results)
-    if summary["ERROR"]:
-        return 3
-    return 1 if summary["FAIL"] else 0
+    return summarize(results)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +403,11 @@ def _explore_x_grid(args, ctx):
 
 
 def _cmd_explore(args) -> int:
+    # imported here, so the other commands do not pay for loading it
+    from .explorer import (problem1_monotonicity, problem5_pade_cm, problem7_limit,
+                           problem8_gautschi_k, problem9_limit, problem11_gdiffs,
+                           problem12_row_monotone, problem15_range, rk_error_demo)
+
     ctx = _context(args)
     problem = args.problem
     if problem in OUT_OF_SCOPE_PROBLEMS:

@@ -19,13 +19,20 @@ depends on the rows a sweep holds.  The memo keys on the raw ``_mpf_``
 tuples of the arguments, so a lookup hashes tuples of ints, never mpf
 objects.
 
-A point is admitted in one place, :func:`_admit`, for every row and every
-sharpness sample: the check is looked up, the point canonicalized and
-validated against the declared bounds (a sweep skips a point they refuse),
-and x <= 0, as any int or real parameter of magnitude 2**bits or more, is a
-usage error.  Below that magnitude an integer shift such as a + 1 or x + y
-at the working precision, bits + GUARD_BITS, keeps the shift; beyond it
-a + 1 can round to a, and a row would compare the wrong remainders.
+A point is admitted in one place, :meth:`Evaluator._admit`, for every row
+and every sharpness sample: the check is looked up, the point canonicalized
+and validated against the declared bounds (a sweep skips a point they
+refuse), and x <= 0, as any int or real parameter of magnitude 2**bits or
+more, is a usage error.  Below that magnitude an integer shift such as
+a + 1 or x + y at the working precision, bits + GUARD_BITS, keeps the
+shift; beyond it a + 1 can round to a, and a row would compare the wrong
+remainders.  The rows of one parameter point differ only in x, so an
+evaluator admits each point less x once (:func:`_admit_point`) and each
+row judges only its x (:func:`_admit_x`).
+
+Real-exponent powers of remainders go through :meth:`Evaluator._pow`,
+which rounds as the mpf operator does and takes log(base) from the memo
+that the ladder blocks fill with their log x values.
 
 The catalog is one table, ``CATALOG``, of :class:`CheckDef` records.  A
 record declares each parameter once, with its kind (int, real or str) and
@@ -83,7 +90,7 @@ from .numerics import arctan_fracint, gamma_fn
 from .pade import eval_approximant, pade_exp
 from .precision import (GUARD_BITS, KINDS, Param, PrecisionContext, Real, _fit, _make, as_real,
                         bounds, breach, convert, declared)
-from .remainders import finite_diff, r_frac_ladder, r_neg
+from .remainders import _power, finite_diff, r_frac_ladder, r_neg
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +365,9 @@ class Evaluator:
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._memo = {}
+        # (check, params less x) -> (record, admitted point, magnitude fault),
+        # apart from the memo that cache_info counts
+        self._points = {}
 
     @staticmethod
     def cache_info() -> CacheInfo:
@@ -482,6 +492,35 @@ class Evaluator:
         once per parameter point."""
         return self._get((constant, *params), lambda: as_real(constant(*params), self.ctx))
 
+    def _pow(self, base, e) -> Real:
+        """base**e for a positive mpf base and an mpf e, rounded as the mpf
+        operator rounds it at the working precision; a general e takes
+        log(base) from the memo, where the ladder blocks keep log x."""
+        return _make(_power(base._mpf_, e._mpf_, self.ctx.bits + GUARD_BITS, self._get))
+
+    def _admit(self, check: CheckId | str, params: Mapping | None, **at) -> tuple[CheckDef, dict]:
+        """The record of ``check``, a :class:`CheckId` or a name with
+        ``params``, and its canonical point with ``at`` set over it,
+        admitted as the module docstring says.  The point less x is
+        admitted once per evaluator; a refused point, or one holding a value
+        that cannot be hashed, is admitted again at each row."""
+        if isinstance(check, CheckId):
+            check, params = check.id, check.params
+        if at or params is None:
+            params = {**(params or {}), **at}
+        try:
+            key = (check, *[(k, v._mpf_) if type(v) is mpf else (k, type(v), v)
+                            for k, v in params.items() if k != "x"])
+            entry = self._points.get(key)
+        except TypeError:  # an unhashable value, which no kind reads
+            key = entry = None
+        if entry is None:
+            cdef = _check_def(check)
+            entry = (cdef, *_admit_point(cdef, params, self.ctx))
+            if key is not None:
+                self._points[key] = entry
+        return entry[0], _admit_x(*entry, params, self.ctx)
+
 
 # ---------------------------------------------------------------------------
 # the catalog
@@ -501,9 +540,11 @@ class CheckDef:
     does not declare it.  ``defaults`` maps a parameter, or a tuple of
     parameters taking values together, to its default values (decimal
     strings for reals); :meth:`default_points` crosses them in order.
-    ``validate(p)`` raises :class:`_Inadmissible` where p breaks a declared
-    bound; ``sharp_ratio(p, ev)`` defaults to lhs/rhs; ``sharp_limits`` maps
-    a direction to the documented limit of that ratio, ``(p, ev) -> value``.
+    ``validate(p)`` judges a point less x: it raises :class:`_Inadmissible`
+    where p breaks a declared bound, and a bound that names x is judged per
+    row instead (:func:`_admit_x`); ``sharp_ratio(p, ev)`` defaults to
+    lhs/rhs; ``sharp_limits`` maps a direction to the documented limit of
+    that ratio, ``(p, ev) -> value``.
     """
 
     name: str
@@ -525,6 +566,20 @@ class CheckDef:
     @cached_property
     def _bounds(self) -> tuple:
         return bounds(self.params)
+
+    @cached_property
+    def _point_params(self) -> tuple:
+        """The declared parameters less x."""
+        return tuple(spec for spec in self.params if spec.name != "x")
+
+    @cached_property
+    def _x_param(self) -> Param:
+        return next(spec for spec in self.params if spec.name == "x")
+
+    @cached_property
+    def _x_bounds(self) -> tuple:
+        """The declared bounds that name x, on either side."""
+        return tuple(b for b in self._bounds if b[0] == "x" or b[3] == "x")
 
     def _refuse(self, p: Mapping) -> None:
         fault = breach(self._bounds, p)  # a parameter p does not hold is not judged
@@ -674,19 +729,22 @@ def _interp_constant(p, ev):
 
 def _ev_interp(p, ev):
     nu, a, th, x = p["nu"], p["a"], p["theta"], p["x"]
-    lhs = _interp_constant(p, ev) * ev._rf(nu, x) ** (1 - th) * ev._rf(nu + a, x) ** th
+    lhs = (_interp_constant(p, ev)
+           * ev._pow(ev._rf(nu, x), 1 - th) * ev._pow(ev._rf(nu + a, x), th))
     return lhs, ev._rf(nu + a * th, x)
 
 
 def _ratio_interp(p, ev):
     nu, a, th, x = p["nu"], p["a"], p["theta"], p["x"]
-    return ev._rf(nu + a * th, x) / (ev._rf(nu, x) ** (1 - th) * ev._rf(nu + a, x) ** th)
+    return ev._rf(nu + a * th, x) / (ev._pow(ev._rf(nu, x), 1 - th)
+                                     * ev._pow(ev._rf(nu + a, x), th))
 
 
 def _ev_cor25(p, ev):
     nu, a, pw, x = p["nu"], p["a"], p["p"], p["x"]
-    lhs = ev._constant(cor25_constant, nu, a, pw) * ev._rf(nu + a, x) * ev._rf(nu, x) ** (pw - 1)
-    return lhs, ev._rf(nu + a / pw, x) ** pw
+    lhs = (ev._constant(cor25_constant, nu, a, pw)
+           * ev._rf(nu + a, x) * ev._pow(ev._rf(nu, x), pw - 1))
+    return lhs, ev._pow(ev._rf(nu + a / pw, x), pw)
 
 
 def _ev_cor26(p, ev):
@@ -703,8 +761,8 @@ def _ratio_cor26(p, ev):
 def _ev_cor27(p, ev):
     n, a, b, x = p["n"], p["a"], p["beta"], p["x"]
     lhs = (ev._constant(cor27_constant, n, a, b)
-           * ev._rf(mpf(n), x) ** (a - b) * ev._rf(n + a, x) ** b)
-    return lhs, ev._rf(n + b, x) ** a
+           * ev._pow(ev._rf(mpf(n), x), a - b) * ev._pow(ev._rf(n + a, x), b))
+    return lhs, ev._pow(ev._rf(n + b, x), a)
 
 
 def _ev_prod28(p, ev):
@@ -716,7 +774,7 @@ def _ev_prod28(p, ev):
     for t in thetas:
         c *= ev._constant(interp_constant, nu, a, t)
         rhs *= ev._rf(nu + a * t, x)
-    lhs = c * ev._rf(nu, x) ** (len(thetas) - beta) * ev._rf(nu + a, x) ** beta
+    lhs = c * ev._pow(ev._rf(nu, x), len(thetas) - beta) * ev._pow(ev._rf(nu + a, x), beta)
     return lhs, rhs
 
 
@@ -890,19 +948,22 @@ CHECK_IDS = tuple(CATALOG)
 # evaluation, sweeping, sharpness
 
 
-def _canonical_params(cdef: CheckDef, params: Mapping, ctx) -> dict:
-    """The declared parameters of a point, each converted by its kind; a
-    value its kind cannot read (an order that is not integral, say) is
-    inadmissible."""
-    out = {}
-    for spec in cdef.params:
-        if spec.name not in params:
-            raise UsageError(f"check {cdef.name} needs parameter '{spec.name}'")
-        try:
-            out[spec.name] = convert(spec, params[spec.name], ctx)
-        except ValueError as exc:
-            raise _Inadmissible(f"check {cdef.name} needs {exc}") from exc
-    return out
+def _canonical_params(cdef: CheckDef, params: Mapping, ctx, specs=None) -> dict:
+    """The declared parameters of a point, or those of ``specs``, each
+    converted by its kind (:func:`_read`)."""
+    return {spec.name: _read(cdef, spec, params, ctx)
+            for spec in (cdef.params if specs is None else specs)}
+
+
+def _read(cdef: CheckDef, spec: Param, params: Mapping, ctx):
+    """The parameter ``spec`` of a point converted by its kind; a value its
+    kind cannot read (an order that is not integral, say) is inadmissible."""
+    if spec.name not in params:
+        raise UsageError(f"check {cdef.name} needs parameter '{spec.name}'")
+    try:
+        return convert(spec, params[spec.name], ctx)
+    except ValueError as exc:
+        raise _Inadmissible(f"check {cdef.name} needs {exc}") from exc
 
 
 def _check_def(name: str) -> CheckDef:
@@ -913,36 +974,55 @@ def _check_def(name: str) -> CheckDef:
     return cdef
 
 
-def _admit(check: CheckId | str, params: Mapping | None, ctx: PrecisionContext,
-           **at) -> tuple[CheckDef, dict]:
-    """The record of ``check``, a :class:`CheckId` or a name with
-    ``params``, and its canonical point with ``at`` set over it, admitted
-    as the module docstring says."""
-    if isinstance(check, CheckId):
-        check, params = check.id, check.params
-    cdef = _check_def(check)
-    p = _canonical_params(cdef, {**(params or {}), **at}, ctx)
+def _admit_point(cdef: CheckDef, params: Mapping,
+                 ctx: PrecisionContext) -> tuple[dict, str | None]:
+    """The canonical point of ``params`` less x, validated (a bound that
+    does not name x), and the usage error of its first parameter of
+    magnitude 2**bits or more, which a row raises once its x is judged."""
+    p = _canonical_params(cdef, params, ctx, cdef._point_params)
     cdef.validate(p)
-    if not mpf_gt(p["x"]._mpf_, fzero):
-        raise UsageError(f"check {check} requires x > 0, got {p['x']}")
     for name, v in p.items():  # |v| < 2**top: an int's length, an mpf's exp + bc
         top = v.bit_length() if type(v) is int else v._mpf_[2] + v._mpf_[3] if type(v) is mpf else 0
         if top > ctx.bits:
-            raise UsageError(f"check {check} needs |{name}| < 2**{ctx.bits}, got {name} = {v}")
-    return cdef, p
+            return p, f"check {cdef.name} needs |{name}| < 2**{ctx.bits}, got {name} = {v}"
+    return p, None
+
+
+def _admit_x(cdef: CheckDef, point: dict, fault: str | None, params: Mapping,
+             ctx: PrecisionContext) -> dict:
+    """The row of an admitted point at the x of ``params``: the bounds that
+    name x, then x > 0, the point's magnitude fault and |x| < 2**bits."""
+    x = _read(cdef, cdef._x_param, params, ctx)
+    p = {**point, "x": x}
+    if cdef._x_bounds:
+        breached = breach(cdef._x_bounds, p)
+        if breached is not None:
+            raise _Inadmissible(f"check {cdef.name} needs {breached}")
+    sign, man, exp, bc = x._mpf_  # a finite real: zero is the one with man 0
+    if sign or not man:
+        raise UsageError(f"check {cdef.name} requires x > 0, got {x}")
+    if fault is not None:
+        raise UsageError(fault)
+    if exp + bc > ctx.bits:
+        raise UsageError(f"check {cdef.name} needs |x| < 2**{ctx.bits}, got x = {x}")
+    return p
 
 
 def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping | None = None,
                    ev: Evaluator | None = None) -> CheckResult:
     """Evaluate one catalog inequality at one parameter point.
 
-    The point is admitted once (:func:`_admit`); a point outside the
-    check's admissible region raises a :class:`UsageError`.  ``ev`` is the
-    evaluator of the sweep the row belongs to (an evaluator at ``ctx``); a
-    row evaluated on its own gets a fresh one."""
-    cdef, p = _admit(check, params, ctx)
+    The point is admitted by the evaluator (:meth:`Evaluator._admit`); a
+    point outside the check's admissible region raises a
+    :class:`UsageError`.  ``ev`` is the evaluator of the sweep the row
+    belongs to (an evaluator at ``ctx``), which admits each point less x
+    once; a row evaluated on its own gets a fresh one, so its point is
+    admitted in full."""
+    if ev is None:
+        ev = Evaluator(ctx)
+    cdef, p = ev._admit(check, params)
     with ctx.work():  # a no-op inside a sweep, which holds the precision
-        lhs, rhs = cdef.evaluate(p, Evaluator(ctx) if ev is None else ev)
+        lhs, rhs = cdef.evaluate(p, ev)
     return _result(cdef.name, p, lhs, rhs, ctx)
 
 
@@ -1122,7 +1202,7 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
         samples = []
         for e in range(-2, -9, -1) if direction == "zero" else range(1, 5):
             x = mpf(10) ** e
-            cdef, p = _admit(check, params, ctx, x=x, y=x)  # y only where declared
+            cdef, p = ev._admit(check, params, x=x, y=x)  # y only where declared
             samples.append((x, cdef.sharp_ratio(p, ev)))
         extrap = _richardson([s[1] for s in samples], mpf(1) / 10)
         limit = extrap[-1]

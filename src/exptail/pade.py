@@ -17,7 +17,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import DegeneratePointError, DomainError, NumericalError, PoleError
-from .precision import Param, PrecisionContext, Real, as_real, declared
+from .precision import GUARD_BITS, Param, PrecisionContext, Real, as_real, declared
 
 # Largest total degree n + m that pade_exp builds.  The exact coefficients
 # are O(n + m) Fractions of factorials; n + m = 1000 takes about 0.6 s
@@ -39,6 +39,11 @@ MAX_AITKEN_WORK = 1 << 32  # n times the boost
 # about 4 ms at 53 and at 256 bits (2-core host), so a search stays near a
 # second.
 MAX_ROOT_SEARCH_STEPS = 1 << 18
+
+# The most extra bits eval_approximant spends on a numerator or denominator
+# whose terms cancel.  One Horner pass of a degree-999 polynomial at 2**16
+# extra bits takes about 0.5 s (2-core host).
+MAX_PADE_BOOST = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -156,24 +161,68 @@ def denominator_roots(appr: RationalApproximant, lo, hi, ctx: PrecisionContext) 
         return [ctx.finalize(r) for r in roots]
 
 
+def _horner(coeffs, x, ctx: PrecisionContext, extra: int = 0) -> tuple[Real, Real]:
+    """The polynomial of exact ``coeffs`` at x, and its term scale
+    sum |c_j| |x|**j, at the working precision plus ``extra`` bits."""
+    with ctx.work(extra):
+        cs = _coefficients(coeffs)
+        return _poly_eval(cs, x), _poly_eval([abs(c) for c in cs], abs(x))
+
+
+def _accurate(coeffs, x, ctx: PrecisionContext, value=None, scale=None) -> Real:
+    """The polynomial of exact ``coeffs`` at x, evaluated again with as many
+    extra bits as its cancellation loses, log2(scale/|value|), wherever
+    that exceeds GUARD_BITS (``value`` and ``scale`` are its evaluation at
+    the working precision, when the caller has it).  An evaluation whose
+    loss exceeds its extra bits by more than GUARD_BITS is taken for
+    rounding noise and repeated with more; past MAX_PADE_BOOST extra bits
+    it raises :class:`NumericalError`.  Where an evaluation gives exactly
+    zero, the polynomial is evaluated exactly at the dyadic x and rounded."""
+    extra = 0
+    if value is None:
+        value, scale = _horner(coeffs, x, ctx)
+    while value:
+        lost = mp.mag(scale) - mp.mag(value)
+        if lost <= extra + GUARD_BITS:
+            return value
+        extra = max(lost, 2 * extra)
+        if extra > MAX_PADE_BOOST:
+            raise NumericalError(f"a degree-{len(coeffs) - 1} Pade polynomial at "
+                                 f"x={mp.nstr(x, 17)} cancels more than {MAX_PADE_BOOST} bits")
+        value, scale = _horner(coeffs, x, ctx, extra)
+    sign, man, exp, _ = x._mpf_
+    xq = Fraction(-man if sign else man) * Fraction(2) ** exp
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * xq + c
+    return as_real(total, ctx)
+
+
 @declared(Param("appr", object), Param("x"))
 def eval_approximant(appr: RationalApproximant, x, ctx: PrecisionContext) -> Real:
     """num(x)/den(x) at context precision, refusing points within
-    10*target_rel_err relative distance of a real denominator root."""
-    den_coeffs = _coefficients(appr.den)
-    den = _poly_eval(den_coeffs, x)
-    scale = sum(abs(c) * abs(x) ** j for j, c in enumerate(den_coeffs))
-    if abs(den) <= 100 * ctx.target_rel_err * scale:
-        window = max(abs(x), mpf(1))
-        try:
-            roots = denominator_roots(appr, x - window, x + window, ctx)
-        except NumericalError:  # a search past its budget names no root
-            roots = []
-        near = min(roots, key=lambda r: abs(r - x)) if roots else x
-        raise PoleError(
-            f"evaluation at x={mp.nstr(x, 17)} is too close to the denominator root "
-            f"near {mp.nstr(near, 17)}", root=near)
-    return _poly_eval(_coefficients(appr.num), x) / den
+    10*target_rel_err relative distance of a real denominator root.
+
+    Near such a root |den(x)| is at most about 10 m target_rel_err times
+    its term scale, so only there are den(x -+ delta), delta =
+    10*target_rel_err*|x|, evaluated (:func:`_accurate`): a sign change
+    between them is the root, a :class:`PoleError` naming its linear
+    interpolate.  A numerator or denominator whose terms cancel is
+    evaluated with the extra bits its cancellation loses; one that loses
+    at most GUARD_BITS is evaluated once, at the working precision."""
+    den, scale = _horner(appr.den, x, ctx)
+    tre = ctx.target_rel_err
+    if abs(den) <= 20 * (appr.m + 1) * tre * scale:
+        delta = 10 * tre * abs(x)
+        ends = x - delta, x + delta
+        lo, hi = (_accurate(appr.den, end, ctx) for end in ends)
+        if lo * hi <= 0:
+            root = ends[0] + 2 * delta * lo / (lo - hi) if lo != hi else x
+            raise PoleError(
+                f"evaluation at x={mp.nstr(x, 17)} is too close to the denominator root "
+                f"near {mp.nstr(root, 17)}", root=ctx.finalize(root))
+    den = _accurate(appr.den, x, ctx, den, scale)
+    return _accurate(appr.num, x, ctx) / den
 
 
 def _partial_sum(n: int, x) -> Real:

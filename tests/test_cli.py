@@ -421,3 +421,62 @@ def test_sharpness_non_integer_order_is_a_usage_error(capsys, n):
     code, out, err = run(capsys, "sharpness", "--id", "ALZER", "--dir", "zero", "--n", n)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_check_holds_the_collector_off_and_restores_it(capsys, monkeypatch, enabled):
+    import gc
+
+    import exptail.cli as cli
+
+    seen = []
+    sweep = cli.default_sweep
+
+    def watched(ids, ctx):
+        seen.append(gc.isenabled())
+        return sweep(ids, ctx)
+
+    monkeypatch.setattr(cli, "default_sweep", watched)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, "check", "--id", "ALZER", "--format", "csv")[0] == 0
+        assert seen == [False] and gc.isenabled() is enabled
+        # a usage error raised inside the sweep leaves it as found too
+        assert run(capsys, "check", "--id", "ALZER", "--grid", "x=lin(-1,1,3)")[0] == 2
+        assert run(capsys, "check", "--id", "NO_SUCH_CHECK")[0] == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_sweep_and_its_report_leave_no_cyclic_garbage():
+    # what makes holding the collector off during ``check`` safe: the
+    # default sweep and its report are freed by reference counting alone
+    import gc
+
+    from exptail.cli import render_check_report
+    from exptail.inequalities import default_sweep, parse_grid, sweep
+    from exptail.precision import PrecisionContext
+
+    ctx = PrecisionContext(53)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        rows = default_sweep(None, ctx)
+        render_check_report(rows, ctx, "json", io.StringIO())
+        # a grid whose k > n points are skipped
+        grid = parse_grid("n=1..3;k=0..5;x=lin(1,2,2)", ctx)
+        skipped = sweep(["GEN_K", "NEG_GEN_K", "KUMMER_FORM"], grid, ctx)
+        render_check_report(skipped, ctx, "text", io.StringIO())
+        del rows, skipped
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_importing_the_cli_leaves_the_explorer_unloaded():
+    proc = _subprocess("-c", "import sys, exptail.cli; print('exptail.explorer' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -516,11 +516,14 @@ def test_fractional_order_grid_keeps_integer_rows(ctx):
 
 
 def test_each_default_point_validated_and_evaluated_once(monkeypatch):
+    # a sweep's evaluator admits each point less x once: validate sees the
+    # point without x, once per distinct (check, params less x)
     ctx = PrecisionContext(53)
     validated, evaluated = [], []
     for name, cdef in list(CATALOG.items()):
         def counting(p, _validate=cdef.validate, _name=name):
-            validated.append(_name)
+            assert "x" not in p
+            validated.append((_name, tuple((k, getattr(v, "_mpf_", v)) for k, v in p.items())))
             return _validate(p)
 
         monkeypatch.setitem(CATALOG, name, dataclasses.replace(cdef, validate=counting))
@@ -532,8 +535,13 @@ def test_each_default_point_validated_and_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(inequalities, "evaluate_check", counted)
     results = default_sweep(None, ctx)
-    points = [n for n in CHECK_IDS for _ in CATALOG[n].default_points(Evaluator(ctx))]
-    assert validated == evaluated == [r.check for r in results] == points
+    points = [(n, pt) for n in CHECK_IDS for pt in CATALOG[n].default_points(Evaluator(ctx))]
+    assert evaluated == [r.check for r in results] == [n for n, _ in points]
+    distinct = dict.fromkeys(
+        (n, tuple((k, getattr(v, "_mpf_", v)) for k, v in pt.items() if k != "x"))
+        for n, pt in points)
+    assert validated == list(distinct)
+    assert len(validated) < len(evaluated) // 2
 
 
 def test_sweep_skips_inadmissible_x_but_rejects_it_where_unchecked(ctx):

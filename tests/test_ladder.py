@@ -105,6 +105,27 @@ def test_top_term_power_rounds_as_mpf_pow(e, x, bits):
         assert remainders._power(x._mpf_, e._mpf_, wp, cached) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(e=st.one_of(st.integers(-3, 40).map(mpf), st.integers(-79, 79).map(lambda k: mpf(k) / 2),
+                   st.floats(-3, 40).map(mpf)),
+       base=st.floats(1e-300, 1e300).map(mpf), bits=st.sampled_from([53, 256, 1024]))
+def test_evaluator_power_is_the_mpf_operator(e, base, bits):
+    # the catalog's real powers of remainders, bit for bit, on the
+    # integer, half-integer and exp-log paths; log(base) comes from the
+    # evaluator's memo, so a second general power of one base is one hit
+    ctx = PrecisionContext(bits)
+    ev = Evaluator(ctx)
+    with ctx.work():
+        base = +base
+        first, second = e + mpf(1) / 3, e + mpf(2) / 3  # neither integer nor half-integer
+        for power in (e, first):
+            assert ev._pow(base, power)._mpf_ == (base ** power)._mpf_
+        before = Evaluator.cache_info()
+        assert ev._pow(base, second)._mpf_ == (base ** second)._mpf_
+        after = Evaluator.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 @pytest.mark.parametrize("f,lo,hi,x", [
     (mpf(0), -1, 6, 1), (mpf("0.5"), -2, 6, 1), (mpf(1), 0, 6, 1),
     (mpf("-0.5"), 0, 6, 1), (mpf("0.5"), 3, 2, 1), (mpf("0.5"), 0, 6, 0),

@@ -9,9 +9,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import exptail
+from exptail import pade
 from conftest import rel_err
 from exptail.errors import DegeneratePointError, DomainError, NumericalError, PoleError
 from exptail.pade import (MAX_AITKEN_BOOST, MAX_PADE_ORDER, RationalApproximant,
@@ -59,6 +61,68 @@ def test_pole_guard(ctx):
     assert err.value.root == 2
     with pytest.raises(PoleError):
         eval_approximant(pade_exp(0, 1), 1, ctx)
+
+
+def _exact_den(appr, x):
+    """den(x) in exact rational arithmetic at the dyadic x."""
+    man, exp = x.man_exp
+    xq = int(man) * Fraction(2) ** int(exp)
+    return sum(c * xq**j for j, c in enumerate(appr.den))
+
+
+def test_cancelling_denominator_far_from_its_root_is_evaluated():
+    # [0/999] at x = 300: the denominator cancels ~730 bits against its term
+    # scale, but its only real root is at 279.47; the value is 1/den(300)
+    appr = pade_exp(0, 999)
+    for bits in (53, 256):
+        ctx = PrecisionContext(bits)
+        value = eval_approximant(appr, 300, ctx)
+        exact = 1 / _exact_den(appr, mpf(300))
+        with mp.workprec(bits + 64):
+            assert rel_err(value, mpf(exact.numerator) / exact.denominator) < ctx.target_rel_err
+        assert value < 0
+
+
+def test_pole_refused_only_within_the_relative_distance_of_a_root():
+    appr = pade_exp(0, 999)
+    ctx = PrecisionContext(256)
+    with mp.workprec(2000):
+        coeffs = [mpf(c.numerator) / c.denominator for c in appr.den]
+        root = mp.findroot(lambda t: mp.polyval(coeffs[::-1], t), mpf("279.472"))
+        near, beyond = (ctx.finalize(root * (1 + mpf(d))) for d in ("1e-70", "1e-60"))
+    with pytest.raises(PoleError) as err:
+        eval_approximant(appr, near, ctx)
+    assert abs(err.value.root - root) <= 10 * ctx.target_rel_err * root
+    assert mp.isfinite(eval_approximant(appr, beyond, ctx))
+
+
+def test_exact_zeros_of_a_numerator_are_zero():
+    ctx = PrecisionContext(53)
+    assert eval_approximant(pade_exp(1, 1), -2, ctx) == 0
+    assert eval_approximant(pade_exp(1, 0), -1, ctx) == 0
+
+
+def test_cancellation_past_the_boost_cap_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(pade, "MAX_PADE_BOOST", 64)
+    with pytest.raises(NumericalError):
+        eval_approximant(pade_exp(0, 999), 300, PrecisionContext(53))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 12), m=st.integers(0, 12), x=st.floats(-60, 60),
+       bits=st.sampled_from([53, 256]))
+def test_points_that_lose_few_bits_are_one_horner_pass(n, m, x, bits):
+    # where neither polynomial loses more than GUARD_BITS to cancellation,
+    # the value is num/den of one Horner pass each at the working precision
+    ctx = PrecisionContext(bits)
+    appr = pade_exp(n, m)
+    with ctx.work():
+        x = mpf(x)
+        polys = [pade._horner(coeffs, x, ctx) for coeffs in (appr.num, appr.den)]
+        if any(not v or mp.mag(s) - mp.mag(v) > pade.GUARD_BITS for v, s in polys):
+            return
+        expected = ctx.finalize(polys[0][0] / polys[1][0])
+    assert eval_approximant(appr, x, ctx)._mpf_ == expected._mpf_
 
 
 def test_denominator_roots(ctx):
