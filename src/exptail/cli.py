@@ -402,49 +402,39 @@ def _explore_x_grid(args, ctx):
     return axis.values
 
 
-def _cmd_explore(args) -> int:
-    # imported here, so the other commands do not pay for loading it
-    from .explorer import (problem1_monotonicity, problem5_pade_cm, problem7_limit,
-                           problem8_gautschi_k, problem9_limit, problem11_gdiffs,
-                           problem12_row_monotone, problem15_range, rk_error_demo)
+# explore problem -> its function in .explorer, and its arguments before the
+# context from flag(name, default) and the --xgrid values (None: the default)
+EXPLORE = {
+    "1": ("problem1_monotonicity", lambda flag, xs: (flag("n", 2), xs)),
+    "5": ("problem5_pade_cm", lambda flag, xs: (flag("n", 2), flag("kmax", 4), xs)),
+    "7": ("problem7_limit", lambda flag, xs: (flag("nmax", 60), flag("c", "1"))),
+    "8": ("problem8_gautschi_k", lambda flag, xs: (flag("n", 2), flag("k", 3), xs)),
+    "9": ("problem9_limit",
+          lambda flag, xs: (flag("a", "0.5"), flag("m", 0), flag("nmax", 60))),
+    "11": ("problem11_gdiffs",
+           lambda flag, xs: (flag("kmax", 3), range(1, flag("nmax", 10) + 1), xs)),
+    "12": ("problem12_row_monotone", lambda flag, xs: (range(1, flag("nmax", 6) + 1), 12)),
+    "15": ("problem15_range", lambda flag, xs: (flag("n", 3), xs)),
+    "rk": ("rk_error_demo",
+           lambda flag, xs: (flag("lam", "1"), flag("h", "0.1"), flag("y0", "1"))),
+}
 
+
+def _cmd_explore(args) -> int:
     ctx = _context(args)
     problem = args.problem
     if problem in OUT_OF_SCOPE_PROBLEMS:
-        print(f"error: problem {problem} not implemented (out of scope)", file=sys.stderr)
-        return 2
-    xs = _explore_x_grid(args, ctx)
-    if problem == "1":
-        report = problem1_monotonicity(args.n if args.n is not None else 2, xs, ctx)
-    elif problem == "5":
-        report = problem5_pade_cm(args.n if args.n is not None else 2,
-                                  args.kmax if args.kmax is not None else 4, xs, ctx)
-    elif problem == "7":
-        report = problem7_limit(args.nmax if args.nmax is not None else 60,
-                                args.c if args.c is not None else "1", ctx)
-    elif problem == "8":
-        report = problem8_gautschi_k(args.n if args.n is not None else 2,
-                                     args.k if args.k is not None else 3, xs, ctx)
-    elif problem == "9":
-        report = problem9_limit(args.a if args.a is not None else "0.5",
-                                args.m if args.m is not None else 0,
-                                args.nmax if args.nmax is not None else 60, ctx)
-    elif problem == "11":
-        top = args.nmax if args.nmax is not None else 10
-        report = problem11_gdiffs(args.kmax if args.kmax is not None else 3,
-                                  range(1, top + 1), xs, ctx)
-    elif problem == "12":
-        top = args.nmax if args.nmax is not None else 6
-        report = problem12_row_monotone(range(1, top + 1), 12, ctx)
-    elif problem == "15":
-        report = problem15_range(args.n if args.n is not None else 3, xs, ctx)
-    elif problem == "rk":
-        report = rk_error_demo(args.lam if args.lam is not None else "1",
-                               args.h if args.h is not None else "0.1",
-                               args.y0 if args.y0 is not None else "1", ctx)
-    else:
-        print(f"error: unknown problem '{problem}'", file=sys.stderr)
-        return 2
+        raise UsageError(f"problem {problem} not implemented (out of scope)")
+    if problem not in EXPLORE:
+        raise UsageError(f"unknown problem '{problem}'")
+    from . import explorer  # imported here, so the other commands do not pay for loading it
+
+    def flag(name, default):
+        value = getattr(args, name)
+        return default if value is None else value
+
+    name, arguments = EXPLORE[problem]
+    report = getattr(explorer, name)(*arguments(flag, _explore_x_grid(args, ctx)), ctx)
     text = render_report(report, ctx, args.format)
     with _sink(args.out) as out:
         out.write(text)
@@ -496,7 +486,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("explore", help="run an open-problem exploration")
     p_exp.add_argument("--problem", required=True,
-                       help="one of 1, 5, 7, 8, 9, 11, 12, 15, rk")
+                       help=f"one of {', '.join(EXPLORE)}")
     p_exp.add_argument("--n", type=int, default=None)
     p_exp.add_argument("--k", type=int, default=None)
     p_exp.add_argument("--kmax", type=int, default=None)

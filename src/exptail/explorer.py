@@ -12,14 +12,13 @@ silently drift apart.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .errors import DomainError, PoleError, UsageError
-from .pade import denominator_roots, eval_approximant, pade_exp
+from .pade import approximant_derivatives, eval_approximant, pade_exp, real_pole
 from .precision import PrecisionContext, as_real
 from .remainders import (_subtraction_boost, finite_diff, g_ratio, q_value, r_neg, r_obreshkov,
                          r_tail)
@@ -90,57 +89,34 @@ def problem1_monotonicity(n: int, x_grid=None, ctx: PrecisionContext = None) -> 
 def problem5_pade_cm(n: int, k_max: int, x_grid=None, ctx: PrecisionContext = None) -> Report:
     """Sign pattern of the derivatives of the diagonal [n/n] approximant on
     x > 0 before its first pole (absolute monotonicity would need all of
-    them nonnegative)."""
+    them nonnegative).  Its pole is certified and its derivatives are exact
+    (:func:`.pade.real_pole`, :func:`.pade.approximant_derivatives`)."""
     ctx = ctx or PrecisionContext()
     if n < 1 or k_max < 0:
         raise UsageError(f"problem 5 needs n >= 1 and k_max >= 0, got n={n}, k_max={k_max}")
     appr = pade_exp(n, n)
     with ctx.work():
-        roots = denominator_roots(appr, 0, 8 * (n + 1), ctx)
-        pole = min((r for r in roots if r > 0), default=None)
+        pole = real_pole(appr, ctx)
         hi = pole * mpf("0.95") if pole is not None else mpf(2 * (n + 1))
         xs = x_grid if x_grid is not None else [hi * (i + 1) / 10 for i in range(9)]
-        h = mpf(2) ** (-(ctx.bits // 4))
-        boosted = ctx.with_bits(2 * ctx.bits)
-        rows = []
-        excluded = []
-        all_nonneg = {k: True for k in range(k_max + 1)}
-        for x in xs:
+        rows, excluded = [], []
+        for x in map(ctx.finalize, xs):  # the derivatives at the x reported
             if pole is not None and not x < pole:
-                excluded.append(ctx.finalize(x))
-                continue
-            derivs = []
-            for k in range(k_max + 1):
-                if k == 0:
-                    val = eval_approximant(appr, x, boosted)
-                else:
-                    # stencil points and the difference quotient live at the
-                    # boosted precision so point placement cannot pollute
-                    # the high-order quotients
-                    with boosted.work():
-                        total = mpf(0)
-                        for j in range(k + 1):
-                            pt = x + (mpf(k) / 2 - j) * h
-                            total += (-1) ** j * math.comb(k, j) * eval_approximant(appr, pt, boosted)
-                        val = +(total / h**k)
-                derivs.append(val)
-                if not val >= 0:
-                    all_nonneg[k] = False
-            rows.append((ctx.finalize(x), *[ctx.finalize(d) for d in derivs]))
+                excluded.append(x)
+            else:
+                rows.append((x, *approximant_derivatives(appr, x, k_max, ctx)))
+    all_nonneg = {k: all(row[k + 1] >= 0 for row in rows) for k in range(k_max + 1)}
     return Report(
         kind="problem5",
-        params={"n": n, "k_max": k_max, "step": ctx.finalize(h)},
+        params={"n": n, "k_max": k_max},
         columns=["x"] + [f"d{k}" for k in range(k_max + 1)],
         rows=rows,
-        notes=[
-            f"first positive denominator root: "
-            f"{mp.nstr(pole, 17) if pole is not None else 'none found'}",
-            "derivatives are stepped central differences at doubled precision",
-        ]
+        notes=[f"real pole: {mp.nstr(pole, 17) if pole is not None else 'none (n is even)'}",
+               "derivatives are exact Taylor coefficients of num/den times k!, rounded once"]
         + ([f"excluded points at/past the pole: {[mp.nstr(e, 8) for e in excluded]}"]
            if excluded else []),
         diagnostics={"all_nonnegative_by_order": all_nonneg,
-                     "pole": None if pole is None else ctx.finalize(pole)},
+                     "pole": pole},
     )
 
 

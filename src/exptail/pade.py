@@ -4,8 +4,10 @@ Aitken transformation, and Cesaro means.
 Coefficients are kept as ``fractions.Fraction`` so the order condition
 (num/den matches exp through degree n+m) can be checked symbolically and
 the sharp direction switch of the first-row inequalities can be probed
-arbitrarily close to the crossover without floating noise.  Conversion to
-floating values happens only inside :func:`eval_approximant`.
+arbitrarily close to the crossover without floating noise.  Scaled to
+integers they give exact signs and Taylor coefficients at dyadic points,
+which certify the real pole of a row (:func:`real_pole`) and make the
+derivatives of num/den exact (:func:`approximant_derivatives`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_pos, round_nearest
 
 from .errors import DegeneratePointError, DomainError, NumericalError, PoleError
 from .precision import GUARD_BITS, Param, PrecisionContext, Real, as_real, declared
@@ -33,12 +36,6 @@ MAX_PADE_ORDER = 1000
 # 4.4-4.9 s), so a call within both caps takes about five seconds at most.
 MAX_AITKEN_BOOST = 1 << 19
 MAX_AITKEN_WORK = 1 << 32  # n times the boost
-
-# The most coefficient steps (one multiply-add each) that denominator_roots
-# spends on its scan and bisections together: with m = 999 a Horner pass is
-# about 4 ms at 53 and at 256 bits (2-core host), so a search stays near a
-# second.
-MAX_ROOT_SEARCH_STEPS = 1 << 18
 
 # The most extra bits eval_approximant spends on a numerator or denominator
 # whose terms cancel.  One Horner pass of a degree-999 polynomial at 2**16
@@ -100,73 +97,97 @@ def order_condition_defect(appr: RationalApproximant) -> list[Fraction]:
     return defects
 
 
-def _coefficients(coeffs) -> list:
-    """Exact coefficients as mpf values at the active precision."""
-    return [mpf(c.numerator) / c.denominator for c in coeffs]
-
-
-def _poly_eval(coeffs: list, x):
-    """Horner's rule over coefficients already converted by :func:`_coefficients`."""
-    total = mpf(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def denominator_roots(appr: RationalApproximant, lo, hi, ctx: PrecisionContext) -> list[Real]:
-    """Real roots of the denominator inside [lo, hi], located by sign-change
-    scanning followed by bisection at context precision.
-
-    The scan takes 64 (m+1) points, fewer where they would cost more than
-    half of MAX_ROOT_SEARCH_STEPS; a search whose bisections would spend
-    the rest raises :class:`NumericalError`."""
-    with ctx.work():
-        a, b = as_real(lo, ctx), as_real(hi, ctx)
-        if appr.m == 0 or a >= b:
-            return []
-        den = _coefficients(appr.den)
-        passes = MAX_ROOT_SEARCH_STEPS // (appr.m + 1)  # Horner passes the search may make
-        steps = min(64 * (appr.m + 1), passes // 2)
-        passes -= steps + 1
-        xs = [a + (b - a) * i / steps for i in range(steps + 1)]
-        fs = [_poly_eval(den, x) for x in xs]
-        roots = []
-        tol = mpf(2) ** (-(ctx.bits + 8))
-        for i in range(steps):
-            f0, f1 = fs[i], fs[i + 1]
-            if f0 == 0:
-                roots.append(xs[i])
-                continue
-            if f0 * f1 < 0:
-                ra, rb = xs[i], xs[i + 1]
-                fa = f0
-                while rb - ra > tol * max(1, abs(ra)):
-                    passes -= 1
-                    if passes < 0:
-                        raise NumericalError(
-                            f"locating the real roots of a degree-{appr.m} denominator would "
-                            f"take more than {MAX_ROOT_SEARCH_STEPS} Horner steps")
-                    mid = (ra + rb) / 2
-                    fm = _poly_eval(den, mid)
-                    if fm == 0:
-                        ra = rb = mid
-                        break
-                    if fa * fm < 0:
-                        rb = mid
-                    else:
-                        ra, fa = mid, fm
-                roots.append((ra + rb) / 2)
-        if fs[-1] == 0:
-            roots.append(xs[-1])
-        return [ctx.finalize(r) for r in roots]
-
-
 def _horner(coeffs, x, ctx: PrecisionContext, extra: int = 0) -> tuple[Real, Real]:
     """The polynomial of exact ``coeffs`` at x, and its term scale
     sum |c_j| |x|**j, at the working precision plus ``extra`` bits."""
     with ctx.work(extra):
-        cs = _coefficients(coeffs)
-        return _poly_eval(cs, x), _poly_eval([abs(c) for c in cs], abs(x))
+        value = scale = mpf(0)
+        ax = abs(x)
+        for c in reversed([mpf(c.numerator) / c.denominator for c in coeffs]):
+            value, scale = value * x + c, scale * ax + abs(c)
+        return value, scale
+
+
+def _integers(coeffs) -> tuple[list[int], int]:
+    """(ints, scale): the rational ``coeffs`` times their least common denominator."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
+def _shifted(ints: list[int], x, k: int = 0) -> tuple[list[int], int]:
+    """The first k+1 Taylor coefficients at the dyadic x = u/2**e of the
+    integer polynomial ``ints`` of degree d, exactly, as T_0..T_k and e: the
+    i-th is T_i/2**(e*(d-i)), and T_i is Horner's rule at u over the
+    coefficients C(j, i) c_j 2**(e*(d-j)) of the i-th derivative over i!."""
+    sign, man, exp, _ = x._mpf_
+    u, e = (-man if sign else man) << max(0, exp), max(0, -exp)
+    d = len(ints) - 1
+    taylor = [0] * (k + 1)
+    for i in range(k + 1):
+        for j in range(d, i - 1, -1):
+            taylor[i] = taylor[i] * u + ((math.comb(j, i) * ints[j]) << e * (d - j))
+    return taylor, e
+
+
+def real_pole(appr: RationalApproximant, ctx: PrecisionContext) -> Real | None:
+    """The real root of den for ``appr`` = pade_exp(n, m), rounded to ``bits``,
+    or None: that den has one real zero when m is odd and none when m is
+    even (Saff and Varga, Numer. Math. 1975), at x > 0.  Exact signs at
+    integers bracket it (an integer root is returned exactly), Newton's
+    method at bits + 64 + n + m bits refines it (den cancels up to about
+    n + m bits near its root), and exact signs of opposite sense 2**-(bits+8)
+    apart relative to it certify it, or :class:`NumericalError` is raised."""
+    if appr.m % 2 == 0:
+        return None
+    den, _ = _integers(appr.den)
+
+    def sign(x) -> int:  # of den at the dyadic x, exactly
+        value = _shifted(den, mpf(x) if isinstance(x, int) else x)[0][0]
+        return (value > 0) - (value < 0)
+
+    lo, hi = 0, 1  # den(0) > 0 > den(x) for large x
+    while sign(hi) > 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sign(mid) > 0 else (lo, mid)
+    if not sign(hi):
+        return mpf(hi)
+    with ctx.work(32 + appr.n + appr.m):
+        cs, x = [mpf(c) for c in reversed(den)], lo + mpf(0.5)
+        for _ in range(mp.prec):
+            value = slope = mpf(0)
+            for c in cs:
+                value, slope = value * x + c, slope * x + value
+            step = value / slope if slope else 0
+            x -= step
+            if abs(step) <= mp.ldexp(x, -ctx.bits - 32):
+                break
+    x = mp.make_mpf(mpf_pos(x._mpf_, ctx.bits + 16, round_nearest))
+    ends = [mp.fadd(x, s * mp.ldexp(1, mp.mag(x) - ctx.bits - 9), exact=True) for s in (-1, 1)]
+    if sign(ends[0]) * sign(ends[1]) > 0:
+        raise NumericalError(f"Newton's method did not isolate the real pole of the "
+                             f"[{appr.n}/{appr.m}] approximant of exp near {mp.nstr(x, 17)}")
+    return ctx.finalize(x)
+
+
+def approximant_derivatives(appr: RationalApproximant, x, k: int,
+                            ctx: PrecisionContext) -> list[Real]:
+    """num/den and its first k derivatives at the dyadic x, exact and each
+    rounded once: i! times the t**i coefficient of num(x+t)/den(x+t), by series
+    division on integers.  Raises :class:`PoleError` where den(x) is zero."""
+    (num, snum), (den, sden) = _integers(appr.num), _integers(appr.den)
+    (p, e), (q, _) = _shifted(num, x, k), _shifted(den, x, k)
+    if not q[0]:
+        raise PoleError(f"x={mp.nstr(x, 17)} is a root of the denominator", root=x)
+    c = []  # c[i] is q_0**(i+1) times the t**i coefficient of p(t)/q(t)
+    for i in range(k + 1):
+        c.append(p[i] * q[0] ** i
+                 - sum(q[j] * c[i - j] * q[0] ** (j - 1) for j in range(1, i + 1)))
+    shift = e * (appr.m - appr.n)
+    return [mp.make_mpf(mpf_div(from_man_exp(math.factorial(i) * sden * ci, shift + e * i),
+                                from_int(snum * q[0] ** (i + 1)), ctx.bits, round_nearest))
+            for i, ci in enumerate(c)]
 
 
 def _accurate(coeffs, x, ctx: PrecisionContext, value=None, scale=None) -> Real:
@@ -190,12 +211,9 @@ def _accurate(coeffs, x, ctx: PrecisionContext, value=None, scale=None) -> Real:
             raise NumericalError(f"a degree-{len(coeffs) - 1} Pade polynomial at "
                                  f"x={mp.nstr(x, 17)} cancels more than {MAX_PADE_BOOST} bits")
         value, scale = _horner(coeffs, x, ctx, extra)
-    sign, man, exp, _ = x._mpf_
-    xq = Fraction(-man if sign else man) * Fraction(2) ** exp
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * xq + c
-    return as_real(total, ctx)
+    ints, scale = _integers(coeffs)
+    (value,), e = _shifted(ints, x)
+    return as_real(Fraction(value, scale << e * (len(ints) - 1)), ctx)
 
 
 @declared(Param("appr", object), Param("x"))

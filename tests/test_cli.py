@@ -331,8 +331,34 @@ def test_explore_out_of_scope(capsys):
 
 
 def test_explore_unknown(capsys):
-    code, _, _ = run(capsys, "explore", "--problem", "99")
+    code, _, err = run(capsys, "explore", "--problem", "99")
     assert code == 2
+    assert "unknown problem '99'" in err
+
+
+def test_explore_table_names_explorer_functions():
+    from exptail import explorer
+    from exptail.cli import EXPLORE, OUT_OF_SCOPE_PROBLEMS
+
+    assert all(callable(getattr(explorer, name)) for name, _ in EXPLORE.values())
+    assert not OUT_OF_SCOPE_PROBLEMS & set(EXPLORE)
+
+
+@pytest.mark.parametrize("bits", ["53", "256"])
+def test_explore_problem5_at_order_201(capsys, bits):
+    # exit 3 while the pole came from a scan with a step budget
+    code, out, _ = run(capsys, "explore", "--problem", "5", "--n", "201", "--bits", bits)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["diagnostics"]["pole"].startswith("267.0856882820898")
+    assert doc["params"] == {"n": 201, "k_max": 4}
+
+
+def test_explore_problem5_pole_of_row_51(capsys):
+    # the scan put it at 61.489 at 53 bits
+    code, out, _ = run(capsys, "explore", "--problem", "5", "--n", "51", "--bits", "53")
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["pole"].startswith("68.26292543217702")
 
 
 def test_explore_each_problem_runs(capsys):

@@ -1,8 +1,12 @@
 """Exploration reports: internal cross-links to the inequality catalog,
 the Runge-Kutta error identity, and report plumbing."""
 
+import math
+from fractions import Fraction
+
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from conftest import rel_err
 from exptail.errors import DomainError, UsageError
@@ -70,6 +74,59 @@ def test_problem5_moebius_case(ctx):
     assert all(report.diagnostics["all_nonnegative_by_order"].values())
     zero_order = problem5_pade_cm(1, 0, None, ctx)
     assert all(row[1] > 0 for row in zero_order.rows)
+
+
+def _rounded(q: Fraction, bits: int) -> mpf:
+    """The rational q rounded once to nearest at ``bits``."""
+    return mp.make_mpf(mpf_div(from_int(q.numerator), from_int(q.denominator), bits,
+                               round_nearest))
+
+
+def _exact_derivatives(appr, x, k: int) -> list[Fraction]:
+    """d0..dk of f = num/den at the dyadic x in Fraction arithmetic, from
+    Leibniz's rule on den f = num: den f^(i) = num^(i) - sum_{j>=1} C(i, j)
+    den^(j) f^(i-j)."""
+    sign, man, exp, _ = x._mpf_
+    xq = (-1) ** sign * man * Fraction(2) ** exp
+
+    def derivative(coeffs, i):
+        return sum(c * math.perm(j, i) * xq ** (j - i) for j, c in enumerate(coeffs) if j >= i)
+
+    f = []
+    for i in range(k + 1):
+        f.append((derivative(appr.num, i) - sum(math.comb(i, j) * derivative(appr.den, j)
+                                                * f[i - j] for j in range(1, i + 1)))
+                 / derivative(appr.den, 0))
+    return f
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("n", [1, 2, 11])
+def test_problem5_derivatives_are_the_rounded_exact_values(n, bits):
+    ctx = PrecisionContext(bits)
+    report = problem5_pade_cm(n, 4, None, ctx)
+    assert "step" not in report.params
+    assert len(report.rows) == 9
+    appr = pade_exp(n, n)
+    for x, *derivs in report.rows:
+        # rounded once to nearest, so each within 2**-bits relative
+        exact = _exact_derivatives(appr, x, 4)
+        assert [d._mpf_ for d in derivs] == [_rounded(q, bits)._mpf_ for q in exact]
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_problem5_moebius_derivatives_are_exact(bits):
+    # [1/1] = (2 + x)/(2 - x) = -1 + 4/(2 - x): its pole is 2 and its k-th
+    # derivative 4 k!/(2 - x)**(k+1)
+    ctx = PrecisionContext(bits)
+    report = problem5_pade_cm(1, 4, None, ctx)
+    assert report.diagnostics["pole"] == 2
+    for x, *derivs in report.rows:
+        _, man, exp, _ = x._mpf_
+        xq = man * Fraction(2) ** exp
+        expected = [(2 + xq) / (2 - xq)] + [4 * math.factorial(k) / (2 - xq) ** (k + 1)
+                                            for k in range(1, 5)]
+        assert [d._mpf_ for d in derivs] == [_rounded(q, bits)._mpf_ for q in expected]
 
 
 def test_problem5_pole_exclusion_logged(ctx):

@@ -18,9 +18,9 @@ from conftest import rel_err
 from exptail.errors import DegeneratePointError, DomainError, NumericalError, PoleError
 from exptail.pade import (MAX_AITKEN_BOOST, MAX_PADE_ORDER, RationalApproximant,
                           _aitken_boost, aitken_row, cesaro_identity_probe, cesaro_mean,
-                          delta_fn, denominator_roots, eval_approximant,
-                          order_condition_defect, pade_exp, taylor_partial)
-from exptail.precision import PrecisionContext
+                          delta_fn, eval_approximant, order_condition_defect, pade_exp,
+                          real_pole, taylor_partial)
+from exptail.precision import PrecisionContext, as_real
 
 
 def test_low_order_coefficients():
@@ -125,11 +125,95 @@ def test_points_that_lose_few_bits_are_one_horner_pass(n, m, x, bits):
     assert eval_approximant(appr, x, ctx)._mpf_ == expected._mpf_
 
 
-def test_denominator_roots(ctx):
-    roots = denominator_roots(pade_exp(2, 1), 0, 10, ctx)
-    assert len(roots) == 1
-    assert rel_err(roots[0], 3) < mpf("1e-60")
-    assert denominator_roots(pade_exp(2, 0), 0, 10, ctx) == []
+def _sturm_count(coeffs) -> int:
+    """Distinct real roots of the polynomial with ascending Fraction
+    ``coeffs``: sign changes of an exact Sturm sequence at -oo minus +oo."""
+    seq = [list(reversed(coeffs))]  # descending
+    if len(seq[0]) > 1:
+        seq.append([c * (len(seq[0]) - 1 - i) for i, c in enumerate(seq[0][:-1])])
+    while len(seq[-1]) > 1:
+        rem = list(seq[-2])
+        while len(rem) >= len(seq[-1]):
+            f = rem[0] / seq[-1][0]
+            rem = [a - f * b for a, b in zip(rem[1:], seq[-1][1:] + [0] * len(rem))]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+
+    def changes(signs):
+        signs = [s for s in signs if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_inf = [(p[0] > 0) - (p[0] < 0) for p in seq]
+    at_minus_inf = [s * (-1) ** (len(p) - 1) for s, p in zip(at_inf, seq)]
+    return changes(at_minus_inf) - changes(at_inf)
+
+
+def test_sturm_count_of_known_polynomials():
+    F = Fraction
+    assert _sturm_count([F(-2), F(0), F(1)]) == 2  # x**2 - 2
+    assert _sturm_count([F(2), F(0), F(1)]) == 0  # x**2 + 2
+    assert _sturm_count([F(0), F(-1), F(0), F(1)]) == 3  # x**3 - x
+    assert _sturm_count([F(1)]) == 0
+
+
+def test_denominator_has_one_real_root_for_odd_m_and_none_for_even_m():
+    # the parity rule of Saff and Varga, Numer. Math. 1975, that real_pole rests on
+    for n in range(13):
+        for m in range(13):
+            assert _sturm_count(pade_exp(n, m).den) == m % 2, (n, m)
+
+
+@pytest.mark.parametrize("bits", [53, 256, 1024])
+def test_real_pole_against_findroot(bits):
+    # at 53 bits the old scan found 7 roots of [0/201], 29.1810 for [0/101]'s
+    # root, and 61.489 for [51/51]'s; the references are 2048-bit roots
+    ctx = PrecisionContext(bits)
+    cases = {(0, 201): "57.0870375358253577", (0, 101): "29.1697640329205754",
+             (51, 51): "68.2629254321770257", (201, 201): "267.085688282089875",
+             (390, 73): "414.869966540637106"}  # den cancels 209 bits > 2m there
+    for (n, m), digits in cases.items():
+        appr = pade_exp(n, m)
+        with mp.workprec(2048):
+            coeffs = [mpf(c.numerator) / c.denominator for c in reversed(appr.den)]
+            root = mp.findroot(lambda t: mp.polyval(coeffs, t), mpf(digits))
+            assert mp.nstr(root, 30).startswith(digits)
+            assert abs(real_pole(appr, ctx) - root) <= root * mpf(2) ** -bits, (n, m)
+    assert real_pole(pade_exp(0, 200), ctx) is None
+
+
+def test_real_pole_exact_cases(ctx):
+    assert real_pole(pade_exp(2, 1), ctx) == 3  # den = 1 - x/3
+    assert real_pole(pade_exp(1, 1), PrecisionContext(53)) == 2
+    assert real_pole(pade_exp(0, 1), ctx) == 1
+    assert all(real_pole(pade_exp(n, 2 * j), ctx) is None for n in range(5) for j in range(4))
+
+
+def test_real_pole_not_isolated_is_a_numerical_error(monkeypatch):
+    # a root rounded to 20 bits before its certificate cannot be isolated
+    # 2**-(bits+8) apart
+    rounding = pade.mpf_pos
+    monkeypatch.setattr(pade, "mpf_pos", lambda raw, prec, rnd: rounding(raw, 20, rnd))
+    with pytest.raises(NumericalError):
+        real_pole(pade_exp(0, 101), PrecisionContext(53))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 12), m=st.integers(0, 12), x=st.floats(-60, 60),
+       bits=st.sampled_from([53, 256]))
+def test_exact_branch_is_the_rounded_fraction_horner(n, m, x, bits):
+    # where an evaluation gives exactly zero, _accurate rounds the exact
+    # rational value of the polynomial at the dyadic x, as a Fraction Horner did
+    ctx = PrecisionContext(bits)
+    x = mpf(x)
+    sign, man, exp, _ = x._mpf_
+    xq = (-1) ** sign * man * Fraction(2) ** exp
+    for coeffs in pade_exp(n, m).num, pade_exp(n, m).den:
+        exact = sum(c * xq**j for j, c in enumerate(coeffs))
+        value = pade._accurate(coeffs, x, ctx, mpf(0), mpf(1))
+        assert value._mpf_ == as_real(exact, ctx)._mpf_
 
 
 def test_taylor_partial(ctx):
