@@ -44,10 +44,11 @@ import math
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (fnan, from_int, from_man_exp, mpf_abs, mpf_ge, mpf_mul, mpf_mul_int,
+                          mpf_shift, round_nearest, to_fixed, to_float, to_int)
 
 from .errors import DomainError, NumericalError
-from .precision import GUARD_BITS, Param, PrecisionContext, Real, as_real, declared
+from .precision import GUARD_BITS, Param, PrecisionContext, Real, _make, as_real, declared
 
 # Hard cap on adaptive panels before quad_integral gives up.
 DEFAULT_PANEL_BUDGET = 4000
@@ -65,11 +66,17 @@ X_MAX = 20000
 MAX_SERIES_TERMS = 5 * 10**5
 
 
+def _raw(v) -> tuple:
+    """The raw libmp value of an int or mpf parameter, exactly."""
+    return v._mpf_ if type(v) is mpf else from_int(v)
+
+
 def _series_budget(x, bits: int) -> int:
     """A-priori term-count bound from the ratio test: generous, never hit
     in practice, but turns a would-be hang into a diagnosable failure.
-    Sized from the mpf x itself, which may lie beyond the float range."""
-    return int(3 * abs(x)) + 8 * bits + 256
+    Sized from the mpf x itself, which may lie beyond the float range:
+    3|x| is rounded at the active precision, as the mpf operators round it."""
+    return to_int(mpf_mul_int(mpf_abs(x._mpf_), 3, mp.prec, round_nearest)) + 8 * bits + 256
 
 
 def _series_terms(a, b, x, wp: int) -> mpf:
@@ -113,20 +120,31 @@ def gamma_fn(v, ctx: PrecisionContext) -> Real:
 
 
 def _fixed_param(p, wp: int) -> tuple[int, int, int]:
-    """Start, step and scale bits of p + k: exact for an integer p, else
-    in fixed point with at least wp significant bits."""
-    if p == int(p):
-        return int(p), 1, 0
-    s = wp + max(0, -mp.mag(p))
-    return to_fixed(mpf(p)._mpf_, s), 1 << s, s
+    """Start n, step d and scale bits s of p + k = (n + k d) / 2**s for an
+    int or finite mpf p, read from its raw value: an integer p is itself
+    (s = 0), and otherwise p is its own mantissa over 2**-exp where that
+    fits s = wp + max(0, -mag(p)) fractional bits, so a short p such as a
+    53-bit float stays a short operand.  A p with more fractional bits is
+    truncated to s of them, at least wp significant bits."""
+    if type(p) is int:
+        return p, 1, 0
+    sign, man, exp, bc = p._mpf_
+    if exp >= 0:
+        n = man << exp
+        return -n if sign else n, 1, 0
+    s = wp + max(0, -(exp + bc))
+    if -exp <= s:
+        return -man if sign else man, 1 << -exp, -exp
+    return to_fixed(p._mpf_, s), 1 << s, s
 
 
 def _large_x(b, x, ctx: PrecisionContext) -> bool:
     """Whether 1F1(.; b; x) is past the switch x >= max(wp, 2b) to the
     closed-form route, wp = bits + GUARD_BITS the working precision: there
     e**-x < 2**(-1.44 wp) lies far below the working precision, and the
-    route's one subtraction loses under 1 bit."""
-    return x >= ctx.bits + GUARD_BITS and x >= 2 * b
+    route's one subtraction loses under 1 bit.  Judged on the raw values."""
+    xr = x._mpf_
+    return mpf_ge(xr, from_int(ctx.bits + GUARD_BITS)) and mpf_ge(xr, mpf_shift(_raw(b), 1))
 
 
 def _kummer_one_large_x(b, x, ctx: PrecisionContext) -> Real:
@@ -189,10 +207,11 @@ def _contiguous_up(a: int, b, x, f1) -> Real:
     k F(k+1) = (2k - b + x) F(k) + (b - k) F(k-1), k = 1, ..., a - 1.
 
     Both coefficients are non-negative, so no step cancels.  The steps run
-    in integer fixed point, the way the series does: b and x are exact or
-    to wp significant bits (wp the active working precision) and F(k),
-    F(k-1) share one power of two, with F(k) between 2 wp and 3 wp bits,
-    so each step truncates at most 2**-2wp of F(k+1) relative."""
+    in integer fixed point, the way the series does: b and x are their own
+    mantissas where they fit (:func:`_fixed_param`, wp the active working
+    precision) and F(k), F(k-1) share one power of two, with F(k) between
+    2 wp and 3 wp bits, so each step truncates at most 2**-2wp of F(k+1)
+    relative."""
     wp = mp.prec
     nb, _, sb = _fixed_param(b, wp)
     xm, _, sx = _fixed_param(x, wp)
@@ -217,7 +236,12 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, a >= 1, b > 0.
 
     Summed in integer fixed point at the active working precision wp, with
-    x, a and b exact or to wp significant bits however small they are.
+    x, a and b as their own mantissas where they fit (:func:`_fixed_param`),
+    so a 53-bit x or b is a 53-bit operand of each term's multiply and
+    divide, and else to wp significant bits however small they are.  Its
+    checks of the parameters and its final product with scale work on the
+    raw libmp values, rounded as the mpf operators round, without their
+    dispatch.
     The sum starts at 1 and for x >= 0 no term is negative, so each
     truncation of 2**-wp is a relative error.  Once the sum passes 2*wp
     bits, sum and term are shifted down together into an exponent, so the
@@ -235,9 +259,11 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     estimates at more than MAX_SERIES_TERMS terms raises
     :class:`DomainError` before it starts.
     """
-    if mp.isnan(b) or not mp.isfinite(a):
+    ar, br = _raw(a), _raw(b)
+    # a special raw value (nan, +-oo) has mantissa 0 and a non-zero bc
+    if br == fnan or not ar[1] and ar[3]:
         raise NumericalError(f"1F1({a}; {b}; {x}) series does not converge: non-finite parameter")
-    if mp.isinf(b):
+    if not br[1] and br[3]:
         return scale * mpf(1)
     if _large_x(b, x, ctx) and a == int(a) and a <= b + 1:
         f1 = _kummer_one_large_x(b, x, ctx)
@@ -251,30 +277,32 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
                               f"(at most {MAX_SERIES_TERMS}); the closed form needs an integer "
                               f"a <= b + 1 and x >= max(wp, 2b)")
         budget = min(budget, 2 * MAX_SERIES_TERMS)  # an estimate's miss stays bounded too
-    target = ctx.target_rel_err
+    _, _, texp, tbc = ctx.target_rel_err._mpf_
     # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))
-    tol = 2 - target.exp - target.bc
+    tol = 2 - texp - tbc
     na, da, sa = _fixed_param(a, wp)
     nb, db, sb = _fixed_param(b, wp)
     xm, _, sx = _fixed_param(x, wp)
     # term * xm * na carries sx + sa - sb fractional bits more than term
     up, down = max(0, sb - sx - sa), max(0, sx + sa - sb)
-    af, bf, xf = float(a), float(b), abs(float(x))
+    af, bf = to_float(ar, False, round_nearest), to_float(br, False, round_nearest)
+    xf = abs(to_float(x._mpf_, False, round_nearest))
     term = total = 1 << wp
-    exp = -wp
+    exp, top = -wp, 2 * wp
     for k in range(1, budget):
         term = (term * xm * na << up) // (nb * k << down)
         if not term:  # every later term is 0 too; past the float range r would be nan
             break
         total += term
-        gap = total.bit_length() - term.bit_length() - tol
+        size = total.bit_length()
+        gap = size - term.bit_length() - tol
         if gap >= 0:
             # term < 2**-gap * target * total, and the rest of the series
             # is below term * r/(1-r) with r the next term ratio
             r = xf * (af + k) / ((bf + k) * (k + 1))
             if r <= (1 - r) * 2.0 ** min(gap, 64):
                 break
-        if total.bit_length() > 2 * wp:
+        if size > top:
             term >>= wp
             total >>= wp
             exp += wp
@@ -283,7 +311,8 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     else:
         raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",
                              best_estimate=ctx.finalize(scale * mp.ldexp(total, exp)))
-    return scale * mp.ldexp(total, exp)
+    # the exact sum times scale, rounded once at wp as the mpf product rounds it
+    return _make(mpf_mul(_raw(scale), from_man_exp(total, exp), wp, round_nearest))
 
 
 @declared(Param("order", ge=0), Param("x", gt=0))

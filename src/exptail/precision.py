@@ -11,10 +11,14 @@ Operands carrying more precision than the context are rounded down to it
 ``exptail`` logger.
 
 The conversion, rounding and rendering helpers (:func:`as_real`,
-:meth:`PrecisionContext.finalize`, :func:`format_real`) round ``mpf``, ``int``
-and ``Fraction`` operands through ``mpmath.libmp`` at an explicit precision
-and never switch mpmath's global context, so their results do not depend
-on an ambient ``mp.prec`` and they cost no context enter/exit per value.
+:meth:`PrecisionContext.finalize`, :func:`format_real`) round ``mpf``,
+``float``, ``int`` and ``Fraction`` operands through ``mpmath.libmp`` at an
+explicit precision (``from_float``, ``from_int``, ``mpf_pos``, ``mpf_div``),
+the values the mpf constructor gives at that precision, and never switch
+mpmath's global context, so their results do not depend on an ambient
+``mp.prec`` and they cost no context enter/exit per value.  Only decimal
+strings and other types go through the mpf constructor inside
+``ctx.work()``.
 A value that already fits the precision is its own rounding and is taken
 as it is (:func:`_fit`): ``as_real`` and ``finalize`` return such an mpf
 itself, with no new object.  :func:`format_real` gives exactly the text of
@@ -26,8 +30,10 @@ zero, the special values and huge exponents to ``to_str``.
 Every public scalar function declares its arguments once, as
 :class:`Param` records, through :func:`declared`: the one boundary that
 converts each argument by its kind, checks its bounds, holds ``ctx.work()``
-and returns ``ctx.finalize`` of the result.  The inequality catalog
-declares its parameters with the same records.
+and returns ``ctx.finalize`` of the result.  A numeric bound is held as
+its exact raw value and judged by ``libmp``'s comparisons, the ones the mpf
+operators call.  The inequality catalog declares its parameters with the
+same records.
 
 :func:`as_real` converts and does not validate; the declarations do.  A
 real is finite unless declared otherwise, so a nan or infinite x raises
@@ -50,7 +56,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, mpf_div, mpf_mul_int, mpf_pos, round_nearest, to_str
+from mpmath.libmp import (fnan, from_float, from_int, mpf_div, mpf_ge, mpf_gt, mpf_le, mpf_mul_int,
+                          mpf_pos, round_nearest, to_str)
 
 from .errors import DomainError, UsageError
 
@@ -77,10 +84,13 @@ def _fit(raw: tuple, prec: int) -> tuple:
 
 
 def _rounded(x, prec: int):
-    """Raw libmp value of an ``mpf`` or ``int`` rounded to nearest at
-    ``prec`` bits, or None for operand types left to mpmath's constructor."""
+    """Raw libmp value of an ``mpf``, ``float`` or ``int`` rounded to
+    nearest at ``prec`` bits, or None for operand types left to mpmath's
+    constructor."""
     if isinstance(x, mpf):
         return _fit(x._mpf_, prec)
+    if isinstance(x, float):
+        return from_float(x, prec, round_nearest)
     if isinstance(x, int):
         return from_int(x, prec, round_nearest)
     return None
@@ -175,7 +185,7 @@ def as_real(x, ctx: PrecisionContext) -> Real:
             raw = mpf_div(raw, from_int(x.denominator, wp, round_nearest), wp, round_nearest)
     if raw is not None:
         return _make(raw)
-    with ctx.work():  # decimal strings, floats
+    with ctx.work():  # decimal strings and other types
         return +mpf(x)
 
 
@@ -211,9 +221,9 @@ def _as_int(v, ctx) -> int:
 KINDS = {int: ("an integer", _as_int), mpf: ("a real", as_real),
          str: ("a string", lambda v, ctx: str(v)), object: ("a value", lambda v, ctx: v)}
 
-# bound field -> (its symbol, its test)
-_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le),
-           "among": ("in", lambda v, among: v in among)}
+# bound field -> (its symbol, its test, the same test of raw libmp values)
+_BOUNDS = {"gt": (">", operator.gt, mpf_gt), "ge": (">=", operator.ge, mpf_ge),
+           "le": ("<=", operator.le, mpf_le), "among": ("in", lambda v, among: v in among, None)}
 
 
 def convert(spec: Param, v, ctx: PrecisionContext):
@@ -232,20 +242,30 @@ def convert(spec: Param, v, ctx: PrecisionContext):
 
 
 def bounds(params) -> tuple:
-    """(name, symbol, test, bound) of every bound declared in ``params``."""
-    return tuple((spec.name, *_BOUNDS[key], bound) for spec in params
-                 for key, bound in zip(_BOUNDS, spec[2:6]) if bound is not None)
+    """(name, symbol, test, raw test, bound, raw bound) of every bound
+    declared in ``params``.  An integer bound is also held as its exact raw
+    value, with which the raw test judges a real as the mpf comparison
+    does, without its operator dispatch (None for other bounds)."""
+    return tuple((spec.name, *_BOUNDS[key], bound, from_int(bound) if type(bound) is int else None)
+                 for spec in params for key, bound in zip(_BOUNDS, spec[2:6]) if bound is not None)
 
 
 def breach(checks: tuple, values) -> str | None:
     """The first of the :func:`bounds` ``checks`` that the mapping ``values``
     breaks, as "name symbol bound, got name = value", or None.  A parameter
     it does not hold is not judged, nor a nan (only a non-finite real)."""
-    for name, symbol, test, bound in checks:
+    for name, symbol, test, raw_test, bound, raw_bound in checks:
         v = values.get(name)
-        limit = values.get(bound) if isinstance(bound, str) else bound
-        if v is not None and limit is not None and not test(v, limit) and v == v:
-            return f"{name} {symbol} {bound}, got {name} = {v}"
+        if v is None:
+            continue
+        if raw_bound is not None and type(v) is mpf:
+            if raw_test(v._mpf_, raw_bound) or v._mpf_ == fnan:
+                continue
+        else:
+            limit = values.get(bound) if isinstance(bound, str) else bound
+            if limit is None or test(v, limit) or v != v:
+                continue
+        return f"{name} {symbol} {bound}, got {name} = {v}"
     return None
 
 
@@ -254,7 +274,12 @@ def declared(*params: Param):
     argument is converted by its declared kind (:func:`convert`) and its
     bounds checked, either failure a :class:`DomainError`; then f runs
     inside ``ctx.work()``, entering only the boosted blocks it needs, and
-    its result is finalized.  The declarations are the function's ``params``."""
+    its result is finalized.  The declarations are the function's ``params``.
+
+    Ints, floats and mpfs convert through ``libmp`` at the working
+    precision (:func:`as_real`) and numeric bounds are judged on raw
+    values (:func:`bounds`), so the call pays one precision switch and no
+    mpf operator dispatch before f runs."""
     checks = bounds(params)
 
     def wrap(impl):
@@ -265,7 +290,9 @@ def declared(*params: Param):
             if len(args) != len(params) + 1:
                 raise TypeError(f"{label}() takes {len(params)} arguments and a context")
             ctx = args[-1]
-            with ctx.work():  # entered first, so no conversion switches precision
+            # entered first, so that no conversion switches the precision
+            # again and an error message prints its values at it
+            with ctx.work():
                 try:
                     values = {spec.name: convert(spec, v, ctx) for spec, v in zip(params, args)}
                 except ValueError as exc:

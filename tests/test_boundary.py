@@ -8,17 +8,19 @@ import io
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from exptail import inequalities, precision, remainders
 from exptail.cli import EVAL, main
-from exptail.errors import DomainError, UsageError
+from exptail.errors import DomainError, NumericalError, UsageError
 from exptail.inequalities import (CATALOG, Evaluator, chebyshev_constant, cor25_constant,
                                   cor27_constant, default_sweep, interp_constant, lin_grid,
                                   log_grid)
 from exptail.numerics import arctan_fracint, gamma_fn, kummer_1f1_one, lower_incomplete_gamma
 from exptail.pade import aitken_row, cesaro_mean, eval_approximant, pade_exp, taylor_partial
-from exptail.precision import GUARD_BITS, Param, PrecisionContext
+from exptail.precision import GUARD_BITS, Param, PrecisionContext, as_real
 from exptail.remainders import (b_value, eps_value, g_ratio, q_value, r_frac, r_neg,
                                 r_obreshkov, r_tail)
 
@@ -167,3 +169,73 @@ def test_eval_never_lowers_a_boost(precision_never_lowered, quantity, x):
 @pytest.mark.parametrize("problem", ["1", "5", "7", "8", "9", "11", "12", "15", "rk"])
 def test_explore_never_lowers_a_boost(precision_never_lowered, problem):
     assert _run(["explore", "--problem", problem]) == (0, "")
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                   float("inf"), float("-inf"), float("nan")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True)),
+       bits=st.sampled_from([53, 256, 1024]), ambient=st.sampled_from([53, 113, 2000]))
+def test_as_real_of_a_float_is_its_mpf_at_the_working_precision(x, bits, ambient):
+    ctx = PrecisionContext(bits)
+    with ctx.work():
+        expected = (+mpf(x))._mpf_
+    with mp.workprec(ambient):
+        assert as_real(x, ctx)._mpf_ == expected
+
+
+def _shown(x, ctx) -> str:
+    """x as a boundary message prints it: its mpf at the working precision."""
+    with ctx.work():
+        return str(+mpf(x))
+
+
+_OUT_OF_BOUNDS = st.one_of(st.sampled_from([-0.0, -5e-324, -1e308, float("-inf"), float("nan")]),
+                           st.floats(max_value=0.0), st.integers(-(2 ** 400), 0),
+                           st.builds("{}e{}".format, st.integers(-(10 ** 30), 0),
+                                     st.integers(-300, 300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_OUT_OF_BOUNDS, bits=st.sampled_from([53, 256]))
+def test_boundary_messages_print_values_at_the_working_precision(x, bits):
+    # a real at or below q_value's bound x > 0, or not finite, as a float,
+    # an int or a decimal string: the message names the value as the mpf
+    # route printed it at the working precision
+    ctx = PrecisionContext(bits)
+    shown = _shown(x, ctx)
+    with pytest.raises(DomainError) as raised:
+        q_value(2, x, ctx)
+    if shown in ("nan", "+inf", "-inf"):
+        assert str(raised.value) == f"q_value needs a finite real 'x', got {shown}"
+    else:
+        assert str(raised.value) == f"q_value requires x > 0, got x = {shown}"
+    # an order declared non-finite keeps its numeric bound a > -1 and lets
+    # nan through to the series
+    a = x if isinstance(x, str) else x - 1
+    shown = _shown(a, ctx)
+    if shown == "nan":
+        with pytest.raises(NumericalError):
+            r_frac(a, 1, ctx)
+    elif mpf(shown) <= -1:
+        with pytest.raises(DomainError) as raised:
+            r_frac(a, 1, ctx)
+        assert str(raised.value) == f"r_frac requires a > -1, got a = {shown}"
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-1, 1), "r_tail requires n >= 0, got n = -1"),
+    ((2.5, 1), "r_tail needs an integer 'n', got 2.5"),
+    ((mpf("0.1"), 1), "r_tail needs an integer 'n', got 0.1"),
+    (("1e-9", 1), "r_tail needs an integer 'n', got 1e-9"),
+    ((3, -0.1), "r_tail requires x >= 0, got x = "
+                "-0.1000000000000000055511151231257827021181583404541015625"),
+    ((3, "-0.25"), "r_tail requires x >= 0, got x = -0.25"),
+    ((3, "x"), "r_tail needs a real 'x', got x"),
+])
+def test_boundary_messages_are_unchanged(ctx, args, message):
+    with pytest.raises(DomainError) as raised:
+        r_tail(*args, ctx)
+    assert str(raised.value) == message

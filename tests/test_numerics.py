@@ -2,14 +2,18 @@
 high-precision constants, and the quadrature oracle."""
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, to_fixed
 
 from conftest import rel_err
 from exptail.errors import DomainError, NumericalError
-from exptail.numerics import (MAX_SERIES_TERMS, _series_terms, gamma_fn, kummer_1f1_one,
-                              lower_incomplete_gamma, quad_integral)
+from exptail.numerics import (MAX_SERIES_TERMS, _fixed_param, _series_terms, gamma_fn,
+                              kummer_1f1_one, lower_incomplete_gamma, quad_integral)
 from exptail.precision import PrecisionContext
 from exptail.remainders import b_value, r_frac, r_neg, r_obreshkov, r_tail
 
@@ -296,3 +300,47 @@ def test_series_threshold_tightens_with_bits(ctx, ctx512):
     a, b = lower_incomplete_gamma(2, 3, ctx), lower_incomplete_gamma(2, 3, ctx512)
     assert ctx512.target_rel_err < ctx.target_rel_err
     assert rel_err(a, b) < 10 * ctx.target_rel_err
+
+
+def _fixed_param_by_mpf(p, wp):
+    """The fixed-point form every non-integer parameter once took: p
+    truncated to s = wp + max(0, -mag(p)) fractional bits, read exactly."""
+    if p == int(p):
+        return int(p), 1, 0
+    s = wp + max(0, -mp.mag(p))
+    return to_fixed(p._mpf_, s), 1 << s, s
+
+
+@st.composite
+def _kernel_params(draw):
+    """A working precision and an mpf of 1 to 2 wp mantissa bits with a
+    binary exponent in [-400, 400], either sign, or zero."""
+    wp = draw(st.sampled_from([85, 288, 1056]))
+    if draw(st.integers(0, 30)) == 0:
+        return mpf(0), wp
+    width = draw(st.integers(1, 2 * wp))
+    man = draw(st.integers(2 ** (width - 1), 2 ** width - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return mp.make_mpf(from_man_exp(sign * man, draw(st.integers(-400, 400)))), wp
+
+
+@settings(max_examples=500, deadline=None)
+@given(_kernel_params())
+def test_fixed_param_is_the_parameter_where_it_fits(drawn):
+    # n / 2**s is p itself, in its fewest fractional bits, wherever p has at
+    # most s = wp + max(0, -mag(p)) of them, and the truncation at s
+    # otherwise; d = 2**s always
+    p, wp = drawn
+    n, d, s = _fixed_param(p, wp)
+    assert d == 1 << s
+    sign, man, exp, _ = p._mpf_
+    exact = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    rule = 0 if exact.denominator == 1 else wp + max(0, -mp.mag(p))
+    if exact.denominator <= 1 << rule:
+        assert Fraction(n, d) == exact and d == exact.denominator
+        assert Fraction(n, d) == Fraction(*_fixed_param_by_mpf(p, wp)[:2])
+    else:
+        assert (n, d, s) == _fixed_param_by_mpf(p, wp)
+    # an int is itself
+    if exact.denominator == 1:
+        assert _fixed_param(int(exact), wp) == (int(exact), 1, 0)
