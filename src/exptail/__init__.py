@@ -3,29 +3,16 @@ configurable precision, grid verification of the sharp-constant
 inequalities the remainder family satisfies, and numerical exploration
 of the open questions around them."""
 
-import gc as _gc
-
-# Importing mpmath and the submodules makes only objects that live as long
-# as the process, so the cyclic collector's passes over them (two dozen
-# young collections) are pure cost: it is held off meanwhile and left in
-# the state it was found in.
-_collecting = _gc.isenabled()
-_gc.disable()
-try:
-    from .errors import (DegeneratePointError, DomainError, ExptailError, NumericalError,
-                         PoleError, UsageError)
-    from .inequalities import (CHECK_IDS, CheckId, CheckResult, ParamGrid, default_sweep,
-                               evaluate_check, parse_grid, sharpness_probe, summarize, sweep)
-    from .numerics import (QuadResult, gamma_fn, kummer_1f1_one, lower_incomplete_gamma,
-                           quad_integral)
-    from .pade import (RationalApproximant, aitken_row, cesaro_mean, delta_fn, eval_approximant,
-                       pade_exp, taylor_partial)
-    from .precision import PrecisionContext, Real, as_real, format_real, parse_real
-    from .remainders import (DiffTable, RemainderKind, RemainderSpec, b_value, cross_check,
-                             eps_value, finite_diff, g_ratio, neg_remainder_sign, q_value,
-                             r_frac, r_neg, r_obreshkov, r_tail)
-finally:
-    if _collecting:
-        _gc.enable()
+from .errors import (DegeneratePointError, DomainError, ExptailError, NumericalError,
+                     PoleError, UsageError)
+from .inequalities import (CHECK_IDS, CheckId, CheckResult, ParamGrid, default_sweep,
+                           evaluate_check, parse_grid, sharpness_probe, summarize, sweep)
+from .numerics import QuadResult, gamma_fn, kummer_1f1_one, lower_incomplete_gamma, quad_integral
+from .pade import (RationalApproximant, aitken_row, cesaro_mean, delta_fn, eval_approximant,
+                   pade_exp, taylor_partial)
+from .precision import PrecisionContext, Real, as_real, format_real, parse_real
+from .remainders import (DiffTable, RemainderKind, RemainderSpec, b_value, cross_check,
+                         eps_value, finite_diff, g_ratio, neg_remainder_sign, q_value,
+                         r_frac, r_neg, r_obreshkov, r_tail)
 
 __version__ = "0.1.0"

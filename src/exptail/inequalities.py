@@ -579,7 +579,7 @@ class CheckDef:
     @cached_property
     def _x_bounds(self) -> tuple:
         """The declared bounds that name x, on either side."""
-        return tuple(b for b in self._bounds if b[0] == "x" or b[4] == "x")
+        return tuple(b for b in self._bounds if b.name == "x" or b.bound == "x")
 
     def _refuse(self, p: Mapping) -> None:
         fault = breach(self._bounds, p)  # a parameter p does not hold is not judged

@@ -71,6 +71,12 @@ def _raw(v) -> tuple:
     return v._mpf_ if type(v) is mpf else from_int(v)
 
 
+def _scaled(scale, man: int, exp: int, wp: int) -> Real:
+    """scale * man * 2**exp for an int or mpf scale, the exact fixed-point
+    value rounded once at wp as the mpf product rounds it."""
+    return _make(mpf_mul(_raw(scale), from_man_exp(man, exp), wp, round_nearest))
+
+
 def _series_budget(x, bits: int) -> int:
     """A-priori term-count bound from the ratio test: generous, never hit
     in practice, but turns a would-be hang into a diagnosable failure.
@@ -119,23 +125,21 @@ def gamma_fn(v, ctx: PrecisionContext) -> Real:
     return mp.gamma(v)
 
 
-def _fixed_param(p, wp: int) -> tuple[int, int, int]:
+def _fixed_param(p) -> tuple[int, int, int]:
     """Start n, step d and scale bits s of p + k = (n + k d) / 2**s for an
-    int or finite mpf p, read from its raw value: an integer p is itself
-    (s = 0), and otherwise p is its own mantissa over 2**-exp where that
-    fits s = wp + max(0, -mag(p)) fractional bits, so a short p such as a
-    53-bit float stays a short operand.  A p with more fractional bits is
-    truncated to s of them, at least wp significant bits."""
+    int or finite mpf p, read exactly from its raw value: an integer p is
+    itself (s = 0), and otherwise p is its own mantissa over 2**-exp, so a
+    short p such as a 53-bit float stays a short operand.  Every caller
+    forms p at or below the working precision, so n has at most that many
+    bits."""
     if type(p) is int:
         return p, 1, 0
-    sign, man, exp, bc = p._mpf_
+    sign, man, exp, _ = p._mpf_
+    if sign:
+        man = -man
     if exp >= 0:
-        n = man << exp
-        return -n if sign else n, 1, 0
-    s = wp + max(0, -(exp + bc))
-    if -exp <= s:
-        return -man if sign else man, 1 << -exp, -exp
-    return to_fixed(p._mpf_, s), 1 << s, s
+        return man << exp, 1, 0
+    return man, 1 << -exp, -exp
 
 
 def _large_x(b, x, ctx: PrecisionContext) -> bool:
@@ -188,8 +192,8 @@ def _kummer_one_large_x(b, x, ctx: PrecisionContext) -> Real:
     # |1F1| >= lead for x > 0 and >= about max(|lead|, |w|/2) for x < 0
     size = lead if x > 0 else max(abs(lead), abs(w) / 2)
     stop = int(mp.ldexp(min(ctx.target_rel_err * size / (8 * abs(w)), 1), wp))
-    ns, ds, ss = _fixed_param(s, wp)
-    xm, _, sx = _fixed_param(x, wp)
+    ns, ds, ss = _fixed_param(s)
+    xm, _, sx = _fixed_param(x)
     term = total = 1 << wp
     for k in range(1, 4 * ctx.bits):
         term = (term * (ns - k * ds) << sx) // (xm << ss)
@@ -207,14 +211,14 @@ def _contiguous_up(a: int, b, x, f1) -> Real:
     k F(k+1) = (2k - b + x) F(k) + (b - k) F(k-1), k = 1, ..., a - 1.
 
     Both coefficients are non-negative, so no step cancels.  The steps run
-    in integer fixed point, the way the series does: b and x are their own
-    mantissas where they fit (:func:`_fixed_param`, wp the active working
-    precision) and F(k), F(k-1) share one power of two, with F(k) between
-    2 wp and 3 wp bits, so each step truncates at most 2**-2wp of F(k+1)
+    in integer fixed point, the way the series does: b and x are exact,
+    their own mantissas (:func:`_fixed_param`), and F(k), F(k-1) share one
+    power of two, with F(k) between 2 wp and 3 wp bits (wp the active
+    working precision), so each step truncates at most 2**-2wp of F(k+1)
     relative."""
     wp = mp.prec
-    nb, _, sb = _fixed_param(b, wp)
-    xm, _, sx = _fixed_param(x, wp)
+    nb, _, sb = _fixed_param(b)
+    xm, _, sx = _fixed_param(x)
     s = max(sb, sx)
     bs, xs = nb << (s - sb), xm << (s - sx)  # b and x in units of 2**-s
     _, man, exp, bc = f1._mpf_
@@ -236,12 +240,11 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, a >= 1, b > 0.
 
     Summed in integer fixed point at the active working precision wp, with
-    x, a and b as their own mantissas where they fit (:func:`_fixed_param`),
-    so a 53-bit x or b is a 53-bit operand of each term's multiply and
-    divide, and else to wp significant bits however small they are.  Its
-    checks of the parameters and its final product with scale work on the
-    raw libmp values, rounded as the mpf operators round, without their
-    dispatch.
+    x, a and b exact, as their own mantissas (:func:`_fixed_param`), so a
+    53-bit x or b is a 53-bit operand of each term's multiply and divide
+    however small it is.  Its checks of the parameters and its final
+    product with scale work on the raw libmp values, rounded as the mpf
+    operators round, without their dispatch.
     The sum starts at 1 and for x >= 0 no term is negative, so each
     truncation of 2**-wp is a relative error.  Once the sum passes 2*wp
     bits, sum and term are shifted down together into an exponent, so the
@@ -280,9 +283,9 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     _, _, texp, tbc = ctx.target_rel_err._mpf_
     # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))
     tol = 2 - texp - tbc
-    na, da, sa = _fixed_param(a, wp)
-    nb, db, sb = _fixed_param(b, wp)
-    xm, _, sx = _fixed_param(x, wp)
+    na, da, sa = _fixed_param(a)
+    nb, db, sb = _fixed_param(b)
+    xm, _, sx = _fixed_param(x)
     # term * xm * na carries sx + sa - sb fractional bits more than term
     up, down = max(0, sb - sx - sa), max(0, sx + sa - sb)
     af, bf = to_float(ar, False, round_nearest), to_float(br, False, round_nearest)
@@ -310,9 +313,8 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
         nb += db
     else:
         raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",
-                             best_estimate=ctx.finalize(scale * mp.ldexp(total, exp)))
-    # the exact sum times scale, rounded once at wp as the mpf product rounds it
-    return _make(mpf_mul(_raw(scale), from_man_exp(total, exp), wp, round_nearest))
+                             best_estimate=ctx.finalize(_scaled(scale, total, exp, wp)))
+    return _scaled(scale, total, exp, wp)
 
 
 @declared(Param("order", ge=0), Param("x", gt=0))
@@ -354,7 +356,7 @@ def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
         r = h / w
         s = wp + max(0, -mp.mag(r))
         zr, zi = to_fixed((h * x / w2)._mpf_, s), to_fixed((h / w2)._mpf_, s)
-        na, da, sa = _fixed_param(order + 1, wp)
+        na, da, sa = _fixed_param(order + 1)
         stop = max(2, int(mp.ldexp(eps * (1 - r) / (r * w * (order + 1)), s)))
         pr, pi, sr, si = 1 << s, 0, 0, 0
         while True:
@@ -370,7 +372,7 @@ def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
             atan_d = mp.atan(d)
             inv_d = to_fixed((1 / d)._mpf_, wp)
             j_prev, j_cur = to_fixed(atan_d._mpf_, wp), to_fixed((mp.log1p(d * d) / (2 * d))._mpf_, wp)
-            no, _, so = _fixed_param(order, wp)
+            no, _, so = _fixed_param(order)
             stop = max(2, int(mp.ldexp(eps * atan_d / 2**order, wp)))
             c = 1 << wp
             near0 = j_prev

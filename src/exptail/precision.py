@@ -241,12 +241,25 @@ def convert(spec: Param, v, ctx: PrecisionContext):
     return value
 
 
+class Bound(NamedTuple):
+    """One declared bound: the parameter's name, the bound's symbol and
+    test, the same test of raw libmp values, and the bound itself.  An
+    integer bound is also held as its exact raw value, with which the raw
+    test judges a real as the mpf comparison does, without its operator
+    dispatch (None for other bounds)."""
+
+    name: str
+    symbol: str
+    test: object
+    raw_test: object
+    bound: object
+    raw_bound: tuple | None
+
+
 def bounds(params) -> tuple:
-    """(name, symbol, test, raw test, bound, raw bound) of every bound
-    declared in ``params``.  An integer bound is also held as its exact raw
-    value, with which the raw test judges a real as the mpf comparison
-    does, without its operator dispatch (None for other bounds)."""
-    return tuple((spec.name, *_BOUNDS[key], bound, from_int(bound) if type(bound) is int else None)
+    """The :class:`Bound` of every bound declared in ``params``."""
+    return tuple(Bound(spec.name, *_BOUNDS[key], bound,
+                       from_int(bound) if type(bound) is int else None)
                  for spec in params for key, bound in zip(_BOUNDS, spec[2:6]) if bound is not None)
 
 

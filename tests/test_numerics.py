@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp
 
 from conftest import rel_err
 from exptail.errors import DomainError, NumericalError
@@ -302,45 +302,27 @@ def test_series_threshold_tightens_with_bits(ctx, ctx512):
     assert rel_err(a, b) < 10 * ctx.target_rel_err
 
 
-def _fixed_param_by_mpf(p, wp):
-    """The fixed-point form every non-integer parameter once took: p
-    truncated to s = wp + max(0, -mag(p)) fractional bits, read exactly."""
-    if p == int(p):
-        return int(p), 1, 0
-    s = wp + max(0, -mp.mag(p))
-    return to_fixed(p._mpf_, s), 1 << s, s
-
-
 @st.composite
 def _kernel_params(draw):
-    """A working precision and an mpf of 1 to 2 wp mantissa bits with a
-    binary exponent in [-400, 400], either sign, or zero."""
-    wp = draw(st.sampled_from([85, 288, 1056]))
+    """An mpf of 1 to 2,112 mantissa bits with a binary exponent in
+    [-400, 400], either sign, or zero."""
     if draw(st.integers(0, 30)) == 0:
-        return mpf(0), wp
-    width = draw(st.integers(1, 2 * wp))
+        return mpf(0)
+    width = draw(st.integers(1, 2112))
     man = draw(st.integers(2 ** (width - 1), 2 ** width - 1))
     sign = draw(st.sampled_from([1, -1]))
-    return mp.make_mpf(from_man_exp(sign * man, draw(st.integers(-400, 400)))), wp
+    return mp.make_mpf(from_man_exp(sign * man, draw(st.integers(-400, 400))))
 
 
 @settings(max_examples=500, deadline=None)
 @given(_kernel_params())
-def test_fixed_param_is_the_parameter_where_it_fits(drawn):
-    # n / 2**s is p itself, in its fewest fractional bits, wherever p has at
-    # most s = wp + max(0, -mag(p)) of them, and the truncation at s
-    # otherwise; d = 2**s always
-    p, wp = drawn
-    n, d, s = _fixed_param(p, wp)
+def test_fixed_param_is_the_parameter_itself(p):
+    # n / 2**s is p exactly, in its fewest fractional bits, and d = 2**s
+    n, d, s = _fixed_param(p)
     assert d == 1 << s
     sign, man, exp, _ = p._mpf_
     exact = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-    rule = 0 if exact.denominator == 1 else wp + max(0, -mp.mag(p))
-    if exact.denominator <= 1 << rule:
-        assert Fraction(n, d) == exact and d == exact.denominator
-        assert Fraction(n, d) == Fraction(*_fixed_param_by_mpf(p, wp)[:2])
-    else:
-        assert (n, d, s) == _fixed_param_by_mpf(p, wp)
+    assert Fraction(n, d) == exact and d == exact.denominator
     # an int is itself
     if exact.denominator == 1:
-        assert _fixed_param(int(exact), wp) == (int(exact), 1, 0)
+        assert _fixed_param(int(exact)) == (int(exact), 1, 0)
