@@ -5,19 +5,29 @@ Coefficients are kept as ``fractions.Fraction`` so the order condition
 (num/den matches exp through degree n+m) can be checked symbolically and
 the sharp direction switch of the first-row inequalities can be probed
 arbitrarily close to the crossover without floating noise.  Scaled to
-integers they give exact signs and Taylor coefficients at dyadic points,
-which certify the real pole of a row (:func:`real_pole`) and make the
-derivatives of num/den exact (:func:`approximant_derivatives`).
+integers (``RationalApproximant.ints``) they give exact signs and Taylor
+coefficients at dyadic points, which certify the real pole of a row
+(:func:`real_pole`) and make the derivatives of num/den exact
+(:func:`approximant_derivatives`).
+
+Each value of the family is a polynomial with rational coefficients, or a
+ratio of two, at a dyadic x: num/den, the partial sum t_n(x), and N(x) =
+sum_{j<=n} (n+1-j) x**j/j!, n+1 times :func:`cesaro_mean` and n+1-x times
+:func:`aitken_row`.  One Horner pass on integers (:func:`_horner`), exact
+while it fits a window of W bits and truncated past it, evaluates each at
+O(degree * W) cost whatever the exponent of x; W covers the bits
+cancellation loses (:func:`_accurate`), and results are rounded once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_pos, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_div, mpf_le, mpf_lt, mpf_mul,
+                          mpf_pos, mpf_sub, round_nearest)
 
 from .errors import DegeneratePointError, DomainError, NumericalError, PoleError
 from .precision import GUARD_BITS, Param, PrecisionContext, Real, as_real, declared
@@ -27,60 +37,55 @@ from .precision import GUARD_BITS, Param, PrecisionContext, Real, as_real, decla
 # from the command line, 1200 about 1 s, and n = 3000 took 13.6 s.
 MAX_PADE_ORDER = 1000
 
-# aitken_row's caps.  Its boost, the extra bits that absorb the cancellation
-# of the alternating partial sums at x < 0, is about 2 |x| log2(e) (x >= 0
-# needs a few dozen bits), so the boost cap takes n = 29 down to x = -181,000.
-# All n terms run at the boost, about 1 ns per term and extra bit at 53 and
-# at 256 bits (pure-python mpmath, 2-core host; x = -26: n = 12,000, 2.1e9,
-# 1.8-2.2 s; n = 30,000, 1.6e10, 12-13 s; n = 8,000 at x = -216,046, 4.2e9,
-# 4.4-4.9 s), so a call within both caps takes about five seconds at most.
-MAX_AITKEN_BOOST = 1 << 19
-MAX_AITKEN_WORK = 1 << 32  # n times the boost
-
-# The most extra bits eval_approximant spends on a numerator or denominator
-# whose terms cancel.  One Horner pass of a degree-999 polynomial at 2**16
-# extra bits takes about 0.5 s (2-core host).
-MAX_PADE_BOOST = 1 << 16
+# The most work one Horner pass may do: degree times (window bits + 2,048 for
+# a step's fixed cost).  A step dividing by j takes 0.35 ns per bit and 0.8 us
+# more (2-core host): a pass at the cap takes about 1.5 s, its refusal as much.
+MAX_HORNER_WORK = 1 << 32
 
 
 @dataclass(frozen=True)
 class RationalApproximant:
     """num/den with exact rational coefficients in ascending powers;
-    den normalised so den[0] == 1."""
+    den normalised so den[0] == 1.  ``ints`` holds num and den as integer
+    polynomials with the same ratio, scaled from them where not given."""
 
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
     n: int
     m: int
+    ints: tuple[tuple[int, ...], tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.den[0] != 1:
             raise DomainError("denominator must be normalised to den[0] == 1")
         if len(self.num) != self.n + 1 or len(self.den) != self.m + 1:
             raise DomainError("coefficient lists must match the declared degrees")
+        if self.ints is None:
+            s = math.lcm(*(c.denominator for c in self.num + self.den))
+            ints = tuple(tuple(c.numerator * (s // c.denominator) for c in cs)
+                         for cs in (self.num, self.den))
+            object.__setattr__(self, "ints", ints)
 
 
 def pade_exp(n: int, m: int) -> RationalApproximant:
     """[n/m] Pade approximant of exp with exact rational coefficients:
     p_j = n! (n+m-j)! / ((n+m)! j! (n-j)!),
-    q_j = (-1)**j m! (n+m-j)! / ((n+m)! j! (m-j)!),  q_0 = 1.
+    q_j = (-1)**j m! (n+m-j)! / ((n+m)! j! (m-j)!),  q_0 = 1;
+    ``ints`` are their numerators over (n+m)!, stepped by term ratios.
     """
     if n < 0 or m < 0:
         raise DomainError(f"pade_exp requires n, m >= 0, got n={n}, m={m}")
     if n + m > MAX_PADE_ORDER:
         raise DomainError(f"pade_exp builds exact rows up to n + m = {MAX_PADE_ORDER}, "
                           f"got n={n}, m={m}")
-    nf, mf, nmf = math.factorial(n), math.factorial(m), math.factorial(n + m)
-    num = tuple(
-        Fraction(nf * math.factorial(n + m - j), nmf * math.factorial(j) * math.factorial(n - j))
-        for j in range(n + 1)
-    )
-    den = tuple(
-        Fraction((-1) ** j * mf * math.factorial(n + m - j),
-                 nmf * math.factorial(j) * math.factorial(m - j))
-        for j in range(m + 1)
-    )
-    return RationalApproximant(num, den, n, m)
+    common = math.factorial(n + m)
+    num, den = [common], [common]
+    for j in range(n):
+        num.append(num[-1] * (n - j) // ((j + 1) * (n + m - j)))
+    for j in range(m):
+        den.append(-den[-1] * (m - j) // ((j + 1) * (n + m - j)))
+    ints = tuple(num), tuple(den)
+    return RationalApproximant(*(tuple(Fraction(c, common) for c in p) for p in ints), n, m, ints)
 
 
 def order_condition_defect(appr: RationalApproximant) -> list[Fraction]:
@@ -95,23 +100,6 @@ def order_condition_defect(appr: RationalApproximant) -> list[Fraction]:
         )
         defects.append(c)
     return defects
-
-
-def _horner(coeffs, x, ctx: PrecisionContext, extra: int = 0) -> tuple[Real, Real]:
-    """The polynomial of exact ``coeffs`` at x, and its term scale
-    sum |c_j| |x|**j, at the working precision plus ``extra`` bits."""
-    with ctx.work(extra):
-        value = scale = mpf(0)
-        ax = abs(x)
-        for c in reversed([mpf(c.numerator) / c.denominator for c in coeffs]):
-            value, scale = value * x + c, scale * ax + abs(c)
-        return value, scale
-
-
-def _integers(coeffs) -> tuple[list[int], int]:
-    """(ints, scale): the rational ``coeffs`` times their least common denominator."""
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
 
 def _shifted(ints: list[int], x, k: int = 0) -> tuple[list[int], int]:
@@ -139,7 +127,7 @@ def real_pole(appr: RationalApproximant, ctx: PrecisionContext) -> Real | None:
     apart relative to it certify it, or :class:`NumericalError` is raised."""
     if appr.m % 2 == 0:
         return None
-    den, _ = _integers(appr.den)
+    den = appr.ints[1]
 
     def sign(x) -> int:  # of den at the dyadic x, exactly
         value = _shifted(den, mpf(x) if isinstance(x, int) else x)[0][0]
@@ -176,8 +164,7 @@ def approximant_derivatives(appr: RationalApproximant, x, k: int,
     """num/den and its first k derivatives at the dyadic x, exact and each
     rounded once: i! times the t**i coefficient of num(x+t)/den(x+t), by series
     division on integers.  Raises :class:`PoleError` where den(x) is zero."""
-    (num, snum), (den, sden) = _integers(appr.num), _integers(appr.den)
-    (p, e), (q, _) = _shifted(num, x, k), _shifted(den, x, k)
+    (p, e), (q, _) = (_shifted(ints, x, k) for ints in appr.ints)
     if not q[0]:
         raise PoleError(f"x={mp.nstr(x, 17)} is a root of the denominator", root=x)
     c = []  # c[i] is q_0**(i+1) times the t**i coefficient of p(t)/q(t)
@@ -185,100 +172,133 @@ def approximant_derivatives(appr: RationalApproximant, x, k: int,
         c.append(p[i] * q[0] ** i
                  - sum(q[j] * c[i - j] * q[0] ** (j - 1) for j in range(1, i + 1)))
     shift = e * (appr.m - appr.n)
-    return [mp.make_mpf(mpf_div(from_man_exp(math.factorial(i) * sden * ci, shift + e * i),
-                                from_int(snum * q[0] ** (i + 1)), ctx.bits, round_nearest))
+    return [mp.make_mpf(mpf_div(from_man_exp(math.factorial(i) * ci, shift + e * i),
+                                from_int(q[0] ** (i + 1)), ctx.bits, round_nearest))
             for i, ci in enumerate(c)]
 
 
-def _accurate(coeffs, x, ctx: PrecisionContext, value=None, scale=None) -> Real:
-    """The polynomial of exact ``coeffs`` at x, evaluated again with as many
-    extra bits as its cancellation loses, log2(scale/|value|), wherever
-    that exceeds GUARD_BITS (``value`` and ``scale`` are its evaluation at
-    the working precision, when the caller has it).  An evaluation whose
-    loss exceeds its extra bits by more than GUARD_BITS is taken for
-    rounding noise and repeated with more; past MAX_PADE_BOOST extra bits
-    it raises :class:`NumericalError`.  Where an evaluation gives exactly
-    zero, the polynomial is evaluated exactly at the dyadic x and rounded."""
-    extra = 0
-    if value is None:
-        value, scale = _horner(coeffs, x, ctx)
-    while value:
-        lost = mp.mag(scale) - mp.mag(value)
+def _horner(coeffs, u: int, ex: int, window: int, ratios: bool = False) -> tuple[int, int, bool]:
+    """Horner's rule on the integer ``coeffs`` for sum_j coeffs[j] x**j, or
+    with ``ratios`` sum_j coeffs[j] x**j/j!, at x = u*2**ex: (A, t, exact),
+    the value A*2**t.  Each step scales to a ``window``-bit integer, dropping
+    under 2**(5-window) of its larger term; ``exact`` says no step dropped a
+    bit or divided."""
+    A, t, exact = coeffs[-1], 0, True
+    for j in range(len(coeffs) - 2, -1, -1):
+        c, X, q = coeffs[j], A * u, j + 1 if ratios else 1
+        t += ex
+        top, bc = X.bit_length() + t + 2 - q.bit_length(), c.bit_length() + 1
+        tn = (top if top > bc else bc) - window
+        if tn > t or tn > 0 or q > 1:
+            exact = False
+        X = X << t - tn if t >= tn else X >> tn - t
+        A = (X // q if q > 1 else X) + (c << -tn if tn <= 0 else c >> tn)
+        t = tn
+    return A, t, exact
+
+
+def _refuse_past_cap(degree: int, window: int, x: tuple) -> None:
+    """Refuse a pass of ``degree`` steps at ``window`` bits past MAX_HORNER_WORK."""
+    if degree * (window + 2048) > MAX_HORNER_WORK:
+        raise NumericalError(f"a degree-{degree} sum at x={mp.nstr(mp.make_mpf(x), 17)} would "
+                             f"take {window}-bit Horner steps, past the work cap of "
+                             f"{MAX_HORNER_WORK} step bits")
+
+
+def _accurate(coeffs, x: tuple, ctx: PrecisionContext,
+              ratios: bool = False) -> tuple[tuple, tuple | None]:
+    """(value, scale) of the polynomial ``coeffs`` (with ``ratios``, positive
+    Taylor-type weights) at the raw x: an exact raw mpf within 2**-(bits+2)
+    of its value, and the raw term scale sum |c_j x**j|, or None where the
+    terms have one sign.  A pass at bits + GUARD_BITS + extra + log2(degree)
+    + 8 window bits errs by under 2**-(bits + GUARD_BITS + extra + 3) of the
+    scale; it is taken where exact or where it loses at most extra +
+    GUARD_BITS bits, log2(scale/|value|), else repeated with extra =
+    max(lost, 2 * extra).  Callers keep the degree within MAX_HORNER_WORK."""
+    sign, man, ex, _ = x
+    u, degree, scale, extra = -man if sign else man, len(coeffs) - 1, None, 0
+    # the signs of the terms c_j x**j: where they differ, the terms cancel
+    if sign if ratios else len({(c < 0) ^ (sign and j % 2) for j, c in enumerate(coeffs) if c}) > 1:
+        S, ts, _ = _horner(coeffs if ratios else [abs(c) for c in coeffs], man, ex, 64, ratios)
+        scale = from_man_exp(S, ts)
+    while True:
+        window = ctx.bits + GUARD_BITS + extra + degree.bit_length() + 8
+        _refuse_past_cap(degree, window, x)
+        A, t, exact = _horner(coeffs, u, ex, window, ratios)
+        if exact or scale is None:
+            return from_man_exp(A, t), scale
+        lost = S.bit_length() + ts - A.bit_length() - t if A else window
         if lost <= extra + GUARD_BITS:
-            return value
+            return from_man_exp(A, t), scale
         extra = max(lost, 2 * extra)
-        if extra > MAX_PADE_BOOST:
-            raise NumericalError(f"a degree-{len(coeffs) - 1} Pade polynomial at "
-                                 f"x={mp.nstr(x, 17)} cancels more than {MAX_PADE_BOOST} bits")
-        value, scale = _horner(coeffs, x, ctx, extra)
-    ints, scale = _integers(coeffs)
-    (value,), e = _shifted(ints, x)
-    return as_real(Fraction(value, scale << e * (len(ints) - 1)), ctx)
 
 
 @declared(Param("appr", object), Param("x"))
 def eval_approximant(appr: RationalApproximant, x, ctx: PrecisionContext) -> Real:
-    """num(x)/den(x) at context precision, refusing points within
+    """num(x)/den(x) rounded once to ``bits``, refusing points within
     10*target_rel_err relative distance of a real denominator root.
 
     Near such a root |den(x)| is at most about 10 m target_rel_err times
-    its term scale, so only there are den(x -+ delta), delta =
-    10*target_rel_err*|x|, evaluated (:func:`_accurate`): a sign change
-    between them is the root, a :class:`PoleError` naming its linear
-    interpolate.  A numerator or denominator whose terms cancel is
-    evaluated with the extra bits its cancellation loses; one that loses
-    at most GUARD_BITS is evaluated once, at the working precision."""
-    den, scale = _horner(appr.den, x, ctx)
-    tre = ctx.target_rel_err
-    if abs(den) <= 20 * (appr.m + 1) * tre * scale:
-        delta = 10 * tre * abs(x)
+    its term scale, so only where it is at most 20 (m+1) target_rel_err
+    times that scale, compared exactly, are the exact signs of den(x -+
+    delta), delta = 10*target_rel_err*|x|, taken: a sign change between
+    them is the root, a :class:`PoleError` naming its linear interpolate."""
+    num, den = appr.ints
+    xr, tre = x._mpf_, ctx.target_rel_err._mpf_
+    value, scale = _accurate(den, xr, ctx)
+    if scale is not None and mpf_le(mpf_abs(value),
+                                    mpf_mul(mpf_mul(tre, from_int(20 * (appr.m + 1))), scale)):
+        delta = 10 * ctx.target_rel_err * abs(x)
         ends = x - delta, x + delta
-        lo, hi = (_accurate(appr.den, end, ctx) for end in ends)
+        lo, hi = (mp.make_mpf(_accurate(den, end._mpf_, ctx)[0]) for end in ends)
         if lo * hi <= 0:
             root = ends[0] + 2 * delta * lo / (lo - hi) if lo != hi else x
             raise PoleError(
                 f"evaluation at x={mp.nstr(x, 17)} is too close to the denominator root "
                 f"near {mp.nstr(root, 17)}", root=ctx.finalize(root))
-    den = _accurate(appr.den, x, ctx, den, scale)
-    return _accurate(appr.num, x, ctx) / den
+    return mp.make_mpf(mpf_div(_accurate(num, xr, ctx)[0], value, ctx.bits, round_nearest))
 
 
-def _partial_sum(n: int, x) -> Real:
-    """sum_{k<=n} x**k/k! at the active precision.  Each term is the last
-    one times x, then divided by k: x / k first would be a division at the
-    full precision, which is the cost at aitken_row's boosts."""
-    term = mpf(1)
-    total = term
-    for k in range(1, n + 1):
-        term = term * x / k
-        total += term
-    return total
+def _last_term(n: int, x: tuple, wp: int, weighted: bool) -> int:
+    """Cesaro's stopping rule at 0 <= x < n: the least J > x whose next term
+    w_{J+1} x**(J+1)/(J+1)! is below 2**-(wp+1) of the largest (w_j = n+1-j
+    where ``weighted``, else 1), or n, by bisection on the log2 of the terms,
+    which fall from j = floor(x) on; longer sums than MAX_HORNER_WORK fail."""
+    _, man, ex, _ = x
+    least = (man << ex if ex >= 0 else man >> -ex) + 1
+    if not man or least >= MAX_HORNER_WORK:
+        return least
+    lx = math.log2(man) + ex
+
+    def log_term(j: int) -> float:
+        weight = math.log2(n + 1 - j) if weighted else 0.0
+        return weight + j * lx - math.lgamma(j + 1) / math.log(2)
+
+    floor = max(log_term(0), log_term(least - 1)) - wp - 1
+    hi = min(n, MAX_HORNER_WORK)
+    if log_term(hi) >= floor:  # the last term counts: no term is left out
+        return hi
+    while least < hi:
+        mid = (least + hi) // 2
+        least, hi = (least, mid) if log_term(mid + 1) < floor else (mid + 1, hi)
+    return least
+
+
+def _exp_sum(n: int, x: Real, ctx: PrecisionContext, weighted: bool) -> tuple:
+    """sum_{j<=n} w_j x**j/j! (w_j = n+1-j where ``weighted``, else 1) as
+    an exact raw mpf within 2**-(bits+2) of it, to :func:`_last_term`."""
+    raw = x._mpf_
+    below = not raw[0] and mpf_lt(raw, from_int(n))  # 0 <= x < n
+    last = _last_term(n, raw, ctx.bits + GUARD_BITS, weighted) if below else n
+    _refuse_past_cap(last, ctx.bits + GUARD_BITS, raw)  # before the coefficients are listed
+    coeffs = range(n + 1, n - last, -1) if weighted else [1] * (last + 1)
+    return _accurate(coeffs, raw, ctx, ratios=True)[0]
 
 
 @declared(Param("n", int, ge=0), Param("x"))
 def taylor_partial(n: int, x, ctx: PrecisionContext) -> Real:
     """Degree-n partial sum of the exponential series."""
-    return _partial_sum(n, x)
-
-
-def _aitken_boost(n: int, x: float) -> int:
-    """Extra bits :func:`aitken_row` carries at x.
-
-    For x >= 0 the closed form has only positive terms up to its last
-    difference, which past x = n+1 keeps at least 1/(2n+2) of its larger
-    part (it is -(n+1) P(x)/(x-n-1) with P the [n/1] numerator, whose x**n
-    coefficient is 1/(n+1)!), so it loses at most log2(2n+2) bits, and the
-    n roundings of the sum cost log2(n) more.  For x < 0 the transform of
-    the alternating partial sums cancels t_n**2 ~ e**(2|x|) down to roughly
-    x**(2n+1)/(n!(n+1)!); compensate with that many bits."""
-    if x >= 0:
-        return 2 * (2 * n + 2).bit_length() + 8
-    ax = -x
-    if ax == math.inf:  # past the float range, and past any cap
-        return MAX_AITKEN_BOOST + 1
-    lost = 2 * ax * 1.4427 + (math.lgamma(n + 1) + math.lgamma(n + 2)) / math.log(2) \
-        - (2 * n + 1) * math.log2(ax)
-    return max(0, int(lost)) + 64
+    return mp.make_mpf(mpf_pos(_exp_sum(n, x, ctx, weighted=False), ctx.bits, round_nearest))
 
 
 @declared(Param("n", int, ge=1), Param("x"))
@@ -287,29 +307,17 @@ def aitken_row(n: int, x, ctx: PrecisionContext) -> Real:
     of the Taylor partial sums; coincides with the [n/1] Pade row away from
     the degenerate points x = 0 and x = n+1 where the denominator vanishes.
 
-    For x > 0 it is evaluated as the closed form t_{n-1} + (n+1) u_n/(n+1-x)
-    with u_n = x**n/n! = t_n - t_{n-1}, whose denominator is exact, so it
-    needs only a few guard bits at any x (:func:`_aitken_boost`).  A point
-    x < 0 whose cancellation needs more than MAX_AITKEN_BOOST extra bits, or
-    more than MAX_AITKEN_WORK terms times extra bits, raises
-    :class:`NumericalError`.
-    """
-    guard = 10 * ctx.target_rel_err
-    if abs(x) <= guard or abs(x - (n + 1)) <= guard * (n + 1):
+    Elsewhere it is the closed form t_{n-1} + (n+1) u_n/(n+1-x), u_n =
+    x**n/n!, which is N(x)/(n+1-x) with N(x) = sum_{j<=n} (n+1-j) x**j/j!,
+    the sum :func:`cesaro_mean` shares."""
+    wp, xr = ctx.bits + GUARD_BITS, x._mpf_
+    guard = mpf_mul(ctx.target_rel_err._mpf_, from_int(10), wp, round_nearest)
+    gap = mpf_sub(from_int(n + 1), xr, wp, round_nearest)
+    if mpf_le(mpf_abs(xr), guard) or mpf_le(mpf_abs(gap),
+                                            mpf_mul(guard, from_int(n + 1), wp, round_nearest)):
         raise DegeneratePointError(
             f"Aitken denominator vanishes at x=0 and x={n + 1}; got x={mp.nstr(x, 17)}")
-    boost = _aitken_boost(n, float(x))
-    if boost > MAX_AITKEN_BOOST or n * boost > MAX_AITKEN_WORK:
-        raise NumericalError(f"aitken_row at n={n}, x={mp.nstr(x, 17)} would sum {n} terms at "
-                             f"{boost:.3g} extra bits (at most {MAX_AITKEN_BOOST}, and n times "
-                             f"that at most {MAX_AITKEN_WORK})")
-    with ctx.work(boost):
-        if x > 0:
-            return _partial_sum(n - 1, x) + (n + 1) * (x**n / mp.factorial(n)) / (n + 1 - x)
-        t_prev = _partial_sum(n - 1, x)
-        t_mid = t_prev + x**n / mpf(math.factorial(n))
-        t_next = t_mid + x ** (n + 1) / mpf(math.factorial(n + 1))
-        return (t_prev * t_next - t_mid * t_mid) / (t_next + t_prev - 2 * t_mid)
+    return mp.make_mpf(mpf_div(_exp_sum(n, x, ctx, weighted=True), gap, ctx.bits, round_nearest))
 
 
 def delta_fn(n: int, x) -> Real:
@@ -323,25 +331,15 @@ def delta_fn(n: int, x) -> Real:
 @declared(Param("n", int, ge=0), Param("x"))
 def cesaro_mean(n: int, x, ctx: PrecisionContext) -> Real:
     """First-order Cesaro mean of the exponential partial sums:
-    sum_{j=0}^n (1 - j/(n+1)) x**j/j!.
+    sum_{j=0}^n (1 - j/(n+1)) x**j/j!.  For 0 <= x < n the sum stops once
+    its next term falls below 2**-(wp+1) of the sum (:func:`_last_term`).
 
     This is the classical reading; see :func:`cesaro_identity_probe` for
     the numerical comparison against the alternative reading with the
     factor (1 - j*x/(n+1)).
     """
-    # for x >= 0 the terms fall once j > x; a term below 2**-(wp+1) of
-    # the sum is under half its last place, so neither it nor any later
-    # term changes the rounded sum
-    falls_from = int(x) + 1 if 0 <= x < n else n + 1
-    small = mpf(2) ** -(mp.prec + 1)
-    pow_term = mpf(1)
-    total = mpf(0)
-    for j in range(n + 1):
-        total += (1 - mpf(j) / (n + 1)) * pow_term
-        pow_term *= x / (j + 1)
-        if j >= falls_from and pow_term < small * total:
-            break
-    return total
+    return mp.make_mpf(mpf_div(_exp_sum(n, x, ctx, weighted=True), from_int(n + 1), ctx.bits,
+                               round_nearest))
 
 
 def cesaro_identity_probe(n: int, x, ctx: PrecisionContext) -> dict:

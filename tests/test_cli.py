@@ -390,8 +390,9 @@ def test_explore_text_and_csv_formats(capsys):
 def test_eval_overflow_exits_3_without_traceback(tmp_path):
     src = os.path.dirname(os.path.dirname(exptail.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "exptail.cli", "eval", "--quantity", "aitken",
-                           "--n", "3", "--x=-1e300"],
+    # a Cesaro sum of 10**8 terms at x < 0 is past the work cap
+    proc = subprocess.run([sys.executable, "-m", "exptail.cli", "eval", "--quantity", "cesaro",
+                           "--n", "100000000", "--x=-1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure:") and "Traceback" not in proc.stderr

@@ -6,6 +6,7 @@ single-point axes at such endpoints ends with 0, 1, 2 or 3, likewise."""
 
 import contextlib
 import io
+import math
 import time
 
 import pytest
@@ -120,10 +121,16 @@ def test_pade_pole_search_is_bounded(bits):
 
 @pytest.mark.parametrize("bits", ["53", "256"])
 def test_aitken_work_is_bounded(bits):
-    # 30,000 terms at 523,939 extra bits, just under the boost cap, took
-    # 12-16 s; the work cap refuses the call at once
+    # 30,000 terms at 523,939 extra bits took 12-16 s in the transform of the
+    # partial sums; the closed form on integers loses about 75 bits there and
+    # gives the value (e**-26 to far more than 15 digits) at once, and a sum
+    # past the work cap is refused before it runs
     start = time.perf_counter()
-    code, _, err = _run(["eval", "--quantity=aitken", "--n=30000", "--x=-26", f"--bits={bits}"])
+    code, out, err = _run(["eval", "--quantity=aitken", "--n=30000", "--x=-26", f"--bits={bits}"])
+    assert (code, err) == (0, ""), err
+    assert abs(float(out.split()[0]) / math.exp(-26) - 1) < 1e-15
+    code, _, err = _run(["eval", "--quantity=aitken", "--n=100000000", "--x=-1",
+                         f"--bits={bits}"])
     assert code == 3 and err.startswith("numerical failure:"), err
     assert time.perf_counter() - start < 10
 
