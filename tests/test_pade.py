@@ -19,7 +19,7 @@ from exptail.errors import DegeneratePointError, DomainError, NumericalError, Po
 from exptail.pade import (MAX_PADE_ORDER, RationalApproximant, aitken_row,
                           cesaro_identity_probe, cesaro_mean, delta_fn, eval_approximant,
                           order_condition_defect, pade_exp, real_pole, taylor_partial)
-from exptail.precision import PrecisionContext, as_real
+from exptail.precision import PrecisionContext
 
 
 def test_low_order_coefficients():
