@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, mpf_div, mpf_pos, round_nearest
 
 import exptail
 from exptail import pade
@@ -19,7 +20,7 @@ from exptail.errors import DegeneratePointError, DomainError, NumericalError, Po
 from exptail.pade import (MAX_PADE_ORDER, RationalApproximant, aitken_row,
                           cesaro_identity_probe, cesaro_mean, delta_fn, eval_approximant,
                           order_condition_defect, pade_exp, real_pole, taylor_partial)
-from exptail.precision import PrecisionContext
+from exptail.precision import GUARD_BITS, PrecisionContext
 
 
 def test_low_order_coefficients():
@@ -171,6 +172,61 @@ def test_family_within_one_ulp_of_the_exact_value(fn, n, m, x, bits):
     else:
         value, exact = taylor_partial(n, x, ctx), _exact_sum(n, xq)
     assert _within_one_ulp(value, exact, bits), (value, exact)
+
+
+def _ints_at(coeffs, xq: Fraction) -> tuple[Fraction, Fraction]:
+    """(value, term scale) of the integer polynomial ``coeffs`` at xq, exactly."""
+    terms = [c * xq ** j for j, c in enumerate(coeffs)]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def _pass_window(coeffs, ctx: PrecisionContext) -> int:
+    """The window of _accurate's first Horner pass, before any extra bits."""
+    return ctx.bits + GUARD_BITS + (len(coeffs) - 1).bit_length() + 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 12), m=st.integers(0, 12), x=st.floats(-60, 60),
+       bits=st.sampled_from([53, 256]))
+def test_points_that_lose_few_bits_are_one_horner_pass(n, m, x, bits):
+    # where neither polynomial loses more than GUARD_BITS to cancellation,
+    # the value is num/den of one integer Horner pass each, rounded once
+    ctx, xq = PrecisionContext(bits), Fraction(x)
+    ints = pade_exp(n, m).ints
+    for coeffs in ints:
+        value, scale = _ints_at(coeffs, xq)
+        # the pass's estimate of the bits lost errs by at most 2
+        if not value or scale > 2 ** (GUARD_BITS - 3) * abs(value):
+            return
+    sign, man, exp, _ = mpf(x)._mpf_
+    num, den = (from_man_exp(*pade._horner(c, -man if sign else man, exp, _pass_window(c, ctx))[:2])
+                for c in ints)
+    expected = mpf_div(num, den, bits, round_nearest)
+    assert eval_approximant(pade_exp(n, m), x, ctx)._mpf_ == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 12), m=st.integers(0, 12), x=st.floats(-60, 60),
+       bits=st.sampled_from([53, 256]))
+@example(n=1, m=1, x=-2.0, bits=53)  # an exact zero of the numerator
+@example(n=12, m=12, x=0.5, bits=53)
+@example(n=12, m=12, x=-59.75, bits=256)
+def test_exact_branch_is_the_rounded_fraction_horner(n, m, x, bits):
+    # where a Horner pass drops no bit, _accurate gives the exact rational
+    # value of the polynomial at the dyadic x, which rounds as a Fraction
+    # Horner's value does
+    ctx, xq, xr = PrecisionContext(bits), Fraction(x), mpf(x)._mpf_
+    sign, man, exp, _ = xr
+    for coeffs in pade_exp(n, m).ints:
+        exact = _ints_at(coeffs, xq)[0]
+        A, t, is_exact = pade._horner(coeffs, -man if sign else man, exp, _pass_window(coeffs, ctx))
+        if not is_exact:
+            continue
+        assert A * Fraction(2) ** t == exact
+        value, _ = pade._accurate(coeffs, xr, ctx)
+        assert value == from_man_exp(A, t)
+        assert mpf_pos(value, bits, round_nearest) == from_rational(
+            exact.numerator, exact.denominator, bits, round_nearest)
 
 
 @pytest.mark.parametrize("n,x", [(200, -60), (400, -40), (100, -20)])
