@@ -1,12 +1,12 @@
 """Exact-rational Pade approximants of exp, Taylor partial sums, the
 Aitken transformation, and Cesaro means.
 
-Coefficients are kept as ``fractions.Fraction`` so the order condition
-(num/den matches exp through degree n+m) can be checked symbolically and
-the sharp direction switch of the first-row inequalities can be probed
-arbitrarily close to the crossover without floating noise.  Scaled to
-integers (``RationalApproximant.ints``) they give exact signs and Taylor
-coefficients at dyadic points, which certify the real pole of a row
+A Pade row is two integer polynomials over their common denominator
+(:class:`RationalApproximant`), so the order condition (num/den matches
+exp through degree n+m) can be checked exactly, the sharp direction
+switch of the first-row inequalities can be probed arbitrarily close to
+the crossover without floating noise, and exact signs and Taylor
+coefficients at dyadic points certify the real pole of a row
 (:func:`real_pole`) and make the derivatives of num/den exact
 (:func:`approximant_derivatives`).
 
@@ -22,7 +22,7 @@ cancellation loses (:func:`_accurate`), and results are rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -32,46 +32,37 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_div, mpf_le, mpf_
 from .errors import DegeneratePointError, DomainError, NumericalError, PoleError
 from .precision import GUARD_BITS, Param, PrecisionContext, Real, as_real, declared
 
-# Largest total degree n + m that pade_exp builds.  The exact coefficients
-# are O(n + m) Fractions of factorials; n + m = 1000 takes about 0.6 s
-# from the command line, 1200 about 1 s, and n = 3000 took 13.6 s.
+# Largest total degree n + m that pade_exp builds, which bounds the cost of
+# a row's exact integers and of the exact work on them.  The integers take
+# 3 ms at n + m = 1000 and grow as (n + m)**2: 33 ms at 3000, 0.42 s at
+# 10,000; real_pole grows faster, 0.3 s for [0/999] and 1.1 s for [0/1999]
+# at 256 bits (2-core host).
 MAX_PADE_ORDER = 1000
 
 # The most work one Horner pass may do: degree times (window bits + 2,048 for
 # a step's fixed cost).  A step dividing by j takes 0.35 ns per bit and 0.8 us
-# more (2-core host): a pass at the cap takes about 1.5 s, its refusal as much.
+# more (2-core host): a pass at the cap takes 1.5-1.9 s.  A refusal first runs
+# the widest pass the cap allows after the narrower ones, about 4.5 s in all
+# for cesaro_mean(10**5, -2 * 10**4) at 256 bits.
 MAX_HORNER_WORK = 1 << 32
 
 
 @dataclass(frozen=True)
 class RationalApproximant:
-    """num/den with exact rational coefficients in ascending powers;
-    den normalised so den[0] == 1.  ``ints`` holds num and den as integer
-    polynomials with the same ratio, scaled from them where not given."""
+    """num/den as integer polynomials in ascending powers; n and m are
+    their degrees, len(num) - 1 and len(den) - 1.  For a row of
+    :func:`pade_exp` both are over their common denominator den[0]."""
 
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-    n: int
-    m: int
-    ints: tuple[tuple[int, ...], tuple[int, ...]] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.den[0] != 1:
-            raise DomainError("denominator must be normalised to den[0] == 1")
-        if len(self.num) != self.n + 1 or len(self.den) != self.m + 1:
-            raise DomainError("coefficient lists must match the declared degrees")
-        if self.ints is None:
-            s = math.lcm(*(c.denominator for c in self.num + self.den))
-            ints = tuple(tuple(c.numerator * (s // c.denominator) for c in cs)
-                         for cs in (self.num, self.den))
-            object.__setattr__(self, "ints", ints)
+    num: tuple[int, ...]
+    den: tuple[int, ...]
 
 
 def pade_exp(n: int, m: int) -> RationalApproximant:
-    """[n/m] Pade approximant of exp with exact rational coefficients:
-    p_j = n! (n+m-j)! / ((n+m)! j! (n-j)!),
-    q_j = (-1)**j m! (n+m-j)! / ((n+m)! j! (m-j)!),  q_0 = 1;
-    ``ints`` are their numerators over (n+m)!, stepped by term ratios.
+    """[n/m] Pade approximant of exp, whose coefficients
+    p_j = n! (n+m-j)! / ((n+m)! j! (n-j)!) and
+    q_j = (-1)**j m! (n+m-j)! / ((n+m)! j! (m-j)!),  q_0 = 1,
+    are num and den over den[0] = (n+m)!: the integers C(n, j) (n+m-j)!
+    and (-1)**j C(m, j) (n+m-j)!, stepped from (n+m)! by term ratios.
     """
     if n < 0 or m < 0:
         raise DomainError(f"pade_exp requires n, m >= 0, got n={n}, m={m}")
@@ -84,21 +75,19 @@ def pade_exp(n: int, m: int) -> RationalApproximant:
         num.append(num[-1] * (n - j) // ((j + 1) * (n + m - j)))
     for j in range(m):
         den.append(-den[-1] * (m - j) // ((j + 1) * (n + m - j)))
-    ints = tuple(num), tuple(den)
-    return RationalApproximant(*(tuple(Fraction(c, common) for c in p) for p in ints), n, m, ints)
+    return RationalApproximant(tuple(num), tuple(den))
 
 
 def order_condition_defect(appr: RationalApproximant) -> list[Fraction]:
-    """Taylor coefficients of num(x) - den(x)*exp(x) up to degree n+m,
-    computed exactly; all must vanish for a true Pade approximant."""
+    """Taylor coefficients of (num(x) - den(x)*exp(x))/den[0] up to degree
+    n+m, exact: the k-th is (k! num_k - sum_j den_j k!/(k-j)!)/(den_0 k!).
+    All vanish for a true Pade approximant."""
+    num, den = appr.num, appr.den
     defects = []
-    for order in range(appr.n + appr.m + 1):
-        c = appr.num[order] if order <= appr.n else Fraction(0)
-        c -= sum(
-            appr.den[j] * Fraction(1, math.factorial(order - j))
-            for j in range(min(order, appr.m) + 1)
-        )
-        defects.append(c)
+    for k in range(len(num) + len(den) - 1):
+        c = math.factorial(k) * num[k] if k < len(num) else 0
+        c -= sum(den[j] * math.perm(k, j) for j in range(min(k + 1, len(den))))
+        defects.append(Fraction(c, den[0] * math.factorial(k)))
     return defects
 
 
@@ -125,9 +114,9 @@ def real_pole(appr: RationalApproximant, ctx: PrecisionContext) -> Real | None:
     method at bits + 64 + n + m bits refines it (den cancels up to about
     n + m bits near its root), and exact signs of opposite sense 2**-(bits+8)
     apart relative to it certify it, or :class:`NumericalError` is raised."""
-    if appr.m % 2 == 0:
+    n, m, den = len(appr.num) - 1, len(appr.den) - 1, appr.den
+    if m % 2 == 0:
         return None
-    den = appr.ints[1]
 
     def sign(x) -> int:  # of den at the dyadic x, exactly
         value = _shifted(den, mpf(x) if isinstance(x, int) else x)[0][0]
@@ -141,7 +130,7 @@ def real_pole(appr: RationalApproximant, ctx: PrecisionContext) -> Real | None:
         lo, hi = (mid, hi) if sign(mid) > 0 else (lo, mid)
     if not sign(hi):
         return mpf(hi)
-    with ctx.work(32 + appr.n + appr.m):
+    with ctx.work(32 + n + m):
         cs, x = [mpf(c) for c in reversed(den)], lo + mpf(0.5)
         for _ in range(mp.prec):
             value = slope = mpf(0)
@@ -155,7 +144,7 @@ def real_pole(appr: RationalApproximant, ctx: PrecisionContext) -> Real | None:
     ends = [mp.fadd(x, s * mp.ldexp(1, mp.mag(x) - ctx.bits - 9), exact=True) for s in (-1, 1)]
     if sign(ends[0]) * sign(ends[1]) > 0:
         raise NumericalError(f"Newton's method did not isolate the real pole of the "
-                             f"[{appr.n}/{appr.m}] approximant of exp near {mp.nstr(x, 17)}")
+                             f"[{n}/{m}] approximant of exp near {mp.nstr(x, 17)}")
     return ctx.finalize(x)
 
 
@@ -164,14 +153,14 @@ def approximant_derivatives(appr: RationalApproximant, x, k: int,
     """num/den and its first k derivatives at the dyadic x, exact and each
     rounded once: i! times the t**i coefficient of num(x+t)/den(x+t), by series
     division on integers.  Raises :class:`PoleError` where den(x) is zero."""
-    (p, e), (q, _) = (_shifted(ints, x, k) for ints in appr.ints)
+    (p, e), (q, _) = (_shifted(poly, x, k) for poly in (appr.num, appr.den))
     if not q[0]:
         raise PoleError(f"x={mp.nstr(x, 17)} is a root of the denominator", root=x)
     c = []  # c[i] is q_0**(i+1) times the t**i coefficient of p(t)/q(t)
     for i in range(k + 1):
         c.append(p[i] * q[0] ** i
                  - sum(q[j] * c[i - j] * q[0] ** (j - 1) for j in range(1, i + 1)))
-    shift = e * (appr.m - appr.n)
+    shift = e * (len(appr.den) - len(appr.num))
     return [mp.make_mpf(mpf_div(from_man_exp(math.factorial(i) * ci, shift + e * i),
                                 from_int(q[0] ** (i + 1)), ctx.bits, round_nearest))
             for i, ci in enumerate(c)]
@@ -214,23 +203,28 @@ def _accurate(coeffs, x: tuple, ctx: PrecisionContext,
     + 8 window bits errs by under 2**-(bits + GUARD_BITS + extra + 3) of the
     scale; it is taken where exact or where it loses at most extra +
     GUARD_BITS bits, log2(scale/|value|), else repeated with extra =
-    max(lost, 2 * extra).  Callers keep the degree within MAX_HORNER_WORK."""
+    max(lost, 2 * extra).  A window past MAX_HORNER_WORK is narrowed to the
+    widest the cap allows, where that is wider than the last pass, and
+    refused once that window has been tried."""
     sign, man, ex, _ = x
-    u, degree, scale, extra = -man if sign else man, len(coeffs) - 1, None, 0
+    u, degree, scale = -man if sign else man, len(coeffs) - 1, None
     # the signs of the terms c_j x**j: where they differ, the terms cancel
     if sign if ratios else len({(c < 0) ^ (sign and j % 2) for j, c in enumerate(coeffs) if c}) > 1:
         S, ts, _ = _horner(coeffs if ratios else [abs(c) for c in coeffs], man, ex, 64, ratios)
         scale = from_man_exp(S, ts)
+    base = ctx.bits + GUARD_BITS + degree.bit_length() + 8
+    extra, last = 0, base - 1
     while True:
-        window = ctx.bits + GUARD_BITS + extra + degree.bit_length() + 8
-        _refuse_past_cap(degree, window, x)
+        window = min(base + extra, MAX_HORNER_WORK // max(degree, 1) - 2048)
+        if window <= last:  # the cap leaves no wider pass than the last
+            _refuse_past_cap(degree, base + extra, x)
         A, t, exact = _horner(coeffs, u, ex, window, ratios)
         if exact or scale is None:
             return from_man_exp(A, t), scale
         lost = S.bit_length() + ts - A.bit_length() - t if A else window
-        if lost <= extra + GUARD_BITS:
+        if lost <= window - base + GUARD_BITS:
             return from_man_exp(A, t), scale
-        extra = max(lost, 2 * extra)
+        extra, last = max(lost, 2 * (window - base)), window
 
 
 @declared(Param("appr", object), Param("x"))
@@ -243,11 +237,11 @@ def eval_approximant(appr: RationalApproximant, x, ctx: PrecisionContext) -> Rea
     times that scale, compared exactly, are the exact signs of den(x -+
     delta), delta = 10*target_rel_err*|x|, taken: a sign change between
     them is the root, a :class:`PoleError` naming its linear interpolate."""
-    num, den = appr.ints
+    num, den = appr.num, appr.den
     xr, tre = x._mpf_, ctx.target_rel_err._mpf_
     value, scale = _accurate(den, xr, ctx)
     if scale is not None and mpf_le(mpf_abs(value),
-                                    mpf_mul(mpf_mul(tre, from_int(20 * (appr.m + 1))), scale)):
+                                    mpf_mul(mpf_mul(tre, from_int(20 * len(den))), scale)):
         delta = 10 * ctx.target_rel_err * abs(x)
         ends = x - delta, x + delta
         lo, hi = (mp.make_mpf(_accurate(den, end._mpf_, ctx)[0]) for end in ends)

@@ -152,10 +152,6 @@ class PrecisionContext:
         with mp.workprec(self.bits):
             return +mpf(x)
 
-    def with_bits(self, bits: int) -> "PrecisionContext":
-        """Same target_rel_err policy, different mantissa size."""
-        return PrecisionContext(bits=bits)
-
     @property
     def decimal_digits(self) -> int:
         """Digits needed for lossless decimal round-trip (>= 0.3*bits)."""

@@ -17,29 +17,25 @@ import exptail
 from exptail import pade
 from conftest import rel_err
 from exptail.errors import DegeneratePointError, DomainError, NumericalError, PoleError
-from exptail.pade import (MAX_PADE_ORDER, RationalApproximant, aitken_row,
-                          cesaro_identity_probe, cesaro_mean, delta_fn, eval_approximant,
-                          order_condition_defect, pade_exp, real_pole, taylor_partial)
+from exptail.pade import (MAX_PADE_ORDER, aitken_row, cesaro_identity_probe, cesaro_mean,
+                          delta_fn, eval_approximant, order_condition_defect, pade_exp,
+                          real_pole, taylor_partial)
 from exptail.precision import GUARD_BITS, PrecisionContext
 
 
 def test_low_order_coefficients():
-    a = pade_exp(0, 1)
-    assert a.num == (Fraction(1),)
-    assert a.den == (Fraction(1), Fraction(-1))  # 1/(1-x)
-
-    a = pade_exp(1, 1)
-    assert a.num == (Fraction(1), Fraction(1, 2))  # (2+x)/(2-x) normalised
-    assert a.den == (Fraction(1), Fraction(-1, 2))
-
-    a = pade_exp(2, 1)
-    assert a.num == (Fraction(1), Fraction(2, 3), Fraction(1, 6))  # (x**2+4x+6)/(6-2x)
-    assert a.den == (Fraction(1), Fraction(-1, 3))
-
-
-def test_normalisation_enforced():
-    with pytest.raises(DomainError):
-        RationalApproximant((Fraction(1),), (Fraction(2),), 0, 0)
+    # num and den are integers whose ratios to den[0] are the closed forms
+    # p_j and q_j of the [n/m] row
+    f = math.factorial
+    for n in range(13):
+        for m in range(13):
+            a = pade_exp(n, m)
+            assert all(type(c) is int for c in a.num + a.den), (n, m)
+            assert [Fraction(c, a.den[0]) for c in a.num] == [
+                Fraction(f(n) * f(n + m - j), f(n + m) * f(j) * f(n - j)) for j in range(n + 1)]
+            assert [Fraction(c, a.den[0]) for c in a.den] == [
+                Fraction((-1) ** j * f(m) * f(n + m - j), f(n + m) * f(j) * f(m - j))
+                for j in range(m + 1)]
 
 
 def test_order_condition_symbolic():
@@ -64,10 +60,10 @@ def test_pole_guard(ctx):
 
 
 def _exact_den(appr, x):
-    """den(x) in exact rational arithmetic at the dyadic x."""
+    """den(x)/den(0) in exact rational arithmetic at the dyadic x."""
     man, exp = x.man_exp
     xq = int(man) * Fraction(2) ** int(exp)
-    return sum(c * xq**j for j, c in enumerate(appr.den))
+    return sum(c * xq**j for j, c in enumerate(appr.den)) / appr.den[0]
 
 
 def test_cancelling_denominator_far_from_its_root_is_evaluated():
@@ -87,7 +83,7 @@ def test_pole_refused_only_within_the_relative_distance_of_a_root():
     appr = pade_exp(0, 999)
     ctx = PrecisionContext(256)
     with mp.workprec(2000):
-        coeffs = [mpf(c.numerator) / c.denominator for c in appr.den]
+        coeffs = [mpf(c) / appr.den[0] for c in appr.den]
         root = mp.findroot(lambda t: mp.polyval(coeffs[::-1], t), mpf("279.472"))
         near, beyond = (ctx.finalize(root * (1 + mpf(d))) for d in ("1e-70", "1e-60"))
     with pytest.raises(PoleError) as err:
@@ -192,17 +188,17 @@ def test_points_that_lose_few_bits_are_one_horner_pass(n, m, x, bits):
     # where neither polynomial loses more than GUARD_BITS to cancellation,
     # the value is num/den of one integer Horner pass each, rounded once
     ctx, xq = PrecisionContext(bits), Fraction(x)
-    ints = pade_exp(n, m).ints
-    for coeffs in ints:
+    appr = pade_exp(n, m)
+    for coeffs in (appr.num, appr.den):
         value, scale = _ints_at(coeffs, xq)
         # the pass's estimate of the bits lost errs by at most 2
         if not value or scale > 2 ** (GUARD_BITS - 3) * abs(value):
             return
     sign, man, exp, _ = mpf(x)._mpf_
     num, den = (from_man_exp(*pade._horner(c, -man if sign else man, exp, _pass_window(c, ctx))[:2])
-                for c in ints)
+                for c in (appr.num, appr.den))
     expected = mpf_div(num, den, bits, round_nearest)
-    assert eval_approximant(pade_exp(n, m), x, ctx)._mpf_ == expected
+    assert eval_approximant(appr, x, ctx)._mpf_ == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,7 +213,8 @@ def test_exact_branch_is_the_rounded_fraction_horner(n, m, x, bits):
     # Horner's value does
     ctx, xq, xr = PrecisionContext(bits), Fraction(x), mpf(x)._mpf_
     sign, man, exp, _ = xr
-    for coeffs in pade_exp(n, m).ints:
+    appr = pade_exp(n, m)
+    for coeffs in (appr.num, appr.den):
         exact = _ints_at(coeffs, xq)[0]
         A, t, is_exact = pade._horner(coeffs, -man if sign else man, exp, _pass_window(coeffs, ctx))
         if not is_exact:
@@ -238,6 +235,20 @@ def test_cesaro_and_taylor_at_negative_x_against_exact_sum(n, x):
         exact = _exact_sum(n, Fraction(x), lambda j: 1 - Fraction(j, n + 1))
         assert _within_one_ulp(cesaro_mean(n, x, ctx), exact, bits), bits
         assert _within_one_ulp(taylor_partial(n, x, ctx), _exact_sum(n, Fraction(x)), bits), bits
+
+
+def test_widest_window_the_cap_allows_is_tried_before_refusing(monkeypatch):
+    # cesaro_mean(2000, -300) at 256 bits asks for windows of 307, 617, 928
+    # and 1,549 bits; under a cap of 1,300-bit steps the 1,549-bit pass was
+    # refused, though a 1,300-bit pass loses 865 bits, within its allowance
+    # of 1,025, and under a cap of 1,100-bit steps that pass is refused
+    ctx = PrecisionContext(256)
+    exact = _exact_sum(2000, Fraction(-300), lambda j: 1 - Fraction(j, 2001))
+    monkeypatch.setattr(pade, "MAX_HORNER_WORK", 2000 * (1300 + 2048))
+    assert _within_one_ulp(cesaro_mean(2000, -300, ctx), exact, 256)
+    monkeypatch.setattr(pade, "MAX_HORNER_WORK", 2000 * (1100 + 2048))
+    with pytest.raises(NumericalError):
+        cesaro_mean(2000, -300, ctx)
 
 
 @pytest.mark.parametrize("call", [
@@ -300,7 +311,7 @@ def test_denominator_has_one_real_root_for_odd_m_and_none_for_even_m():
     # the parity rule of Saff and Varga, Numer. Math. 1975, that real_pole rests on
     for n in range(13):
         for m in range(13):
-            assert _sturm_count(pade_exp(n, m).den) == m % 2, (n, m)
+            assert _sturm_count([Fraction(c) for c in pade_exp(n, m).den]) == m % 2, (n, m)
 
 
 @pytest.mark.parametrize("bits", [53, 256, 1024])
@@ -314,7 +325,7 @@ def test_real_pole_against_findroot(bits):
     for (n, m), digits in cases.items():
         appr = pade_exp(n, m)
         with mp.workprec(2048):
-            coeffs = [mpf(c.numerator) / c.denominator for c in reversed(appr.den)]
+            coeffs = [mpf(c) / appr.den[0] for c in reversed(appr.den)]
             root = mp.findroot(lambda t: mp.polyval(coeffs, t), mpf(digits))
             assert mp.nstr(root, 30).startswith(digits)
             assert abs(real_pole(appr, ctx) - root) <= root * mpf(2) ** -bits, (n, m)
