@@ -99,18 +99,24 @@ def _once_per_point(render):
     """``render(params)`` memoized for one report, keyed by each
     parameter's name, type and value (``_mpf_`` for an mpf), so each
     distinct parameter point is rendered once; an unhashable value is
-    rendered each time."""
+    rendered each time.  The rows of one sweep run share their params
+    dict, so the last dict is recognised by identity, without a key."""
     memo = {}
+    last = text = None
 
     def rendered(params) -> str:
+        nonlocal last, text
+        if params is last:
+            return text
         try:
             key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in params.items())
-            return memo[key]
+            text = memo[key]
         except TypeError:
             return render(params)
         except KeyError:
             text = memo[key] = render(params)
-            return text
+        last = params
+        return text
 
     return rendered
 

@@ -19,20 +19,30 @@ depends on the rows a sweep holds.  The memo keys on the raw ``_mpf_``
 tuples of the arguments, so a lookup hashes tuples of ints, never mpf
 objects.
 
-A point is admitted in one place, :meth:`Evaluator._admit`, for every row
-and every sharpness sample: the check is looked up, the point canonicalized
-and validated against the declared bounds (a sweep skips a point they
-refuse), and x <= 0, as any int or real parameter of magnitude 2**bits or
-more, is a usage error.  Below that magnitude an integer shift such as
-a + 1 or x + y at the working precision, bits + GUARD_BITS, keeps the
-shift; beyond it a + 1 can round to a, and a row would compare the wrong
-remainders.  The rows of one parameter point differ only in x, so an
-evaluator admits each point less x once (:func:`_admit_point`) and each
-row judges only its x (:func:`_admit_x`).
+A point is admitted by :func:`_admit_point` and each row's x by
+:func:`_admit_x`: the point is canonicalized and validated against the
+declared bounds (a sweep skips a point they refuse), and x <= 0, as any
+int or real parameter of magnitude 2**bits or more, is a usage error.
+Below that magnitude an integer shift such as a + 1 or x + y at the
+working precision, bits + GUARD_BITS, keeps the shift; beyond it a + 1 can
+round to a, and a row would compare the wrong remainders.  A sweep
+evaluates point by point: the rows of one point less x form a run, which
+the evaluator admits once (:meth:`Evaluator._hold`) and then knows by the
+identity of the run's row mapping, so each of its rows judges only its x;
+the rows of a run share one params dict.  A lone row, or a sharpness
+sample, is admitted in full (:meth:`Evaluator._admit`).
+
+A row that is not PASS at the working precision is evaluated again at
+twice the bits, and at four times the bits if it still does not pass, by
+evaluators that its sweep creates when first needed (Ziv's strategy); it
+reports the verdict of the highest precision it reached, with that
+evaluation's values rounded to ``ctx.bits``, so a FAIL stands only if it
+holds at four times the bits (:func:`_row`).
 
 Real-exponent powers of remainders go through :meth:`Evaluator._pow`,
-which rounds as the mpf operator does and takes log(base) from the memo
-that the ladder blocks fill with their log x values.
+which rounds as the mpf operator does, keeps each power in the memo and
+takes log(base) from the memo that the ladder blocks fill with their log x
+values.
 
 The catalog is one table, ``CATALOG``, of :class:`CheckDef` records.  A
 record declares each parameter once, with its kind (int, real or str) and
@@ -74,7 +84,7 @@ n/(n+1) < |R_{n-1}||R_{n+1}|/|R_n|**2 < (n+1)/(n+2).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -89,7 +99,7 @@ from .errors import DomainError, NumericalError, PoleError, UsageError
 from .numerics import arctan_fracint, gamma_fn
 from .pade import eval_approximant, pade_exp
 from .precision import (GUARD_BITS, KINDS, Param, PrecisionContext, Real, _fit, _make, as_real,
-                        bounds, breach, convert, declared)
+                        bounds, breach, convert, declared, log)
 from .remainders import _power, finite_diff, r_frac_ladder, r_neg
 
 
@@ -222,7 +232,7 @@ class CheckId:
 @dataclass(slots=True)
 class CheckResult:
     check: str
-    params: dict
+    params: dict  # the point less x; the rows of one sweep run share it
     x: Real | None
     lhs: Real
     rhs: Real
@@ -365,9 +375,11 @@ class Evaluator:
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._memo = {}
-        # (check, params less x) -> (record, admitted point, magnitude fault),
-        # apart from the memo that cache_info counts
-        self._points = {}
+        # the run being swept: (its row mapping, record, admitted point,
+        # magnitude fault), apart from the memo that cache_info counts
+        self._held = None
+        # final bits -> rows this evaluator's rows escalated to them
+        self._escalated = Counter()
 
     @staticmethod
     def cache_info() -> CacheInfo:
@@ -383,6 +395,12 @@ class Evaluator:
     def thetas(self) -> tuple:
         """The interpolation weights of PROD_28's product."""
         return tuple(as_real(t, self.ctx) for t in DEFAULT_THETAS)
+
+    @cached_property
+    def _finer(self) -> Evaluator:
+        """The evaluator at twice the bits that re-evaluates this one's rows
+        that do not pass, created on the first such row."""
+        return Evaluator(PrecisionContext(2 * self.ctx.bits))
 
     def _get(self, key, compute, *args):
         global _hits, _misses
@@ -494,32 +512,44 @@ class Evaluator:
 
     def _pow(self, base, e) -> Real:
         """base**e for a positive mpf base and an mpf e, rounded as the mpf
-        operator rounds it at the working precision; a general e takes
-        log(base) from the memo, where the ladder blocks keep log x."""
-        return _make(_power(base._mpf_, e._mpf_, self.ctx.bits + GUARD_BITS, self._get))
+        operator rounds it at the working precision, once per (base, e); a
+        general e takes log(base) from the memo, where the ladder blocks
+        keep log x.  The powers share the memo but not its hit and miss
+        counts, which stay those of the values the rows share."""
+        key = ("pow", base._mpf_, e._mpf_)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = _make(
+                _power(key[1], key[2], self.ctx.bits + GUARD_BITS, self._get))
+        return value
 
-    def _admit(self, check: CheckId | str, params: Mapping | None, **at) -> tuple[CheckDef, dict]:
+    def _hold(self, cdef: CheckDef, row: dict) -> dict:
+        """Admit the point of ``row`` less x for a run of ``cdef``'s rows and
+        return it; until the next run, :meth:`_admit` knows ``row``, whose x
+        the sweep sets per row, by identity and judges only its x."""
+        self._held = None
+        point, fault = _admit_point(cdef, row, self.ctx)
+        self._held = row, cdef, point, fault
+        return point
+
+    def _admit(self, check: CheckId | str, params: Mapping | None,
+               **at) -> tuple[CheckDef, dict, dict]:
         """The record of ``check``, a :class:`CheckId` or a name with
-        ``params``, and its canonical point with ``at`` set over it,
-        admitted as the module docstring says.  The point less x is
-        admitted once per evaluator; a refused point, or one holding a value
-        that cannot be hashed, is admitted again at each row."""
-        if isinstance(check, CheckId):
-            check, params = check.id, check.params
-        if at or params is None:
-            params = {**(params or {}), **at}
-        try:
-            key = (check, *[(k, v._mpf_) if type(v) is mpf else (k, type(v), v)
-                            for k, v in params.items() if k != "x"])
-            entry = self._points.get(key)
-        except TypeError:  # an unhashable value, which no kind reads
-            key = entry = None
-        if entry is None:
+        ``params``, its canonical point less x and the row at the x of
+        ``params``, with ``at`` set over them, admitted as the module
+        docstring says.  The row mapping of the held run has only its x
+        judged."""
+        held = self._held
+        if held is not None and params is held[0] and check == held[1].name and not at:
+            _, cdef, point, fault = held
+        else:
+            if isinstance(check, CheckId):
+                check, params = check.id, check.params
+            if at or params is None:
+                params = {**(params or {}), **at}
             cdef = _check_def(check)
-            entry = (cdef, *_admit_point(cdef, params, self.ctx))
-            if key is not None:
-                self._points[key] = entry
-        return entry[0], _admit_x(*entry, params, self.ctx)
+            point, fault = _admit_point(cdef, params, self.ctx)
+        return cdef, point, _admit_x(cdef, point, fault, params, self.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +620,11 @@ class CheckDef:
         """The product of the default axes in order, less the points a bound
         refuses, crossed with x from the default x grid; a check of x and y
         that lists no pairs of them takes every pair of KIM_XY_VALUES."""
+        return [dict(point, x=x) for point, x in self._default_rows(ev)]
+
+    def _default_rows(self, ev) -> list[tuple[dict, Real]]:
+        """The default points as (point less x, x) pairs, in order; the rows
+        of one point crossed with the default x grid share its dict."""
         kinds = {spec.name: KINDS[spec.kind][1] for spec in self.params}
         axes = dict(self.defaults)
         if "y" in kinds and ("x", "y") not in axes:
@@ -601,7 +636,9 @@ class CheckDef:
                       for row in rows]
             points = [{**pt, **vals} for pt in points for vals in column]
         points = [pt for pt in points if breach(self._bounds, pt) is None]
-        return points if "y" in kinds else [dict(pt, x=x) for pt in points for x in ev.x_grid]
+        if "y" in kinds:
+            return _split(points)
+        return [(pt, x) for pt in points for x in ev.x_grid]
 
 
 def _tighter(low, high):
@@ -1015,39 +1052,74 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
     The point is admitted by the evaluator (:meth:`Evaluator._admit`); a
     point outside the check's admissible region raises a
     :class:`UsageError`.  ``ev`` is the evaluator of the sweep the row
-    belongs to (an evaluator at ``ctx``), which admits each point less x
-    once; a row evaluated on its own gets a fresh one, so its point is
-    admitted in full."""
-    if ev is None:
+    belongs to (an evaluator at ``ctx``), which admits the point of a run
+    once and then only each row's x; a row evaluated on its own gets a
+    fresh one, so its point is admitted in full.  The row is judged by
+    :func:`_row`, escalating a row that does not pass."""
+    alone = ev is None
+    if alone:
         ev = Evaluator(ctx)
-    cdef, p = ev._admit(check, params)
-    with ctx.work():  # a no-op inside a sweep, which holds the precision
-        lhs, rhs = cdef.evaluate(p, ev)
-    return _result(cdef.name, p, lhs, rhs, ctx)
+    cdef, point, p = ev._admit(check, params)
+    row = _row(cdef, point, p, ev)
+    if alone:
+        _log_escalations(ev)
+    return row
 
 
-def _result(name: str, p: dict, lhs: Real, rhs: Real, ctx: PrecisionContext) -> CheckResult:
-    """The row of two evaluated sides: margin, err_bound and ratio rounded
-    to nearest at the working precision, as mpf operators inside
-    ``ctx.work()`` round them, then every value rounded to ``ctx.bits``.
+def _row(cdef: CheckDef, point: dict, p: dict, ev: Evaluator) -> CheckResult:
+    """The row of ``cdef`` at the admitted point ``p``, whose params are
+    ``point`` (p less x), evaluated by ``ev`` and judged by :func:`_result`.
+
+    A row that is not PASS is evaluated again by the evaluator at twice the
+    bits (:attr:`Evaluator._finer`), and at four times the bits if it still
+    does not pass; it reports the status of the highest precision reached,
+    with that evaluation's values rounded to ``ev.ctx.bits``."""
+    ctx, judge = ev.ctx, ev
+    while True:
+        with judge.ctx.work():  # a no-op inside a sweep, which holds the precision
+            lhs, rhs = cdef.evaluate(p, judge)
+        row = _result(cdef.name, point, p["x"], lhs, rhs, ctx, judge.ctx)
+        if row.status == "PASS" or judge.ctx.bits >= 4 * ctx.bits:
+            break
+        judge = judge._finer
+    if judge is not ev:
+        ev._escalated[judge.ctx.bits] += 1
+    return row
+
+
+def _log_escalations(ev: Evaluator) -> None:
+    """Log how many of ``ev``'s rows escalated, by the bits they ended at."""
+    if ev._escalated:
+        log.info("rows escalated from %d bits: %s", ev.ctx.bits,
+                 ", ".join(f"{n} to {bits}" for bits, n in sorted(ev._escalated.items())))
+
+
+def _result(name: str, params: dict, x: Real, lhs: Real, rhs: Real, ctx: PrecisionContext,
+            judge: PrecisionContext | None = None) -> CheckResult:
+    """The row of two sides evaluated at the point ``params`` (less x) and
+    ``x``: margin, err_bound and ratio rounded to nearest at the working
+    precision of ``judge`` (``ctx`` where not given), as mpf operators
+    inside ``judge.work()`` round them, and the status judged there; then
+    every value rounded to ``ctx.bits``.  The row keeps ``params`` itself.
 
     The work is done on raw ``mpmath.libmp`` values.  Values that already
     fit a precision are taken as they are, which is what rounding would
     give (:func:`_abs`, :func:`.precision._fit`), and magnitudes are
     compared by :func:`_above`."""
-    wp, bits, rnd = ctx.bits + GUARD_BITS, ctx.bits, round_nearest
+    judge = judge or ctx
+    wp, bits, rnd = judge.bits + GUARD_BITS, ctx.bits, round_nearest
     left, right = lhs._mpf_, rhs._mpf_
     margin = mpf_sub(left, right, wp, rnd)
     abs_left, abs_right = _abs(left, wp), _abs(right, wp)
-    err_bound = mpf_mul(ctx.err_scale, abs_right if _above(abs_right, abs_left) else abs_left,
+    err_bound = mpf_mul(judge.err_scale, abs_right if _above(abs_right, abs_left) else abs_left,
                         wp, rnd)
     # margin > err_bound is PASS, margin < -err_bound FAIL, anything else
     # (a nan among them) INDET
     status = ("FAIL" if margin[0] else "PASS") if _above(margin, err_bound) else "INDET"
     return CheckResult(
         name,
-        {k: v for k, v in p.items() if k != "x"},
-        ctx.finalize(p["x"]),
+        params,
+        ctx.finalize(x),
         ctx.finalize(lhs),
         ctx.finalize(rhs),
         _make(_fit(margin, bits)),
@@ -1079,20 +1151,22 @@ def _above(a: tuple, b: tuple) -> bool:
     return a[1] > b[1] << -shift
 
 
-def _evaluate_point(cdef: CheckDef, point: dict, ev: Evaluator) -> CheckResult | None:
+def _evaluate_row(cdef: CheckDef, point: dict, row: dict, ev: Evaluator) -> CheckResult | None:
+    """One row of the run ``ev`` holds, whose point is ``point``: one call
+    of :func:`evaluate_check`, None where the row is skipped."""
     try:
-        return evaluate_check(cdef.name, ev.ctx, point, ev)
+        return evaluate_check(cdef.name, ev.ctx, row, ev)
     except (_Inadmissible, PoleError):
         return None  # outside the check's admissible region, or at a pole
     except NumericalError:
         nan = mpf("nan")
-        return CheckResult(
-            check=cdef.name,
-            params={k: v for k, v in point.items() if k != "x"},
-            x=point.get("x"),
-            lhs=nan, rhs=nan, margin=nan, ratio=None, err_bound=nan,
-            status="ERROR",
-        )
+        return CheckResult(check=cdef.name, params=point, x=row["x"], lhs=nan, rhs=nan,
+                           margin=nan, ratio=None, err_bound=nan, status="ERROR")
+
+
+def _split(points: list[dict]) -> list[tuple[dict, Real]]:
+    """Each point as (its parameters less x, its x)."""
+    return [({k: v for k, v in pt.items() if k != "x"}, pt["x"]) for pt in points]
 
 
 def _overridden(points: list[dict], override: list[str], axes: Mapping) -> list[dict]:
@@ -1106,25 +1180,54 @@ def _overridden(points: list[dict], override: list[str], axes: Mapping) -> list[
             for combo in product(*(axes[name] for name in override))]
 
 
+def _runs(rows: list[tuple[dict, Real]]) -> list[tuple[dict, list]]:
+    """The rows (point less x, x) of one check grouped into runs, one per
+    distinct point, in the order of each point's first row: the point's
+    dict and the (index, x) of its rows.  A point is keyed once per dict,
+    and the rows of one point crossed with an x axis share their dict."""
+    runs, last = {}, None
+    for i, (point, x) in enumerate(rows):
+        if point is not last:
+            last = point
+            key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in point.items())
+            at = runs.setdefault(key, (point, []))[1]
+        at.append((i, x))
+    return list(runs.values())
+
+
 def _sweep(ids: Iterable[str], axes: Mapping, ctx: PrecisionContext) -> tuple[list, set]:
     """The rows of the checks ``ids`` over their default points, the grid
     values in ``axes`` replacing the defaults of the parameters they name,
     with the names of the axes some check used.  Every id is looked up
-    before the first row."""
+    before the first row.
+
+    A check's rows are evaluated run by run (:func:`_runs`): the run's
+    point is admitted once (:meth:`Evaluator._hold`), and its dict, with
+    each row's x set in it, is the params of the run's
+    :func:`evaluate_check` calls.  The rows come out in the order of the
+    points they were generated from."""
     cdefs = [_check_def(name) for name in ids]
     results, used = [], set()
     ev = Evaluator(ctx)
     with ctx.work():
         for cdef in cdefs:
-            points = cdef.default_points(ev)
             override = [spec.name for spec in cdef.params if spec.name in axes]
             if override:
                 used.update(override)
-                points = _overridden(points, override, axes)
-            for point in points:
-                res = _evaluate_point(cdef, point, ev)
-                if res is not None:
-                    results.append(res)
+                rows = _split(_overridden(cdef.default_points(ev), override, axes))
+            else:
+                rows = cdef._default_rows(ev)
+            slots = [None] * len(rows)
+            for row, at in _runs(rows):
+                try:
+                    point = ev._hold(cdef, row)
+                except _Inadmissible:
+                    continue
+                for i, x in at:
+                    row["x"] = x
+                    slots[i] = _evaluate_row(cdef, point, row, ev)
+            results += [res for res in slots if res is not None]
+    _log_escalations(ev)
     return results, used
 
 
@@ -1202,7 +1305,7 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
         samples = []
         for e in range(-2, -9, -1) if direction == "zero" else range(1, 5):
             x = mpf(10) ** e
-            cdef, p = ev._admit(check, params, x=x, y=x)  # y only where declared
+            cdef, _, p = ev._admit(check, params, x=x, y=x)  # y only where declared
             samples.append((x, cdef.sharp_ratio(p, ev)))
         extrap = _richardson([s[1] for s in samples], mpf(1) / 10)
         limit = extrap[-1]

@@ -7,6 +7,7 @@ rejects as malformed output.
 """
 
 import importlib
+import logging
 import sys
 from pathlib import Path
 
@@ -40,3 +41,22 @@ def test_inequalities_caches_report_hits_and_misses():
     assert counts is not None
     hits, misses = counts
     assert isinstance(hits, int) and isinstance(misses, int) and hits + misses > 0
+
+
+def test_one_evaluate_check_call_per_row(monkeypatch, caplog):
+    # the benchmark's row span: perfbench/tracing.py rebinds the module-level
+    # evaluate_check and counts its calls as rows, so every row of a sweep,
+    # an escalated one too, is exactly one call
+    calls = []
+    original = inequalities.evaluate_check
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "evaluate_check", counted)
+    with caplog.at_level(logging.INFO, logger="exptail"):
+        rows = inequalities.default_sweep(None, PrecisionContext(53))
+    assert calls == [row.check for row in rows] and len(rows) == 10357
+    assert [r.getMessage() for r in caplog.records] == \
+        ["rows escalated from 53 bits: 54 to 106, 15 to 212"]

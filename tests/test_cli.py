@@ -258,6 +258,17 @@ def test_check_indeterminate_does_not_flip_exit_code(capsys):
     assert doc["summary"]["INDET"] == 1 and doc["summary"]["PASS"] == 0
 
 
+@pytest.mark.parametrize("check", ["REFINED_31", "STRENGTH_36"])
+@pytest.mark.parametrize("bits,grid", [("256", "x=log(1e-40,1e-12,8)"),
+                                       ("53", "x=log(1e-12,1e-3,10)")])
+def test_cancelling_sides_escalate_to_pass(capsys, check, bits, grid):
+    # proven inequalities whose sides cancel at the working precision, which
+    # reported false FAILs before their rows escalated
+    code, out, _ = run(capsys, "check", "--id", check, "--bits", bits, "--grid", grid)
+    summary = json.loads(out)["summary"]
+    assert code == 0 and summary["PASS"] == summary["total"] > 0
+
+
 def test_check_numerical_failure_exits_3(capsys, monkeypatch):
     from mpmath import mpf
 

@@ -2,6 +2,7 @@
 grids, degenerate edges, and the sharpness machinery."""
 
 import dataclasses
+import logging
 import math
 import sys
 import time
@@ -53,7 +54,7 @@ def test_row_verdict_matches_the_mpf_rule(lhs, rhs, scale):
     ctx = PrecisionContext(53)
     if scale is not None:
         rhs = lhs * mpf(scale)
-    row = inequalities._result("ALZER", {"x": mpf(1)}, lhs, rhs, ctx)
+    row = inequalities._result("ALZER", {}, mpf(1), lhs, rhs, ctx)
     with mp.workprec(53 + 32):
         margin = lhs - rhs
         err_bound = mp.make_mpf(ctx.err_scale) * max(abs(lhs), abs(rhs))
@@ -259,6 +260,27 @@ def test_kim_checks(ctx):
 def test_pade_row_direction(ctx):
     assert evaluate_check("PADE_ROW_45", ctx, {"n": 2, "x": mpf("1.5")}).status == "PASS"
     assert evaluate_check("PADE_ROW_45", ctx, {"n": 2, "x": mpf("4.5")}).status == "PASS"
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_a_false_constant_still_fails_at_four_times_the_bits(bits, monkeypatch, caplog):
+    # ALZER's constant scaled by 1 + 2**-20 is false near x = 0, where the
+    # ratio tends to the constant itself: the row escalates twice and fails
+    cdef = CATALOG["ALZER"]
+
+    def scaled(p, ev):
+        lhs, rhs = cdef.evaluate(p, ev)
+        return lhs, rhs * (1 + mpf(2) ** -20)
+
+    monkeypatch.setitem(CATALOG, "ALZER", dataclasses.replace(cdef, evaluate=scaled))
+    ctx = PrecisionContext(bits)
+    with caplog.at_level(logging.INFO, logger="exptail"):
+        row = evaluate_check("ALZER", ctx, {"n": 2, "x": as_real("1e-8", ctx)})
+    assert row.status == "FAIL" and row.margin < 0
+    # the values are the 4x evaluation's: its error bound is far below this one's
+    assert row.err_bound < ctx.target_rel_err ** 3 * abs(row.rhs)
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"rows escalated from {bits} bits: 1 to {4 * bits}"]
 
 
 def test_unknown_check_and_bad_params(ctx):
@@ -581,7 +603,7 @@ def test_row_bookkeeping_matches_operators(lhs, rhs, near, bits):
     if near and mp.isfinite(rhs):  # sides that differ by about the error bound
         with mp.workprec(1000):
             lhs = rhs * (1 + 50 * ctx.target_rel_err * (1 if lhs > 0 else -1))
-    res = inequalities._result("ALZER", {"n": 1, "x": mpf(2)}, lhs, rhs, ctx)
+    res = inequalities._result("ALZER", {"n": 1}, mpf(2), lhs, rhs, ctx)
     sides, ratio, status = _result_by_operators(lhs, rhs, ctx)
     assert [v._mpf_ for v in (res.lhs, res.rhs, res.margin, res.err_bound)] == sides
     assert (None if res.ratio is None else res.ratio._mpf_) == ratio

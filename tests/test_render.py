@@ -122,9 +122,9 @@ def test_default_report_bytes_53_bits(sweep53):
     ctx, results = sweep53
     digests = {fmt: hashlib.sha256(render_check_report(results, ctx, fmt).encode()).hexdigest()
                for fmt in ("json", "csv", "text")}
-    assert digests["json"].startswith("4a59c55fa491")
-    assert digests["csv"].startswith("1586ff74cfbf")
-    assert digests["text"].startswith("8b0b07bcfb29")
+    assert digests["json"].startswith("f705d7537db1")
+    assert digests["csv"].startswith("421d986b1e72")
+    assert digests["text"].startswith("38387688096e")
 
 
 def test_default_report_bytes_256_bits():

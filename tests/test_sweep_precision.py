@@ -3,6 +3,7 @@ those of single evaluations, mpmath's precision is restored however the
 sweep ends, and operands wider than the working precision are still
 rounded down to it (and logged) where values are taken as they are."""
 
+import dataclasses
 import logging
 
 import pytest
@@ -116,3 +117,56 @@ def test_format_real_rounds_a_wide_value_first():
     assert format_real(wide, ctx, 40) == format_real(rounded, ctx, 40)
     with mp.workprec(1000):
         assert format_real(wide, ctx, 40) != mp.nstr(wide, 40)
+
+
+def _record(row):
+    return row.check, row.params, _raw(row), row.status
+
+
+def _alone(name, point, ctx):
+    """The row of one point evaluated on its own, None where it is skipped."""
+    try:
+        return _record(evaluate_check(name, ctx, point))
+    except inequalities._Inadmissible:
+        return None
+
+
+@pytest.mark.parametrize("ids,spec,expected", [
+    # x and n overridden: each run is a point less x with its four x values
+    (["ALZER", "GEN_K"], "n=2..4;x=lin(0.5,3,4)",
+     lambda xs: [("ALZER", {"n": n, "x": x}) for n in (2, 3, 4) for x in xs]
+     + [("GEN_K", {"n": n, "k": k, "x": x}) for k in range(1, 9) for n in (2, 3, 4)
+        for x in xs]),
+    # only k overridden: consecutive rows belong to different runs, and the
+    # k = 0 rows are equalities that escalate
+    (["GEN_K"], "k=0..2",
+     lambda xs: [("GEN_K", {"n": n, "x": x, "k": k}) for n in range(1, 9) for x in xs
+                 for k in (0, 1, 2)]),
+])
+def test_sweep_equals_its_rows_one_by_one(ids, spec, expected):
+    ctx = PrecisionContext(53)
+    grid = parse_grid(spec, ctx)
+    xs = grid.axes[-1].values if grid.axes[-1].name == "x" else Evaluator(ctx).x_grid
+    alone = [_alone(name, point, ctx) for name, point in expected(xs)]
+    rows = sweep(ids, grid, ctx)
+    assert [_record(row) for row in rows] == [rec for rec in alone if rec is not None]
+    assert None in alone  # k > n is skipped in both
+
+
+def test_numerical_error_at_one_x_leaves_its_run(monkeypatch):
+    ctx = PrecisionContext(53)
+    grid = parse_grid("n=2..3;x=lin(0.5,3,4)", ctx)
+    clean = sweep(["ALZER"], grid, ctx)
+    cdef, bad = CATALOG["ALZER"], clean[5].x
+
+    def failing(p, ev):
+        if p["n"] == 3 and p["x"] == bad:
+            raise inequalities.NumericalError("no convergence")
+        return cdef.evaluate(p, ev)
+
+    monkeypatch.setitem(CATALOG, "ALZER", dataclasses.replace(cdef, evaluate=failing))
+    rows = sweep(["ALZER"], grid, ctx)
+    assert [row.status for row in rows] == ["PASS"] * 5 + ["ERROR"] + ["PASS"] * 2
+    assert rows[5].params == {"n": 3} and rows[5].x == bad and mp.isnan(rows[5].lhs)
+    assert [_record(row) for i, row in enumerate(rows) if i != 5] == \
+        [_record(row) for i, row in enumerate(clean) if i != 5]
