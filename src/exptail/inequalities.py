@@ -1190,7 +1190,10 @@ def _runs(rows: list[tuple[dict, Real]]) -> list[tuple[dict, list]]:
         if point is not last:
             last = point
             key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in point.items())
-            at = runs.setdefault(key, (point, []))[1]
+            try:
+                at = runs.setdefault(key, (point, []))[1]
+            except TypeError:  # an unhashable value, which no kind reads
+                at = runs.setdefault(id(point), (point, []))[1]
         at.append((i, x))
     return list(runs.values())
 

@@ -537,6 +537,13 @@ def test_fractional_order_grid_keeps_integer_rows(ctx):
     assert [r.params for r in results] == [{"n": 1}, {"n": 2}, {"n": 3}]
 
 
+def test_grid_value_no_kind_reads_is_skipped(ctx):
+    # an unhashable value is refused by admission like any value its kind
+    # cannot read
+    grid = ParamGrid((GridAxis("n", ([1], 2)), GridAxis("x", (mpf(1),))))
+    assert [r.params for r in sweep(["ALZER"], grid, ctx)] == [{"n": 2}]
+
+
 def test_each_default_point_validated_and_evaluated_once(monkeypatch):
     # a sweep's evaluator admits each point less x once: validate sees the
     # point without x, once per distinct (check, params less x)
