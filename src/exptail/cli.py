@@ -229,27 +229,29 @@ def _check_json(results, ctx, write) -> None:
 ''')
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a field of a ``csv.QUOTE_MINIMAL`` row of several fields
+    with the "\\r\\n" line terminator: quoted, its quotes doubled, where it
+    holds a comma, a quote or a line break, and as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _check_csv(results, ctx, write) -> None:
+    """The CSV check report, as ``csv.writer`` with ``QUOTE_MINIMAL`` and
+    "\\r\\n" writes it: each record is written from a fixed template, with
+    every value's decimal rendered once and each point's params field
+    once.  Decimal text and statuses hold nothing that is quoted."""
     dec = _renderer(ctx)
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     params_text = _once_per_point(
-        lambda params: json.dumps(_param_json(params, dec), sort_keys=True))
-
-    def drain():
-        write(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
-
-    writer.writerow(["check", "params", "x", "lhs", "rhs", "margin", "ratio", "status",
-                     "err_bound"])
-    drain()
+        lambda params: _csv_field(json.dumps(_param_json(params, dec), sort_keys=True)))
+    write("check,params,x,lhs,rhs,margin,ratio,status,err_bound\r\n")
     for chunk in _chunks(results):
-        writer.writerows(
-            [r.check, params_text(r.params), dec(r.x), dec(r.lhs), dec(r.rhs), dec(r.margin),
-             dec(r.ratio), r.status, dec(r.err_bound)]
-            for r in chunk)
-        drain()
+        write("".join(
+            f"{_csv_field(r.check)},{params_text(r.params)},{dec(r.x)},{dec(r.lhs)},"
+            f"{dec(r.rhs)},{dec(r.margin)},{dec(r.ratio)},{r.status},{dec(r.err_bound)}\r\n"
+            for r in chunk))
 
 
 def _check_text(results, ctx, write) -> None:

@@ -32,6 +32,15 @@ identity of the run's row mapping, so each of its rows judges only its x;
 the rows of a run share one params dict.  A lone row, or a sharpness
 sample, is admitted in full (:meth:`Evaluator._admit`).
 
+A check is evaluated in two stages: ``evaluate(point, ev)`` forms the
+values that do not depend on x (orders such as nu + a*theta, constants,
+exponents) and returns ``sides(x) -> (lhs, rhs)``, which makes only the
+x-dependent reads and products, each in the order of the expressions it
+stages, so every value is bit-identical.  A run's sides are built on its
+first row, inside its :func:`evaluate_check` call, and kept
+(:meth:`Evaluator._sides`); a lone row and an escalated evaluation build
+their own inside that evaluator's ``ctx.work()``.
+
 A row that is not PASS at the working precision is evaluated again at
 twice the bits, and at four times the bits if it still does not pass, by
 evaluators that its sweep creates when first needed (Ziv's strategy); it
@@ -97,7 +106,7 @@ from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul
 
 from .errors import DomainError, NumericalError, PoleError, UsageError
 from .numerics import arctan_fracint, gamma_fn
-from .pade import eval_approximant, pade_exp
+from .pade import MAX_PADE_ORDER, eval_approximant, pade_exp
 from .precision import (GUARD_BITS, KINDS, Param, PrecisionContext, Real, _fit, _make, as_real,
                         bounds, breach, convert, declared, log)
 from .remainders import _power, finite_diff, r_frac_ladder, r_neg
@@ -375,8 +384,9 @@ class Evaluator:
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._memo = {}
-        # the run being swept: (its row mapping, record, admitted point,
-        # magnitude fault), apart from the memo that cache_info counts
+        # the run being swept: [its row mapping, record, admitted point,
+        # magnitude fault, sides or None], apart from the memo that
+        # cache_info counts
         self._held = None
         # final bits -> rows this evaluator's rows escalated to them
         self._escalated = Counter()
@@ -529,8 +539,19 @@ class Evaluator:
         the sweep sets per row, by identity and judges only its x."""
         self._held = None
         point, fault = _admit_point(cdef, row, self.ctx)
-        self._held = row, cdef, point, fault
+        self._held = [row, cdef, point, fault, None]
         return point
+
+    def _sides(self, cdef: CheckDef, point: dict) -> Callable:
+        """``cdef.evaluate(point, self)``: built on the first row of the held
+        run and kept for its other rows, and built afresh for any other
+        point.  A point stage that raises keeps nothing."""
+        held = self._held
+        if held is None or point is not held[2]:
+            return cdef.evaluate(point, self)
+        if held[4] is None:
+            held[4] = cdef.evaluate(point, self)
+        return held[4]
 
     def _admit(self, check: CheckId | str, params: Mapping | None,
                **at) -> tuple[CheckDef, dict, dict]:
@@ -541,7 +562,7 @@ class Evaluator:
         judged."""
         held = self._held
         if held is not None and params is held[0] and check == held[1].name and not at:
-            _, cdef, point, fault = held
+            cdef, point, fault = held[1:4]
         else:
             if isinstance(check, CheckId):
                 check, params = check.id, check.params
@@ -565,16 +586,19 @@ class _Inadmissible(UsageError):
 class CheckDef:
     """One inequality of the catalog.
 
-    ``evaluate(p, ev)`` returns its sides (lhs, rhs) at a canonical point p.
-    ``params`` declares each parameter once; x is appended where a check
-    does not declare it.  ``defaults`` maps a parameter, or a tuple of
-    parameters taking values together, to its default values (decimal
-    strings for reals); :meth:`default_points` crosses them in order.
-    ``validate(p)`` judges a point less x: it raises :class:`_Inadmissible`
-    where p breaks a declared bound, and a bound that names x is judged per
-    row instead (:func:`_admit_x`); ``sharp_ratio(p, ev)`` defaults to
-    lhs/rhs; ``sharp_limits`` maps a direction to the documented limit of
-    that ratio, ``(p, ev) -> value``.
+    ``evaluate(point, ev)`` is the check's point stage: at a canonical point
+    less x, inside ``ev.ctx.work()``, it forms the values that do not depend
+    on x and returns ``sides(x) -> (lhs, rhs)``; a sweep runs it once per
+    run (module docstring).  ``params`` declares each parameter once; x is
+    appended where a check does not declare it.  ``defaults`` maps a
+    parameter, or a tuple of parameters taking values together, to its
+    default values (decimal strings for reals); :meth:`default_points`
+    crosses them in order.  ``validate(p)`` judges a point less x: it raises
+    :class:`_Inadmissible` where p breaks a declared bound, and a bound that
+    names x is judged per row instead (:func:`_admit_x`); ``sharp_ratio(p,
+    ev)``, at a point p with its x, defaults to lhs/rhs; ``sharp_limits``
+    maps a direction to the documented limit of that ratio, ``(p, ev) ->
+    value``.
     """
 
     name: str
@@ -649,7 +673,7 @@ def _tighter(low, high):
 def _lhs_over_rhs(evaluate):
     """Sharpness ratio lhs/rhs from one evaluation of the check's sides."""
     def ratio(p, ev):
-        lhs, rhs = evaluate(p, ev)
+        lhs, rhs = evaluate(p, ev)(p["x"])
         return lhs / rhs
     return ratio
 
@@ -665,16 +689,16 @@ KIM_XY_VALUES = ("0.5", "1", "2")
 
 
 def _spread(rem: str, p, ev):
-    """R_{n-k} R_{n+k} and R_n**2 from the remainder accessor ``rem``, with
-    k = 1 where a check has no k."""
-    n, k, x = p["n"], p.get("k", 1), p["x"]
-    r = getattr(ev, rem)
-    return r(n - k, x) * r(n + k, x), r(n, x) ** 2
+    """x -> (R_{n-k} R_{n+k}, R_n**2) from the remainder accessor ``rem``,
+    with k = 1 where a check has no k."""
+    n, k, r = p["n"], p.get("k", 1), getattr(ev, rem)
+    lo, hi = n - k, n + k
+    return lambda x: (r(lo, x) * r(hi, x), r(n, x) ** 2)
 
 
 def _spread_ratio(rem: str):
     def ratio(p, ev):
-        prod, square = _spread(rem, p, ev)
+        prod, square = _spread(rem, p, ev)(p["x"])
         return prod / square
     return ratio
 
@@ -682,21 +706,30 @@ def _spread_ratio(rem: str):
 def _turan(rem: str, constant) -> dict:
     """R_{n-k} R_{n+k} against constant(n, k) R_n**2; its sharpness ratio
     is R_{n-k} R_{n+k} / R_n**2."""
-    def sides(p, ev):
-        prod, square = _spread(rem, p, ev)
-        return prod, ev._exact(constant, p["n"], p.get("k", 1)) * square
-    return {"evaluate": sides, "sharp_ratio": _spread_ratio(rem)}
+    def evaluate(p, ev):
+        spread, c = _spread(rem, p, ev), ev._exact(constant, p["n"], p.get("k", 1))
+
+        def sides(x):
+            prod, square = spread(x)
+            return prod, c * square
+        return sides
+    return {"evaluate": evaluate, "sharp_ratio": _spread_ratio(rem)}
 
 
 def _sandwich(rem: str, low, high=None) -> dict:
     """low(n, 1) R_n**2 < R_{n-1} R_{n+1} < high(n, 1) R_n**2, high = 1 when
     not given, reported on the tighter side."""
-    def sides(p, ev):
-        prod, square = _spread(rem, p, ev)
-        n = p["n"]
-        upper = square if high is None else ev._exact(high, n, 1) * square
-        return _tighter((prod, ev._exact(low, n, 1) * square), (upper, prod))
-    return {"evaluate": sides, "sharp_ratio": _spread_ratio(rem)}
+    def evaluate(p, ev):
+        spread, n = _spread(rem, p, ev), p["n"]
+        c_low = ev._exact(low, n, 1)
+        c_high = None if high is None else ev._exact(high, n, 1)
+
+        def sides(x):
+            prod, square = spread(x)
+            upper = square if c_high is None else c_high * square
+            return _tighter((prod, c_low * square), (upper, prod))
+        return sides
+    return {"evaluate": evaluate, "sharp_ratio": _spread_ratio(rem)}
 
 
 def _limit(constant):
@@ -709,22 +742,25 @@ def _one(p, ev):
 
 
 def _ev_gautschi(p, ev):
-    n, k, x = p["n"], p["k"], p["x"]
-    qs = [ev._qv(n + j, x) for j in range(k + 1)]
-    value = qs[0] if k == 0 else finite_diff(qs, k).values[0] * (-1) ** k
-    return value, mpf(0)
+    n, k, zero = p["n"], p["k"], mpf(0)
+    orders, sign = range(n, n + k + 1), (-1) ** k
+
+    def sides(x):
+        qs = [ev._qv(m, x) for m in orders]
+        return (qs[0] if k == 0 else finite_diff(qs, k).values[0] * sign), zero
+    return sides
 
 
 def _ev_kummer_form(p, ev):
-    n, k, x = p["n"], p["k"], p["x"]
-    return ev._kum(mpf(n + 2 - k), x) * ev._kum(mpf(n + 2 + k), x), ev._kum(mpf(n + 2), x) ** 2
+    n, k, kum = p["n"], p["k"], ev._kum
+    lo, hi, mid = mpf(n + 2 - k), mpf(n + 2 + k), mpf(n + 2)
+    return lambda x: (kum(lo, x) * kum(hi, x), kum(mid, x) ** 2)
 
 
 def _ev_incgamma(p, ev):
-    n, k, x = p["n"], p["k"], p["x"]
-    lhs = (ev._exact(incgamma_constant, n, k)
-           * ev._gi(mpf(n + k + 1), x) * ev._gi(mpf(n + 1 - k), x))
-    return lhs, ev._gi(mpf(n + 1), x) ** 2
+    n, k, gi = p["n"], p["k"], ev._gi
+    c, hi, lo, mid = ev._exact(incgamma_constant, n, k), mpf(n + k + 1), mpf(n + 1 - k), mpf(n + 1)
+    return lambda x: (c * gi(hi, x) * gi(lo, x), gi(mid, x) ** 2)
 
 
 def _ratio_incgamma(p, ev):
@@ -733,9 +769,9 @@ def _ratio_incgamma(p, ev):
 
 
 def _ev_fracint_form(p, ev):
-    n, k, x = p["n"], p["k"], p["x"]
-    lhs = ev._rf(mpf(n + k), x) * ev._rf(mpf(n - k), x) / ev._exact(gen_k_constant, n, k)
-    return lhs, ev._rf(mpf(n), x) ** 2
+    n, k, rf = p["n"], p["k"], ev._rf
+    hi, lo, mid, c = mpf(n + k), mpf(n - k), mpf(n), ev._exact(gen_k_constant, n, k)
+    return lambda x: (rf(hi, x) * rf(lo, x) / c, rf(mid, x) ** 2)
 
 
 # -- Chebyshev / interpolation family ---------------------------------------
@@ -749,10 +785,9 @@ def _cheb_constant(p, ev):
 
 
 def _ev_chebyshev(p, ev):
-    pp, a, b, x = p["p"], p["a"], p["beta"], p["x"]
-    lhs = ev._rf(pp, x) * ev._rf(pp + a + b, x)
-    rhs = _cheb_constant(p, ev) * ev._rf(pp + a, x) * ev._rf(pp + b, x)
-    return lhs, rhs
+    pp, a, b, rf = p["p"], p["a"], p["beta"], ev._rf
+    pab, pa, pb, c = pp + a + b, pp + a, pp + b, _cheb_constant(p, ev)
+    return lambda x: (rf(pp, x) * rf(pab, x), c * rf(pa, x) * rf(pb, x))
 
 
 def _ratio_chebyshev(p, ev):
@@ -765,10 +800,9 @@ def _interp_constant(p, ev):
 
 
 def _ev_interp(p, ev):
-    nu, a, th, x = p["nu"], p["a"], p["theta"], p["x"]
-    lhs = (_interp_constant(p, ev)
-           * ev._pow(ev._rf(nu, x), 1 - th) * ev._pow(ev._rf(nu + a, x), th))
-    return lhs, ev._rf(nu + a * th, x)
+    nu, a, th, rf, pw = p["nu"], p["a"], p["theta"], ev._rf, ev._pow
+    c, e, na, nat = _interp_constant(p, ev), 1 - th, nu + a, nu + a * th
+    return lambda x: (c * pw(rf(nu, x), e) * pw(rf(na, x), th), rf(nat, x))
 
 
 def _ratio_interp(p, ev):
@@ -778,16 +812,15 @@ def _ratio_interp(p, ev):
 
 
 def _ev_cor25(p, ev):
-    nu, a, pw, x = p["nu"], p["a"], p["p"], p["x"]
-    lhs = (ev._constant(cor25_constant, nu, a, pw)
-           * ev._rf(nu + a, x) * ev._pow(ev._rf(nu, x), pw - 1))
-    return lhs, ev._pow(ev._rf(nu + a / pw, x), pw)
+    nu, a, e, rf, pw = p["nu"], p["a"], p["p"], ev._rf, ev._pow
+    c, na, e1, nae = ev._constant(cor25_constant, nu, a, e), nu + a, e - 1, nu + a / e
+    return lambda x: (c * rf(na, x) * pw(rf(nu, x), e1), pw(rf(nae, x), e))
 
 
 def _ev_cor26(p, ev):
-    n, k, x = p["n"], p["k"], p["x"]
-    lhs = ev._exact(cor26_constant, n, k) * ev._rt(n + k, x) * ev._rt(n, x) ** (k - 1)
-    return lhs, ev._rt(n + 1, x) ** k
+    n, k, rt = p["n"], p["k"], ev._rt
+    c, nk, n1, k1 = ev._exact(cor26_constant, n, k), n + k, n + 1, k - 1
+    return lambda x: (c * rt(nk, x) * rt(n, x) ** k1, rt(n1, x) ** k)
 
 
 def _ratio_cor26(p, ev):
@@ -796,121 +829,135 @@ def _ratio_cor26(p, ev):
 
 
 def _ev_cor27(p, ev):
-    n, a, b, x = p["n"], p["a"], p["beta"], p["x"]
-    lhs = (ev._constant(cor27_constant, n, a, b)
-           * ev._pow(ev._rf(mpf(n), x), a - b) * ev._pow(ev._rf(n + a, x), b))
-    return lhs, ev._pow(ev._rf(n + b, x), a)
+    n, a, b, rf, pw = p["n"], p["a"], p["beta"], ev._rf, ev._pow
+    c, m, ab, na, nb = ev._constant(cor27_constant, n, a, b), mpf(n), a - b, n + a, n + b
+    return lambda x: (c * pw(rf(m, x), ab) * pw(rf(na, x), b), pw(rf(nb, x), a))
 
 
 def _ev_prod28(p, ev):
-    nu, a, x = p["nu"], p["a"], p["x"]
-    thetas = ev.thetas
+    nu, a, thetas, rf, pw = p["nu"], p["a"], ev.thetas, ev._rf, ev._pow
     beta = sum(thetas)
     c = mpf(1)
-    rhs = mpf(1)
     for t in thetas:
         c *= ev._constant(interp_constant, nu, a, t)
-        rhs *= ev._rf(nu + a * t, x)
-    lhs = c * ev._pow(ev._rf(nu, x), len(thetas) - beta) * ev._pow(ev._rf(nu + a, x), beta)
-    return lhs, rhs
+    orders, e, na = [nu + a * t for t in thetas], len(thetas) - beta, nu + a
+
+    def sides(x):
+        rhs = mpf(1)
+        for order in orders:
+            rhs *= rf(order, x)
+        return c * pw(rf(nu, x), e) * pw(rf(na, x), beta), rhs
+    return sides
 
 
 # -- complete-monotonicity consequences -------------------------------------
 
 
 def _ev_refined31(p, ev):
-    a, x = p["a"], p["x"]
-    ra, ra1 = ev._rf(a, x), ev._rf(a + 1, x)
-    lhs = ra1 * ev._rf(a - 1, x) - (a + 1) / (a + 2) * ra**2
-    rhs = ra**2 / (a + 2) - (a + 2) / x**2 * ra1**2
-    return lhs, rhs
+    a, rf = p["a"], ev._rf
+    a1, am1, a2 = a + 1, a - 1, a + 2
+    c = a1 / a2
+
+    def sides(x):
+        ra, ra1 = rf(a, x), rf(a1, x)
+        return ra1 * rf(am1, x) - c * ra**2, ra**2 / a2 - a2 / x**2 * ra1**2
+    return sides
 
 
 def _ev_ratio32(p, ev):
-    a, x = p["a"], p["x"]
-    return ev._rf(a, x), (a + 2) / x * ev._rf(a + 1, x)
+    a, a1, a2 = p["a"], p["a"] + 1, p["a"] + 2
+    return lambda x: (ev._rf(a, x), a2 / x * ev._rf(a1, x))
 
 
 def _ev_fracmono(p, ev):
-    a, f, x = p["a"], p["f"], p["x"]
-    return ev._fracint(f, a, x), (a + 1) / x * ev._fracint(f, a + 1, x)
+    a, f, a1 = p["a"], p["f"], p["a"] + 1
+    return lambda x: (ev._fracint(f, a, x), a1 / x * ev._fracint(f, a1, x))
 
 
 def _ev_two_sided35(p, ev):
-    nu, x = p["nu"], p["x"]
-    return _tighter((ev._rf(nu - 1, x), (nu + 1) / x * ev._rf(nu, x)),
-                    ((1 + (nu + 1) / x) * ev._rf(nu, x), ev._rf(nu - 1, x)))
+    nu, rf = p["nu"], ev._rf
+    nm1, nu1 = nu - 1, nu + 1
+
+    def sides(x):
+        low, ratio, r = rf(nm1, x), nu1 / x, rf(nu, x)
+        return _tighter((low, ratio * r), ((1 + ratio) * r, low))
+    return sides
 
 
 def _ev_strength36(p, ev):
-    nu, x = p["nu"], p["x"]
-    lhs = ev._rf(nu - 2, x) - nu / x * ev._rf(nu - 1, x)
-    rhs = (nu + 2) / x * (ev._rf(nu - 1, x) - (nu + 1) / x * ev._rf(nu, x))
-    return lhs, rhs
+    nu, rf = p["nu"], ev._rf
+    nm2, nm1, nu1, nu2 = nu - 2, nu - 1, nu + 1, nu + 2
+    return lambda x: (rf(nm2, x) - nu / x * rf(nm1, x),
+                      nu2 / x * (rf(nm1, x) - nu1 / x * rf(nu, x)))
 
 
 def _ev_kim37(p, ev):
-    nu, x, y = p["nu"], p["x"], p["y"]
-    lhs = ev._rf(nu, x + y)
-    rhs = (ev._constant(gamma_fn, nu + 2) * (1 / x + 1 / y) ** (nu + 1)
-           * ev._rf(nu, x) * ev._rf(nu, y))
-    return lhs, rhs
+    nu, y, rf = p["nu"], p["y"], ev._rf
+    c, inv_y, nu1, ry = ev._constant(gamma_fn, nu + 2), 1 / y, nu + 1, rf(nu, y)
+    return lambda x: (rf(nu, x + y), c * (1 / x + inv_y) ** nu1 * rf(nu, x) * ry)
 
 
 def _ev_kim38(p, ev):
-    nu, pw, x, y = p["nu"], p["p"], p["x"], p["y"]
+    nu, pw, y, rf = p["nu"], p["p"], p["y"], ev._rf
     qw = pw / (pw - 1)
-    bracket = (x + y) / ((x + pw * y) ** (1 / pw) * x ** (1 / qw))
-    lhs = bracket ** (nu + 1) * ev._rf(nu, x + pw * y) ** (1 / pw) * ev._rf(nu, x) ** (1 / qw)
-    return lhs, ev._rf(nu, x + y)
+    inv_p, inv_q, py, nu1 = 1 / pw, 1 / qw, pw * y, nu + 1
+
+    def sides(x):
+        xp = x + py
+        bracket = (x + y) / (xp ** inv_p * x ** inv_q)
+        return bracket ** nu1 * rf(nu, xp) ** inv_p * rf(nu, x) ** inv_q, rf(nu, x + y)
+    return sides
 
 
 def _ev_kim39(p, ev):
-    nu, x = p["nu"], p["x"]
-    lhs = ev._rf(nu, 2 * x)
-    rhs = ev._constant(gamma_fn, nu + 2) * mpf(2) ** (nu + 1) / x ** (nu + 1) * ev._rf(nu, x) ** 2
-    return lhs, rhs
+    nu, rf = p["nu"], ev._rf
+    nu1 = nu + 1
+    c = ev._constant(gamma_fn, nu + 2) * mpf(2) ** nu1
+    return lambda x: (rf(nu, 2 * x), c / x ** nu1 * rf(nu, x) ** 2)
 
 
 def _ev_kim40(p, ev):
     # Scaling-consistent version of the doubling bound: the square of the
     # sum-point value against the bracket to the power nu+1.
-    nu, x, y = p["nu"], p["x"], p["y"]
-    lhs = ((x + y) ** 2 / (4 * x * y)) ** (nu + 1) * ev._rf(nu, 2 * x) * ev._rf(nu, 2 * y)
-    return lhs, ev._rf(nu, x + y) ** 2
+    nu, y, rf = p["nu"], p["y"], ev._rf
+    nu1, r2y = nu + 1, rf(nu, 2 * y)
+    return lambda x: (((x + y) ** 2 / (4 * x * y)) ** nu1 * rf(nu, 2 * x) * r2y,
+                      rf(nu, x + y) ** 2)
 
 
 # -- appendix family ----------------------------------------------------------
 
 
 def _ev_reverse43(p, ev):
-    n, x = p["n"], p["x"]
-    return ev._rt(n, x) ** 2, ev._rt(n - 1, x) * ev._rt(n + 1, x)
+    n, lo, hi, rt = p["n"], p["n"] - 1, p["n"] + 1, ev._rt
+    return lambda x: (rt(n, x) ** 2, rt(lo, x) * rt(hi, x))
 
 
 def _ev_linear44(p, ev):
-    n, x = p["n"], p["x"]
-    with ev.ctx.work():
-        lhs = x ** (n + 1) / mpf(math.factorial(n))
-    return lhs, (n + 1 - x) * ev._rt(n, x)
+    n, rt = p["n"], ev._rt
+    n1, factorial = n + 1, mpf(math.factorial(n))
+    return lambda x: (x ** n1 / factorial, (n1 - x) * rt(n, x))
 
 
 def _ev_pade_row45(p, ev):
-    n, x = p["n"], p["x"]
-    val = eval_approximant(ev._pade_row(n), x, ev.ctx)
-    ex = ev._exp(x)
-    if x < n + 1:
-        return val, ex
-    return ex, val
+    n1, row = p["n"] + 1, ev._pade_row(p["n"])
+
+    def sides(x):
+        val, ex = eval_approximant(row, x, ev.ctx), ev._exp(x)
+        return (val, ex) if x < n1 else (ex, val)
+    return sides
 
 
 def _ev_prob15(p, ev):
     # against the predicted enclosure ((2n+1)/(n+1), (2n+3)/(n+1)) of problem 15
-    n, x = p["n"], p["x"]
-    f = (ev._rt(n - 2, x) * ev._rt(n, x) / ev._rt(n - 1, x) ** 2
-         + ev._rt(n, x) ** 2 / (ev._rt(n - 1, x) * ev._rt(n + 1, x)))
-    return _tighter((f, ev._exact(Fraction, 2 * n + 1, n + 1)),
-                    (ev._exact(Fraction, 2 * n + 3, n + 1), f))
+    n, rt = p["n"], ev._rt
+    n2, n1, n3 = n - 2, n - 1, n + 1
+    low, high = ev._exact(Fraction, 2 * n + 1, n + 1), ev._exact(Fraction, 2 * n + 3, n + 1)
+
+    def sides(x):
+        f = rt(n2, x) * rt(n, x) / rt(n1, x) ** 2 + rt(n, x) ** 2 / (rt(n1, x) * rt(n3, x))
+        return _tighter((f, low), (high, f))
+    return sides
 
 
 _N0, _N1 = Param("n", int, ge=0), Param("n", int, ge=1)
@@ -972,7 +1019,8 @@ CATALOG: dict[str, CheckDef] = {cdef.name: cdef for cdef in (
              **_sandwich("_rn", neg_gen_k_constant, gen_k_constant)),
     CheckDef("REVERSE_43", (_N1,), {"n": ORDERS}, _ev_reverse43, sharp_limits={"inf": _one}),
     CheckDef("LINEAR_44", (_N0,), {"n": ORDERS}, _ev_linear44),
-    CheckDef("PADE_ROW_45", (_N0,), {"n": ORDERS}, _ev_pade_row45),
+    CheckDef("PADE_ROW_45", (Param("n", int, ge=0, le=MAX_PADE_ORDER - 1),), {"n": ORDERS},
+             _ev_pade_row45),
     CheckDef("SANDWICH_49", (_N1,), {"n": ORDERS}, **_sandwich("_rt", gen_k_constant),
              sharp_limits={"zero": _limit(gen_k_constant), "inf": _one}),
     CheckDef("PROB15_BOUNDS", (Param("n", int, ge=2),), {"n": ORDERS}, _ev_prob15),
@@ -1074,11 +1122,11 @@ def _row(cdef: CheckDef, point: dict, p: dict, ev: Evaluator) -> CheckResult:
     bits (:attr:`Evaluator._finer`), and at four times the bits if it still
     does not pass; it reports the status of the highest precision reached,
     with that evaluation's values rounded to ``ev.ctx.bits``."""
-    ctx, judge = ev.ctx, ev
+    ctx, judge, x = ev.ctx, ev, p["x"]
     while True:
         with judge.ctx.work():  # a no-op inside a sweep, which holds the precision
-            lhs, rhs = cdef.evaluate(p, judge)
-        row = _result(cdef.name, point, p["x"], lhs, rhs, ctx, judge.ctx)
+            lhs, rhs = judge._sides(cdef, point)(x)
+        row = _result(cdef.name, point, x, lhs, rhs, ctx, judge.ctx)
         if row.status == "PASS" or judge.ctx.bits >= 4 * ctx.bits:
             break
         judge = judge._finer
@@ -1169,15 +1217,23 @@ def _split(points: list[dict]) -> list[tuple[dict, Real]]:
     return [({k: v for k, v in pt.items() if k != "x"}, pt["x"]) for pt in points]
 
 
-def _overridden(points: list[dict], override: list[str], axes: Mapping) -> list[dict]:
+def _overridden(rows: list[tuple[dict, Real]], override: list[str],
+                axes: Mapping) -> list[dict]:
     """Each distinct default point less the overridden parameters, in
-    order, crossed with the grid values of those parameters."""
-    bases = {}
-    for pt in points:
-        base = {k: v for k, v in pt.items() if k not in override}
-        bases.setdefault(tuple(sorted((k, str(v)) for k, v in base.items())), base)
-    return [dict(base, **dict(zip(override, combo))) for base in bases.values()
-            for combo in product(*(axes[name] for name in override))]
+    order, crossed with the grid values of those parameters.  ``rows`` are
+    the default (point less x, x) pairs; a point is keyed once per dict, by
+    each parameter's name, type and raw value as :func:`_runs` keys it, and
+    with x's raw value where x is not overridden."""
+    bases, last, x_kept = {}, None, "x" not in override
+    for point, x in rows:
+        if point is not last:
+            last, base = point, {k: v for k, v in point.items() if k not in override}
+            key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in base.items())
+        at = (key, x._mpf_) if x_kept else key
+        if at not in bases:
+            bases[at] = dict(base, x=x) if x_kept else base
+    combos = [dict(zip(override, combo)) for combo in product(*(axes[name] for name in override))]
+    return [{**base, **combo} for base in bases.values() for combo in combos]
 
 
 def _runs(rows: list[tuple[dict, Real]]) -> list[tuple[dict, list]]:
@@ -1212,24 +1268,27 @@ def _sweep(ids: Iterable[str], axes: Mapping, ctx: PrecisionContext) -> tuple[li
     cdefs = [_check_def(name) for name in ids]
     results, used = [], set()
     ev = Evaluator(ctx)
-    with ctx.work():
-        for cdef in cdefs:
-            override = [spec.name for spec in cdef.params if spec.name in axes]
-            if override:
-                used.update(override)
-                rows = _split(_overridden(cdef.default_points(ev), override, axes))
-            else:
-                rows = cdef._default_rows(ev)
-            slots = [None] * len(rows)
-            for row, at in _runs(rows):
-                try:
-                    point = ev._hold(cdef, row)
-                except _Inadmissible:
-                    continue
-                for i, x in at:
-                    row["x"] = x
-                    slots[i] = _evaluate_row(cdef, point, row, ev)
-            results += [res for res in slots if res is not None]
+    try:
+        with ctx.work():
+            for cdef in cdefs:
+                override = [spec.name for spec in cdef.params if spec.name in axes]
+                if override:
+                    used.update(override)
+                    rows = _split(_overridden(cdef._default_rows(ev), override, axes))
+                else:
+                    rows = cdef._default_rows(ev)
+                slots = [None] * len(rows)
+                for row, at in _runs(rows):
+                    try:
+                        point = ev._hold(cdef, row)
+                    except _Inadmissible:
+                        continue
+                    for i, x in at:
+                        row["x"] = x
+                        slots[i] = _evaluate_row(cdef, point, row, ev)
+                results += [res for res in slots if res is not None]
+    finally:
+        ev._held = None  # its sides refer to ev: reference counting frees the sweep
     _log_escalations(ev)
     return results, used
 

@@ -206,6 +206,17 @@ def test_check_csv_format(capsys, tmp_path):
     assert all(row[7] == "PASS" for row in rows[1:])
 
 
+def test_orders_past_the_pade_bound_are_skipped(capsys):
+    # PADE_ROW_45 builds exact rows up to n + 1 = MAX_PADE_ORDER, so its
+    # n = 1000 points are skipped, not an error that aborts every check
+    code, out, _ = run(capsys, "check", "--id", "all", "--grid", "n=998..1000;x=lin(1,3,2)")
+    assert code in (0, 1)
+    records = json.loads(out)["records"]
+    orders = {(r["check"], r["params"].get("n")) for r in records}
+    assert {n for check, n in orders if check == "PADE_ROW_45"} == {998, 999}
+    assert ("ALZER", 1000) in orders and ("REVERSE_43", 1000) in orders
+
+
 def test_check_determinism_bytes(capsys, tmp_path):
     args = ("check", "--id", "ALZER,REVERSE_43", "--grid", "n=1..3;x=log(1e-2,5,4)")
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -509,6 +520,29 @@ def test_a_sweep_and_its_report_leave_no_cyclic_garbage():
         skipped = sweep(["GEN_K", "NEG_GEN_K", "KUMMER_FORM"], grid, ctx)
         render_check_report(skipped, ctx, "text", io.StringIO())
         del rows, skipped
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_a_sweep_that_raises_leaves_no_cyclic_garbage():
+    # a sweep keeps each run's staged sides, which refer to its evaluator,
+    # only while it runs, also when a row's usage error ends it
+    import gc
+
+    from exptail.errors import UsageError
+    from exptail.inequalities import parse_grid, sweep
+    from exptail.precision import PrecisionContext
+
+    ctx = PrecisionContext(53)
+    grid = parse_grid("n=1..2;x=lin(1,-1,3)", ctx)  # x = 0 ends the first run
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(UsageError, match="requires x > 0"):
+            sweep(["ALZER"], grid, ctx)
         assert gc.collect() == 0
     finally:
         if was:

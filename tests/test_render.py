@@ -220,6 +220,17 @@ def test_csv_matches_unmemoized_params(results, bits, listed):
     assert render_check_report(results, ctx, "csv") == reference_csv(results, ctx)
 
 
+@pytest.mark.parametrize("check", ["A,B", 'A"B', "A\rB", "A\nB", "", " A "])
+def test_csv_quotes_as_the_csv_module(check):
+    # a field is quoted, its quotes doubled, exactly where csv.QUOTE_MINIMAL
+    # quotes it; None and nan are written as the csv module writes them
+    ctx = PrecisionContext(53)
+    nan = mpf("nan")
+    results = [CheckResult(check=check, params={"s": 'a,"b"\r\n', "n": 1}, x=mpf(1), lhs=nan,
+                           rhs=nan, margin=nan, ratio=None, err_bound=nan, status="ERROR")]
+    assert render_check_report(results, ctx, "csv") == reference_csv(results, ctx)
+
+
 def test_csv_params_rendered_once_per_point(sweep53, monkeypatch):
     ctx, results = sweep53
     calls = []

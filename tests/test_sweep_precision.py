@@ -160,9 +160,13 @@ def test_numerical_error_at_one_x_leaves_its_run(monkeypatch):
     cdef, bad = CATALOG["ALZER"], clean[5].x
 
     def failing(p, ev):
-        if p["n"] == 3 and p["x"] == bad:
-            raise inequalities.NumericalError("no convergence")
-        return cdef.evaluate(p, ev)
+        sides = cdef.evaluate(p, ev)
+
+        def failing_sides(x):
+            if p["n"] == 3 and x == bad:
+                raise inequalities.NumericalError("no convergence")
+            return sides(x)
+        return failing_sides
 
     monkeypatch.setitem(CATALOG, "ALZER", dataclasses.replace(cdef, evaluate=failing))
     rows = sweep(["ALZER"], grid, ctx)
@@ -170,3 +174,55 @@ def test_numerical_error_at_one_x_leaves_its_run(monkeypatch):
     assert rows[5].params == {"n": 3} and rows[5].x == bad and mp.isnan(rows[5].lhs)
     assert [_record(row) for i, row in enumerate(rows) if i != 5] == \
         [_record(row) for i, row in enumerate(clean) if i != 5]
+
+
+def test_point_stage_runs_once_per_run(monkeypatch):
+    # every check's point stage (its evaluate) runs on the first row of each
+    # run of a cold 256-bit default sweep, and its sides serve the others
+    ctx = PrecisionContext(256)
+    staged = []
+    for name, cdef in CATALOG.items():
+        def counted(p, ev, cdef=cdef):
+            staged.append((cdef.name, tuple(p.items())))
+            return cdef.evaluate(p, ev)
+        monkeypatch.setitem(CATALOG, name, dataclasses.replace(cdef, evaluate=counted))
+    rows = default_sweep(None, ctx)
+    points = {(row.check, tuple(row.params.items())) for row in rows}
+    assert len(rows) == 10357 and len(staged) == len(set(staged)) == len(points) == 457
+    assert {name for name, _ in staged} == set(CATALOG)
+
+
+@pytest.mark.parametrize("error,status", [
+    (inequalities.NumericalError("no convergence"), "ERROR"),
+    (inequalities.PoleError("at a pole"), None),
+    (inequalities._Inadmissible("outside the region"), None),
+])
+def test_raising_point_stage_fails_every_row_of_its_run(monkeypatch, error, status):
+    # nothing is kept of a point stage that raises: each row of its run
+    # raises again, as a lone evaluate_check call does, and becomes an
+    # ERROR row or is skipped
+    ctx = PrecisionContext(53)
+    grid = parse_grid("n=2..4;x=lin(0.5,3,4)", ctx)
+    clean = sweep(["ALZER"], grid, ctx)
+    cdef, staged = CATALOG["ALZER"], []
+
+    def failing(p, ev):
+        if p["n"] == 3:
+            staged.append(p)
+            raise error
+        return cdef.evaluate(p, ev)
+
+    monkeypatch.setitem(CATALOG, "ALZER", dataclasses.replace(cdef, evaluate=failing))
+    for x in grid.axes[1].values:
+        with pytest.raises(type(error)):
+            evaluate_check("ALZER", ctx, {"n": 3, "x": x})
+    del staged[:]
+    rows = sweep(["ALZER"], grid, ctx)
+    assert len(staged) == 4
+    kept = [_record(row) for row in clean if row.params["n"] != 3]
+    if status is None:
+        assert [_record(row) for row in rows] == kept
+    else:
+        assert [row.status for row in rows[4:8]] == [status] * 4
+        assert [row.x for row in rows[4:8]] == list(grid.axes[1].values)
+        assert [_record(row) for row in rows[:4] + rows[8:]] == kept
