@@ -384,9 +384,8 @@ class Evaluator:
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._memo = {}
-        # the run being swept: [its row mapping, record, admitted point,
-        # magnitude fault, sides or None], apart from the memo that
-        # cache_info counts
+        # the run being swept: [row mapping, record, admitted point, magnitude
+        # fault, sides or None], apart from the memo that cache_info counts
         self._held = None
         # final bits -> rows this evaluator's rows escalated to them
         self._escalated = Counter()
@@ -910,8 +909,7 @@ def _ev_kim38(p, ev):
 
 
 def _ev_kim39(p, ev):
-    nu, rf = p["nu"], ev._rf
-    nu1 = nu + 1
+    nu, nu1, rf = p["nu"], p["nu"] + 1, ev._rf
     c = ev._constant(gamma_fn, nu + 2) * mpf(2) ** nu1
     return lambda x: (rf(nu, 2 * x), c / x ** nu1 * rf(nu, x) ** 2)
 
