@@ -19,27 +19,27 @@ depends on the rows a sweep holds.  The memo keys on the raw ``_mpf_``
 tuples of the arguments, so a lookup hashes tuples of ints, never mpf
 objects.
 
-A point is admitted by :func:`_admit_point` and each row's x by
-:func:`_admit_x`: the point is canonicalized and validated against the
-declared bounds (a sweep skips a point they refuse), and x <= 0, as any
-int or real parameter of magnitude 2**bits or more, is a usage error.
-Below that magnitude an integer shift such as a + 1 or x + y at the
+The rows of one check at one point less x form a run (:class:`_Run`):
+the row mapping, whose x a sweep sets per row, with its point, admitted
+once when the run is built, and the point's sides.  The point is
+canonicalized and validated against the declared bounds (a sweep skips a
+point they refuse); each row's x is judged by :meth:`_Run.row`, and x <= 0,
+as any int or real parameter of magnitude 2**bits or more, is a usage
+error.  Below that magnitude an integer shift such as a + 1 or x + y at the
 working precision, bits + GUARD_BITS, keeps the shift; beyond it a + 1 can
-round to a, and a row would compare the wrong remainders.  A sweep
-evaluates point by point: the rows of one point less x form a run, which
-the evaluator admits once (:meth:`Evaluator._hold`) and then knows by the
-identity of the run's row mapping, so each of its rows judges only its x;
-the rows of a run share one params dict.  A lone row, or a sharpness
-sample, is admitted in full (:meth:`Evaluator._admit`).
+round to a, and a row would compare the wrong remainders.  A sweep passes a
+run as the params of each of its rows' :func:`evaluate_check` calls, so the
+rows share one params dict; a lone row, or a sharpness sample, gets a run
+of its own (:meth:`Evaluator._admit`).
 
 A check is evaluated in two stages: ``evaluate(point, ev)`` forms the
 values that do not depend on x (orders such as nu + a*theta, constants,
 exponents) and returns ``sides(x) -> (lhs, rhs)``, which makes only the
 x-dependent reads and products, each in the order of the expressions it
 stages, so every value is bit-identical.  A run's sides are built on its
-first row, inside its :func:`evaluate_check` call, and kept
-(:meth:`Evaluator._sides`); a lone row and an escalated evaluation build
-their own inside that evaluator's ``ctx.work()``.
+first row, inside its :func:`evaluate_check` call, and kept by the run
+(:attr:`_Run.sides`); an escalated evaluation builds its own inside that
+evaluator's ``ctx.work()``.
 
 A row that is not PASS at the working precision is evaluated again at
 twice the bits, and at four times the bits if it still does not pass, by
@@ -241,7 +241,7 @@ class CheckId:
 @dataclass(slots=True)
 class CheckResult:
     check: str
-    params: dict  # the point less x; the rows of one sweep run share it
+    params: dict  # the point less x of the row's run, which its rows share
     x: Real | None
     lhs: Real
     rhs: Real
@@ -384,9 +384,6 @@ class Evaluator:
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self._memo = {}
-        # the run being swept: [row mapping, record, admitted point, magnitude
-        # fault, sides or None], apart from the memo that cache_info counts
-        self._held = None
         # final bits -> rows this evaluator's rows escalated to them
         self._escalated = Counter()
 
@@ -532,44 +529,17 @@ class Evaluator:
                 _power(key[1], key[2], self.ctx.bits + GUARD_BITS, self._get))
         return value
 
-    def _hold(self, cdef: CheckDef, row: dict) -> dict:
-        """Admit the point of ``row`` less x for a run of ``cdef``'s rows and
-        return it; until the next run, :meth:`_admit` knows ``row``, whose x
-        the sweep sets per row, by identity and judges only its x."""
-        self._held = None
-        point, fault = _admit_point(cdef, row, self.ctx)
-        self._held = [row, cdef, point, fault, None]
-        return point
-
-    def _sides(self, cdef: CheckDef, point: dict) -> Callable:
-        """``cdef.evaluate(point, self)``: built on the first row of the held
-        run and kept for its other rows, and built afresh for any other
-        point.  A point stage that raises keeps nothing."""
-        held = self._held
-        if held is None or point is not held[2]:
-            return cdef.evaluate(point, self)
-        if held[4] is None:
-            held[4] = cdef.evaluate(point, self)
-        return held[4]
-
-    def _admit(self, check: CheckId | str, params: Mapping | None,
-               **at) -> tuple[CheckDef, dict, dict]:
-        """The record of ``check``, a :class:`CheckId` or a name with
-        ``params``, its canonical point less x and the row at the x of
-        ``params``, with ``at`` set over them, admitted as the module
-        docstring says.  The row mapping of the held run has only its x
-        judged."""
-        held = self._held
-        if held is not None and params is held[0] and check == held[1].name and not at:
-            cdef, point, fault = held[1:4]
-        else:
+    def _admit(self, check: CheckId | str, params: Mapping | None, **at) -> tuple[_Run, dict]:
+        """The run of ``check``, a :class:`CheckId` or a name with ``params``,
+        and its row at the x of ``params``, with ``at`` set over them.  A run
+        of this evaluator passed under its own check's name, without ``at``,
+        has only its x judged; anything else gets a run of its own."""
+        run = params
+        if type(run) is not _Run or run.ev is not self or run.cdef.name != check or at:
             if isinstance(check, CheckId):
                 check, params = check.id, check.params
-            if at or params is None:
-                params = {**(params or {}), **at}
-            cdef = _check_def(check)
-            point, fault = _admit_point(cdef, params, self.ctx)
-        return cdef, point, _admit_x(cdef, point, fault, params, self.ctx)
+            run = _Run(_check_def(check), {**(params or {}), **at}, self)
+        return run, run.row()
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +564,7 @@ class CheckDef:
     default values (decimal strings for reals); :meth:`default_points`
     crosses them in order.  ``validate(p)`` judges a point less x: it raises
     :class:`_Inadmissible` where p breaks a declared bound, and a bound that
-    names x is judged per row instead (:func:`_admit_x`); ``sharp_ratio(p,
+    names x is judged per row instead (:meth:`_Run.row`); ``sharp_ratio(p,
     ev)``, at a point p with its x, defaults to lhs/rhs; ``sharp_limits``
     maps a direction to the documented limit of that ratio, ``(p, ev) ->
     value``.
@@ -647,7 +617,7 @@ class CheckDef:
 
     def _default_rows(self, ev) -> list[tuple[dict, Real]]:
         """The default points as (point less x, x) pairs, in order; the rows
-        of one point crossed with the default x grid share its dict."""
+        of one point less x share its dict."""
         kinds = {spec.name: KINDS[spec.kind][1] for spec in self.params}
         axes = dict(self.defaults)
         if "y" in kinds and ("x", "y") not in axes:
@@ -659,8 +629,9 @@ class CheckDef:
                       for row in rows]
             points = [{**pt, **vals} for pt in points for vals in column]
         points = [pt for pt in points if breach(self._bounds, pt) is None]
-        if "y" in kinds:
-            return _split(points)
+        if "y" in kinds:  # x is a default axis: equal points less x share a dict
+            rows, shared = [(pt, pt.pop("x")) for pt in points], {}
+            return [(shared.setdefault(_raw(pt), pt), x) for pt, x in rows]
         return [(pt, x) for pt in points for x in ev.x_grid]
 
 
@@ -778,7 +749,7 @@ def _ev_fracint_form(p, ev):
 
 def _cheb_constant(p, ev):
     pp, a, b = p["p"], p["a"], p["beta"]
-    if all(float(v) == int(v) for v in (pp, a, b)) and pp >= 0:
+    if all(map(mp.isint, (pp, a, b))) and pp >= 0:
         return ev._exact(chebyshev_constant_exact, int(pp), int(a), int(b))
     return ev._constant(chebyshev_constant, pp, a, b)
 
@@ -1057,38 +1028,52 @@ def _check_def(name: str) -> CheckDef:
     return cdef
 
 
-def _admit_point(cdef: CheckDef, params: Mapping,
-                 ctx: PrecisionContext) -> tuple[dict, str | None]:
-    """The canonical point of ``params`` less x, validated (a bound that
-    does not name x), and the usage error of its first parameter of
-    magnitude 2**bits or more, which a row raises once its x is judged."""
-    p = _canonical_params(cdef, params, ctx, cdef._point_params)
-    cdef.validate(p)
-    for name, v in p.items():  # |v| < 2**top: an int's length, an mpf's exp + bc
-        top = v.bit_length() if type(v) is int else v._mpf_[2] + v._mpf_[3] if type(v) is mpf else 0
-        if top > ctx.bits:
-            return p, f"check {cdef.name} needs |{name}| < 2**{ctx.bits}, got {name} = {v}"
-    return p, None
+class _Run(dict):
+    """The rows of ``cdef`` at one point less x: the row mapping, whose x a
+    sweep sets per row, with the rows' evaluator ``ev``, the canonical
+    ``point`` less x and its magnitude ``fault``, admitted when the run is
+    built, and the point's ``sides``.  Nothing refers back to a run."""
 
+    def __init__(self, cdef: CheckDef, params: Mapping, ev: Evaluator):
+        """Admit the point of ``params`` less x: canonical, validated (a bound
+        that does not name x) and the usage error of its first parameter of
+        magnitude 2**bits or more, which a row raises once its x is judged."""
+        super().__init__(params)
+        bits = ev.ctx.bits
+        self.cdef, self.ev, self.fault = cdef, ev, None
+        self.point = _canonical_params(cdef, params, ev.ctx, cdef._point_params)
+        cdef.validate(self.point)
+        for name, v in self.point.items():  # |v| < 2**top: an int's length, an mpf's exp + bc
+            top = v.bit_length() if type(v) is int else sum(v._mpf_[2:]) if type(v) is mpf else 0
+            if top > bits:
+                self.fault = f"check {cdef.name} needs |{name}| < 2**{bits}, got {name} = {v}"
+                break
 
-def _admit_x(cdef: CheckDef, point: dict, fault: str | None, params: Mapping,
-             ctx: PrecisionContext) -> dict:
-    """The row of an admitted point at the x of ``params``: the bounds that
-    name x, then x > 0, the point's magnitude fault and |x| < 2**bits."""
-    x = _read(cdef, cdef._x_param, params, ctx)
-    p = {**point, "x": x}
-    if cdef._x_bounds:
-        breached = breach(cdef._x_bounds, p)
-        if breached is not None:
-            raise _Inadmissible(f"check {cdef.name} needs {breached}")
-    sign, man, exp, bc = x._mpf_  # a finite real: zero is the one with man 0
-    if sign or not man:
-        raise UsageError(f"check {cdef.name} requires x > 0, got {x}")
-    if fault is not None:
-        raise UsageError(fault)
-    if exp + bc > ctx.bits:
-        raise UsageError(f"check {cdef.name} needs |x| < 2**{ctx.bits}, got x = {x}")
-    return p
+    @cached_property
+    def sides(self) -> Callable:
+        """``cdef.evaluate(point, ev)``: built on the run's first row, inside
+        its :func:`evaluate_check` call, and kept for the others.  A point
+        stage that raises keeps nothing."""
+        return self.cdef.evaluate(self.point, self.ev)
+
+    def row(self) -> dict:
+        """The admitted point at the run's x: the bounds that name x, then
+        x > 0, the point's magnitude fault and |x| < 2**bits."""
+        cdef, bits = self.cdef, self.ev.ctx.bits
+        x = _read(cdef, cdef._x_param, self, self.ev.ctx)
+        p = {**self.point, "x": x}
+        if cdef._x_bounds:
+            breached = breach(cdef._x_bounds, p)
+            if breached is not None:
+                raise _Inadmissible(f"check {cdef.name} needs {breached}")
+        sign, man, exp, bc = x._mpf_  # a finite real: zero is the one with man 0
+        if sign or not man:
+            raise UsageError(f"check {cdef.name} requires x > 0, got {x}")
+        if self.fault is not None:
+            raise UsageError(self.fault)
+        if exp + bc > bits:
+            raise UsageError(f"check {cdef.name} needs |x| < 2**{bits}, got x = {x}")
+        return p
 
 
 def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping | None = None,
@@ -1098,33 +1083,34 @@ def evaluate_check(check: CheckId | str, ctx: PrecisionContext, params: Mapping 
     The point is admitted by the evaluator (:meth:`Evaluator._admit`); a
     point outside the check's admissible region raises a
     :class:`UsageError`.  ``ev`` is the evaluator of the sweep the row
-    belongs to (an evaluator at ``ctx``), which admits the point of a run
-    once and then only each row's x; a row evaluated on its own gets a
-    fresh one, so its point is admitted in full.  The row is judged by
-    :func:`_row`, escalating a row that does not pass."""
+    belongs to (an evaluator at ``ctx``), whose run, passed as ``params``,
+    has only the row's x judged; a row evaluated on its own gets a fresh
+    evaluator and a run of its own, so its point is admitted in full.  The
+    row is judged by :func:`_row`, escalating a row that does not pass."""
     alone = ev is None
     if alone:
         ev = Evaluator(ctx)
-    cdef, point, p = ev._admit(check, params)
-    row = _row(cdef, point, p, ev)
+    row = _row(*ev._admit(check, params))
     if alone:
         _log_escalations(ev)
     return row
 
 
-def _row(cdef: CheckDef, point: dict, p: dict, ev: Evaluator) -> CheckResult:
-    """The row of ``cdef`` at the admitted point ``p``, whose params are
-    ``point`` (p less x), evaluated by ``ev`` and judged by :func:`_result`.
+def _row(run: _Run, p: dict) -> CheckResult:
+    """The row of ``run`` at its admitted point ``p``, evaluated by the run's
+    evaluator and judged by :func:`_result`, with the run's point as params.
 
     A row that is not PASS is evaluated again by the evaluator at twice the
     bits (:attr:`Evaluator._finer`), and at four times the bits if it still
     does not pass; it reports the status of the highest precision reached,
     with that evaluation's values rounded to ``ev.ctx.bits``."""
+    ev = run.ev
     ctx, judge, x = ev.ctx, ev, p["x"]
     while True:
         with judge.ctx.work():  # a no-op inside a sweep, which holds the precision
-            lhs, rhs = judge._sides(cdef, point)(x)
-        row = _result(cdef.name, point, x, lhs, rhs, ctx, judge.ctx)
+            sides = run.sides if judge is ev else run.cdef.evaluate(run.point, judge)
+            lhs, rhs = sides(x)
+        row = _result(run.cdef.name, run.point, x, lhs, rhs, ctx, judge.ctx)
         if row.status == "PASS" or judge.ctx.bits >= 4 * ctx.bits:
             break
         judge = judge._finer
@@ -1197,57 +1183,62 @@ def _above(a: tuple, b: tuple) -> bool:
     return a[1] > b[1] << -shift
 
 
-def _evaluate_row(cdef: CheckDef, point: dict, row: dict, ev: Evaluator) -> CheckResult | None:
-    """One row of the run ``ev`` holds, whose point is ``point``: one call
-    of :func:`evaluate_check`, None where the row is skipped."""
+def _evaluate_row(run: _Run) -> CheckResult | None:
+    """The row of ``run`` at the x its sweep set in it: one call of
+    :func:`evaluate_check`, None where the row is skipped."""
     try:
-        return evaluate_check(cdef.name, ev.ctx, row, ev)
+        return evaluate_check(run.cdef.name, run.ev.ctx, run, run.ev)
     except (_Inadmissible, PoleError):
         return None  # outside the check's admissible region, or at a pole
     except NumericalError:
         nan = mpf("nan")
-        return CheckResult(check=cdef.name, params=point, x=row["x"], lhs=nan, rhs=nan,
+        return CheckResult(check=run.cdef.name, params=run.point, x=run["x"], lhs=nan, rhs=nan,
                            margin=nan, ratio=None, err_bound=nan, status="ERROR")
 
 
-def _split(points: list[dict]) -> list[tuple[dict, Real]]:
-    """Each point as (its parameters less x, its x)."""
-    return [({k: v for k, v in pt.items() if k != "x"}, pt["x"]) for pt in points]
+def _raw(point: dict) -> tuple:
+    """The values of a point of canonical values as a key, mpfs by ``_mpf_``."""
+    return tuple(getattr(v, "_mpf_", v) for v in point.values())
 
 
 def _overridden(rows: list[tuple[dict, Real]], override: list[str],
-                axes: Mapping) -> list[dict]:
-    """Each distinct default point less the overridden parameters, in
-    order, crossed with the grid values of those parameters.  ``rows`` are
-    the default (point less x, x) pairs; a point is keyed once per dict, by
-    each parameter's name, type and raw value as :func:`_runs` keys it, and
-    with x's raw value where x is not overridden."""
-    bases, last, x_kept = {}, None, "x" not in override
+                axes: Mapping) -> list[tuple[dict, Real]]:
+    """The default rows (point less x, x) of one check with the grid values
+    in ``axes`` of the parameters ``override`` names: each distinct default
+    point less them, in order, crossed with the grid's combinations, as
+    (point less x, x) rows.  The rows of one point less x share one dict,
+    keyed by its default values and the indices of its grid values, never
+    by a grid value, which need not be hashable."""
+    grid = []  # each combination: the indices and values of its parameters less x, and its x
+    for combo in product(*(enumerate(axes[name]) for name in override)):
+        named = dict(zip(override, combo))
+        grid_x = named.pop("x", (0, None))[1]
+        grid.append((tuple(i for i, _ in named.values()), {k: v for k, (_, v) in named.items()},
+                     grid_x))
+    x_kept, bases, shared, out, last = "x" not in override, {}, {}, [], None
     for point, x in rows:
         if point is not last:
             last, base = point, {k: v for k, v in point.items() if k not in override}
-            key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in base.items())
-        at = (key, x._mpf_) if x_kept else key
-        if at not in bases:
-            bases[at] = dict(base, x=x) if x_kept else base
-    combos = [dict(zip(override, combo)) for combo in product(*(axes[name] for name in override))]
-    return [{**base, **combo} for base in bases.values() for combo in combos]
+            key = _raw(base)
+        bases.setdefault((key, x._mpf_) if x_kept else key, (key, base, x))
+    for key, base, x in bases.values():
+        for at, values, grid_x in grid:
+            point = shared.get((key, at))
+            if point is None:
+                point = shared[key, at] = {**base, **values}
+            out.append((point, x if x_kept else grid_x))
+    return out
 
 
 def _runs(rows: list[tuple[dict, Real]]) -> list[tuple[dict, list]]:
     """The rows (point less x, x) of one check grouped into runs, one per
-    distinct point, in the order of each point's first row: the point's
-    dict and the (index, x) of its rows.  A point is keyed once per dict,
-    and the rows of one point crossed with an x axis share their dict."""
+    point dict, in the order of each dict's first row: the dict and the
+    (index, x) of its rows."""
     runs, last = {}, None
     for i, (point, x) in enumerate(rows):
         if point is not last:
             last = point
-            key = tuple((k, type(v), getattr(v, "_mpf_", v)) for k, v in point.items())
-            try:
-                at = runs.setdefault(key, (point, []))[1]
-            except TypeError:  # an unhashable value, which no kind reads
-                at = runs.setdefault(id(point), (point, []))[1]
+            at = runs.setdefault(id(point), (point, []))[1]
         at.append((i, x))
     return list(runs.values())
 
@@ -1258,35 +1249,30 @@ def _sweep(ids: Iterable[str], axes: Mapping, ctx: PrecisionContext) -> tuple[li
     with the names of the axes some check used.  Every id is looked up
     before the first row.
 
-    A check's rows are evaluated run by run (:func:`_runs`): the run's
-    point is admitted once (:meth:`Evaluator._hold`), and its dict, with
-    each row's x set in it, is the params of the run's
+    A check's rows are evaluated run by run (:func:`_runs`): a :class:`_Run`
+    per point, with each row's x set in it, is the params of its rows'
     :func:`evaluate_check` calls.  The rows come out in the order of the
     points they were generated from."""
     cdefs = [_check_def(name) for name in ids]
     results, used = [], set()
     ev = Evaluator(ctx)
-    try:
-        with ctx.work():
-            for cdef in cdefs:
-                override = [spec.name for spec in cdef.params if spec.name in axes]
-                if override:
-                    used.update(override)
-                    rows = _split(_overridden(cdef._default_rows(ev), override, axes))
-                else:
-                    rows = cdef._default_rows(ev)
-                slots = [None] * len(rows)
-                for row, at in _runs(rows):
-                    try:
-                        point = ev._hold(cdef, row)
-                    except _Inadmissible:
-                        continue
-                    for i, x in at:
-                        row["x"] = x
-                        slots[i] = _evaluate_row(cdef, point, row, ev)
-                results += [res for res in slots if res is not None]
-    finally:
-        ev._held = None  # its sides refer to ev: reference counting frees the sweep
+    with ctx.work():
+        for cdef in cdefs:
+            rows = cdef._default_rows(ev)
+            override = [spec.name for spec in cdef.params if spec.name in axes]
+            if override:
+                used.update(override)
+                rows = _overridden(rows, override, axes)
+            slots = [None] * len(rows)
+            for point, at in _runs(rows):
+                try:
+                    run = _Run(cdef, point, ev)
+                except _Inadmissible:
+                    continue
+                for i, x in at:
+                    run["x"] = x
+                    slots[i] = _evaluate_row(run)
+            results += [res for res in slots if res is not None]
     _log_escalations(ev)
     return results, used
 
@@ -1365,15 +1351,15 @@ def sharpness_probe(check: CheckId | str, direction: str, ctx: PrecisionContext,
         samples = []
         for e in range(-2, -9, -1) if direction == "zero" else range(1, 5):
             x = mpf(10) ** e
-            cdef, _, p = ev._admit(check, params, x=x, y=x)  # y only where declared
-            samples.append((x, cdef.sharp_ratio(p, ev)))
+            run, p = ev._admit(check, params, x=x, y=x)  # y only where declared
+            samples.append((x, run.cdef.sharp_ratio(p, ev)))
         extrap = _richardson([s[1] for s in samples], mpf(1) / 10)
         limit = extrap[-1]
         tail = extrap[-3:]
         converged = len(tail) == 3 and all(
             abs(t - limit) <= mpf("1e-6") * max(1, abs(limit)) for t in tail
         )
-        documented = cdef.sharp_limits[direction](p, ev)
+        documented = run.cdef.sharp_limits[direction](p, ev)
         documented = None if documented is None else as_real(documented, ctx)
     if not converged:
         raise NumericalError(

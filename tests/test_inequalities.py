@@ -28,6 +28,7 @@ from exptail.inequalities import (CATALOG, CHECK_IDS, CheckId, Evaluator, GridAx
                                   sweep)
 from exptail.numerics import arctan_fracint, quad_integral
 from exptail.precision import PrecisionContext, as_real
+from exptail.remainders import r_frac
 
 _RAW = st.builds(lambda negative, man, exp: from_man_exp(-man if negative else man, exp),
                  st.booleans(), st.integers(1, 2**300), st.integers(-400, 400))
@@ -114,6 +115,16 @@ def test_interp_constant_matches_exact_power(ctx):
 def test_chebyshev_constant_float_vs_exact(ctx):
     assert rel_err(chebyshev_constant(2, 1, 3, ctx),
                    chebyshev_constant_exact(2, 1, 3)) < 10 * ctx.target_rel_err
+
+
+@pytest.mark.parametrize("p", [mpf(3) + mpf(2) ** -60, mpf(2) ** 60 + mpf("0.5")])
+def test_chebyshev_row_near_an_integer_order_takes_its_own_constant(ctx, p):
+    # float(p) == int(p) holds at these orders, and a test on it gave the
+    # row the exact constant of the integer next to p
+    row = evaluate_check("CHEBYSHEV_GEN", ctx, {"p": p, "a": 1, "beta": 2, "x": 1})
+    with ctx.work():
+        expected = chebyshev_constant(p, 1, 2, ctx) * r_frac(p + 1, 1, ctx) * r_frac(p + 2, 1, ctx)
+    assert rel_err(row.rhs, expected) < 100 * ctx.target_rel_err
 
 
 def test_alzer_spot_closed_forms(ctx):
@@ -546,6 +557,27 @@ def test_grid_value_no_kind_reads_is_skipped(ctx):
     # cannot read
     grid = ParamGrid((GridAxis("n", ([1], 2)), GridAxis("x", (mpf(1),))))
     assert [r.params for r in sweep(["ALZER"], grid, ctx)] == [{"n": 2}]
+
+
+def test_a_run_is_its_own_only_under_its_check_at_its_evaluator(ctx):
+    # a sweep's run, passed back as params, has only its x judged; under
+    # another check's name, with overrides (as sharpness_probe passes them)
+    # or at another evaluator it is admitted in full, as a plain dict is
+    ev = Evaluator(ctx)
+    run = inequalities._Run(CATALOG["ALZER"], {"n": 2, "x": 1}, ev)
+    assert ev._admit("ALZER", run)[0] is run
+    for at in ({}, {"x": mpf(2), "y": mpf(2)}):
+        with pytest.raises(UsageError, match="check GEN_K needs parameter 'k'"):
+            ev._admit("GEN_K", run, **at)
+    with pytest.raises(UsageError, match="check GEN_K needs parameter 'k'"):
+        evaluate_check("GEN_K", ctx, run, ev)
+    assert evaluate_check("NEG_ALZER", ctx, run, ev) == \
+        evaluate_check("NEG_ALZER", ctx, {"n": 2, "x": 1})
+    other, p = ev._admit("ALZER", run, n=3, x=mpf(2))
+    assert other is not run and other.point == {"n": 3} and p == {"n": 3, "x": 2}
+    assert Evaluator(ctx)._admit("ALZER", run)[0] is not run
+    assert evaluate_check("ALZER", PrecisionContext(53), run) == \
+        evaluate_check("ALZER", PrecisionContext(53), {"n": 2, "x": 1})
 
 
 def test_each_default_point_validated_and_evaluated_once(monkeypatch):

@@ -16,7 +16,7 @@ from mpmath import mpf
 
 import exptail.cli as cli
 from exptail.cli import main, render_check_report
-from exptail.inequalities import CheckResult, default_sweep, summarize
+from exptail.inequalities import CHECK_IDS, CheckResult, default_sweep, parse_grid, summarize, sweep
 from exptail.precision import PrecisionContext, format_real
 
 FIELDS = ("x", "lhs", "rhs", "margin", "ratio", "err_bound")
@@ -142,6 +142,20 @@ def test_default_report_bytes_1024_bits():
     results = default_sweep(None, ctx)
     digest = hashlib.sha256(render_check_report(results, ctx, "json").encode()).hexdigest()
     assert digest.startswith("41b499b0f8f2")
+
+
+@pytest.mark.parametrize("spec,digest", [
+    ("n=1..8", "faf237960ca1"),
+    ("k=0..2;x=lin(0.5,3,4)", "6744d98e33d2"),
+    ("y=lin(0.5,2,3);x=lin(1,2,3)", "2898f49ecd07"),
+    ("nu=lin(0.5,1.5,3);theta=lin(0,1,3)", "b5feaba1c0bb"),
+])
+def test_grid_report_bytes_53_bits(spec, digest):
+    # the CSV of `exptail check --id all --bits 53 --grid SPEC --format csv`
+    ctx = PrecisionContext(53)
+    results = sweep(CHECK_IDS, parse_grid(spec, ctx), ctx)
+    report = render_check_report(results, ctx, "csv")
+    assert hashlib.sha256(report.encode()).hexdigest().startswith(digest)
 
 
 def _count_calls(monkeypatch):

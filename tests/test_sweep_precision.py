@@ -12,7 +12,7 @@ from mpmath.libmp import mpf_pos, round_nearest
 
 from exptail import inequalities
 from exptail.errors import UsageError
-from exptail.inequalities import (CATALOG, Evaluator, default_sweep, evaluate_check,
+from exptail.inequalities import (CATALOG, CHECK_IDS, Evaluator, default_sweep, evaluate_check,
                                   interp_constant, parse_grid, sweep)
 from exptail.precision import GUARD_BITS, PrecisionContext, format_real
 
@@ -190,6 +190,22 @@ def test_point_stage_runs_once_per_run(monkeypatch):
     points = {(row.check, tuple(row.params.items())) for row in rows}
     assert len(rows) == 10357 and len(staged) == len(set(staged)) == len(points) == 457
     assert {name for name, _ in staged} == set(CATALOG)
+
+
+def test_point_stage_runs_once_per_grid_run(monkeypatch):
+    # the grid twin: an n axis crosses each default x with every n, so the
+    # rows of one run are not adjacent, and each run is still staged once
+    ctx = PrecisionContext(256)
+    staged = []
+    for name, cdef in CATALOG.items():
+        def counted(p, ev, cdef=cdef):
+            staged.append((cdef.name, tuple(p.items())))
+            return cdef.evaluate(p, ev)
+        monkeypatch.setitem(CATALOG, name, dataclasses.replace(cdef, evaluate=counted))
+    rows = sweep(CHECK_IDS, parse_grid("n=1..8", ctx), ctx)
+    points = {(row.check, tuple(row.params.items())) for row in rows}
+    assert len(rows) == 10357 and len(staged) == len(set(staged)) == len(points) == 457
+    assert set(staged) == points
 
 
 @pytest.mark.parametrize("error,status", [
