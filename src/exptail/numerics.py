@@ -9,7 +9,12 @@ wp = bits + GUARD_BITS the working precision (:func:`_large_x`):
 * below the switch it sums the series.  For x >= 0 all its terms are
   positive, so no cancellation occurs and a truncation rule on the term
   and the partial sum yields the requested relative accuracy directly.
-  It needs about x terms, so its cost grows linearly with x;
+  It needs about x terms, so its cost grows linearly with x.  The terms
+  are summed in two phases (:func:`_positive_series`): while they rise
+  the truncation rule cannot fire and is not tested, and after the peak
+  it is tested only for terms small enough to pass it.  Each term is one
+  multiply by x and one division, by a one-digit integer where a = 1 and
+  b is an integer;
 * from the switch on, 1F1(1; b; x) is Gamma(b) x**(1-b) e**x minus a
   short upper-gamma expansion (:func:`_kummer_one_large_x`), whose cost
   falls as x grows, and an integer a >= 2 (up to b + 1) steps up from
@@ -18,12 +23,12 @@ wp = bits + GUARD_BITS the working precision (:func:`_large_x`):
 The catalog evaluates remainders at x <= 60 (KIM_39 at 2x), below the
 switch even at 53 bits (wp = 85), so it never reaches the second regime;
 it calls the kernel once per block of orders of
-:func:`.remainders.r_frac_ladder` (1,228 calls in a default 256-bit sweep)
-and once per |R_n(-x)|.  Below the switch the kernel refuses a series
-estimated to need more than MAX_SERIES_TERMS terms (:func:`_series_terms`:
-about max(0, x - b) up to its largest term, more near x = b at huge b);
-for x < 0, :func:`kummer_1f1_one` refuses |x| > X_MAX before boosting
-the precision.
+:func:`.remainders.r_frac_ladder` (803 calls in a default 256-bit sweep)
+and once per |R_n(-x)| (425 calls).  Below the switch the kernel refuses
+a series estimated to need more than MAX_SERIES_TERMS terms
+(:func:`_series_terms`: about max(0, x - b) up to its largest term, more
+near x = b at huge b); for x < 0, :func:`kummer_1f1_one` refuses
+|x| > X_MAX before boosting the precision.
 :func:`arctan_fracint`, the fractional integral of arctan, sums two
 geometric series whose bounded cancellation is paid for with extra
 working bits.
@@ -73,8 +78,13 @@ def _raw(v) -> tuple:
 
 def _scaled(scale, man: int, exp: int, wp: int) -> Real:
     """scale * man * 2**exp for an int or mpf scale, the exact fixed-point
-    value rounded once at wp as the mpf product rounds it."""
-    return _make(mpf_mul(_raw(scale), from_man_exp(man, exp), wp, round_nearest))
+    value rounded once at wp as the mpf product rounds it.  A positive man
+    of more than wp bits, as every sum of the series is, goes in
+    unnormalised: the product then rounds, and so strips its trailing
+    zeros, to the value of the normalised one."""
+    bc = man.bit_length()
+    raw = (0, man, exp, bc) if man > 0 and bc > wp else from_man_exp(man, exp)
+    return _make(mpf_mul(_raw(scale), raw, wp, round_nearest))
 
 
 def _series_budget(x, bits: int) -> int:
@@ -244,35 +254,43 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     53-bit x or b is a 53-bit operand of each term's multiply and divide
     however small it is.  Its checks of the parameters and its final
     product with scale work on the raw libmp values, rounded as the mpf
-    operators round, without their dispatch.
-    The sum starts at 1 and for x >= 0 no term is negative, so each
-    truncation of 2**-wp is a relative error.  Once the sum passes 2*wp
-    bits, sum and term are shifted down together into an exponent, so the
-    integers stay short however large x is.  For x < 0 the caller boosts
-    the precision to absorb the cancellation.  With a >= 1 the term ratio
-    r decreases in k, so the rest of the series is below term * r/(1-r)
-    once r < 1.  For b = +oo every term past the first vanishes.
+    operators round, without their dispatch.  For b = +oo every term past
+    the first vanishes.  For x >= 0 :func:`_positive_series` sums the
+    series; for x < 0, where the caller boosts the precision to absorb the
+    cancellation, :func:`_signed_series` does.
 
     For an integer a <= b + 1 and x >= max(wp, 2b) a closed form replaces
     the series: a = 1 by :func:`_kummer_one_large_x`, and a >= 2 from
     F(0) = 1 and F(1) by the contiguous relation (DLMF 13.3.1)
     k F(k+1) = (2k - b + x) F(k) + (b - k) F(k-1), whose terms are all
     positive for k < b and x >= b, so no step cancels
-    (:func:`_contiguous_up`).  A series that :func:`_series_terms`
-    estimates at more than MAX_SERIES_TERMS terms raises
-    :class:`DomainError` before it starts.
+    (:func:`_contiguous_up`).  Only an x with |x| >= 2**(bitlen(wp) - 1),
+    at or below wp, can reach that switch, so only such an x consults
+    :func:`_large_x` and :func:`_series_budget`; a smaller one forms the
+    same budget inline.  A series that :func:`_series_terms` estimates at
+    more than MAX_SERIES_TERMS terms raises :class:`DomainError` before it
+    starts.
     """
-    ar, br = _raw(a), _raw(b)
+    ar, br, xr = _raw(a), _raw(b), x._mpf_
     # a special raw value (nan, +-oo) has mantissa 0 and a non-zero bc
     if br == fnan or not ar[1] and ar[3]:
         raise NumericalError(f"1F1({a}; {b}; {x}) series does not converge: non-finite parameter")
     if not br[1] and br[3]:
         return scale * mpf(1)
-    if _large_x(b, x, ctx) and a == int(a) and a <= b + 1:
-        f1 = _kummer_one_large_x(b, x, ctx)
-        return scale * (_contiguous_up(int(a), b, x, f1) if a > 1 else f1)
     wp = mp.prec
-    budget = _series_budget(x, ctx.bits)
+    _, man, e, bc = xr
+    if e + bc >= (ctx.bits + GUARD_BITS).bit_length():
+        if _large_x(b, x, ctx) and a == int(a) and a <= b + 1:
+            f1 = _kummer_one_large_x(b, x, ctx)
+            return scale * (_contiguous_up(int(a), b, x, f1) if a > 1 else f1)
+        budget = _series_budget(x, ctx.bits)
+    else:
+        # what _series_budget gives: 3|x| rounds at wp only past wp bits
+        if bc + 2 > wp:
+            three = to_int(mpf_mul_int(mpf_abs(xr), 3, wp, round_nearest))
+        else:
+            three = 3 * man >> -e if e < 0 else 3 * man << e
+        budget = three + 8 * ctx.bits + 256
     if budget > MAX_SERIES_TERMS:
         terms = _series_terms(a, b, x, wp)
         if terms > MAX_SERIES_TERMS:
@@ -280,15 +298,38 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
                               f"(at most {MAX_SERIES_TERMS}); the closed form needs an integer "
                               f"a <= b + 1 and x >= max(wp, 2b)")
         budget = min(budget, 2 * MAX_SERIES_TERMS)  # an estimate's miss stays bounded too
+    if xr[0]:
+        return _signed_series(a, b, x, ctx, scale, budget)
+    return _positive_series(a, b, x, ctx, scale, budget)
+
+
+def _tolerance(ctx: PrecisionContext) -> int:
+    """The tol of the stop rule: term < 2**(1 - tol) * total <= target * total
+    (target >= 2**(exp+bc-1))."""
     _, _, texp, tbc = ctx.target_rel_err._mpf_
-    # term < 2**(1 - tol) * total <= target * total (target >= 2**(exp+bc-1))
-    tol = 2 - texp - tbc
+    return 2 - texp - tbc
+
+
+def _signed_series(a, b, x, ctx: PrecisionContext, scale, budget: int) -> Real:
+    """The series of :func:`_hyp1f1_pos` for x of either sign, testing the
+    stop rule at every term; it sums kummer_1f1_one's x < 0 and is the
+    reference of :func:`_positive_series`.
+
+    The sum starts at 1 and for x >= 0 no term is negative, so each
+    truncation of 2**-wp is a relative error.  Once the sum passes 2*wp
+    bits, sum and term are shifted down together into an exponent, so the
+    integers stay short however large x is.  With a >= 1 the term ratio
+    r decreases in k, so the rest of the series is below term * r/(1-r)
+    once r < 1.  Past ``budget`` terms it raises :class:`NumericalError`.
+    """
+    wp = mp.prec
+    tol = _tolerance(ctx)
     na, da, sa = _fixed_param(a)
     nb, db, sb = _fixed_param(b)
     xm, _, sx = _fixed_param(x)
     # term * xm * na carries sx + sa - sb fractional bits more than term
     up, down = max(0, sb - sx - sa), max(0, sx + sa - sb)
-    af, bf = to_float(ar, False, round_nearest), to_float(br, False, round_nearest)
+    af, bf = to_float(_raw(a), False, round_nearest), to_float(_raw(b), False, round_nearest)
     xf = abs(to_float(x._mpf_, False, round_nearest))
     term = total = 1 << wp
     exp, top = -wp, 2 * wp
@@ -310,6 +351,102 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
             total >>= wp
             exp += wp
         na += da
+        nb += db
+    else:
+        raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",
+                             best_estimate=ctx.finalize(_scaled(scale, total, exp, wp)))
+    return _scaled(scale, total, exp, wp)
+
+
+def _rise_end(af: float, bf: float, xf: float, last: int) -> int:
+    """The largest k <= last up to which every float term ratio
+    r_j = xf (af + j) / ((bf + j)(j + 1)) of the stop rule is >= 1, or 0.
+
+    Taken one below the larger root of r_k = 1 (the k of
+    :func:`_series_terms`) and kept only if its own float r_k is finite
+    and at least 1 + 2**-40: for af >= 1 the exact ratio of the float
+    inputs falls strictly in k, and each float r_j is within 6 ulp of it,
+    so every earlier float r_j is >= 1 too.  A root lost to rounding or
+    overflow gives 0, which costs time, never a value."""
+    p, q = xf - bf - 1, xf * af - bf
+    disc = p * p + 4 * q
+    if not disc > 0 or p <= 0 and q <= 0:
+        return 0
+    s = math.sqrt(disc)
+    root = (p + s) / 2 if p > 0 else 2 * q / (s - p)
+    if not root - 1 < last:
+        root = last + 1
+    k = int(root) - 1
+    if k < 1:
+        return 0
+    r = xf * (af + k) / ((bf + k) * (k + 1))
+    return k if 1 + 2.0**-40 <= r < math.inf else 0
+
+
+def _positive_series(a, b, x, ctx: PrecisionContext, scale, budget: int) -> Real:
+    """The series of :func:`_hyp1f1_pos` for x >= 0 in two phases, with the
+    value and the error of :func:`_signed_series` bit for bit.
+
+    While the next term ratio r_k is >= 1 (up to :func:`_rise_end`) the
+    stop rule cannot fire, and the terms are added with no test.  After the
+    peak, the sum's bit length is read again only when the sum passes a
+    power of two, and the stop rule runs only for a term below
+    2**(size - tol), the terms its gap >= 0 admits.  Each term shifts
+    before it divides, (term * xu * na >> down) // (nb * k), as
+    floor(floor(A / 2**d) / m) = floor(A / (2**d m)); for a = 1, where
+    (a + k - 1)/k = 1 exactly, it divides by nb = b + k - 1 alone, one
+    30-bit digit for an integer b, so only a fractional b still costs a
+    multi-digit division.  The sum goes to the final product with scale
+    unnormalised (:func:`_scaled`), which rounds it once, to the same value."""
+    wp = mp.prec
+    tol = _tolerance(ctx)
+    na, da, sa = _fixed_param(a)
+    nb, db, sb = _fixed_param(b)
+    xm, _, sx = _fixed_param(x)
+    xu, down = xm << max(0, sb - sx - sa), max(0, sx + sa - sb)
+    af, bf = to_float(_raw(a), False, round_nearest), to_float(_raw(b), False, round_nearest)
+    xf = to_float(x._mpf_, False, round_nearest)
+    rise = _rise_end(af, bf, xf, budget - 1)
+    one = na == da == 1 and not sa  # a = 1
+    term = total = 1 << wp
+    exp, top = -wp, 2 * wp
+    full = 1 << top
+    for k in range(1, rise + 1):
+        if one:
+            term = (term * xu >> down) // nb
+        else:
+            term = (term * xu * na >> down) // (nb * k)
+            na += da
+        total += term
+        if total >= full:
+            term >>= wp
+            total >>= wp
+            exp += wp
+        nb += db
+    size = total.bit_length()
+    cross, low = 1 << size, 1 << size - tol
+    for k in range(rise + 1, budget):
+        if one:
+            term = (term * xu >> down) // nb
+        else:
+            term = (term * xu * na >> down) // (nb * k)
+            na += da
+        if not term:  # every later term is 0 too
+            break
+        total += term
+        if total >= cross:
+            size = total.bit_length()
+            cross, low = 1 << size, 1 << size - tol
+        if term < low:
+            r = xf * (af + k) / ((bf + k) * (k + 1))
+            if r <= (1 - r) * 2.0 ** min(size - term.bit_length() - tol, 64):
+                break
+        if size > top:
+            term >>= wp
+            total >>= wp
+            exp += wp
+            size -= wp
+            cross, low = 1 << size, 1 << size - tol
         nb += db
     else:
         raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",

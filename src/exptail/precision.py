@@ -29,11 +29,13 @@ zero, the special values and huge exponents to ``to_str``.
 
 Every public scalar function declares its arguments once, as
 :class:`Param` records, through :func:`declared`: the one boundary that
-converts each argument by its kind, checks its bounds, holds ``ctx.work()``
-and returns ``ctx.finalize`` of the result.  A numeric bound is held as
-its exact raw value and judged by ``libmp``'s comparisons, the ones the mpf
-operators call.  The inequality catalog declares its parameters with the
-same records.
+converts each argument by its kind, checks its bounds, holds the working
+precision and returns ``ctx.finalize`` of the result.  A call switches
+the precision once: it assigns ``mp.prec`` on entry and restores it on
+exit, and does neither where the caller already works at it.  It
+converts int and finite float arguments inline.  A numeric bound is held as its exact raw value and
+judged by ``libmp``'s comparisons, the ones the mpf operators call.  The
+inequality catalog declares its parameters with the same records.
 
 :func:`as_real` converts and does not validate; the declarations do.  A
 real is finite unless declared otherwise, so a nan or infinite x raises
@@ -278,17 +280,36 @@ def breach(checks: tuple, values) -> str | None:
     return None
 
 
+def _read(spec: Param, v, ctx: PrecisionContext, wp: int):
+    """:func:`convert` of ``v`` with the precision wp already active; an int
+    or a finite float is read inline (a real by ``from_int`` or
+    ``from_float`` at wp, what :func:`as_real` gives), any other value by
+    ``convert``, with its messages and its downgrade log."""
+    t = type(v)
+    if spec.kind is mpf:
+        if t is float and math.isfinite(v):
+            return _make(from_float(v, wp, round_nearest))
+        if t is int:
+            return _make(from_int(v, wp, round_nearest))
+    elif t is int and spec.kind is int:
+        return v
+    return convert(spec, v, ctx)
+
+
 def declared(*params: Param):
     """Decorator giving ``f(*args, ctx, **options)`` its one boundary: each
     argument is converted by its declared kind (:func:`convert`) and its
-    bounds checked, either failure a :class:`DomainError`; then f runs
-    inside ``ctx.work()``, entering only the boosted blocks it needs, and
+    bounds checked, either failure a :class:`DomainError`; then f runs at
+    the working precision, entering only the boosted blocks it needs, and
     its result is finalized.  The declarations are the function's ``params``.
 
-    Ints, floats and mpfs convert through ``libmp`` at the working
-    precision (:func:`as_real`) and numeric bounds are judged on raw
-    values (:func:`bounds`), so the call pays one precision switch and no
-    mpf operator dispatch before f runs."""
+    The boundary sets ``mp.prec`` once, by assignment, and restores it
+    when f returns or raises; where mpmath already works at that
+    precision, as in a sweep, it switches nothing.  Ints and finite floats
+    convert inline through ``libmp`` at the working precision and mpfs
+    through :func:`as_real`, and numeric bounds are judged on raw values
+    (:func:`bounds`), so the call pays at most one precision switch and
+    no mpf operator dispatch before f runs."""
     checks = bounds(params)
 
     def wrap(impl):
@@ -299,17 +320,24 @@ def declared(*params: Param):
             if len(args) != len(params) + 1:
                 raise TypeError(f"{label}() takes {len(params)} arguments and a context")
             ctx = args[-1]
-            # entered first, so that no conversion switches the precision
+            wp = ctx.bits + GUARD_BITS
+            held = mp.prec
+            # switched first, so that no conversion switches the precision
             # again and an error message prints its values at it
-            with ctx.work():
+            if held != wp:
+                mp.prec = wp
+            try:
                 try:
-                    values = {spec.name: convert(spec, v, ctx) for spec, v in zip(params, args)}
+                    values = {spec.name: _read(spec, v, ctx, wp) for spec, v in zip(params, args)}
                 except ValueError as exc:
                     raise DomainError(f"{label} needs {exc}") from exc
                 fault = breach(checks, values)
                 if fault is not None:
                     raise DomainError(f"{label} requires {fault}")
                 return ctx.finalize(impl(*values.values(), ctx, **options))
+            finally:
+                if held != wp:
+                    mp.prec = held
 
         public.params = params
         return public

@@ -231,8 +231,11 @@ def eps_value(nu, x, ctx: PrecisionContext) -> Real:
 
 @declared(_N1, _X)
 def g_ratio(n: int, x, ctx: PrecisionContext) -> Real:
-    """Consecutive-order ratio R_{n-1}(x)/R_n(x); exceeds 1 for x > 0."""
-    return r_tail(n - 1, x, ctx) / r_tail(n, x, ctx)
+    """Consecutive-order ratio R_{n-1}(x)/R_n(x); exceeds 1 for x > 0.
+
+    As R_{n-1} = R_n + x**n/n!, it is 1 + (n+1)/(x 1F1(1; n+2; x)): one
+    all-positive series, with no factorial and no power of x."""
+    return 1 + (n + 1) / _hyp1f1_pos(1, n + 2, x, ctx, x)
 
 
 def finite_diff(values, k: int) -> DiffTable:

@@ -5,12 +5,14 @@ the inequality catalog reads its parameters through the same records."""
 import contextlib
 import inspect
 import io
+import logging
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from exptail import inequalities, precision, remainders
 from exptail.cli import EVAL, main
@@ -239,3 +241,97 @@ def test_boundary_messages_are_unchanged(ctx, args, message):
     with pytest.raises(DomainError) as raised:
         r_tail(*args, ctx)
     assert str(raised.value) == message
+
+
+def _probe(kind):
+    """A function declaring one parameter of ``kind``, recording what its
+    body receives, then raising."""
+    seen = []
+
+    @precision.declared(Param("v", kind))
+    def probe(v, ctx):
+        seen.append(v)
+        raise ZeroDivisionError("the body raised")
+
+    return probe, seen
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _logged(fn, *args):
+    """(fn's outcome: its raw value, int or DomainError text; the warnings
+    of the exptail logger while it ran)."""
+    handler = _Records()
+    logger = logging.getLogger("exptail")
+    logger.addHandler(handler)
+    try:
+        try:
+            value = fn(*args)
+        except (ValueError, DomainError) as exc:
+            value = str(exc)
+    finally:
+        logger.removeHandler(handler)
+    return (value._mpf_ if isinstance(value, mpf) else value), handler.messages
+
+
+@st.composite
+def _wider_mpf(draw):
+    """An mpf of 1,100 to 1,500 bits, wider than every working precision here."""
+    width = draw(st.integers(1100, 1500))
+    man = draw(st.integers(2 ** (width - 1), 2 ** width - 1)) | 1
+    return mp.make_mpf(from_man_exp(draw(st.sampled_from([1, -1])) * man,
+                                    draw(st.integers(-1600, 1600)) - width))
+
+
+_ARGUMENTS = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True),
+    st.sampled_from([True, False, 2 ** 2000, -(2 ** 2000), 0]),
+    st.integers(-(2 ** 2100), 2 ** 2100), _wider_mpf(),
+    st.fractions(max_denominator=2 ** 100),
+    st.builds("{}e{}".format, st.integers(-(10 ** 40), 10 ** 40), st.integers(-400, 400)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=_ARGUMENTS, bits=st.sampled_from([53, 256, 1024]),
+       ambient=st.sampled_from([53, "wp", 2000]))
+def test_inline_conversion_is_convert(v, bits, ambient):
+    # ints and finite floats are read inline at the boundary; every argument,
+    # read as an integer and as a real, gives what convert gives at the
+    # working precision: the same raw value, or the same DomainError text,
+    # with the same one downgrade warning.  The body raises, and the
+    # boundary restores the caller's precision
+    ctx = PrecisionContext(bits)
+    ambient = bits + GUARD_BITS if ambient == "wp" else ambient
+    for kind in (int, mpf):
+        probe, seen = _probe(kind)
+        spec = probe.params[0]
+
+        def converted():
+            with ctx.work():
+                try:
+                    return precision.convert(spec, v, ctx)
+                except ValueError as exc:
+                    raise DomainError(f"probe needs {exc}") from exc
+
+        expected = _logged(converted)
+
+        def called():
+            with pytest.raises(ZeroDivisionError):
+                probe(v, ctx)
+            return seen[0]
+
+        with mp.workprec(ambient):
+            got = _logged(called)
+            assert mp.prec == ambient
+        assert got == expected, kind
+        assert len(got[1]) <= 1
+        if type(expected[0]) is int:
+            assert type(seen[0]) is int

@@ -80,23 +80,36 @@ def test_large_x_route_against_mpmath(bits, scale):
             assert err < ctx.target_rel_err, (name, p)
 
 
-def _force_route(monkeypatch, on: bool):
-    monkeypatch.setattr(numerics, "_large_x", lambda b, x, ctx: on)
+def _force_route(monkeypatch, on: bool) -> list:
+    """Patch the kernel's switch to ``on``; the list returned records its calls."""
+    calls = []
+
+    def forced(b, x, ctx):
+        calls.append(x)
+        return on
+
+    monkeypatch.setattr(numerics, "_large_x", forced)
+    return calls
 
 
 @pytest.mark.parametrize("bits", [53, 256])
 def test_series_and_route_agree_across_switch(bits, monkeypatch):
     # at one point just below and one just above x = max(wp, 2b), the
-    # series and the large-x route, each forced, give the same value
+    # series and the large-x route, each forced, give the same value.  The
+    # kernel consults the switch only from |x| >= 2**(bitlen(wp) - 1) on,
+    # which 0.97 wp passes at these precisions: each forced evaluation must
+    # have consulted it, or the comparison would be series against series
     ctx = PrecisionContext(bits)
     for name, orders, fn, _, lower, integer in ROUTES:
         for p in _orders(orders, integer, bits):
             switch = max(bits + GUARD_BITS, 2 * float(lower(p)))
             for x in (ctx.finalize(switch * 0.97), ctx.finalize(switch * 1.03)):
-                _force_route(monkeypatch, False)
+                calls = _force_route(monkeypatch, False)
                 series = fn(p, x, ctx)
-                _force_route(monkeypatch, True)
+                assert calls, (name, p, x)
+                calls = _force_route(monkeypatch, True)
                 route = fn(p, x, ctx)
+                assert calls, (name, p, x)
                 assert rel_err(route, series) < ctx.target_rel_err, (name, p, x)
 
 
@@ -116,15 +129,30 @@ TEN = [
 
 @pytest.mark.parametrize("x", ["1e5", "1e300"])
 def test_large_x_stays_off_the_series(x, monkeypatch):
+    # the series would have asked _series_budget for its term budget; the
+    # switch, counted, must have been consulted at every evaluation, or a
+    # series that no longer asks would pass unseen
+    budgets, switches = [], []
+    large_x = numerics._large_x
+
     def no_series(*args):
+        budgets.append(args)
         raise AssertionError("the series kernel ran at large x")
 
+    def counted(b, x, ctx):
+        switches.append(x)
+        return large_x(b, x, ctx)
+
     monkeypatch.setattr(numerics, "_series_budget", no_series)
+    monkeypatch.setattr(numerics, "_large_x", counted)
     ctx = PrecisionContext(256)
     x = ctx.finalize(x)
     for name, fn in TEN:
+        before = len(switches)
         value = fn(x, ctx)
         assert mp.isfinite(value) and value != 0, name
+        assert len(switches) > before, name
+    assert budgets == []
     # R_16(x) / e**x -> 1 and eps -> 1 as x -> oo
     assert rel_err(r_tail(16, x, ctx) / mp.exp(x), 1) < mpf("1e-3")
     assert 0.99 < eps_value(mpf("9.7"), x, ctx) <= 1

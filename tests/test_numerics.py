@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_int, from_man_exp, mpf_mul, round_nearest
 
+import exptail.numerics as numerics
 from conftest import rel_err
 from exptail.errors import DomainError, NumericalError
-from exptail.numerics import (MAX_SERIES_TERMS, _fixed_param, _series_terms, gamma_fn,
+from exptail.numerics import (MAX_SERIES_TERMS, _fixed_param, _hyp1f1_pos, _positive_series,
+                              _scaled, _series_budget, _series_terms, _signed_series, gamma_fn,
                               kummer_1f1_one, lower_incomplete_gamma, quad_integral)
-from exptail.precision import PrecisionContext
+from exptail.precision import GUARD_BITS, PrecisionContext
 from exptail.remainders import b_value, r_frac, r_neg, r_obreshkov, r_tail
 
 # frozen from an independent high-precision constant (square root of pi)
@@ -326,3 +328,75 @@ def test_fixed_param_is_the_parameter_itself(p):
     # an int is itself
     if exact.denominator == 1:
         assert _fixed_param(int(exact)) == (int(exact), 1, 0)
+
+
+@st.composite
+def _series_case(draw):
+    """A precision and the a >= 1, b > 0 and 0 < x <= 2**(bitlen(wp) - 1) of
+    a series below the large-x switch: a = 1, 2, an order n + 1 <= 40 or a
+    fractional a; an integer or fractional b; x = 2**u, u in [-70,
+    bitlen(wp) - 1], as a float, as a full-width mpf or as an integer."""
+    bits = draw(st.sampled_from([53, 256, 1024]))
+    wp = bits + GUARD_BITS
+    top = wp.bit_length() - 1
+    a = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40),
+                       st.floats(1, 40).map(mpf)))
+    b = draw(st.one_of(st.integers(1, 60), st.floats(2.0 ** -40, 100).map(mpf)))
+    u = draw(st.floats(-70, top))
+    form = draw(st.sampled_from(["float", "wide", "integer"]))
+    with mp.workprec(wp):
+        if form == "wide":
+            x = mpf(2) ** mpf(u)
+        elif form == "integer" and u >= 0:
+            x = mpf(int(2.0 ** u))
+        else:
+            x = mpf(2.0 ** u)
+    return PrecisionContext(bits), a, b, min(x, mpf(2) ** top)
+
+
+def _series_outcome(series, *args):
+    """A series' raw value, or its error's text and raw best estimate."""
+    try:
+        return series(*args)._mpf_
+    except NumericalError as exc:
+        return str(exc), exc.best_estimate._mpf_
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_series_case(), short=st.integers(2, 60))
+def test_two_phase_series_is_the_one_phase_series(case, short):
+    # the kernel's x >= 0 loop skips the stop rule while the terms rise and
+    # tests it only for terms small enough to pass its gap; its values, and
+    # the error and best estimate of a budget too short, are bit for bit
+    # those of the loop that tests every term
+    ctx, a, b, x = case
+    budgets = []
+
+    def recorded(*args):
+        budgets.append(args[-1])
+        return _positive_series(*args)
+
+    with ctx.work(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_positive_series", recorded)
+        budget = _series_budget(x, ctx.bits)
+        reference = _series_outcome(_signed_series, a, b, x, ctx, 1, budget)
+        assert _series_outcome(_hyp1f1_pos, a, b, x, ctx) == reference
+        # below 2**(bitlen(wp) - 1) the kernel forms the budget inline
+        assert budgets == [budget]
+        for n in (budget, short):
+            assert (_series_outcome(_positive_series, a, b, x, ctx, 1, n)
+                    == _series_outcome(_signed_series, a, b, x, ctx, 1, n)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(man=st.integers(-(2 ** 2200), 2 ** 2200), zeros=st.integers(0, 300),
+       exp=st.integers(-3000, 3000),
+       scale=st.one_of(st.just(1), st.integers(-(2 ** 80), 2 ** 80), _kernel_params()),
+       wp=st.sampled_from([85, 288, 1056]))
+def test_unnormalised_sum_rounds_once_to_the_same_value(man, zeros, exp, scale, wp):
+    # the series hands its sum of more than wp bits to the product with
+    # scale with its trailing zeros; the product rounds the same exact value
+    man <<= zeros
+    expected = mpf_mul(from_int(scale) if type(scale) is int else scale._mpf_,
+                       from_man_exp(man, exp), wp, round_nearest)
+    assert _scaled(scale, man, exp, wp)._mpf_ == expected
