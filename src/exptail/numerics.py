@@ -256,8 +256,12 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     product with scale work on the raw libmp values, rounded as the mpf
     operators round, without their dispatch.  For b = +oo every term past
     the first vanishes.  For x >= 0 :func:`_positive_series` sums the
-    series; for x < 0, where the caller boosts the precision to absorb the
-    cancellation, :func:`_signed_series` does.
+    series in two phases: the terms up to the peak with no stop test,
+    which cannot fire there, and after it the test only for terms small
+    enough to pass it.  For a = 1 each term divides by b + k - 1 alone,
+    a one-digit divisor for an integer b.  For x < 0, where the caller
+    boosts the precision to absorb the cancellation, :func:`_signed_series`
+    sums it, testing every term.
 
     For an integer a <= b + 1 and x >= max(wp, 2b) a closed form replaces
     the series: a = 1 by :func:`_kummer_one_large_x`, and a >= 2 from

@@ -33,9 +33,10 @@ converts each argument by its kind, checks its bounds, holds the working
 precision and returns ``ctx.finalize`` of the result.  A call switches
 the precision once: it assigns ``mp.prec`` on entry and restores it on
 exit, and does neither where the caller already works at it.  It
-converts int and finite float arguments inline.  A numeric bound is held as its exact raw value and
-judged by ``libmp``'s comparisons, the ones the mpf operators call.  The
-inequality catalog declares its parameters with the same records.
+converts int and finite float arguments inline.  A numeric bound is held
+as its exact raw value and judged by ``libmp``'s comparisons, the ones
+the mpf operators call.  The inequality catalog declares its parameters
+with the same records.
 
 :func:`as_real` converts and does not validate; the declarations do.  A
 real is finite unless declared otherwise, so a nan or infinite x raises
