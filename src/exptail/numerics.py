@@ -2,13 +2,14 @@
 
 One kernel, :func:`_hyp1f1_pos`, sums every positive series of the
 package: the remainders, the lower incomplete gamma function and Kummer's
-1F1(1; b; x) are each a prefactor times one 1F1(a; b; x) with a >= 1,
-b > 0.  The kernel has two regimes, split at x = max(wp, 2b) with
-wp = bits + GUARD_BITS the working precision (:func:`_large_x`):
+1F1(1; b; x) are each a prefactor times one 1F1(a; b; x), x >= 0, with
+a >= 1, b > 0 or (1F1(1; b; x) at x < 0 transformed) 0 < a < 1, b = a + 1.
+The kernel has two regimes, split at x = max(wp, 2b) with wp = bits +
+GUARD_BITS the working precision (:func:`_large_x`):
 
-* below the switch it sums the series.  For x >= 0 all its terms are
-  positive, so no cancellation occurs and a truncation rule on the term
-  and the partial sum yields the requested relative accuracy directly.
+* below the switch it sums the series.  All its terms are positive, so
+  no cancellation occurs and a truncation rule on the term and the
+  partial sum yields the requested relative accuracy directly.
   It needs about x terms, so its cost grows linearly with x.  The terms
   are summed in two phases (:func:`_positive_series`): while they rise
   the truncation rule cannot fire and is not tested, and after the peak
@@ -27,8 +28,7 @@ it calls the kernel once per block of orders of
 and once per |R_n(-x)| (425 calls).  Below the switch the kernel refuses
 a series estimated to need more than MAX_SERIES_TERMS terms
 (:func:`_series_terms`: about max(0, x - b) up to its largest term, more
-near x = b at huge b); for x < 0, :func:`kummer_1f1_one` refuses
-|x| > X_MAX before boosting the precision.
+near x = b at huge b), kummer_1f1_one's at x < 0 included.
 :func:`arctan_fracint`, the fractional integral of arctan, sums two
 geometric series whose bounded cancellation is paid for with extra
 working bits.
@@ -57,12 +57,6 @@ from .precision import GUARD_BITS, Param, PrecisionContext, Real, _make, as_real
 
 # Hard cap on adaptive panels before quad_integral gives up.
 DEFAULT_PANEL_BUDGET = 4000
-
-# The largest |x| at which kummer_1f1_one sums its boosted series for x < 0:
-# about |x| terms at |x| log2(e) extra bits.  b = 1e4, x = -1.99e4 took
-# 0.67 s at 256 bits (pure-python mpmath, 2-core host); beyond it only the
-# large-|x| expansion, for |x| >= max(wp, 2b), is taken.
-X_MAX = 20000
 
 # The most terms the kernel's series is asked to sum; :func:`_series_terms`
 # estimates them before it starts.  1F1(2.5; 20006; 4.5e5), 4.4e5 terms,
@@ -140,8 +134,8 @@ def _fixed_param(p) -> tuple[int, int, int]:
     int or finite mpf p, read exactly from its raw value: an integer p is
     itself (s = 0), and otherwise p is its own mantissa over 2**-exp, so a
     short p such as a 53-bit float stays a short operand.  Every caller
-    forms p at or below the working precision, so n has at most that many
-    bits."""
+    but one forms p at or below the working precision, so n has at most
+    that many bits; kummer_1f1_one's step forms b + 1 exactly."""
     if type(p) is int:
         return p, 1, 0
     sign, man, exp, _ = p._mpf_
@@ -247,7 +241,8 @@ def _contiguous_up(a: int, b, x, f1) -> Real:
 
 
 def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
-    """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, a >= 1, b > 0.
+    """scale * 1F1(a; b; x) = scale * sum_k (a)_k/(b)_k x**k/k!, x >= 0, for
+    a >= 1, b > 0 or for 0 < a < 1, b = a + 1.
 
     Summed in integer fixed point at the active working precision wp, with
     x, a and b exact, as their own mantissas (:func:`_fixed_param`), so a
@@ -255,13 +250,13 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
     however small it is.  Its checks of the parameters and its final
     product with scale work on the raw libmp values, rounded as the mpf
     operators round, without their dispatch.  For b = +oo every term past
-    the first vanishes.  For x >= 0 :func:`_positive_series` sums the
-    series in two phases: the terms up to the peak with no stop test,
-    which cannot fire there, and after it the test only for terms small
-    enough to pass it.  For a = 1 each term divides by b + k - 1 alone,
-    a one-digit divisor for an integer b.  For x < 0, where the caller
-    boosts the precision to absorb the cancellation, :func:`_signed_series`
-    sums it, testing every term.
+    the first vanishes.  :func:`_positive_series` sums the series in two
+    phases: the terms up to the peak with no stop test, which cannot fire
+    there, and after it the test only for terms small enough to pass it.
+    For a = 1 each term divides by b + k - 1 alone, a one-digit divisor
+    for an integer b.  The stop rule needs only that the term ratio
+    x (a+k)/((b+k)(k+1)) falls for k >= 1, as it does for a >= 1 and, as
+    (a+k)(a+k+2) > k+1, for b = a + 1 (see :func:`_kummer_transformed`).
 
     For an integer a <= b + 1 and x >= max(wp, 2b) a closed form replaces
     the series: a = 1 by :func:`_kummer_one_large_x`, and a >= 2 from
@@ -302,8 +297,6 @@ def _hyp1f1_pos(a, b, x, ctx: PrecisionContext, scale=1) -> Real:
                               f"(at most {MAX_SERIES_TERMS}); the closed form needs an integer "
                               f"a <= b + 1 and x >= max(wp, 2b)")
         budget = min(budget, 2 * MAX_SERIES_TERMS)  # an estimate's miss stays bounded too
-    if xr[0]:
-        return _signed_series(a, b, x, ctx, scale, budget)
     return _positive_series(a, b, x, ctx, scale, budget)
 
 
@@ -314,64 +307,17 @@ def _tolerance(ctx: PrecisionContext) -> int:
     return 2 - texp - tbc
 
 
-def _signed_series(a, b, x, ctx: PrecisionContext, scale, budget: int) -> Real:
-    """The series of :func:`_hyp1f1_pos` for x of either sign, testing the
-    stop rule at every term; it sums kummer_1f1_one's x < 0 and is the
-    reference of :func:`_positive_series`.
-
-    The sum starts at 1 and for x >= 0 no term is negative, so each
-    truncation of 2**-wp is a relative error.  Once the sum passes 2*wp
-    bits, sum and term are shifted down together into an exponent, so the
-    integers stay short however large x is.  With a >= 1 the term ratio
-    r decreases in k, so the rest of the series is below term * r/(1-r)
-    once r < 1.  Past ``budget`` terms it raises :class:`NumericalError`.
-    """
-    wp = mp.prec
-    tol = _tolerance(ctx)
-    na, da, sa = _fixed_param(a)
-    nb, db, sb = _fixed_param(b)
-    xm, _, sx = _fixed_param(x)
-    # term * xm * na carries sx + sa - sb fractional bits more than term
-    up, down = max(0, sb - sx - sa), max(0, sx + sa - sb)
-    af, bf = to_float(_raw(a), False, round_nearest), to_float(_raw(b), False, round_nearest)
-    xf = abs(to_float(x._mpf_, False, round_nearest))
-    term = total = 1 << wp
-    exp, top = -wp, 2 * wp
-    for k in range(1, budget):
-        term = (term * xm * na << up) // (nb * k << down)
-        if not term:  # every later term is 0 too; past the float range r would be nan
-            break
-        total += term
-        size = total.bit_length()
-        gap = size - term.bit_length() - tol
-        if gap >= 0:
-            # term < 2**-gap * target * total, and the rest of the series
-            # is below term * r/(1-r) with r the next term ratio
-            r = xf * (af + k) / ((bf + k) * (k + 1))
-            if r <= (1 - r) * 2.0 ** min(gap, 64):
-                break
-        if size > top:
-            term >>= wp
-            total >>= wp
-            exp += wp
-        na += da
-        nb += db
-    else:
-        raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",
-                             best_estimate=ctx.finalize(_scaled(scale, total, exp, wp)))
-    return _scaled(scale, total, exp, wp)
-
-
 def _rise_end(af: float, bf: float, xf: float, last: int) -> int:
     """The largest k <= last up to which every float term ratio
     r_j = xf (af + j) / ((bf + j)(j + 1)) of the stop rule is >= 1, or 0.
 
     Taken one below the larger root of r_k = 1 (the k of
     :func:`_series_terms`) and kept only if its own float r_k is finite
-    and at least 1 + 2**-40: for af >= 1 the exact ratio of the float
-    inputs falls strictly in k, and each float r_j is within 6 ulp of it,
-    so every earlier float r_j is >= 1 too.  A root lost to rounding or
-    overflow gives 0, which costs time, never a value."""
+    and at least 1 + 2**-40: for af >= 1, and for j >= 1 where bf is
+    af + 1, the exact ratio of the float inputs falls strictly in j, and
+    each float r_j is within 6 ulp of it, so every earlier float r_j is
+    >= 1 too.  A root lost to rounding or overflow gives 0, which costs
+    time, never a value."""
     p, q = xf - bf - 1, xf * af - bf
     disc = p * p + 4 * q
     if not disc > 0 or p <= 0 and q <= 0:
@@ -388,8 +334,9 @@ def _rise_end(af: float, bf: float, xf: float, last: int) -> int:
 
 
 def _positive_series(a, b, x, ctx: PrecisionContext, scale, budget: int) -> Real:
-    """The series of :func:`_hyp1f1_pos` for x >= 0 in two phases, with the
-    value and the error of :func:`_signed_series` bit for bit.
+    """The series of :func:`_hyp1f1_pos` in two phases, with the value and
+    the error, bit for bit, of one loop that tests the stop rule at every
+    term (the tests' reference).
 
     While the next term ratio r_k is >= 1 (up to :func:`_rise_end`) the
     stop rule cannot fire, and the terms are added with no test.  After the
@@ -410,7 +357,7 @@ def _positive_series(a, b, x, ctx: PrecisionContext, scale, budget: int) -> Real
     xu, down = xm << max(0, sb - sx - sa), max(0, sx + sa - sb)
     af, bf = to_float(_raw(a), False, round_nearest), to_float(_raw(b), False, round_nearest)
     xf = to_float(x._mpf_, False, round_nearest)
-    rise = _rise_end(af, bf, xf, budget - 1)
+    rise = _rise_end(af, bf, xf, budget - 2)
     one = na == da == 1 and not sa  # a = 1
     term = total = 1 << wp
     exp, top = -wp, 2 * wp
@@ -543,26 +490,53 @@ def lower_incomplete_gamma(v, x, ctx: PrecisionContext) -> Real:
     return _hyp1f1_pos(1, v + 1, x, ctx, x**v * mp.exp(-x) / v)
 
 
+def _kummer_transformed(b, x, ctx: PrecisionContext, scale=1) -> Real:
+    """scale * 1F1(1; b; x) = scale e**x 1F1(b-1; b; -x) (DLMF 13.2.39), b > 1,
+    x < 0, summed to target_rel_err/2 to leave room for the roundings.  For
+    b < 2 the terms dip to (b-1)|x|/b at k = 1 before they rise, and each
+    later term is formed from that one: the sum holds as many more bits."""
+    dip = max(0, -mp.mag((b - 1) * x / b)) if b < 2 else 0
+    half = PrecisionContext(ctx.bits + 1, ctx.target_rel_err / 2)
+    with mp.workprec(mp.prec + dip):
+        try:
+            return _hyp1f1_pos(b - 1, b, -x, half, scale * mp.exp(x))
+        except DomainError as exc:  # refused by its term estimate
+            raise DomainError(f"1F1(1; {b}; {x}) = e**x {exc}") from None
+
+
 @declared(Param("b", gt=0, finite=False), Param("x"))
 def kummer_1f1_one(b, x, ctx: PrecisionContext) -> Real:
     """1F1(1; b; x) = sum_k x**k / (b)_k with (b)_k the rising factorial.
 
-    All terms are positive for x >= 0.  For x < 0 the partial sums cancel
-    down to roughly e**x times their peak, so above x = -max(wp, 2b) the
-    working precision is boosted by |x|*log2(e) bits, at most
-    1.45 max(wp, 2b), to keep the requested relative accuracy; from there
-    on the expansion of :func:`_kummer_one_large_x` replaces the series.
-    The boosted series costs about |x| terms, so it is refused with a
-    :class:`DomainError` beyond |x| = X_MAX.
+    All terms are positive for x >= 0.  For x < 0 it is e**x at b = 1, the
+    expansion of :func:`_kummer_one_large_x` from x = -max(wp, 2b) on, and
+    above it one positive series for b > 1 (:func:`_kummer_transformed`).
+    For 0 < b < 1 it takes one step, 1F1(1; b; x) = 1 - s with
+    s = (-x/b) 1F1(1; b+1; x), whose subtraction loses up to
+    mag s - mag(1 - s) + 1 bits, all of them at the one negative zero.  The
+    loss is measured, and the step repeated with as many more bits and a
+    target tighter by as many, until 1 - s keeps target_rel_err; past 4 wp
+    extra bits it raises :class:`NumericalError`.
     """
-    if x < 0 and _large_x(b, -x, ctx):
-        return _kummer_one_large_x(b, x, ctx)
-    if x < -X_MAX:
-        raise DomainError(f"kummer_1f1_one at x < -{X_MAX} needs |x| >= max(wp, 2b), "
-                          f"got b={b}, x={x}")
-    boost = int(abs(float(x)) * 1.4427) + 16 if x < 0 else 0
-    with ctx.work(boost):
+    if x >= 0 or not mp.isfinite(b):
         return _hyp1f1_pos(1, b, x, ctx)
+    if _large_x(b, -x, ctx):
+        return _kummer_one_large_x(b, x, ctx)
+    if b >= 1:
+        return _kummer_transformed(b, x, ctx) if b > 1 else mp.exp(x)
+    b1, extra, cap = mp.fadd(b, 1, exact=True), GUARD_BITS, 4 * (ctx.bits + GUARD_BITS)
+    while True:
+        # the series' stop rule reads its context's target, not mp.prec
+        step = PrecisionContext(ctx.bits + extra, mp.ldexp(ctx.target_rel_err, -extra))
+        with step.work():
+            s = _kummer_transformed(b1, x, step, -x / b)
+            value = 1 - s  # s errs by < target/2**(extra+1): 1 - s by < target/4 if lost < extra
+            lost = mp.mag(s) - mp.mag(value) + 1 if value else mp.prec
+        if lost < extra:
+            return value
+        if extra >= cap:
+            raise NumericalError(f"1F1(1; {b}; {x}) loses over {cap} bits near its zero")
+        extra = min(max(lost + 1, 2 * extra), cap)
 
 
 class QuadResult(NamedTuple):

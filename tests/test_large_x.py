@@ -14,8 +14,7 @@ import exptail
 import exptail.numerics as numerics
 from conftest import rel_err
 from exptail.cli import main
-from exptail.errors import DomainError
-from exptail.numerics import X_MAX, kummer_1f1_one, lower_incomplete_gamma
+from exptail.numerics import kummer_1f1_one, lower_incomplete_gamma
 from exptail.precision import GUARD_BITS, PrecisionContext
 from exptail.remainders import (b_value, eps_value, g_ratio, q_value, r_frac, r_neg,
                                 r_obreshkov, r_tail)
@@ -203,15 +202,28 @@ def test_eval_kummer_at_huge_negative_x_exits_0(x):
 
 
 def test_kummer_beyond_x_max_refused_at_once(capsys):
-    # for |x| < 2b the large-|x| expansion does not apply, and the boosted
-    # series would need ~|x| terms: b = 1e5, x = -1.5e5 took 26.5 s
+    # for |x| < 2b the large-|x| expansion does not apply; Kummer's
+    # transformation makes b = 1e5, x = -1.5e5 one positive series of about
+    # 1.5e5 terms, a value, and a point whose series the kernel's term
+    # estimate puts past MAX_SERIES_TERMS is refused before it starts
     start = time.monotonic()
     code = main(["eval", "--quantity", "kummer", "--b", "1e5", "--x=-1.5e5"])
+    assert time.monotonic() - start < 2
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err
+    ctx = PrecisionContext(256)
+    value = mpf(out.splitlines()[0])
+    with mp.workprec(ctx.bits + 200):
+        # mpmath's series does not converge here; the Euler integral
+        # (b-1) * integral of e**(x t) (1-t)**(b-2) over (0, 1) (DLMF 13.4.1)
+        b, x = mpf(10) ** 5, mpf("-1.5e5")
+        expected = (b - 1) * mp.quad(lambda t: mp.exp(x * t + (b - 2) * mp.log1p(-t)),
+                                     [0, mpf("1e-6"), mpf("1e-5"), mpf("1e-4"), mpf("1e-3"), 1])
+        assert abs(value - expected) <= ctx.target_rel_err * abs(expected)
+    start = time.monotonic()
+    code = main(["eval", "--quantity", "kummer", "--b", "1e6", "--x=-1.5e6"])
     assert time.monotonic() - start < 1
     assert code == 2 and "Traceback" not in capsys.readouterr().err
-    ctx = PrecisionContext(256)
-    with pytest.raises(DomainError):
-        kummer_1f1_one(mpf(10) ** 5, -mpf(X_MAX) - 1, ctx)
 
 
 def test_kummer_huge_b_within_x_max_against_mpmath():

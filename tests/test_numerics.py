@@ -5,16 +5,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_mul, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_mul, round_nearest, to_float
 
 import exptail.numerics as numerics
 from conftest import rel_err
 from exptail.errors import DomainError, NumericalError
-from exptail.numerics import (MAX_SERIES_TERMS, _fixed_param, _hyp1f1_pos, _positive_series,
-                              _scaled, _series_budget, _series_terms, _signed_series, gamma_fn,
+from exptail.numerics import (MAX_SERIES_TERMS, _fixed_param, _hyp1f1_pos, _positive_series, _raw,
+                              _scaled, _series_budget, _series_terms, _tolerance, gamma_fn,
                               kummer_1f1_one, lower_incomplete_gamma, quad_integral)
 from exptail.precision import GUARD_BITS, PrecisionContext
 from exptail.remainders import b_value, r_frac, r_neg, r_obreshkov, r_tail
@@ -183,6 +183,60 @@ def test_kummer_negative_argument(ctx):
     assert rel_err(kummer_1f1_one(2, -x, ctx), ref) < 10 * ctx.target_rel_err
 
 
+@st.composite
+def _kummer_negative_case(draw):
+    """A precision, a b in (0, 10**4], as a float or as 10**v, v in [-3, 4],
+    or one of b = 1, 1 + 2**-bits and +oo, and an x < 0 above the
+    large-|x| switch, -x = 10**u from 1e-6 up to max(wp, 2b) (2e4 for
+    b = +oo), formed at the working precision wp."""
+    bits = draw(st.sampled_from([53, 256, 1024]))
+    wp = bits + GUARD_BITS
+    with mp.workprec(wp):
+        b = draw(st.one_of(st.floats(0, 1e4, exclude_min=True).map(mpf),
+                           st.floats(-3, 4).map(lambda v: mpf(10) ** mpf(v)),
+                           st.sampled_from([mpf(1), 1 + mpf(2) ** -bits, mpf("inf")])))
+        top = min(max(wp, 2 * b), 20000)
+        x = -mpf(10) ** mpf(draw(st.floats(-6, math.log10(top))))
+        if -x >= top:
+            x = -top * (1 - mpf(2) ** -20)
+    return PrecisionContext(bits), b, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_kummer_negative_case())
+@example(case=(PrecisionContext(53), 1 + mpf(2) ** -53, mpf(-50)))
+@example(case=(PrecisionContext(256), 1 + mpf(2) ** -256, mpf(-250)))
+def test_kummer_negative_x_is_one_positive_series(case):
+    # below the large-|x| switch 1F1(1; b; x) at x < 0 is e**x 1F1(b-1; b; -x)
+    # for b > 1 and one measured step up from it for b < 1; at b = 1 + 2**-bits
+    # the series' terms dip to about 2**-bits |x| at k = 1 before they rise
+    ctx, b, x = case
+    value = kummer_1f1_one(b, x, ctx)
+    with mp.workprec(ctx.bits + 200 + int(1.5 * abs(x))):
+        expected = mpf(1) if mp.isinf(b) else mp.hyp1f1(1, b, x)
+        assert abs(value - expected) <= ctx.target_rel_err * abs(expected), (b, x)
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+@pytest.mark.parametrize("offset", [40, 55])
+def test_kummer_near_its_zero_keeps_the_relative_target(bits, offset):
+    # 1F1(1; 0.9; x) vanishes at x ~ -3.17028; at 2**-offset from it the
+    # step 1 + (x/b) 1F1(1; b+1; x) loses about offset bits, which are
+    # measured and added (the alternating series with a fixed boost missed
+    # the target there by up to 37 times at 53 bits)
+    ctx = PrecisionContext(bits)
+    with mp.workprec(bits + GUARD_BITS):
+        b = mpf("0.9")
+    with mp.workprec(bits + 400):
+        zero = mp.findroot(lambda t: mp.hyp1f1(1, b, t), mpf("-3.17"))
+    with mp.workprec(bits + GUARD_BITS):
+        x = zero + mpf(2) ** -offset
+    value = kummer_1f1_one(b, x, ctx)
+    with mp.workprec(bits + 400):
+        expected = mp.hyp1f1(1, b, x)
+        assert abs(value - expected) <= ctx.target_rel_err * abs(expected)
+
+
 def test_kummer_tail_identity(ctx):
     # r_tail(n, x) = x**(n+1)/(n+1)! * 1F1(1; n+2; x)
     for n in range(9):
@@ -332,16 +386,22 @@ def test_fixed_param_is_the_parameter_itself(p):
 
 @st.composite
 def _series_case(draw):
-    """A precision and the a >= 1, b > 0 and 0 < x <= 2**(bitlen(wp) - 1) of
-    a series below the large-x switch: a = 1, 2, an order n + 1 <= 40 or a
-    fractional a; an integer or fractional b; x = 2**u, u in [-70,
-    bitlen(wp) - 1], as a float, as a full-width mpf or as an integer."""
+    """A precision and the a, b and 0 < x <= 2**(bitlen(wp) - 1) of a series
+    below the large-x switch: a = 1, 2, an order n + 1 <= 40 or a fractional
+    a >= 1 with an integer or fractional b, or a in (0, 1) with b = a + 1
+    exactly, as kummer_1f1_one's transformed series at x < 0 forms them;
+    x = 2**u, u in [-70, bitlen(wp) - 1], as a float, as a full-width mpf
+    or as an integer."""
     bits = draw(st.sampled_from([53, 256, 1024]))
     wp = bits + GUARD_BITS
     top = wp.bit_length() - 1
     a = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40),
-                       st.floats(1, 40).map(mpf)))
-    b = draw(st.one_of(st.integers(1, 60), st.floats(2.0 ** -40, 100).map(mpf)))
+                       st.floats(1, 40).map(mpf),
+                       st.floats(0, 1, exclude_min=True, exclude_max=True).map(mpf)))
+    if a < 1:
+        b = mp.fadd(a, 1, exact=True)
+    else:
+        b = draw(st.one_of(st.integers(1, 60), st.floats(2.0 ** -40, 100).map(mpf)))
     u = draw(st.floats(-70, top))
     form = draw(st.sampled_from(["float", "wide", "integer"]))
     with mp.workprec(wp):
@@ -354,6 +414,53 @@ def _series_case(draw):
     return PrecisionContext(bits), a, b, min(x, mpf(2) ** top)
 
 
+def _signed_series(a, b, x, ctx: PrecisionContext, scale, budget: int):
+    """The series of ``numerics._hyp1f1_pos`` in one phase, testing the stop
+    rule at every term: the reference of ``numerics._positive_series``.
+
+    The sum starts at 1 and no term is negative, so each truncation of
+    2**-wp is a relative error.  Once the sum passes 2*wp bits, sum and term
+    are shifted down together into an exponent, so the integers stay short
+    however large x is.  With the term ratio r falling in k >= 1, the rest
+    of the series is below term * r/(1-r) once r < 1.  Past ``budget``
+    terms it raises :class:`NumericalError`.
+    """
+    wp = mp.prec
+    tol = _tolerance(ctx)
+    na, da, sa = _fixed_param(a)
+    nb, db, sb = _fixed_param(b)
+    xm, _, sx = _fixed_param(x)
+    # term * xm * na carries sx + sa - sb fractional bits more than term
+    up, down = max(0, sb - sx - sa), max(0, sx + sa - sb)
+    af, bf = to_float(_raw(a), False, round_nearest), to_float(_raw(b), False, round_nearest)
+    xf = abs(to_float(x._mpf_, False, round_nearest))
+    term = total = 1 << wp
+    exp, top = -wp, 2 * wp
+    for k in range(1, budget):
+        term = (term * xm * na << up) // (nb * k << down)
+        if not term:  # every later term is 0 too; past the float range r would be nan
+            break
+        total += term
+        size = total.bit_length()
+        gap = size - term.bit_length() - tol
+        if gap >= 0:
+            # term < 2**-gap * target * total, and the rest of the series
+            # is below term * r/(1-r) with r the next term ratio
+            r = xf * (af + k) / ((bf + k) * (k + 1))
+            if r <= (1 - r) * 2.0 ** min(gap, 64):
+                break
+        if size > top:
+            term >>= wp
+            total >>= wp
+            exp += wp
+        na += da
+        nb += db
+    else:
+        raise NumericalError(f"1F1({a}; {b}; {x}) series did not converge",
+                             best_estimate=ctx.finalize(_scaled(scale, total, exp, wp)))
+    return _scaled(scale, total, exp, wp)
+
+
 def _series_outcome(series, *args):
     """A series' raw value, or its error's text and raw best estimate."""
     try:
@@ -364,6 +471,7 @@ def _series_outcome(series, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_series_case(), short=st.integers(2, 60))
+@example(case=(PrecisionContext(53), mpf(5e-324), mp.fadd(5e-324, 1, exact=True), mpf(8)), short=2)
 def test_two_phase_series_is_the_one_phase_series(case, short):
     # the kernel's x >= 0 loop skips the stop rule while the terms rise and
     # tests it only for terms small enough to pass its gap; its values, and
