@@ -105,11 +105,11 @@ from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_mul
                           round_nearest)
 
 from .errors import DomainError, NumericalError, PoleError, UsageError
-from .numerics import arctan_fracint, gamma_fn
+from .numerics import _power, _real_pow, arctan_fracint, gamma_fn
 from .pade import MAX_PADE_ORDER, eval_approximant, pade_exp
 from .precision import (GUARD_BITS, KINDS, Param, PrecisionContext, Real, _fit, _make, as_real,
                         bounds, breach, convert, declared, log)
-from .remainders import _power, finite_diff, r_frac_ladder, r_neg
+from .remainders import finite_diff, r_frac_ladder, r_neg
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,8 @@ def chebyshev_constant(p, a, b, ctx: PrecisionContext) -> Real:
 @declared(Param("nu"), Param("a"), Param("theta"))
 def interp_constant(nu, a, theta, ctx: PrecisionContext) -> Real:
     """Interpolation constant Gamma(nu+2)**(1-t) Gamma(nu+a+2)**t / Gamma(nu+at+2)."""
-    return (gamma_fn(nu + 2, ctx) ** (1 - theta) * gamma_fn(nu + a + 2, ctx) ** theta
-            / gamma_fn(nu + a * theta + 2, ctx))
+    return (_real_pow(gamma_fn(nu + 2, ctx), 1 - theta)
+            * _real_pow(gamma_fn(nu + a + 2, ctx), theta) / gamma_fn(nu + a * theta + 2, ctx))
 
 
 def interp_constant_power(nu: int, a: int, theta: Fraction) -> Fraction:
@@ -179,8 +179,8 @@ def interp_constant_power(nu: int, a: int, theta: Fraction) -> Fraction:
 @declared(Param("nu"), Param("a"), Param("p"))
 def cor25_constant(nu, a, p, ctx: PrecisionContext) -> Real:
     """Gamma(nu+2)**(p-1) Gamma(nu+a+2) / Gamma(nu+a/p+2)**p."""
-    return (gamma_fn(nu + 2, ctx) ** (p - 1) * gamma_fn(nu + a + 2, ctx)
-            / gamma_fn(nu + a / p + 2, ctx) ** p)
+    return (_real_pow(gamma_fn(nu + 2, ctx), p - 1) * gamma_fn(nu + a + 2, ctx)
+            / _real_pow(gamma_fn(nu + a / p + 2, ctx), p))
 
 
 def cor26_constant(n: int, k: int) -> Fraction:
@@ -195,7 +195,8 @@ def cor26_constant(n: int, k: int) -> Fraction:
 def cor27_constant(n, a, b, ctx: PrecisionContext) -> Real:
     """(Gamma(n+2)/Gamma(n+b+2))**a (Gamma(n+a+2)/Gamma(n+2))**b."""
     g_n = gamma_fn(n + 2, ctx)
-    return (g_n / gamma_fn(n + b + 2, ctx)) ** a * (gamma_fn(n + a + 2, ctx) / g_n) ** b
+    return (_real_pow(g_n / gamma_fn(n + b + 2, ctx), a)
+            * _real_pow(gamma_fn(n + a + 2, ctx) / g_n, b))
 
 
 def neg_gen_k_constant(n: int, k: int) -> Fraction:
@@ -368,8 +369,8 @@ def _closed_fracint(fname: str, order, x, ctx) -> Real:
         return arctan_fracint(order, x, ctx)
     gamma = gamma_fn(order + 2, ctx)
     with ctx.work(max(0, mp.mag(x))):
-        kink = (x - 1) ** (order + 1) if x > 1 else 0
-        return (x ** (order + 1) - kink) / gamma
+        kink = _real_pow(x - 1, order + 1) if x > 1 else 0
+        return (_real_pow(x, order + 1) - kink) / gamma
 
 
 class Evaluator:
@@ -474,7 +475,7 @@ class Evaluator:
     def _kum(self, b, x) -> Real:
         """1F1(1; b; x) = Gamma(b) R_{b-2}(x) / x**(b-1) for b > 1."""
         return self._get(("kum", b._mpf_, x._mpf_), self._derived, b, -2, x,
-                         lambda rem: mp.gamma(b) * rem / x ** (b - 1))
+                         lambda rem: mp.gamma(b) * rem / _real_pow(x, b - 1))
 
     def _qv(self, n: int, x) -> Real:
         """Q_n(x) = log1p((n+1)! R_{n+1}(x) / x**(n+1)) / x, n >= 1."""
@@ -864,7 +865,7 @@ def _ev_strength36(p, ev):
 def _ev_kim37(p, ev):
     nu, y, rf = p["nu"], p["y"], ev._rf
     c, inv_y, nu1, ry = ev._constant(gamma_fn, nu + 2), 1 / y, nu + 1, rf(nu, y)
-    return lambda x: (rf(nu, x + y), c * (1 / x + inv_y) ** nu1 * rf(nu, x) * ry)
+    return lambda x: (rf(nu, x + y), c * _real_pow(1 / x + inv_y, nu1) * rf(nu, x) * ry)
 
 
 def _ev_kim38(p, ev):
@@ -874,15 +875,16 @@ def _ev_kim38(p, ev):
 
     def sides(x):
         xp = x + py
-        bracket = (x + y) / (xp ** inv_p * x ** inv_q)
-        return bracket ** nu1 * rf(nu, xp) ** inv_p * rf(nu, x) ** inv_q, rf(nu, x + y)
+        bracket = (x + y) / (_real_pow(xp, inv_p) * _real_pow(x, inv_q))
+        return (_real_pow(bracket, nu1) * _real_pow(rf(nu, xp), inv_p)
+                * _real_pow(rf(nu, x), inv_q), rf(nu, x + y))
     return sides
 
 
 def _ev_kim39(p, ev):
     nu, nu1, rf = p["nu"], p["nu"] + 1, ev._rf
-    c = ev._constant(gamma_fn, nu + 2) * mpf(2) ** nu1
-    return lambda x: (rf(nu, 2 * x), c / x ** nu1 * rf(nu, x) ** 2)
+    c = ev._constant(gamma_fn, nu + 2) * _real_pow(mpf(2), nu1)
+    return lambda x: (rf(nu, 2 * x), c / _real_pow(x, nu1) * rf(nu, x) ** 2)
 
 
 def _ev_kim40(p, ev):
@@ -890,7 +892,7 @@ def _ev_kim40(p, ev):
     # sum-point value against the bracket to the power nu+1.
     nu, y, rf = p["nu"], p["y"], ev._rf
     nu1, r2y = nu + 1, rf(nu, 2 * y)
-    return lambda x: (((x + y) ** 2 / (4 * x * y)) ** nu1 * rf(nu, 2 * x) * r2y,
+    return lambda x: (_real_pow((x + y) ** 2 / (4 * x * y), nu1) * rf(nu, 2 * x) * r2y,
                       rf(nu, x + y) ** 2)
 
 

@@ -31,7 +31,11 @@ a series estimated to need more than MAX_SERIES_TERMS terms
 near x = b at huge b), kummer_1f1_one's at x < 0 included.
 :func:`arctan_fracint`, the fractional integral of arctan, sums two
 geometric series whose bounded cancellation is paid for with extra
-working bits.
+working bits.  Every real power x**e of the evaluation paths is
+exp(e log x) (:func:`_power`), and every log x comes from :func:`_log`:
+mpmath's ``mpf_log`` value bit for bit, from small tables built once per
+precision, with ``mpf_log`` itself as the fallback where Ziv's rounding
+test fails, so mpmath's lazily filled log table stays cold.
 
 ``quad_integral`` is deliberately an independent second route: adaptive
 bisection with a fixed-order Gauss-Legendre rule per panel.  An algebraic
@@ -44,13 +48,16 @@ tests.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fnan, from_int, from_man_exp, mpf_abs, mpf_ge, mpf_mul, mpf_mul_int,
-                          mpf_shift, round_nearest, to_fixed, to_float, to_int)
+from mpmath.libmp import (fnan, from_int, from_man_exp, mpf_abs, mpf_exp, mpf_ge, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_pow, mpf_shift, round_nearest, to_fixed, to_float,
+                          to_int)
+from mpmath.libmp.libelefun import ln2_fixed, log_taylor
 
 from .errors import DomainError, NumericalError
 from .precision import GUARD_BITS, Param, PrecisionContext, Real, _make, as_real, declared
@@ -79,6 +86,86 @@ def _scaled(scale, man: int, exp: int, wp: int) -> Real:
     bc = man.bit_length()
     raw = (0, man, exp, bc) if man > 0 and bc > wp else from_man_exp(man, exp)
     return _make(mpf_mul(_raw(scale), raw, wp, round_nearest))
+
+
+@functools.lru_cache(maxsize=8)
+def _log_tables(bits: int) -> tuple:
+    """ln 2 and log(1 + j/2**K), j < 32, for K = 5 and 10, in units of
+    2**-bits, each within 1.01 units: by ``log_taylor`` at 20 more bits."""
+    def logs(k):
+        return tuple(log_taylor((1 << bits + 20) + (j << bits + 20 - k), bits + 20) >> 20
+                     for j in range(32))
+    return ln2_fixed(bits), logs(5), logs(10)
+
+
+def _log(raw, prec: int) -> tuple:
+    """``mpf_log(raw, prec, round_nearest)`` bit for bit, for a raw value.
+
+    With x = y 2**(mag-1), y in [1, 2), log x = log(1 + j1/32) +
+    log(1 + j2/1024) + 2 atanh(v) + (mag-1) ln 2: y divided by 1 + j1/32 and
+    then by 1 + j2/1024 lies in [1, 1 + 2**-10), so v = (y-1)/(y+1) <
+    2**-11 and the series takes about wp/22 terms, summed in integer fixed
+    point at wp = prec + 40 bits (Tang's two-level reduction).  The tables
+    (:func:`_log_tables`) are built once per 64-bit bucket.  This sum errs
+    by under 16 + wp/8 + |mag| units of 2**-wp; ``mpf_log``'s own (its
+    Taylor route below 2,500 bits) by under 10 + wp'/15 + 1.01 |mag| units
+    of 2**-wp', wp' >= prec + 20.  The window (64 + prec/8 + 2 |mag|) 2**20
+    holds both, so where both ends of it round to one value at prec,
+    ``mpf_log``'s does too (Ziv's test); else, and for zero, negative or
+    special x, prec > 2,400 (mpmath's AGM route) or |mag| >= 2**prec,
+    ``mpf_log`` is called.  A log within about 2**-12 of 0 fails the test."""
+    sign, man, exp, bc = raw
+    mag = exp + bc
+    if sign or not man or prec > 2400 or abs(mag) >> prec:
+        return mpf_log(raw, prec, round_nearest)
+    wp = prec + 40
+    bits = (wp | 63) + 1
+    ln2, t1, t2 = _log_tables(bits)
+    y = man << wp + 1 - bc if bc <= wp + 1 else man >> bc - wp - 1
+    j1 = (y >> wp - 5) - 32
+    y = (y << 5) // (32 + j1)
+    j2 = (y >> wp - 10) - 1024
+    y = (y << 10) // (1024 + j2)
+    one = 1 << wp
+    v = (y - one << wp) // (y + one)
+    # atanh v = s0 + v**2 s1, s0 over the powers v**(4i+1), s1 over v**(4i+3)
+    v2 = v * v >> wp
+    v4, s0, s1, k = v2 * v2 >> wp, v, v // 3, 5
+    while v:
+        v = v * v4 >> wp
+        s0 += v // k
+        s1 += v // (k + 2)
+        k += 4
+    m = 2 * (s0 + (s1 * v2 >> wp)) + (t1[j1] + t2[j2] + (mag - 1) * ln2 >> bits - wp)
+    # the window m +- err lies within a quarter unit (2**sh) of the last
+    # kept bit and clear of the halfway point of m's unit: it rounds as m
+    err, a = 64 + prec // 8 + 2 * abs(mag) << 20, abs(m)
+    sh = a.bit_length() - prec
+    if sh > 2 and err < 1 << sh - 2 and abs((a & (1 << sh) - 1) - (1 << sh - 1)) > err:
+        return from_man_exp(m, -wp, prec, round_nearest)
+    return mpf_log(raw, prec, round_nearest)
+
+
+def _memo_free(key, compute, *args):
+    """The ``memo`` of a caller without one: every value computed."""
+    return compute(*args)
+
+
+def _power(x, e, wp: int, memo=_memo_free):
+    """x**e for raw x >= 0 and e, rounded as ``mpf_pow`` rounds it at wp:
+    integer and half-integer powers by ``mpf_pow`` itself, others as
+    exp(e log x) with log x at wp + 10 bits by :func:`_log`, taken from
+    ``memo`` (as for :func:`.remainders.r_frac_ladder`)."""
+    if e[2] >= -1:
+        return mpf_pow(x, e, wp, round_nearest)
+    log_x = memo(("log", x), _log, x, wp + 10)
+    return mpf_exp(mpf_mul(e, log_x), wp, round_nearest)
+
+
+def _real_pow(x, e) -> Real:
+    """The mpf x ** e for an mpf x >= 0 and an int or mpf e, bit for bit,
+    by :func:`_power` at the active precision."""
+    return _make(_power(x._mpf_, _raw(e), mp.prec))
 
 
 def _series_budget(x, bits: int) -> int:
@@ -185,7 +272,7 @@ def _kummer_one_large_x(b, x, ctx: PrecisionContext) -> Real:
     # exp's argument x - s log|x|, |.| <= |x| (|s| + 1), is formed to an
     # absolute 2**-wp, with s taken from b again at that precision
     with mp.workprec(wp + mp.mag(x) + mp.mag(abs(s) + 1)):
-        arg = x - (b - 1) * mp.log(abs(x))
+        arg = x - (b - 1) * _make(_log(mpf_abs(x._mpf_, mp.prec, round_nearest), mp.prec))
     lead = mp.gamma(b) * mp.exp(arg)
     if x < 0:
         lead *= mp.cospi(s)
@@ -455,7 +542,7 @@ def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
                 break
             pr, pi = (pr * zr - pi * zi) >> s, (pr * zi + pi * zr) >> s
             na += da
-        total = h ** (order + 1) / w2 * mp.ldexp(sr + x * si, -s)
+        total = _real_pow(h, order + 1) / w2 * mp.ldexp(sr + x * si, -s)
         if d:
             atan_d = mp.atan(d)
             inv_d = to_fixed((1 / d)._mpf_, wp)
@@ -474,7 +561,7 @@ def arctan_fracint(order, x, ctx: PrecisionContext) -> Real:
                 if j >= order and abs(term) <= stop:
                     break
                 j_prev, j_cur = j_cur, ((1 << wp) // j - (j_prev * inv_d >> wp)) * inv_d >> wp
-            total += x**order * mp.ldexp(near0, -wp)
+            total += _real_pow(x, order) * mp.ldexp(near0, -wp)
         return total / gamma
 
 
@@ -487,7 +574,7 @@ def lower_incomplete_gamma(v, x, ctx: PrecisionContext) -> Real:
     """
     if mp.isinf(v) and x > 0:
         raise NumericalError(f"incomplete gamma series does not converge for v={v}")
-    return _hyp1f1_pos(1, v + 1, x, ctx, x**v * mp.exp(-x) / v)
+    return _hyp1f1_pos(1, v + 1, x, ctx, _real_pow(x, v) * mp.exp(-x) / v)
 
 
 def _kummer_transformed(b, x, ctx: PrecisionContext, scale=1) -> Real:

@@ -29,11 +29,11 @@ import enum
 import math
 from dataclasses import dataclass
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, mpf_div, mpf_exp, mpf_gamma, mpf_log, mpf_mul, mpf_pow,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, mpf_div, mpf_gamma, round_nearest
 
 from .errors import DomainError, NumericalError, UsageError
-from .numerics import _hyp1f1_pos, _series_budget, quad_integral
+from .numerics import (_hyp1f1_pos, _memo_free, _power, _real_pow, _series_budget,
+                       quad_integral)
 from .precision import GUARD_BITS, Param, PrecisionContext, Real, _make, as_real, declared
 
 _N0, _N1 = Param("n", int, ge=0), Param("n", int, ge=1)
@@ -77,11 +77,6 @@ class DiffTable:
     k: int
 
 
-def _memo_free(key, compute, *args):
-    """The ``memo`` of a caller without one: every value computed."""
-    return compute(*args)
-
-
 @declared(_N0, _X0)
 def r_tail(n: int, x, ctx: PrecisionContext) -> Real:
     """Tail sum_{k>n} x**k/k! = x**(n+1)/(n+1)! 1F1(1; n+2; x), x >= 0."""
@@ -92,17 +87,7 @@ def r_tail(n: int, x, ctx: PrecisionContext) -> Real:
 def r_frac(a, x, ctx: PrecisionContext) -> Real:
     """Fractional-order remainder R_a(x), real a > -1, via the Kummer series
     x**(a+1)/Gamma(a+2) * 1F1(1; a+2; x)."""
-    return _hyp1f1_pos(1, a + 2, x, ctx, x ** (a + 1) / mp.gamma(a + 2))
-
-
-def _power(x, e, wp: int, memo):
-    """x**e for raw x > 0 and e, rounded as ``mpf_pow`` rounds it at wp:
-    integer and half-integer powers by ``mpf_pow`` itself, others as
-    exp(e log x) with log x at wp + 10 bits taken from ``memo``."""
-    if e[2] >= -1:
-        return mpf_pow(x, e, wp, round_nearest)
-    log_x = memo(("log", x), mpf_log, x, wp + 10, round_nearest)
-    return mpf_exp(mpf_mul(e, log_x), wp, round_nearest)
+    return _hyp1f1_pos(1, a + 2, x, ctx, _real_pow(x, a + 1) / mp.gamma(a + 2))
 
 
 def r_frac_ladder(f, lo: int, hi: int, x, ctx: PrecisionContext, *,
@@ -217,7 +202,7 @@ def b_value(nu, x, ctx: PrecisionContext) -> Real:
     """Normalised remainder Gamma(nu+2) * R_nu(x) = x**(nu+1) 1F1(1; nu+2; x)
     for finite nu > -1 and x >= 0; log-convex in nu.  Summed as the
     series, without the two Gamma(nu+2) of the product, which cancel."""
-    return _hyp1f1_pos(1, nu + 2, x, ctx, x ** (nu + 1))
+    return _hyp1f1_pos(1, nu + 2, x, ctx, _real_pow(x, nu + 1))
 
 
 @declared(Param("nu", gt=-1, finite=False), _X)
